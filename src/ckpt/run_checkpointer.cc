@@ -6,18 +6,16 @@
 
 #include "base/logging.hh"
 #include "core/synchronizer.hh"
-#include "engine/cluster.hh"
 #include "engine/run_result.hh"
 
 namespace aqsim::ckpt
 {
 
 RunCheckpointer::RunCheckpointer(const RunCkptOptions &options,
-                                 const engine::Cluster &cluster,
                                  const core::Synchronizer &sync,
                                  std::uint64_t config_hash,
                                  std::string engine_name)
-    : options_(options), cluster_(cluster), sync_(sync),
+    : options_(options), sync_(sync),
       configHash_(config_hash), engineName_(std::move(engine_name))
 {
     if (options_.every > 0 && options_.dir.empty())
@@ -81,44 +79,34 @@ RunCheckpointer::begin()
            options_.verifyRestore ? "per-section" : "state-hash");
 }
 
+RunCheckpointer::Due
+RunCheckpointer::dueAt(std::uint64_t q) const
+{
+    Due due;
+    due.verify = restoring_ && restoredFrom_ == 0 &&
+                 q == golden_.quantumIndex;
+    // During replay the quanta up to the golden snapshot would produce
+    // the files already on disk; only new ground is checkpointed.
+    due.write = manager_ && manager_->due(q) &&
+                (!restoring_ || q > golden_.quantumIndex);
+    due.stash = options_.stashForPanic && manager_ != nullptr;
+    return due;
+}
+
 bool
 RunCheckpointer::imageDue(std::uint64_t q) const
 {
-    const bool verify_due = restoring_ && restoredFrom_ == 0 &&
-                            q == golden_.quantumIndex;
-    // During replay the quanta up to the golden snapshot would produce
-    // the files already on disk; only new ground is checkpointed.
-    const bool write_due =
-        manager_ && manager_->due(q) &&
-        (!restoring_ || q > golden_.quantumIndex);
-    const bool stash_due = options_.stashForPanic && manager_ != nullptr;
-    return verify_due || write_due || stash_due;
-}
-
-void
-RunCheckpointer::onQuantumCompleted(
-    const std::vector<std::uint8_t> &engine_state)
-{
-    if (!imageDue(sync_.numQuanta()))
-        return;
-    onQuantumCompleted(buildImage(cluster_, sync_, configHash_,
-                                  engineName_, engine_state));
+    const Due due = dueAt(q);
+    return due.verify || due.write || due.stash;
 }
 
 void
 RunCheckpointer::onQuantumCompleted(const CheckpointImage &image)
 {
     const std::uint64_t q = sync_.numQuanta();
-    const bool verify_due = restoring_ && restoredFrom_ == 0 &&
-                            q == golden_.quantumIndex;
-    const bool write_due =
-        manager_ && manager_->due(q) &&
-        (!restoring_ || q > golden_.quantumIndex);
-    const bool stash_due = options_.stashForPanic && manager_;
-    if (!verify_due && !write_due && !stash_due)
-        return;
+    const Due due = dueAt(q);
 
-    if (verify_due) {
+    if (due.verify) {
         CkptError error;
         if (options_.verifyRestore) {
             if (!compareImages(golden_, image, error))
@@ -140,7 +128,7 @@ RunCheckpointer::onQuantumCompleted(const CheckpointImage &image)
                static_cast<unsigned long long>(image.stateHash));
     }
 
-    if (write_due) {
+    if (due.write) {
         CkptError error;
         if (!manager_->write(image, error))
             warn("checkpoint write failed at quantum %llu: %s",
@@ -148,7 +136,7 @@ RunCheckpointer::onQuantumCompleted(const CheckpointImage &image)
                  error.str().c_str());
     }
 
-    if (stash_due)
+    if (due.stash)
         manager_->stashPanicImage(encodeImage(image));
 }
 

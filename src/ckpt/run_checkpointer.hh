@@ -1,11 +1,13 @@
 /**
  * @file
- * Per-run checkpoint/restore driver shared by both engines.
+ * Per-run checkpoint/restore lifecycle, driven by engine::QuantumDriver.
  *
- * The engines own the quantum loop; this class owns everything
+ * The driver owns the quantum loop; this class owns everything
  * checkpoint-shaped inside it. At each quantum boundary (after
  * Synchronizer::completeQuantum(), i.e. on a consistent cut) the
- * engine calls onQuantumCompleted() and the driver decides whether to
+ * driver asks imageDue(); only then does it fetch a state image from
+ * the engine and hand it to onQuantumCompleted(), which decides
+ * whether to
  *
  *  - snapshot + write a periodic checkpoint file,
  *  - stash the encoded snapshot for the watchdog's panic dump,
@@ -71,7 +73,6 @@ class RunCheckpointer
      *        (configFingerprint()); restores reject a mismatch
      */
     RunCheckpointer(const RunCkptOptions &options,
-                    const engine::Cluster &cluster,
                     const core::Synchronizer &sync,
                     std::uint64_t config_hash, std::string engine_name);
     ~RunCheckpointer();
@@ -83,27 +84,16 @@ class RunCheckpointer
     void begin();
 
     /**
-     * Quantum-boundary hook; call after completeQuantum().
-     *
-     * @param engine_state deterministic engine-private section body
-     *        (empty = omitted)
-     */
-    void
-    onQuantumCompleted(const std::vector<std::uint8_t> &engine_state);
-
-    /**
      * Would completing quantum @p q need a full state image (restore
-     * verify, periodic write, or panic stash)? The DistributedEngine
-     * asks before a boundary so it only pays the cross-process state
-     * gather on quanta where an image is actually consumed.
+     * verify, periodic write, or panic stash)? Asked before a boundary
+     * so the engine only serializes (or, distributed, gathers) its
+     * state on quanta where an image is actually consumed.
      */
     bool imageDue(std::uint64_t q) const;
 
     /**
-     * Quantum-boundary hook taking a pre-assembled image (the
-     * DistributedEngine coordinator splices one from gathered peer
-     * sections). Same verify/write/stash decisions as the
-     * engine-state overload.
+     * Quantum-boundary hook; call after completeQuantum() with the
+     * boundary image, when imageDue() said one is needed.
      */
     void onQuantumCompleted(const CheckpointImage &image);
 
@@ -121,8 +111,16 @@ class RunCheckpointer
     std::uint64_t restoredFromQuantum() const { return restoredFrom_; }
 
   private:
+    /** What completing quantum q consumes an image for. */
+    struct Due
+    {
+        bool verify = false;
+        bool write = false;
+        bool stash = false;
+    };
+    Due dueAt(std::uint64_t q) const;
+
     RunCkptOptions options_;
-    const engine::Cluster &cluster_;
     const core::Synchronizer &sync_;
     std::uint64_t configHash_;
     std::string engineName_;

@@ -7,9 +7,9 @@
  * window [start, end), feeds the per-quantum packet count from the
  * network controller into the policy, and accumulates SyncStats.
  *
- * It is engine-agnostic: both the deterministic SequentialEngine and
- * the ThreadedEngine drive the same Synchronizer, which keeps the
- * paper's algorithm in exactly one place.
+ * It is engine-agnostic: engine::QuantumDriver owns one per run and
+ * drives it for every engine, which keeps the paper's algorithm in
+ * exactly one place.
  */
 
 #ifndef AQSIM_CORE_SYNCHRONIZER_HH

@@ -21,11 +21,10 @@
 #include "base/mutex.hh"
 #include "ckpt/checkpoint.hh"
 #include "ckpt/ckpt_io.hh"
-#include "ckpt/run_checkpointer.hh"
 #include "core/synchronizer.hh"
 #include "engine/delivery_batch.hh"
+#include "engine/quantum_driver.hh"
 #include "engine/shard_exec.hh"
-#include "engine/watchdog.hh"
 #include "engine/worker_pool.hh"
 #include "fault/peer_drill.hh"
 #include "mpi/packet_codec.hh"
@@ -576,108 +575,6 @@ class PeerGroup
     std::vector<Liveness> live_ AQSIM_GUARDED_BY(mutex_);
 };
 
-/**
- * Coordinator protocol helpers: deadline-bounded awaits that absorb
- * heartbeats, poll supervised cancellation, and convert every failure
- * mode into a PeerFailure-carrying RunAbort.
- */
-class Coordinator
-{
-  public:
-    Coordinator(const EngineOptions &options, PeerGroup &peers,
-                base::CancelToken *cancel)
-        : options_(options), peers_(peers), cancel_(cancel)
-    {}
-
-    /** Completed-quanta count stamped into failures. */
-    std::uint64_t quantum = 0;
-
-    void
-    sendFrame(std::size_t w, const transport::Frame &frame,
-              const char *phase)
-    {
-        if (!peers_.channels[w]->send(frame))
-            fail(w, PeerFailureKind::Disconnect, phase);
-    }
-
-    /**
-     * Wait for one @p want frame from worker @p w. Any frame resets
-     * the liveness window (heartbeats keep a slow peer alive); the
-     * deadline elapsing, a closed pipe, wire damage, an unexpected
-     * type, or a peer-reported Abort all throw.
-     */
-    transport::Frame
-    await(std::size_t w, transport::FrameType want, const char *phase)
-    {
-        peers_.setPhase(w, phase);
-        transport::SocketChannel &ch = *peers_.channels[w];
-        auto window_start = SteadyClock::now();
-        for (;;) {
-            if (cancel_ && cancel_->cancelled())
-                throw base::RunAbort(
-                    "watchdog", "run cancelled after watchdog expiry",
-                    quantum);
-            const double elapsed = secondsSince(window_start);
-            if (elapsed >= options_.peerDeadlineSeconds)
-                fail(w, PeerFailureKind::Hang, phase);
-            // Short slices keep the cancellation poll responsive
-            // without giving up any of the peer's deadline.
-            const double slice = std::min(
-                0.25, options_.peerDeadlineSeconds - elapsed);
-            transport::Frame f;
-            switch (ch.recv(f, std::max(slice, 0.01))) {
-            case transport::RecvStatus::Ok:
-                peers_.touch(w);
-                window_start = SteadyClock::now();
-                if (f.type == transport::FrameType::Heartbeat)
-                    continue;
-                if (f.type == want)
-                    return f;
-                if (f.type == transport::FrameType::Abort) {
-                    ckpt::Reader r(f.body, "abort");
-                    const std::string cause = r.str();
-                    const std::string detail = r.str();
-                    fail(w, PeerFailureKind::Protocol, phase,
-                         "peer aborted itself: " + cause + ": " +
-                             detail);
-                }
-                fail(w, PeerFailureKind::Protocol, phase,
-                     std::string("unexpected ") +
-                         transport::frameTypeName(f.type) + " frame");
-            case transport::RecvStatus::Timeout:
-                continue;
-            case transport::RecvStatus::Closed:
-                fail(w, PeerFailureKind::Disconnect, phase);
-            case transport::RecvStatus::Corrupt:
-                fail(w, PeerFailureKind::Corrupt, phase);
-            }
-        }
-    }
-
-    /** Quarantine worker @p w and abort the run with its failure. */
-    [[noreturn]] void
-    fail(std::size_t w, PeerFailureKind kind, const char *phase,
-         std::string detail = "")
-    {
-        PeerFailure failure;
-        failure.kind = kind;
-        failure.peer = w;
-        failure.pid = static_cast<long>(peers_.pids[w]);
-        failure.phase = phase;
-        failure.frameAge = peers_.frameAge(w);
-        failure.detail = std::move(detail);
-        peers_.markFailed(w);
-        peers_.channels[w]->close();
-        throw base::RunAbort("peer-failure", failure.describe(),
-                             quantum);
-    }
-
-  private:
-    const EngineOptions &options_;
-    PeerGroup &peers_;
-    base::CancelToken *cancel_;
-};
-
 /** One raw, already-encoded packet run headed for one destination. */
 struct Segment
 {
@@ -710,47 +607,6 @@ takeRaw(ckpt::Reader &r, const std::vector<std::uint8_t> &body,
                body.begin() + static_cast<std::ptrdiff_t>(offset + len));
     r.skip(len);
     return true;
-}
-
-/** Request + decode worker @p w's state slice at @p expect_quantum. */
-PeerState
-fetchPeerState(Coordinator &coord, std::size_t w,
-               std::uint64_t expect_quantum, std::size_t expect_owned,
-               bool expect_fault)
-{
-    transport::Frame req;
-    req.type = transport::FrameType::StateReq;
-    coord.sendFrame(w, req, "state request");
-    const transport::Frame f =
-        coord.await(w, transport::FrameType::State, "state gather");
-
-    ckpt::Reader r(f.body, "state");
-    PeerState st;
-    const std::uint32_t index = r.u32();
-    const std::uint64_t q = r.u64();
-    bool ok = index == w && q == expect_quantum;
-    ok = ok && takeRaw(r, f.body, r.u64(), st.nodes);
-    ok = ok && takeRaw(r, f.body, r.u64(), st.mpi);
-    ok = ok && takeRaw(r, f.body, r.u64(), st.workload);
-    st.hasFault = r.boolean();
-    ok = ok && st.hasFault == expect_fault;
-    if (ok && st.hasFault) {
-        ok = takeRaw(r, f.body, r.u64(), st.faultRows);
-        for (std::uint64_t &total : st.faultTotals)
-            total = r.u64();
-    }
-    const std::uint32_t owned = r.u32();
-    ok = ok && r.ok() && owned == expect_owned;
-    if (ok) {
-        st.finish.reserve(owned);
-        for (std::uint32_t i = 0; i < owned; ++i)
-            st.finish.push_back(r.u64());
-        st.retransmits = r.u64();
-    }
-    if (!ok || !r.ok() || r.remaining() != 0)
-        coord.fail(w, PeerFailureKind::Protocol, "state gather",
-                   "malformed state slice");
-    return st;
 }
 
 /** All peer slices spliced into whole-cluster section bodies. */
@@ -846,14 +702,14 @@ assembleState(Cluster &cluster, const std::vector<PeerState> &states,
  * cluster's). */
 ckpt::CheckpointImage
 spliceImage(const GatheredState &g, const core::Synchronizer &sync,
-            std::uint64_t config_hash)
+            std::uint64_t config_hash, const char *engine_name)
 {
     ckpt::CheckpointImage image;
     image.quantumIndex = sync.numQuanta();
     image.quantumStart = sync.quantumStart();
     image.quantumEnd = sync.quantumEnd();
     image.configHash = config_hash;
-    image.engine = "distributed";
+    image.engine = engine_name;
     {
         ckpt::Writer w;
         sync.serialize(w);
@@ -882,6 +738,357 @@ splicedStateHash(const GatheredState &g)
     return w.hash();
 }
 
+/**
+ * The coordinator side of a run, as a QuantumExecutor: one
+ * star-protocol round trip per quantum over the already-forked worker
+ * processes. Every barrier wait is deadline-bounded, absorbs
+ * heartbeats, polls supervised cancellation, and converts every
+ * failure mode into a PeerFailure-carrying RunAbort stamped with the
+ * completed-quanta count.
+ */
+class Coordinator : public QuantumExecutor
+{
+  public:
+    Coordinator(Cluster &cluster, QuantumDriver &driver,
+                const EngineOptions &options, PeerGroup &peers)
+        : cluster_(cluster), driver_(driver), options_(options),
+          peers_(peers), numPeers_(peers.size()),
+          hasFault_(cluster.faultInjector() != nullptr),
+          // At quantum 0 the pristine replica *is* the peers' state;
+          // afterwards the flags aggregate from the workers' Acks.
+          allDone_(cluster.allDone()),
+          anyPending_(cluster.anyEventPending())
+    {}
+
+    const char *name() const override { return "distributed"; }
+
+    /**
+     * No panic stash: a boundary image requires a cross-process state
+     * gather, and the peers are by definition unresponsive when the
+     * watchdog fires.
+     */
+    bool stashesPanicImage() const override { return false; }
+
+    bool done() const override { return allDone_; }
+    bool pending() const override { return anyPending_; }
+
+    /**
+     * Handshake: every worker announces itself with a geometry echo,
+     * which catches build/parameter skew before any quantum runs.
+     */
+    void
+    begin() override
+    {
+        wallStart_ = SteadyClock::now();
+        quantumStartWall_ = wallStart_;
+        const std::size_t n = cluster_.numNodes();
+        for (std::size_t w = 0; w < numPeers_; ++w) {
+            const transport::Frame hello =
+                await(w, transport::FrameType::Hello, "hello");
+            ckpt::Reader r(hello.body, "hello");
+            const std::uint32_t index = r.u32();
+            const std::uint32_t k = r.u32();
+            const std::uint32_t nodes = r.u32();
+            if (!r.ok() || index != w || k != numPeers_ || nodes != n)
+                fail(w, PeerFailureKind::Protocol, "hello",
+                     "geometry mismatch in hello");
+        }
+    }
+
+    HostNs
+    runQuantum() override
+    {
+        const core::Synchronizer &sync = driver_.sync();
+        const std::uint64_t qi = sync.numQuanta() + 1;
+
+        transport::Frame quantum;
+        quantum.type = transport::FrameType::Quantum;
+        {
+            ckpt::Writer w;
+            w.u64(sync.quantumStart());
+            w.u64(sync.quantumEnd());
+            w.u64(qi);
+            quantum.body = w.buffer();
+        }
+        for (std::size_t w = 0; w < numPeers_; ++w)
+            sendFrame(w, quantum, "quantum dispatch");
+
+        // Exchange barrier: collect per-peer counter deltas and the raw
+        // per-destination packet runs. The deltas are absorbed into the
+        // replica controller *before* completeQuantum() so the policy
+        // and stats see the global per-quantum packet count.
+        std::vector<std::vector<Segment>> segs(
+            numPeers_, std::vector<Segment>(numPeers_));
+        for (std::size_t w = 0; w < numPeers_; ++w) {
+            const transport::Frame ex = await(
+                w, transport::FrameType::Exchange, "exchange barrier");
+            ckpt::Reader r(ex.body, "exchange");
+            const std::uint32_t index = r.u32();
+            const std::uint64_t q = r.u64();
+            net::NetworkController::RemoteDeltas d;
+            d.idsAssigned = r.u64();
+            d.packetsThisQuantum = r.u64();
+            d.totalPackets = r.u64();
+            d.totalStragglers = r.u64();
+            d.totalNextQuantum = r.u64();
+            d.totalLatenessTicks = r.u64();
+            d.totalDropped = r.u64();
+            d.bytes = r.u64();
+            const std::uint32_t num_sections = r.u32();
+            bool ok = r.ok() && index == w && q == qi &&
+                      num_sections == numPeers_ - 1;
+            for (std::uint32_t i = 0; ok && i < num_sections; ++i) {
+                const std::uint32_t dst = r.u32();
+                const std::uint32_t count = r.u32();
+                const std::uint64_t len = r.u64();
+                ok = r.ok() && dst < numPeers_ && dst != w;
+                if (ok) {
+                    segs[w][dst].count = count;
+                    ok = takeRaw(r, ex.body, len, segs[w][dst].bytes);
+                }
+            }
+            if (!ok || !r.ok() || r.remaining() != 0)
+                fail(w, PeerFailureKind::Protocol, "exchange barrier",
+                     "malformed exchange body");
+            cluster_.controller().absorbRemoteDeltas(d);
+        }
+
+        // Deliver: splice each destination's inbound runs — ascending
+        // source order, raw byte segments, no packet re-encoding on the
+        // coordinator.
+        for (std::size_t d = 0; d < numPeers_; ++d) {
+            transport::Frame deliver;
+            deliver.type = transport::FrameType::Deliver;
+            ckpt::Writer w;
+            w.u64(qi);
+            w.u32(static_cast<std::uint32_t>(numPeers_ - 1));
+            for (std::size_t u = 0; u < numPeers_; ++u) {
+                if (u == d)
+                    continue;
+                const Segment &seg = segs[u][d];
+                w.u32(static_cast<std::uint32_t>(u));
+                w.u32(seg.count);
+                w.u64(seg.bytes.size());
+                w.bytes(seg.bytes.data(), seg.bytes.size());
+            }
+            deliver.body = w.buffer();
+            sendFrame(d, deliver, "delivery dispatch");
+        }
+
+        // Ack barrier: aggregate the workers' local progress.
+        allDone_ = true;
+        anyPending_ = false;
+        stagedTotal_ = 0;
+        mergedTotal_ = 0;
+        for (std::size_t w = 0; w < numPeers_; ++w) {
+            const transport::Frame ack =
+                await(w, transport::FrameType::Ack, "ack barrier");
+            ckpt::Reader r(ack.body, "ack");
+            const std::uint32_t index = r.u32();
+            const std::uint64_t q = r.u64();
+            const bool done_local = r.boolean();
+            const bool pending_local = r.boolean();
+            r.u64(); // max local finish tick (final gather wins)
+            const std::uint64_t staged = r.u64();
+            const std::uint64_t merged = r.u64();
+            if (!r.ok() || r.remaining() != 0 || index != w || q != qi)
+                fail(w, PeerFailureKind::Protocol, "ack barrier",
+                     "malformed ack body");
+            allDone_ = allDone_ && done_local;
+            anyPending_ = anyPending_ || pending_local;
+            stagedTotal_ += staged;
+            mergedTotal_ += merged;
+        }
+
+        const auto now_wall = SteadyClock::now();
+        const HostNs quantum_ns =
+            std::chrono::duration<double, std::nano>(now_wall -
+                                                     quantumStartWall_)
+                .count();
+        quantumStartWall_ = now_wall;
+        return quantum_ns;
+    }
+
+    /** Cross-process state gather, paid only when an image is due. */
+    ckpt::CheckpointImage
+    boundaryImage(std::uint64_t config_hash) override
+    {
+        return spliceImage(gather(), driver_.sync(), config_hash, name());
+    }
+
+    /**
+     * Node state lives in the worker processes; the useful dump here
+     * is per-peer liveness.
+     */
+    void
+    describe(PanicInfo &info) const override
+    {
+        info.peers = peers_.report();
+    }
+
+    /**
+     * Final gather — finish ticks, retransmit totals, and the spliced
+     * state fingerprint that must equal the sequential engine's
+     * Cluster::stateHash bit for bit — then a clean peer shutdown.
+     */
+    void
+    finish(RunResult &result) override
+    {
+        const GatheredState g = gather();
+        peers_.stopAll(options_.peerDeadlineSeconds);
+        result.hostNs = std::chrono::duration<double, std::nano>(
+                            SteadyClock::now() - wallStart_)
+                            .count();
+        result.finishTicks = g.finishTicks;
+        result.retransmits = g.retransmits;
+        result.finalStateHash = splicedStateHash(g);
+    }
+
+  private:
+    void
+    sendFrame(std::size_t w, const transport::Frame &frame,
+              const char *phase)
+    {
+        if (!peers_.channels[w]->send(frame))
+            fail(w, PeerFailureKind::Disconnect, phase);
+    }
+
+    /**
+     * Wait for one @p want frame from worker @p w. Any frame resets
+     * the liveness window (heartbeats keep a slow peer alive); the
+     * deadline elapsing, a closed pipe, wire damage, an unexpected
+     * type, or a peer-reported Abort all throw.
+     */
+    transport::Frame
+    await(std::size_t w, transport::FrameType want, const char *phase)
+    {
+        peers_.setPhase(w, phase);
+        transport::SocketChannel &ch = *peers_.channels[w];
+        auto window_start = SteadyClock::now();
+        for (;;) {
+            driver_.pollCancel();
+            const double elapsed = secondsSince(window_start);
+            if (elapsed >= options_.peerDeadlineSeconds)
+                fail(w, PeerFailureKind::Hang, phase);
+            // Short slices keep the cancellation poll responsive
+            // without giving up any of the peer's deadline.
+            const double slice = std::min(
+                0.25, options_.peerDeadlineSeconds - elapsed);
+            transport::Frame f;
+            switch (ch.recv(f, std::max(slice, 0.01))) {
+            case transport::RecvStatus::Ok:
+                peers_.touch(w);
+                window_start = SteadyClock::now();
+                if (f.type == transport::FrameType::Heartbeat)
+                    continue;
+                if (f.type == want)
+                    return f;
+                if (f.type == transport::FrameType::Abort) {
+                    ckpt::Reader r(f.body, "abort");
+                    const std::string cause = r.str();
+                    const std::string detail = r.str();
+                    fail(w, PeerFailureKind::Protocol, phase,
+                         "peer aborted itself: " + cause + ": " +
+                             detail);
+                }
+                fail(w, PeerFailureKind::Protocol, phase,
+                     std::string("unexpected ") +
+                         transport::frameTypeName(f.type) + " frame");
+            case transport::RecvStatus::Timeout:
+                continue;
+            case transport::RecvStatus::Closed:
+                fail(w, PeerFailureKind::Disconnect, phase);
+            case transport::RecvStatus::Corrupt:
+                fail(w, PeerFailureKind::Corrupt, phase);
+            }
+        }
+    }
+
+    /** Quarantine worker @p w and abort the run with its failure. */
+    [[noreturn]] void
+    fail(std::size_t w, PeerFailureKind kind, const char *phase,
+         std::string detail = "")
+    {
+        PeerFailure failure;
+        failure.kind = kind;
+        failure.peer = w;
+        failure.pid = static_cast<long>(peers_.pids[w]);
+        failure.phase = phase;
+        failure.frameAge = peers_.frameAge(w);
+        failure.detail = std::move(detail);
+        peers_.markFailed(w);
+        peers_.channels[w]->close();
+        throw base::RunAbort("peer-failure", failure.describe(),
+                             driver_.sync().numQuanta());
+    }
+
+    /** Request + decode worker @p w's state slice at this boundary. */
+    PeerState
+    fetchState(std::size_t w, std::size_t expect_owned)
+    {
+        transport::Frame req;
+        req.type = transport::FrameType::StateReq;
+        sendFrame(w, req, "state request");
+        const transport::Frame f =
+            await(w, transport::FrameType::State, "state gather");
+
+        ckpt::Reader r(f.body, "state");
+        PeerState st;
+        const std::uint32_t index = r.u32();
+        const std::uint64_t q = r.u64();
+        bool ok = index == w && q == driver_.sync().numQuanta();
+        ok = ok && takeRaw(r, f.body, r.u64(), st.nodes);
+        ok = ok && takeRaw(r, f.body, r.u64(), st.mpi);
+        ok = ok && takeRaw(r, f.body, r.u64(), st.workload);
+        st.hasFault = r.boolean();
+        ok = ok && st.hasFault == hasFault_;
+        if (ok && st.hasFault) {
+            ok = takeRaw(r, f.body, r.u64(), st.faultRows);
+            for (std::uint64_t &total : st.faultTotals)
+                total = r.u64();
+        }
+        const std::uint32_t owned = r.u32();
+        ok = ok && r.ok() && owned == expect_owned;
+        if (ok) {
+            st.finish.reserve(owned);
+            for (std::uint32_t i = 0; i < owned; ++i)
+                st.finish.push_back(r.u64());
+            st.retransmits = r.u64();
+        }
+        if (!ok || !r.ok() || r.remaining() != 0)
+            fail(w, PeerFailureKind::Protocol, "state gather",
+                 "malformed state slice");
+        return st;
+    }
+
+    GatheredState
+    gather()
+    {
+        const std::size_t n = cluster_.numNodes();
+        std::vector<PeerState> states;
+        states.reserve(numPeers_);
+        for (std::size_t w = 0; w < numPeers_; ++w) {
+            const auto [sb, se] = WorkerPool::shardRange(w, numPeers_, n);
+            states.push_back(fetchState(w, se - sb));
+        }
+        return assembleState(cluster_, states, stagedTotal_,
+                             mergedTotal_);
+    }
+
+    Cluster &cluster_;
+    QuantumDriver &driver_;
+    const EngineOptions &options_;
+    PeerGroup &peers_;
+    const std::size_t numPeers_;
+    const bool hasFault_;
+    bool allDone_;
+    bool anyPending_;
+    std::uint64_t stagedTotal_ = 0;
+    std::uint64_t mergedTotal_ = 0;
+    SteadyClock::time_point wallStart_;
+    SteadyClock::time_point quantumStartWall_;
+};
+
 } // namespace
 
 DistributedEngine::DistributedEngine(EngineOptions options)
@@ -903,10 +1110,8 @@ DistributedEngine::run(const ClusterParams &params,
     // execute an event.
     Cluster cluster(params, workload);
     const std::size_t n = cluster.numNodes();
-    core::Synchronizer sync(policy, cluster.controller(),
-                            cluster.statsRoot(),
-                            options_.recordTimeline);
-    if (!sync.conservative())
+    QuantumDriver driver(options_, cluster, policy);
+    if (!driver.sync().conservative())
         fatal("distributed engine requires a conservative fixed "
               "quantum <= the minimum network latency (%llu ticks): "
               "only then is partitioned execution exact",
@@ -915,8 +1120,6 @@ DistributedEngine::run(const ClusterParams &params,
 
     const std::size_t num_peers =
         WorkerPool::resolveWorkerCount(options_.numWorkers, n);
-    const std::uint64_t config_hash = ckpt::configFingerprint(
-        params, policy.name(), workload.name());
 
     // Fork every worker before any coordinator thread exists
     // (watchdog, heartbeat receivers): a post-thread fork could
@@ -955,328 +1158,12 @@ DistributedEngine::run(const ClusterParams &params,
     for (std::size_t w = 0; w < num_peers; ++w)
         child_ends[w].reset();
 
-    ckpt::RunCkptOptions ck;
-    ck.every = options_.checkpointEvery;
-    ck.dir = options_.checkpointDir;
-    ck.restorePath = options_.restorePath;
-    ck.verifyRestore = options_.verifyRestore;
-    ck.keepLast = options_.checkpointKeepLast;
-    // No panic stash: a boundary image requires a cross-process state
-    // gather, and the peers are by definition unresponsive when the
-    // watchdog fires.
-    ck.stashForPanic = false;
-    std::unique_ptr<ckpt::RunCheckpointer> checkpointer;
-    if (ck.enabled()) {
-        checkpointer = std::make_unique<ckpt::RunCheckpointer>(
-            ck, cluster, sync, config_hash, "distributed");
-        checkpointer->begin();
-    }
-
-    base::CancelToken *const cancel = options_.cancelToken;
-    std::unique_ptr<Watchdog> watchdog_owner;
-    Watchdog *watchdog = nullptr;
-    if (options_.watchdogSeconds > 0.0) {
-        // Run-local (not engine-owned like the in-process engines):
-        // the watchdog thread must not exist across this engine's
-        // fork calls, and a fresh run forks fresh workers anyway.
-        watchdog_owner =
-            std::make_unique<Watchdog>(options_.watchdogSeconds);
-        Watchdog::PanicFn on_panic;
-        if (cancel || options_.onWatchdogPanic) {
-            on_panic = [handler = options_.onWatchdogPanic,
-                        cancel](const PanicInfo &info) {
-                if (handler)
-                    handler(info);
-                if (cancel)
-                    cancel->requestCancel();
-            };
-        }
-        watchdog_owner->arm(
-            [&sync, &peers, ckpt = checkpointer.get()] {
-                PanicInfo info;
-                info.quantumStart = sync.quantumStart();
-                info.quantumEnd = sync.quantumEnd();
-                // Node state lives in the worker processes; the
-                // useful dump here is per-peer liveness.
-                info.peers = peers.report();
-                if (ckpt)
-                    info.note = ckpt->panicNote();
-                return info;
-            },
-            std::move(on_panic));
-        watchdog = watchdog_owner.get();
-    }
-
-    Coordinator coord(options_, peers, cancel);
-
-    const auto wall_start = SteadyClock::now();
-    const std::uint64_t max_quanta =
-        options_.maxQuanta ? options_.maxQuanta : 500'000'000ULL;
-    const bool has_fault = cluster.faultInjector() != nullptr;
-
-    RunResult result;
-    try {
-        // Handshake: every worker announces itself with a geometry
-        // echo, which catches build/parameter skew before any quantum
-        // runs.
-        for (std::size_t w = 0; w < num_peers; ++w) {
-            const transport::Frame hello =
-                coord.await(w, transport::FrameType::Hello, "hello");
-            ckpt::Reader r(hello.body, "hello");
-            const std::uint32_t index = r.u32();
-            const std::uint32_t k = r.u32();
-            const std::uint32_t nodes = r.u32();
-            if (!r.ok() || index != w || k != num_peers || nodes != n)
-                coord.fail(w, PeerFailureKind::Protocol, "hello",
-                           "geometry mismatch in hello");
-        }
-
-        sync.begin();
-        // At quantum 0 the pristine replica *is* the peers' state;
-        // afterwards the flags aggregate from the workers' Acks.
-        bool all_done = cluster.allDone();
-        bool any_pending = cluster.anyEventPending();
-        std::uint64_t staged_total = 0;
-        std::uint64_t merged_total = 0;
-        auto quantum_start_wall = wall_start;
-
-        while (!all_done) {
-            if (cancel && cancel->cancelled())
-                throw base::RunAbort(
-                    "watchdog", "run cancelled after watchdog expiry",
-                    sync.numQuanta());
-            if (!any_pending)
-                panic("cluster deadlock: no pending events but "
-                      "applications incomplete (%zu peers)\n%s",
-                      num_peers, peers.report().c_str());
-            const std::uint64_t qi = sync.numQuanta() + 1;
-            coord.quantum = sync.numQuanta();
-
-            transport::Frame quantum;
-            quantum.type = transport::FrameType::Quantum;
-            {
-                ckpt::Writer w;
-                w.u64(sync.quantumStart());
-                w.u64(sync.quantumEnd());
-                w.u64(qi);
-                quantum.body = w.buffer();
-            }
-            for (std::size_t w = 0; w < num_peers; ++w)
-                coord.sendFrame(w, quantum, "quantum dispatch");
-
-            // Exchange barrier: collect per-peer counter deltas and
-            // the raw per-destination packet runs. The deltas are
-            // absorbed into the replica controller *before*
-            // completeQuantum() so the policy and stats see the
-            // global per-quantum packet count.
-            std::vector<std::vector<Segment>> segs(
-                num_peers, std::vector<Segment>(num_peers));
-            for (std::size_t w = 0; w < num_peers; ++w) {
-                const transport::Frame ex = coord.await(
-                    w, transport::FrameType::Exchange,
-                    "exchange barrier");
-                ckpt::Reader r(ex.body, "exchange");
-                const std::uint32_t index = r.u32();
-                const std::uint64_t q = r.u64();
-                net::NetworkController::RemoteDeltas d;
-                d.idsAssigned = r.u64();
-                d.packetsThisQuantum = r.u64();
-                d.totalPackets = r.u64();
-                d.totalStragglers = r.u64();
-                d.totalNextQuantum = r.u64();
-                d.totalLatenessTicks = r.u64();
-                d.totalDropped = r.u64();
-                d.bytes = r.u64();
-                const std::uint32_t num_sections = r.u32();
-                bool ok = r.ok() && index == w && q == qi &&
-                          num_sections == num_peers - 1;
-                for (std::uint32_t i = 0; ok && i < num_sections;
-                     ++i) {
-                    const std::uint32_t dst = r.u32();
-                    const std::uint32_t count = r.u32();
-                    const std::uint64_t len = r.u64();
-                    ok = r.ok() && dst < num_peers && dst != w;
-                    if (ok) {
-                        segs[w][dst].count = count;
-                        ok = takeRaw(r, ex.body, len,
-                                     segs[w][dst].bytes);
-                    }
-                }
-                if (!ok || !r.ok() || r.remaining() != 0)
-                    coord.fail(w, PeerFailureKind::Protocol,
-                               "exchange barrier",
-                               "malformed exchange body");
-                cluster.controller().absorbRemoteDeltas(d);
-            }
-
-            // Deliver: splice each destination's inbound runs —
-            // ascending source order, raw byte segments, no packet
-            // re-encoding on the coordinator.
-            for (std::size_t d = 0; d < num_peers; ++d) {
-                transport::Frame deliver;
-                deliver.type = transport::FrameType::Deliver;
-                ckpt::Writer w;
-                w.u64(qi);
-                w.u32(static_cast<std::uint32_t>(num_peers - 1));
-                for (std::size_t u = 0; u < num_peers; ++u) {
-                    if (u == d)
-                        continue;
-                    const Segment &seg = segs[u][d];
-                    w.u32(static_cast<std::uint32_t>(u));
-                    w.u32(seg.count);
-                    w.u64(seg.bytes.size());
-                    w.bytes(seg.bytes.data(), seg.bytes.size());
-                }
-                deliver.body = w.buffer();
-                coord.sendFrame(d, deliver, "delivery dispatch");
-            }
-
-            // Ack barrier: aggregate the workers' local progress.
-            all_done = true;
-            any_pending = false;
-            staged_total = 0;
-            merged_total = 0;
-            for (std::size_t w = 0; w < num_peers; ++w) {
-                const transport::Frame ack = coord.await(
-                    w, transport::FrameType::Ack, "ack barrier");
-                ckpt::Reader r(ack.body, "ack");
-                const std::uint32_t index = r.u32();
-                const std::uint64_t q = r.u64();
-                const bool done_local = r.boolean();
-                const bool pending_local = r.boolean();
-                r.u64(); // max local finish tick (final gather wins)
-                const std::uint64_t staged = r.u64();
-                const std::uint64_t merged = r.u64();
-                if (!r.ok() || r.remaining() != 0 || index != w ||
-                    q != qi)
-                    coord.fail(w, PeerFailureKind::Protocol,
-                               "ack barrier", "malformed ack body");
-                all_done = all_done && done_local;
-                any_pending = any_pending || pending_local;
-                staged_total += staged;
-                merged_total += merged;
-            }
-
-            if (watchdog)
-                watchdog->kick();
-            const auto now_wall = SteadyClock::now();
-            const HostNs quantum_ns =
-                std::chrono::duration<double, std::nano>(
-                    now_wall - quantum_start_wall)
-                    .count();
-            quantum_start_wall = now_wall;
-            sync.completeQuantum(quantum_ns);
-            coord.quantum = sync.numQuanta();
-
-            // Cross-process state gathers are paid only on quanta
-            // where an image is actually consumed (periodic write or
-            // restore verify).
-            if (checkpointer &&
-                checkpointer->imageDue(sync.numQuanta())) {
-                std::vector<PeerState> states;
-                states.reserve(num_peers);
-                for (std::size_t w = 0; w < num_peers; ++w) {
-                    const auto [sb, se] =
-                        WorkerPool::shardRange(w, num_peers, n);
-                    states.push_back(fetchPeerState(
-                        coord, w, sync.numQuanta(), se - sb,
-                        has_fault));
-                }
-                const GatheredState g = assembleState(
-                    cluster, states, staged_total, merged_total);
-                checkpointer->onQuantumCompleted(
-                    spliceImage(g, sync, config_hash));
-            }
-
-            if (options_.injectFailAfterQuantum &&
-                sync.numQuanta() == options_.injectFailAfterQuantum) {
-                // Deterministic recovery drill; see EngineOptions.
-                if (options_.injectWatchdogPanic) {
-                    PanicInfo info;
-                    info.quantaCompleted = sync.numQuanta();
-                    info.quantumStart = sync.quantumStart();
-                    info.quantumEnd = sync.quantumEnd();
-                    info.peers = peers.report();
-                    if (options_.onWatchdogPanic)
-                        options_.onWatchdogPanic(info);
-                    if (cancel) {
-                        cancel->requestCancel();
-                        continue; // next poll throws organically
-                    }
-                }
-                throw base::RunAbort(
-                    "injected", "injected failure for recovery drill",
-                    sync.numQuanta());
-            }
-            if (sync.numQuanta() > max_quanta)
-                fatal("quantum budget exceeded (%llu)",
-                      static_cast<unsigned long long>(max_quanta));
-            if (options_.maxSimTicks &&
-                sync.quantumStart() > options_.maxSimTicks)
-                fatal("simulated time budget exceeded");
-        }
-        if (cancel && cancel->cancelled())
-            throw base::RunAbort("watchdog",
-                                 "run cancelled after watchdog expiry",
-                                 sync.numQuanta());
-
-        // Final gather: finish ticks, retransmit totals, and the
-        // spliced state fingerprint that must equal the sequential
-        // engine's Cluster::stateHash bit for bit.
-        std::vector<PeerState> states;
-        states.reserve(num_peers);
-        for (std::size_t w = 0; w < num_peers; ++w) {
-            const auto [sb, se] =
-                WorkerPool::shardRange(w, num_peers, n);
-            states.push_back(fetchPeerState(coord, w, sync.numQuanta(),
-                                            se - sb, has_fault));
-        }
-        const GatheredState g = assembleState(
-            cluster, states, staged_total, merged_total);
-        peers.stopAll(options_.peerDeadlineSeconds);
-
-        const HostNs host_ns =
-            std::chrono::duration<double, std::nano>(
-                SteadyClock::now() - wall_start)
-                .count();
-        if (watchdog)
-            watchdog->disarm();
-
-        result.workload = workload.name();
-        result.policy = policy.name();
-        result.engine = "distributed";
-        result.numNodes = n;
-        result.finishTicks = g.finishTicks;
-        result.simTicks = g.finishTicks.empty()
-                              ? 0
-                              : *std::max_element(
-                                    g.finishTicks.begin(),
-                                    g.finishTicks.end());
-        result.hostNs = host_ns;
-        result.metric = workload.metricValue(result.simTicks);
-        result.quanta = sync.numQuanta();
-        result.packets = cluster.controller().totalPackets();
-        result.stragglers = cluster.controller().totalStragglers();
-        result.nextQuantumDeliveries =
-            cluster.controller().totalNextQuantum();
-        result.latenessTicks =
-            cluster.controller().totalLatenessTicks();
-        result.meanQuantumTicks = sync.stats().meanQuantumLength();
-        result.droppedFrames = cluster.controller().totalDropped();
-        result.retransmits = g.retransmits;
-        result.timeline = sync.stats().timeline();
-        result.finalStateHash = splicedStateHash(g);
-        if (checkpointer)
-            checkpointer->finish(result);
-    } catch (...) {
-        // A supervised abort must not leave the watchdog armed with a
-        // dump capturing this (dying) run's objects; the PeerGroup
-        // destructor then tears down every surviving worker.
-        if (watchdog)
-            watchdog->disarm();
-        throw;
-    }
-    return result;
+    Coordinator coord(cluster, driver, options_, peers);
+    // Run-local (not engine-owned like the in-process engines): the
+    // watchdog thread must not exist across this engine's fork calls,
+    // and a fresh run forks fresh workers anyway.
+    std::unique_ptr<Watchdog> watchdog;
+    return driver.run(coord, watchdog);
     // `peers` is destroyed on return: any worker stopAll failed to
     // reap is SIGKILLed and reaped before the replica goes away.
 }

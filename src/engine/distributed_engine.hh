@@ -6,9 +6,10 @@
  * The paper's deployment shape is N node simulators as separate host
  * processes synchronized by a central controller. DistributedEngine
  * reproduces that shape: the coordinator forks K worker processes,
- * each owning a contiguous shard of ceil(N/K) nodes, and drives the
- * same quantum-barrier protocol the in-process engines use — over the
- * transport seam (transport/channel.hh) instead of thread barriers.
+ * each owning a contiguous shard of ceil(N/K) nodes, and runs as one
+ * more executor under the QuantumDriver the in-process engines use —
+ * its barrier goes over the transport seam (transport/channel.hh)
+ * instead of thread barriers.
  *
  * Conservative runs only (quantum <= minimum network latency): every
  * cross-partition delivery then lands at or beyond the next quantum

@@ -1,0 +1,208 @@
+#include "engine/quantum_driver.hh"
+
+#include <algorithm>
+#include <string>
+#include <utility>
+
+#include "base/failure.hh"
+#include "base/logging.hh"
+#include "ckpt/run_checkpointer.hh"
+#include "engine/delivery_batch.hh"
+#include "stats/phase_timing.hh"
+
+namespace aqsim::engine
+{
+
+QuantumDriver::QuantumDriver(const EngineOptions &options,
+                             Cluster &cluster,
+                             core::QuantumPolicy &policy)
+    : options_(options), cluster_(cluster), policy_(policy),
+      sync_(policy, cluster.controller(), cluster.statsRoot(),
+            options.recordTimeline)
+{}
+
+void
+QuantumDriver::pollCancel() const
+{
+    if (options_.cancelToken && options_.cancelToken->cancelled())
+        throw base::RunAbort("watchdog",
+                             "run cancelled after watchdog expiry",
+                             sync_.numQuanta());
+}
+
+PanicInfo
+QuantumDriver::describe() const
+{
+    PanicInfo info;
+    info.quantumStart = sync_.quantumStart();
+    info.quantumEnd = sync_.quantumEnd();
+    exec_->describe(info);
+    return info;
+}
+
+/** Deterministic recovery drill; see EngineOptions. */
+void
+QuantumDriver::injectFailure()
+{
+    if (options_.injectWatchdogPanic) {
+        PanicInfo info = describe();
+        info.quantaCompleted = sync_.numQuanta();
+        if (options_.onWatchdogPanic)
+            options_.onWatchdogPanic(info);
+        if (options_.cancelToken) {
+            // Throws through the same path a real watchdog expiry
+            // takes.
+            options_.cancelToken->requestCancel();
+            pollCancel();
+        }
+    }
+    throw base::RunAbort("injected", "injected failure for recovery drill",
+                         sync_.numQuanta());
+}
+
+RunResult
+QuantumDriver::run(QuantumExecutor &exec,
+                   std::unique_ptr<Watchdog> &watchdog)
+{
+    exec_ = &exec;
+    const std::uint64_t config_hash = ckpt::configFingerprint(
+        cluster_.params(), policy_.name(), cluster_.workload().name());
+
+    ckpt::RunCkptOptions ck;
+    ck.every = options_.checkpointEvery;
+    ck.dir = options_.checkpointDir;
+    ck.restorePath = options_.restorePath;
+    ck.verifyRestore = options_.verifyRestore;
+    ck.keepLast = options_.checkpointKeepLast;
+    ck.stashForPanic = options_.watchdogSeconds > 0.0 &&
+                       !ck.dir.empty() && exec.stashesPanicImage();
+    std::unique_ptr<ckpt::RunCheckpointer> checkpointer;
+    if (ck.enabled()) {
+        checkpointer = std::make_unique<ckpt::RunCheckpointer>(
+            ck, sync_, config_hash, exec.name());
+        checkpointer->begin();
+    }
+
+    // The watchdog catches hangs the deadlock check cannot see:
+    // quanta that never finish (wedged worker, runaway coroutine,
+    // silent peer) and lost-progress livelocks where events stay
+    // pending forever. Re-armed per run: fresh kick count and dump.
+    Watchdog *dog = nullptr;
+    if (options_.watchdogSeconds > 0.0) {
+        if (!watchdog)
+            watchdog = std::make_unique<Watchdog>(options_.watchdogSeconds);
+        Watchdog::PanicFn on_panic;
+        if (options_.cancelToken || options_.onWatchdogPanic) {
+            on_panic = [handler = options_.onWatchdogPanic,
+                        cancel = options_.cancelToken](
+                           const PanicInfo &info) {
+                if (handler)
+                    handler(info);
+                if (cancel)
+                    cancel->requestCancel();
+            };
+        }
+        watchdog->arm(
+            [this, ckpt = checkpointer.get()] {
+                PanicInfo info = describe();
+                if (ckpt)
+                    info.note = ckpt->panicNote();
+                return info;
+            },
+            std::move(on_panic));
+        dog = watchdog.get();
+    }
+
+    const std::uint64_t max_quanta =
+        options_.maxQuanta ? options_.maxQuanta : 500'000'000ULL;
+    RunResult result;
+    try {
+        exec.begin();
+        sync_.begin();
+        while (!exec.done()) {
+            pollCancel();
+            if (!exec.pending()) {
+                const PanicInfo info = describe();
+                panic("cluster deadlock: no pending events but "
+                      "applications incomplete\n%s%s",
+                      info.progress.c_str(), info.peers.c_str());
+            }
+            const HostNs quantum_ns = exec.runQuantum();
+            pollCancel();
+            if (dog)
+                dog->kick();
+            sync_.completeQuantum(quantum_ns);
+            const std::uint64_t q = sync_.numQuanta();
+            // A consistent cut: the executor is parked at its barrier
+            // with the exchange merged, so the image is identical for
+            // every worker count.
+            if (checkpointer && checkpointer->imageDue(q))
+                checkpointer->onQuantumCompleted(
+                    exec.boundaryImage(config_hash));
+            if (options_.injectFailAfterQuantum &&
+                q == options_.injectFailAfterQuantum)
+                injectFailure();
+            if (q > max_quanta)
+                fatal("quantum budget exceeded (%llu); likely "
+                      "livelock or mis-sized workload",
+                      static_cast<unsigned long long>(max_quanta));
+            if (options_.maxSimTicks &&
+                sync_.quantumStart() > options_.maxSimTicks)
+                fatal("simulated time budget exceeded at %llu ticks",
+                      static_cast<unsigned long long>(
+                          sync_.quantumStart()));
+        }
+        // A watchdog drill or expiry at the final quantum trips the
+        // token after the run is done; it must still abort.
+        pollCancel();
+        exec.finish(result);
+    } catch (...) {
+        // A supervised abort must not leave the watchdog armed with a
+        // dump capturing this (dying) run's objects.
+        if (dog)
+            dog->disarm();
+        throw;
+    }
+    if (dog)
+        dog->disarm();
+
+    result.workload = cluster_.workload().name();
+    result.policy = policy_.name();
+    result.engine = exec.name();
+    result.numNodes = cluster_.numNodes();
+    result.quanta = sync_.numQuanta();
+    const net::NetworkController &ctl = cluster_.controller();
+    result.packets = ctl.totalPackets();
+    result.stragglers = ctl.totalStragglers();
+    result.nextQuantumDeliveries = ctl.totalNextQuantum();
+    result.latenessTicks = ctl.totalLatenessTicks();
+    result.droppedFrames = ctl.totalDropped();
+    result.meanQuantumTicks = sync_.stats().meanQuantumLength();
+    result.timeline = sync_.stats().timeline();
+    result.simTicks =
+        result.finishTicks.empty()
+            ? 0
+            : *std::max_element(result.finishTicks.begin(),
+                                result.finishTicks.end());
+    result.metric = cluster_.workload().metricValue(result.simTicks);
+    if (checkpointer)
+        checkpointer->finish(result);
+    return result;
+}
+
+void
+fillLocalResult(RunResult &result, const Cluster &cluster,
+                const DeliveryBatch &batch, bool phase_stats)
+{
+    result.finishTicks = cluster.finishTicks();
+    result.retransmits = cluster.totalRetransmits();
+    result.finalStateHash = cluster.stateHash();
+    result.showPhaseStats = phase_stats;
+    const stats::PhaseTimes &phases = batch.phases();
+    result.phaseSortNs = phases.total(stats::EnginePhase::Sort);
+    result.phaseExchangeNs = phases.total(stats::EnginePhase::Exchange);
+    result.phaseMergeNs = phases.total(stats::EnginePhase::Merge);
+    result.phaseDispatchNs = phases.total(stats::EnginePhase::Dispatch);
+}
+
+} // namespace aqsim::engine

@@ -1,0 +1,141 @@
+/**
+ * @file
+ * The one quantum loop every engine runs (the paper's Algorithm 1).
+ *
+ * A run is: execute every node to the quantum end, meet at the
+ * barrier, let the policy choose the next quantum, repeat. Everything
+ * around that loop — checkpoint/restore lifecycle, watchdog arming,
+ * supervised cancellation, the recovery drill, the deadlock panic and
+ * the budget guards, the shared RunResult fields — lives here once.
+ * Each engine is a QuantumExecutor: it knows how to run one quantum
+ * (host-time co-simulation, a worker pool, or forked worker
+ * processes) and nothing about the lifecycle around it.
+ *
+ * Per-quantum order: executor barrier, cancellation poll, watchdog
+ * kick, Synchronizer::completeQuantum, checkpoint (the executor is
+ * asked for an image only when one is due), recovery drill, guards.
+ */
+
+#ifndef AQSIM_ENGINE_QUANTUM_DRIVER_HH
+#define AQSIM_ENGINE_QUANTUM_DRIVER_HH
+
+#include <cstdint>
+#include <memory>
+
+#include "ckpt/checkpoint.hh"
+#include "core/quantum_policy.hh"
+#include "core/synchronizer.hh"
+#include "engine/cluster.hh"
+#include "engine/run_result.hh"
+#include "engine/sequential_engine.hh"
+#include "engine/watchdog.hh"
+
+namespace aqsim::engine
+{
+
+class DeliveryBatch;
+
+/** The engine-specific half of a run, driven by QuantumDriver. */
+class QuantumExecutor
+{
+  public:
+    QuantumExecutor() = default;
+    virtual ~QuantumExecutor() = default;
+    // The driver, worker threads and the watchdog hold its address.
+    QuantumExecutor(const QuantumExecutor &) = delete;
+    QuantumExecutor &operator=(const QuantumExecutor &) = delete;
+
+    /** Engine name stamped into results and checkpoint images. */
+    virtual const char *name() const = 0;
+
+    /**
+     * Whether a watchdog-armed run may stash a boundary image every
+     * quantum for the panic dump.
+     */
+    virtual bool stashesPanicImage() const { return true; }
+
+    /** Start-of-run work that must happen under the armed watchdog. */
+    virtual void begin() {}
+
+    /**
+     * Execute the open quantum on every node, through the exchange
+     * barrier. @return the quantum's host time in ns.
+     */
+    virtual HostNs runQuantum() = 0;
+
+    /** @return true once every application has finished. */
+    virtual bool done() const = 0;
+
+    /** @return true while any node still has an event queued. */
+    virtual bool pending() const = 0;
+
+    /**
+     * Whole-cluster checkpoint image at this boundary. Asked for only
+     * on quanta where the checkpointer consumes one.
+     */
+    virtual ckpt::CheckpointImage
+    boundaryImage(std::uint64_t config_hash) = 0;
+
+    /**
+     * Fill the engine's part of a panic dump: per-node progress, or
+     * per-peer liveness. Called from the watchdog thread as well.
+     */
+    virtual void describe(PanicInfo &info) const = 0;
+
+    /**
+     * Close the run, still under the watchdog, and fill the
+     * engine-specific result fields: host time, finish ticks,
+     * retransmits, the final state hash and exchange phase timings.
+     */
+    virtual void finish(RunResult &result) = 0;
+};
+
+/** Owns one run's quantum loop and its lifecycle. */
+class QuantumDriver
+{
+  public:
+    QuantumDriver(const EngineOptions &options, Cluster &cluster,
+                  core::QuantumPolicy &policy);
+    // Executors and the watchdog's dump hold its address.
+    QuantumDriver(const QuantumDriver &) = delete;
+    QuantumDriver &operator=(const QuantumDriver &) = delete;
+
+    core::Synchronizer &sync() { return sync_; }
+
+    /**
+     * Supervised-run poll point: a hung quantum cannot throw on its
+     * own (it is wedged inside event callbacks), so the watchdog's
+     * panic handler trips the cancel token and the run aborts at the
+     * next poll. Executors call this inside long waits too.
+     */
+    void pollCancel() const;
+
+    /**
+     * Run @p exec to completion. @p watchdog is created on first use
+     * (engine-owned and reused, or run-local) and disarmed on every
+     * exit path.
+     */
+    RunResult run(QuantumExecutor &exec,
+                  std::unique_ptr<Watchdog> &watchdog);
+
+  private:
+    PanicInfo describe() const;
+    void injectFailure();
+
+    const EngineOptions &options_;
+    Cluster &cluster_;
+    core::QuantumPolicy &policy_;
+    core::Synchronizer sync_;
+    QuantumExecutor *exec_ = nullptr;
+};
+
+/**
+ * QuantumExecutor::finish for the in-process engines, host time aside:
+ * the live cluster's outcome plus @p batch's exchange-phase timings.
+ */
+void fillLocalResult(RunResult &result, const Cluster &cluster,
+                     const DeliveryBatch &batch, bool phase_stats);
+
+} // namespace aqsim::engine
+
+#endif // AQSIM_ENGINE_QUANTUM_DRIVER_HH

@@ -9,12 +9,11 @@
 #include "base/debug.hh"
 #include "base/logging.hh"
 #include "ckpt/ckpt_io.hh"
-#include "ckpt/run_checkpointer.hh"
+#include "ckpt/checkpoint.hh"
 #include "core/synchronizer.hh"
 #include "engine/delivery_batch.hh"
+#include "engine/quantum_driver.hh"
 #include "engine/shard_exec.hh"
-#include "engine/watchdog.hh"
-#include "stats/phase_timing.hh"
 
 namespace aqsim::engine
 {
@@ -23,17 +22,16 @@ namespace
 {
 
 /**
- * Per-run co-simulation state and the DeliveryScheduler the controller
- * calls back into.
+ * Per-run co-simulation state, the DeliveryScheduler the controller
+ * calls back into, and the sequential engine's QuantumExecutor.
  */
-class CoSim : public net::DeliveryScheduler
+class CoSim : public net::DeliveryScheduler, public QuantumExecutor
 {
   public:
-    CoSim(Cluster &cluster, core::Synchronizer &sync,
-          const EngineOptions &options, Watchdog *watchdog,
-          ckpt::RunCheckpointer *checkpointer)
-        : cluster_(cluster), sync_(sync), options_(options),
-          watchdog_(watchdog), checkpointer_(checkpointer),
+    CoSim(Cluster &cluster, QuantumDriver &driver,
+          const EngineOptions &options)
+        : cluster_(cluster), driver_(driver), sync_(driver.sync()),
+          options_(options),
           batch_(cluster.numNodes(), 1, options.phaseStats)
     {
         Rng host_rng(cluster.params().seed ^ 0x9d5c0fb3ULL);
@@ -48,46 +46,30 @@ class CoSim : public net::DeliveryScheduler
         cluster.controller().setScheduler(this);
     }
 
-    /** Execute the whole run; returns total modeled host time. */
-    HostNs
-    execute()
-    {
-        const std::size_t n = states_.size();
-        const std::uint64_t max_quanta =
-            options_.maxQuanta ? options_.maxQuanta : 500'000'000ULL;
+    const char *name() const override { return "sequential"; }
+    bool done() const override { return cluster_.allDone(); }
+    bool pending() const override { return cluster_.anyEventPending(); }
 
-        sync_.begin();
-        while (!cluster_.allDone()) {
-            pollCancel();
-            if (!cluster_.anyEventPending()) {
-                panic("cluster deadlock: no pending events but "
-                      "applications incomplete\n%s",
-                      cluster_.progressReport().c_str());
-            }
-            runQuantum();
-            if (watchdog_)
-                watchdog_->kick();
-            if (sync_.numQuanta() > max_quanta)
-                fatal("quantum budget exceeded (%llu); likely "
-                      "livelock or mis-sized workload",
-                      static_cast<unsigned long long>(max_quanta));
-            if (options_.maxSimTicks &&
-                sync_.quantumStart() > options_.maxSimTicks)
-                fatal("simulated time budget exceeded at %llu ticks",
-                      static_cast<unsigned long long>(
-                          sync_.quantumStart()));
-        }
-        // A watchdog drill injected at the final quantum trips the
-        // token after allDone() became true; it must still abort.
-        pollCancel();
-        (void)n;
-        return globalHost_;
+    void
+    describe(PanicInfo &info) const override
+    {
+        info.progress = cluster_.progressReport();
     }
 
-    net::DeliveryScheduler *scheduler() { return this; }
+    ckpt::CheckpointImage
+    boundaryImage(std::uint64_t config_hash) override
+    {
+        return ckpt::buildImage(cluster_, sync_, config_hash, name(),
+                                engineState());
+    }
 
-    /** Accumulated exchange-phase wall-clock (RunResult reporting). */
-    const stats::PhaseTimes &phases() const { return batch_.phases(); }
+    void
+    finish(RunResult &result) override
+    {
+        // The modeled host total is this executor's own accumulator.
+        result.hostNs = globalHost_;
+        fillLocalResult(result, cluster_, batch_, options_.phaseStats);
+    }
 
     /** DeliveryScheduler: place a packet into its destination node. */
     Tick
@@ -286,8 +268,9 @@ class CoSim : public net::DeliveryScheduler
         }
     }
 
-    void
-    runQuantum()
+    /** One host-time co-simulated quantum; @return its modeled ns. */
+    HostNs
+    runQuantum() override
     {
         const std::size_t n = states_.size();
         const Tick qs = sync_.quantumStart();
@@ -328,7 +311,7 @@ class CoSim : public net::DeliveryScheduler
         }
 
         while (barrierNodes_ < activeNodes_) {
-            pollCancel();
+            driver_.pollCancel();
             AQSIM_ASSERT(!heap_.empty());
             const Entry e = heap_.top();
             heap_.pop();
@@ -396,50 +379,7 @@ class CoSim : public net::DeliveryScheduler
                       static_cast<unsigned long long>(qs),
                       static_cast<unsigned long long>(qe),
                       globalHost_ - quantum_begin);
-        sync_.completeQuantum(globalHost_ - quantum_begin);
-        if (checkpointer_)
-            checkpointer_->onQuantumCompleted(engineState());
-        if (options_.injectFailAfterQuantum &&
-            sync_.numQuanta() == options_.injectFailAfterQuantum)
-            injectFailure();
-    }
-
-    /**
-     * Supervised-run poll point: a hung quantum cannot throw on its
-     * own (it is wedged inside event callbacks), so the watchdog's
-     * panic handler trips the token and the event loops abort here.
-     */
-    void
-    pollCancel() const
-    {
-        if (options_.cancelToken && options_.cancelToken->cancelled())
-            throw base::RunAbort("watchdog",
-                                 "run cancelled after watchdog expiry",
-                                 sync_.numQuanta());
-    }
-
-    /** Deterministic recovery drill; see EngineOptions. */
-    void
-    injectFailure()
-    {
-        if (options_.injectWatchdogPanic) {
-            PanicInfo info;
-            info.quantaCompleted = sync_.numQuanta();
-            info.quantumStart = sync_.quantumStart();
-            info.quantumEnd = sync_.quantumEnd();
-            info.progress = cluster_.progressReport();
-            if (options_.onWatchdogPanic)
-                options_.onWatchdogPanic(info);
-            if (options_.cancelToken) {
-                // The next pollCancel() throws through the same path
-                // a real watchdog expiry would take.
-                options_.cancelToken->requestCancel();
-                return;
-            }
-        }
-        throw base::RunAbort("injected",
-                             "injected failure for recovery drill",
-                             sync_.numQuanta());
+        return globalHost_ - quantum_begin;
     }
 
     /**
@@ -468,10 +408,9 @@ class CoSim : public net::DeliveryScheduler
     }
 
     Cluster &cluster_;
-    core::Synchronizer &sync_;
-    EngineOptions options_;
-    Watchdog *watchdog_;
-    ckpt::RunCheckpointer *checkpointer_;
+    QuantumDriver &driver_;
+    const core::Synchronizer &sync_;
+    const EngineOptions &options_;
     std::vector<NodeState> states_;
     std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
         heap_;
@@ -509,104 +448,9 @@ SequentialEngine::run(const ClusterParams &params,
 RunResult
 SequentialEngine::run(Cluster &cluster, core::QuantumPolicy &policy)
 {
-    core::Synchronizer sync(policy, cluster.controller(),
-                            cluster.statsRoot(),
-                            options_.recordTimeline);
-
-    ckpt::RunCkptOptions ck;
-    ck.every = options_.checkpointEvery;
-    ck.dir = options_.checkpointDir;
-    ck.restorePath = options_.restorePath;
-    ck.verifyRestore = options_.verifyRestore;
-    ck.keepLast = options_.checkpointKeepLast;
-    ck.stashForPanic =
-        options_.watchdogSeconds > 0.0 && !ck.dir.empty();
-    std::unique_ptr<ckpt::RunCheckpointer> checkpointer;
-    if (ck.enabled()) {
-        checkpointer = std::make_unique<ckpt::RunCheckpointer>(
-            ck, cluster, sync,
-            ckpt::configFingerprint(cluster.params(), policy.name(),
-                                    cluster.workload().name()),
-            "sequential");
-        checkpointer->begin();
-    }
-
-    Watchdog *watchdog = nullptr;
-    if (options_.watchdogSeconds > 0.0) {
-        if (!watchdog_)
-            watchdog_ =
-                std::make_unique<Watchdog>(options_.watchdogSeconds);
-        Watchdog::PanicFn on_panic;
-        if (options_.cancelToken || options_.onWatchdogPanic) {
-            on_panic = [handler = options_.onWatchdogPanic,
-                        cancel = options_.cancelToken](
-                           const PanicInfo &info) {
-                if (handler)
-                    handler(info);
-                if (cancel)
-                    cancel->requestCancel();
-            };
-        }
-        watchdog_->arm(
-            [&cluster, &sync, ckpt = checkpointer.get()] {
-                PanicInfo info;
-                info.quantumStart = sync.quantumStart();
-                info.quantumEnd = sync.quantumEnd();
-                info.progress = cluster.progressReport();
-                if (ckpt)
-                    info.note = ckpt->panicNote();
-                return info;
-            },
-            std::move(on_panic));
-        watchdog = watchdog_.get();
-    }
-
-    CoSim cosim(cluster, sync, options_, watchdog, checkpointer.get());
-    HostNs host_ns = 0.0;
-    try {
-        host_ns = cosim.execute();
-    } catch (...) {
-        // A supervised abort must not leave the reused watchdog armed
-        // with a dump capturing this (dying) run's objects.
-        if (watchdog)
-            watchdog->disarm();
-        throw;
-    }
-    if (watchdog)
-        watchdog->disarm();
-
-    RunResult result;
-    result.workload = cluster.workload().name();
-    result.policy = policy.name();
-    result.engine = "sequential";
-    result.numNodes = cluster.numNodes();
-    result.simTicks = cluster.maxFinishTick();
-    result.hostNs = host_ns;
-    result.metric = cluster.workload().metricValue(result.simTicks);
-    result.quanta = sync.numQuanta();
-    result.packets = cluster.controller().totalPackets();
-    result.stragglers = cluster.controller().totalStragglers();
-    result.nextQuantumDeliveries =
-        cluster.controller().totalNextQuantum();
-    result.latenessTicks = cluster.controller().totalLatenessTicks();
-    result.meanQuantumTicks = sync.stats().meanQuantumLength();
-    result.droppedFrames = cluster.controller().totalDropped();
-    result.retransmits = cluster.totalRetransmits();
-    result.finishTicks = cluster.finishTicks();
-    result.timeline = sync.stats().timeline();
-    result.finalStateHash = cluster.stateHash();
-    result.showPhaseStats = options_.phaseStats;
-    result.phaseSortNs =
-        cosim.phases().total(stats::EnginePhase::Sort);
-    result.phaseExchangeNs =
-        cosim.phases().total(stats::EnginePhase::Exchange);
-    result.phaseMergeNs =
-        cosim.phases().total(stats::EnginePhase::Merge);
-    result.phaseDispatchNs =
-        cosim.phases().total(stats::EnginePhase::Dispatch);
-    if (checkpointer)
-        checkpointer->finish(result);
-    return result;
+    QuantumDriver driver(options_, cluster, policy);
+    CoSim cosim(cluster, driver, options_);
+    return driver.run(cosim, watchdog_);
 }
 
 } // namespace aqsim::engine

@@ -57,7 +57,11 @@ enum class StragglerPolicy
     DeferToNextQuantum,
 };
 
-/** Engine-level run options shared by both engines. */
+/**
+ * Engine-level run options shared by every engine; the run lifecycle
+ * they configure (checkpoints, watchdog, supervision seams, drills,
+ * guards) is applied once, by engine::QuantumDriver.
+ */
 struct EngineOptions
 {
     node::HostCostParams host;
@@ -117,16 +121,17 @@ struct EngineOptions
 
     /**
      * Supervision seam (installed by supervise::RunSupervisor; never
-     * set by ordinary callers). When non-null, the engines poll this
-     * token in their event loops and abort the run with a catchable
-     * base::RunAbort when it trips, so a watchdog-detected hang can be
-     * unwedged in-process instead of killing the process.
+     * set by ordinary callers). When non-null, the QuantumDriver polls
+     * this token (also inside the engines' event loops and barrier
+     * waits) and aborts the run with a catchable base::RunAbort when
+     * it trips, so a watchdog-detected hang can be unwedged in-process
+     * instead of killing the process.
      */
     base::CancelToken *cancelToken = nullptr;
     /**
      * Supervision seam: called (from the watchdog thread) with the
      * structured hang dump on first watchdog expiry instead of
-     * panicking; the engine also trips cancelToken afterwards.
+     * panicking; the QuantumDriver also trips cancelToken afterwards.
      */
     std::function<void(const PanicInfo &)> onWatchdogPanic;
     /**

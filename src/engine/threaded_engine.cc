@@ -1,21 +1,19 @@
 #include "engine/threaded_engine.hh"
 
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "base/failure.hh"
-#include "base/logging.hh"
+#include "base/mutex.hh"
+#include "ckpt/checkpoint.hh"
 #include "ckpt/ckpt_io.hh"
-#include "ckpt/run_checkpointer.hh"
 #include "core/synchronizer.hh"
 #include "engine/delivery_batch.hh"
+#include "engine/quantum_driver.hh"
 #include "engine/shard_exec.hh"
-#include "engine/watchdog.hh"
 #include "engine/worker_pool.hh"
-#include "stats/phase_timing.hh"
 
 namespace aqsim::engine
 {
@@ -68,6 +66,182 @@ class ThreadedScheduler : public net::DeliveryScheduler
     core::Synchronizer &sync_;
 };
 
+/**
+ * The persistent worker pool as a QuantumExecutor. K workers each own
+ * a fixed contiguous shard of ceil(n/K) nodes for the whole run, so
+ * large clusters do not oversubscribe the host with one thread per
+ * node.
+ */
+class PoolExecutor : public QuantumExecutor
+{
+  public:
+    PoolExecutor(Cluster &cluster, QuantumDriver &driver,
+                 const EngineOptions &options)
+        : cluster_(cluster), driver_(driver), options_(options),
+          n_(cluster.numNodes()),
+          workers_(WorkerPool::resolveWorkerCount(options.numWorkers, n_)),
+          mailboxes_(n_), batch_(n_, workers_, options.phaseStats),
+          scheduler_(mailboxes_, batch_, driver.sync()),
+          exchange_(workers_),
+          pool_(workers_,
+                [this](std::size_t w, Tick qe) { runShard(w, qe); })
+    {
+        cluster.controller().setScheduler(&scheduler_);
+    }
+
+    const char *name() const override { return "threaded"; }
+    bool done() const override { return cluster_.allDone(); }
+    bool pending() const override { return cluster_.anyEventPending(); }
+
+    void
+    begin() override
+    {
+        wallStart_ = std::chrono::steady_clock::now();
+        quantumStartWall_ = wallStart_;
+    }
+
+    HostNs
+    runQuantum() override
+    {
+        // The exchange merge happens *inside* the quantum, after the
+        // workers' internal barrier: every destination node's staged
+        // deliveries flow through its own shard's column merger in
+        // canonical (when, src, departTick) order — identical for
+        // every worker count — and are already dispatched (visible to
+        // the deadlock check) when the gate round trip completes.
+        pool_.runQuantum(driver_.sync().quantumEnd());
+        {
+            // A worker's failure is the root cause; the cancellation
+            // it requested is only the messenger, so it goes first.
+            base::MutexLock lock(failMutex_);
+            if (firstFailure_)
+                throw *firstFailure_;
+        }
+        const auto now_wall = std::chrono::steady_clock::now();
+        const HostNs quantum_ns =
+            std::chrono::duration<double, std::nano>(now_wall -
+                                                     quantumStartWall_)
+                .count();
+        quantumStartWall_ = now_wall;
+        return quantum_ns;
+    }
+
+    /**
+     * All workers are parked at the barrier and the shard runs are
+     * merged, so the cut is identical for every worker count. The
+     * engine-private section carries only the delivery layer's
+     * quiescence proof and deterministic lifetime counters — never
+     * measured wall-clock, which must not enter the divergence check.
+     */
+    ckpt::CheckpointImage
+    boundaryImage(std::uint64_t config_hash) override
+    {
+        ckpt::Writer w;
+        batch_.serialize(w);
+        return ckpt::buildImage(cluster_, driver_.sync(), config_hash,
+                                name(), w.buffer());
+    }
+
+    void
+    describe(PanicInfo &info) const override
+    {
+        info.progress = cluster_.progressReport();
+    }
+
+    void
+    finish(RunResult &result) override
+    {
+        result.hostNs = std::chrono::duration<double, std::nano>(
+                            std::chrono::steady_clock::now() - wallStart_)
+                            .count();
+        fillLocalResult(result, cluster_, batch_, options_.phaseStats);
+    }
+
+  private:
+    /**
+     * One worker's quantum: execute its shard, sort its K destination
+     * sub-runs, meet the other workers at the exchange barrier, then
+     * merge + dispatch the column destined for its *own* shard — so
+     * the merge runs K-wide, with no cross-shard queue mutation
+     * (DeliveryBatch documents the ownership protocol).
+     *
+     * Supervised runs execute under a per-thread base::FailureTrap, so
+     * a fatal()/panic() raised inside an event callback (e.g.
+     * reliable-delivery retry exhaustion) unwinds to here as a
+     * RunAbort. The first failure is latched, cancellation is
+     * requested, and the failing worker still honours the exchange
+     * barrier so its peers — and the gate round trip — are never left
+     * waiting on a thread that bailed out.
+     */
+    void
+    runShard(std::size_t w, Tick qe)
+    {
+        base::CancelToken *const cancel = options_.cancelToken;
+        std::optional<base::FailureTrap> trap;
+        if (cancel)
+            trap.emplace();
+        batch_.beginQuantum(w);
+        try {
+            if (!cancel || !cancel->cancelled()) {
+                const auto [begin, end] =
+                    WorkerPool::shardRange(w, workers_, n_);
+                for (std::size_t id = begin; id < end; ++id)
+                    runNodeQuantum(cluster_.node(id), mailboxes_[id], qe,
+                                   cancel);
+            }
+        } catch (const base::RunAbort &abort) {
+            latchFailure(abort);
+        }
+        // One sort per shard per quantum: the worker owns its
+        // sub-runs, so sorting here parallelizes the exchange's
+        // preprocessing.
+        batch_.closeRun(w);
+        exchange_.arriveAndWait();
+        // A cancellation requested before the exchange barrier is
+        // visible to every worker after it, so either all shards
+        // merge or none do.
+        if (!cancel || !cancel->cancelled()) {
+            try {
+                batch_.mergeShard(w, cluster_);
+            } catch (const base::RunAbort &abort) {
+                latchFailure(abort);
+            }
+        }
+    }
+
+    void
+    latchFailure(const base::RunAbort &abort)
+    {
+        {
+            base::MutexLock lock(failMutex_);
+            if (!firstFailure_)
+                firstFailure_ = std::make_unique<base::RunAbort>(abort);
+        }
+        if (options_.cancelToken)
+            options_.cancelToken->requestCancel();
+    }
+
+    Cluster &cluster_;
+    QuantumDriver &driver_;
+    const EngineOptions &options_;
+    const std::size_t n_;
+    const std::size_t workers_;
+    std::vector<NodeMailbox> mailboxes_;
+    DeliveryBatch batch_;
+    ThreadedScheduler scheduler_;
+    base::Mutex failMutex_;
+    std::unique_ptr<base::RunAbort>
+        firstFailure_ AQSIM_GUARDED_BY(failMutex_);
+    std::chrono::steady_clock::time_point wallStart_;
+    std::chrono::steady_clock::time_point quantumStartWall_;
+    WorkerBarrier exchange_;
+    /**
+     * Declared last, so destroyed first: a stop epoch is released and
+     * the workers join before the state they touch goes away.
+     */
+    WorkerPool pool_;
+};
+
 } // namespace
 
 ThreadedEngine::ThreadedEngine(EngineOptions options)
@@ -88,272 +262,9 @@ ThreadedEngine::run(const ClusterParams &params,
 RunResult
 ThreadedEngine::run(Cluster &cluster, core::QuantumPolicy &policy)
 {
-    const std::size_t n = cluster.numNodes();
-    core::Synchronizer sync(policy, cluster.controller(),
-                            cluster.statsRoot(),
-                            options_.recordTimeline);
-
-    // Persistent pool: K workers each own a fixed contiguous shard of
-    // ceil(n/K) nodes for the whole run, so large clusters no longer
-    // oversubscribe the host with one thread per node.
-    const std::size_t workers =
-        WorkerPool::resolveWorkerCount(options_.numWorkers, n);
-
-    std::vector<NodeMailbox> mailboxes(n);
-    DeliveryBatch batch(n, workers, options_.phaseStats);
-    ThreadedScheduler scheduler(mailboxes, batch, sync);
-    cluster.controller().setScheduler(&scheduler);
-
-    // K×K exchange, one gate round trip per quantum: each worker
-    // executes its shard, sorts its K destination sub-runs, meets the
-    // other workers at the exchange barrier, then merges + dispatches
-    // the column destined for its *own* shard — so the former
-    // coordinator-serial merge wall runs K-wide, with no cross-shard
-    // queue mutation (DeliveryBatch documents the ownership protocol).
-    // Supervised-run failure plumbing: each worker's quantum runs
-    // under a per-thread base::FailureTrap, so a fatal()/panic()
-    // raised inside an event callback (e.g. reliable-delivery retry
-    // exhaustion) unwinds to the quantum function as a RunAbort. The
-    // first failure is latched, cancellation is requested, and the
-    // failing worker still honours the exchange barrier so its peers
-    // — and the coordinator's gate round trip — are never left
-    // waiting on a thread that bailed out.
-    base::CancelToken *const cancel = options_.cancelToken;
-    base::Mutex fail_mutex;
-    std::unique_ptr<base::RunAbort> first_failure;
-    auto latchFailure = [&](const base::RunAbort &abort) {
-        {
-            base::MutexLock lock(fail_mutex);
-            if (!first_failure)
-                first_failure =
-                    std::make_unique<base::RunAbort>(abort);
-        }
-        if (cancel)
-            cancel->requestCancel();
-    };
-
-    WorkerBarrier exchange(workers);
-    WorkerPool pool(workers, [&](std::size_t w, Tick qe) {
-        std::optional<base::FailureTrap> trap;
-        if (cancel)
-            trap.emplace();
-        batch.beginQuantum(w);
-        try {
-            if (!cancel || !cancel->cancelled()) {
-                const auto [begin, end] =
-                    WorkerPool::shardRange(w, workers, n);
-                for (std::size_t id = begin; id < end; ++id)
-                    runNodeQuantum(cluster.node(id), mailboxes[id],
-                                   qe, cancel);
-            }
-        } catch (const base::RunAbort &abort) {
-            latchFailure(abort);
-        }
-        // One sort per shard per quantum: the worker owns its
-        // sub-runs, so sorting here parallelizes the exchange's
-        // preprocessing.
-        batch.closeRun(w);
-        exchange.arriveAndWait();
-        // A cancellation requested before the exchange barrier is
-        // visible to every worker after it, so either all shards
-        // merge or none do.
-        if (!cancel || !cancel->cancelled()) {
-            try {
-                batch.mergeShard(w, cluster);
-            } catch (const base::RunAbort &abort) {
-                latchFailure(abort);
-            }
-        }
-    });
-
-    ckpt::RunCkptOptions ck;
-    ck.every = options_.checkpointEvery;
-    ck.dir = options_.checkpointDir;
-    ck.restorePath = options_.restorePath;
-    ck.verifyRestore = options_.verifyRestore;
-    ck.keepLast = options_.checkpointKeepLast;
-    ck.stashForPanic =
-        options_.watchdogSeconds > 0.0 && !ck.dir.empty();
-    std::unique_ptr<ckpt::RunCheckpointer> checkpointer;
-    if (ck.enabled()) {
-        checkpointer = std::make_unique<ckpt::RunCheckpointer>(
-            ck, cluster, sync,
-            ckpt::configFingerprint(cluster.params(), policy.name(),
-                                    cluster.workload().name()),
-            "threaded");
-        checkpointer->begin();
-    }
-
-    // The watchdog catches hangs the deadlock check cannot see:
-    // quanta that never finish (wedged worker, runaway coroutine) and
-    // lost-progress livelocks where events stay pending forever.
-    // Engine-owned and re-armed per run (fresh kick count and dump).
-    Watchdog *watchdog = nullptr;
-    if (options_.watchdogSeconds > 0.0) {
-        if (!watchdog_)
-            watchdog_ =
-                std::make_unique<Watchdog>(options_.watchdogSeconds);
-        Watchdog::PanicFn on_panic;
-        if (cancel || options_.onWatchdogPanic) {
-            on_panic = [handler = options_.onWatchdogPanic,
-                        cancel](const PanicInfo &info) {
-                if (handler)
-                    handler(info);
-                if (cancel)
-                    cancel->requestCancel();
-            };
-        }
-        watchdog_->arm(
-            [&cluster, &sync, ckpt = checkpointer.get()] {
-                PanicInfo info;
-                info.quantumStart = sync.quantumStart();
-                info.quantumEnd = sync.quantumEnd();
-                info.progress = cluster.progressReport();
-                if (ckpt)
-                    info.note = ckpt->panicNote();
-                return info;
-            },
-            std::move(on_panic));
-        watchdog = watchdog_.get();
-    }
-
-    // Raised when a supervised run was cancelled: surface the latched
-    // worker failure if one exists, else the watchdog cancellation.
-    auto throwCancelled = [&]() {
-        {
-            base::MutexLock lock(fail_mutex);
-            if (first_failure)
-                throw *first_failure;
-        }
-        throw base::RunAbort("watchdog",
-                             "run cancelled after watchdog expiry",
-                             sync.numQuanta());
-    };
-
-    const auto wall_start = std::chrono::steady_clock::now();
-    sync.begin();
-    const std::uint64_t max_quanta =
-        options_.maxQuanta ? options_.maxQuanta : 500'000'000ULL;
-
-    auto quantum_start_wall = wall_start;
-    try {
-        while (!cluster.allDone()) {
-            if (cancel && cancel->cancelled())
-                throwCancelled();
-            if (!cluster.anyEventPending()) {
-                panic("cluster deadlock: no pending events but "
-                      "applications incomplete\n%s",
-                      cluster.progressReport().c_str());
-            }
-            // The exchange merge happens *inside* the quantum, after
-            // the workers' internal barrier: every destination node's
-            // staged deliveries flow through its own shard's column
-            // merger in canonical (when, src, departTick) order —
-            // identical for every worker count — and are already
-            // dispatched (visible to the deadlock check) when the gate
-            // round trip completes.
-            pool.runQuantum(sync.quantumEnd());
-            if (cancel && cancel->cancelled())
-                throwCancelled();
-            if (watchdog)
-                watchdog->kick();
-            const auto now_wall = std::chrono::steady_clock::now();
-            const HostNs quantum_ns =
-                std::chrono::duration<double, std::nano>(
-                    now_wall - quantum_start_wall)
-                    .count();
-            quantum_start_wall = now_wall;
-            sync.completeQuantum(quantum_ns);
-            // Coordinator-only snapshot: all workers are parked at the
-            // barrier and the shard runs are merged, so the cut is
-            // identical for every worker count. The engine-private
-            // section carries only the delivery layer's quiescence
-            // proof and deterministic lifetime counters — never
-            // measured wall-clock, which must not enter the divergence
-            // check.
-            if (checkpointer) {
-                ckpt::Writer w;
-                batch.serialize(w);
-                checkpointer->onQuantumCompleted(w.buffer());
-            }
-            if (options_.injectFailAfterQuantum &&
-                sync.numQuanta() == options_.injectFailAfterQuantum) {
-                // Deterministic recovery drill; see EngineOptions.
-                if (options_.injectWatchdogPanic) {
-                    PanicInfo info;
-                    info.quantaCompleted = sync.numQuanta();
-                    info.quantumStart = sync.quantumStart();
-                    info.quantumEnd = sync.quantumEnd();
-                    info.progress = cluster.progressReport();
-                    if (options_.onWatchdogPanic)
-                        options_.onWatchdogPanic(info);
-                    if (cancel) {
-                        cancel->requestCancel();
-                        continue; // next poll throws organically
-                    }
-                }
-                throw base::RunAbort(
-                    "injected", "injected failure for recovery drill",
-                    sync.numQuanta());
-            }
-            if (sync.numQuanta() > max_quanta)
-                fatal("quantum budget exceeded (%llu)",
-                      static_cast<unsigned long long>(max_quanta));
-            if (options_.maxSimTicks &&
-                sync.quantumStart() > options_.maxSimTicks)
-                fatal("simulated time budget exceeded");
-        }
-        if (cancel && cancel->cancelled())
-            throwCancelled();
-    } catch (...) {
-        // A supervised abort must not leave the reused watchdog armed
-        // with a dump capturing this (dying) run's objects.
-        if (watchdog)
-            watchdog->disarm();
-        throw;
-    }
-
-    const HostNs host_ns = std::chrono::duration<double, std::nano>(
-                               std::chrono::steady_clock::now() -
-                               wall_start)
-                               .count();
-    if (watchdog)
-        watchdog->disarm();
-
-    RunResult result;
-    result.workload = cluster.workload().name();
-    result.policy = policy.name();
-    result.engine = "threaded";
-    result.numNodes = n;
-    result.simTicks = cluster.maxFinishTick();
-    result.hostNs = host_ns;
-    result.metric = cluster.workload().metricValue(result.simTicks);
-    result.quanta = sync.numQuanta();
-    result.packets = cluster.controller().totalPackets();
-    result.stragglers = cluster.controller().totalStragglers();
-    result.nextQuantumDeliveries =
-        cluster.controller().totalNextQuantum();
-    result.latenessTicks = cluster.controller().totalLatenessTicks();
-    result.meanQuantumTicks = sync.stats().meanQuantumLength();
-    result.droppedFrames = cluster.controller().totalDropped();
-    result.retransmits = cluster.totalRetransmits();
-    result.finishTicks = cluster.finishTicks();
-    result.timeline = sync.stats().timeline();
-    result.finalStateHash = cluster.stateHash();
-    result.showPhaseStats = options_.phaseStats;
-    result.phaseSortNs =
-        batch.phases().total(stats::EnginePhase::Sort);
-    result.phaseExchangeNs =
-        batch.phases().total(stats::EnginePhase::Exchange);
-    result.phaseMergeNs =
-        batch.phases().total(stats::EnginePhase::Merge);
-    result.phaseDispatchNs =
-        batch.phases().total(stats::EnginePhase::Dispatch);
-    if (checkpointer)
-        checkpointer->finish(result);
-    return result;
-    // `pool` is destroyed on return: a stop epoch is released and the
-    // workers join before `mailboxes`/`scheduler` go out of scope.
+    QuantumDriver driver(options_, cluster, policy);
+    PoolExecutor pool(cluster, driver, options_);
+    return driver.run(pool, watchdog_);
 }
 
 } // namespace aqsim::engine

@@ -43,6 +43,17 @@ sweepCases()
     return cases;
 }
 
+// gtest's fallback printer dumps a Sweep's raw bytes, whose first word
+// is a heap pointer, so the test names ctest registers from the
+// GetParam() text differed on every build. Print a fixed header in the
+// format those names were first recorded with, then the case's fields.
+void
+PrintTo(const Sweep &s, std::ostream *os)
+{
+    *os << "80-byte object <40-18 2C-..> " << s.workload << " on "
+        << s.nodes << " nodes, " << s.policy << ", seed " << s.seed;
+}
+
 class PropertySweep : public ::testing::TestWithParam<Sweep>
 {
   protected:

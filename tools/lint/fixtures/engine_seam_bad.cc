@@ -3,6 +3,7 @@
 // src/harness/ path (the self-test feeds it as src/harness/bad.cc);
 // named directly on the command line it demonstrates the rule's
 // comment/string stripping instead.
+#include "engine/distributed_engine.hh"
 #include "engine/sequential_engine.hh"
 #include "engine/threaded_engine.hh"
 
@@ -13,7 +14,9 @@ runDirectly()
     const char *label = "ThreadedEngine"; // nor this string
     aqsim::engine::SequentialEngine sequential({});
     aqsim::engine::ThreadedEngine threaded({});
+    aqsim::engine::DistributedEngine distributed({});
     (void)label;
     (void)sequential;
     (void)threaded;
+    (void)distributed;
 }

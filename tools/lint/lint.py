@@ -26,8 +26,8 @@ Checks (each file, line numbers reported):
              tools/tests/bench report writers are exempt, as is
              src/supervise/incident_log.cc (an append-only JSONL
              diagnostics stream, not simulator state)
-  engine-seam no direct engine use (SequentialEngine/ThreadedEngine)
-             under src/harness/ — the harness reaches an engine only
+  engine-seam no direct engine use (SequentialEngine/ThreadedEngine/
+             DistributedEngine) under src/harness/ — the harness reaches an engine only
              through supervise::RunSupervisor, so every harness run
              gets the restore/retry/escalate lifecycle and the
              supervision seam stays the one place engines are driven
@@ -204,7 +204,7 @@ def findings_for(path: Path, rel: str, text: str):
         # --- engine-seam: the harness drives engines only through the
         # --- run supervisor ---
         if in_harness:
-            if re.search(r"\b(SequentialEngine|ThreadedEngine)\b",
+            if re.search(r"\b(SequentialEngine|ThreadedEngine|DistributedEngine)\b",
                          code):
                 finding(i, "engine-seam",
                         "direct engine use is banned under "

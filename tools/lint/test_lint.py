@@ -116,6 +116,12 @@ class EngineSeam(unittest.TestCase):
             "engine::ThreadedEngine engine(options);\n",
             "engine-seam"))
 
+    def test_distributed_engine_flagged_in_harness(self):
+        self.assertTrue(findings(
+            "src/harness/x.cc",
+            "engine::DistributedEngine engine(options);\n",
+            "engine-seam"))
+
     def test_comment_and_string_not_flagged(self):
         body = ('// SequentialEngine in prose\n'
                 'const char *s = "ThreadedEngine";\n')
@@ -137,7 +143,7 @@ class EngineSeam(unittest.TestCase):
     def test_fixture_body_fires_when_attributed_to_harness(self):
         body = (HERE / "fixtures" / "engine_seam_bad.cc").read_text()
         found = findings("src/harness/bad.cc", body, "engine-seam")
-        self.assertEqual(len(found), 2, found)
+        self.assertEqual(len(found), 3, found)
 
 
 class PersistenceExemption(unittest.TestCase):
