@@ -218,7 +218,6 @@ peerMain(const PeerSetup &p)
         switch (f.type) {
         case transport::FrameType::Quantum: {
             ckpt::Reader r(f.body, "quantum");
-            r.u64(); // quantum start (implicit: nodes are already there)
             const Tick qe = r.u64();
             const std::uint64_t qi = r.u64();
             if (!r.ok() || qi != last_quantum + 1)
@@ -276,7 +275,6 @@ peerMain(const PeerSetup &p)
             for (std::uint32_t i = 0; i < num_sections; ++i) {
                 const std::uint32_t u = r.u32();
                 const std::uint32_t count = r.u32();
-                r.u64(); // byte length (splicing aid; decode is serial)
                 if (!r.ok() || u >= p.numPeers || u == p.index)
                     return 1;
                 std::vector<net::PacketPtr> items;
@@ -300,12 +298,10 @@ peerMain(const PeerSetup &p)
 
             bool all_done = true;
             bool any_pending = false;
-            Tick max_finish = 0;
             for (NodeId id = begin; id < end; ++id) {
                 node::NodeSimulator &node = cluster.node(id);
                 all_done = all_done && node.appDone();
                 any_pending = any_pending || !node.queue().empty();
-                max_finish = std::max(max_finish, node.appFinishTick());
             }
             transport::Frame ack;
             ack.type = transport::FrameType::Ack;
@@ -314,7 +310,6 @@ peerMain(const PeerSetup &p)
             w.u64(qi);
             w.boolean(all_done);
             w.boolean(any_pending);
-            w.u64(max_finish);
             w.u64(batch.totalStaged());
             w.u64(batch.totalMerged());
             ack.body = w.buffer();
@@ -805,7 +800,6 @@ class Coordinator : public QuantumExecutor
         quantum.type = transport::FrameType::Quantum;
         {
             ckpt::Writer w;
-            w.u64(sync.quantumStart());
             w.u64(sync.quantumEnd());
             w.u64(qi);
             quantum.body = w.buffer();
@@ -868,7 +862,6 @@ class Coordinator : public QuantumExecutor
                 const Segment &seg = segs[u][d];
                 w.u32(static_cast<std::uint32_t>(u));
                 w.u32(seg.count);
-                w.u64(seg.bytes.size());
                 w.bytes(seg.bytes.data(), seg.bytes.size());
             }
             deliver.body = w.buffer();
@@ -888,7 +881,6 @@ class Coordinator : public QuantumExecutor
             const std::uint64_t q = r.u64();
             const bool done_local = r.boolean();
             const bool pending_local = r.boolean();
-            r.u64(); // max local finish tick (final gather wins)
             const std::uint64_t staged = r.u64();
             const std::uint64_t merged = r.u64();
             if (!r.ok() || r.remaining() != 0 || index != w || q != qi)

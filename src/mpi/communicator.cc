@@ -9,6 +9,43 @@
 namespace aqsim::mpi
 {
 
+namespace
+{
+
+/** Does a message from (src, tag) match the pattern (want_src, want_tag)? */
+bool
+matches(int want_src, int want_tag, Rank src, int tag)
+{
+    return (want_src == anySource || want_src == static_cast<int>(src)) &&
+           (want_tag == anyTag || want_tag == tag);
+}
+
+/**
+ * The match rule of both arrival-ordered queues, whose entries carry
+ * src, tag and the sender's seq. An anySource receive takes the
+ * earliest entry whose tag matches. A named receive takes the lowest
+ * seq from that source whose tag matches: a forked short send can
+ * complete before an earlier long one, so arrival order is not seq
+ * order within one source. @return the entry, or queue.end().
+ */
+template <typename Queue>
+auto
+findMatch(Queue &queue, int src, int tag)
+{
+    auto best = queue.end();
+    for (auto it = queue.begin(); it != queue.end(); ++it) {
+        if (!matches(src, tag, it->src, it->tag))
+            continue;
+        if (src == anySource)
+            return it;
+        if (best == queue.end() || it->seq < best->seq)
+            best = it;
+    }
+    return best;
+}
+
+} // namespace
+
 void
 RecvAwaitable::await_suspend(std::coroutine_handle<> h)
 {
@@ -38,7 +75,6 @@ Endpoint::Endpoint(Rank rank, std::size_t num_ranks,
                    node::NodeSimulator &node, EndpointParams params)
     : rank_(rank), numRanks_(num_ranks), node_(node),
       queue_(node.queue()), params_(params), sendSeq_(num_ranks, 0),
-      unexpectedBySrc_(num_ranks), pendingRts_(num_ranks),
       mpiStats_(node.statsGroup().addGroup("mpi")),
       statMsgsSent_(mpiStats_.add<stats::Scalar>(
           "msgsSent", "messages sent")),
@@ -454,7 +490,8 @@ Endpoint::messageComplete(const MsgHeader &header)
     // Pass 2: the earliest-posted unbound recv that matches.
     for (std::size_t i = 0; i < posted_.size(); ++i) {
         if (posted_[i].boundMsgId == 0 &&
-            matches(posted_[i], header.src, header.tag)) {
+            matches(posted_[i].src, posted_[i].tag, header.src,
+                    header.tag)) {
             PostedRecv rec = posted_[i];
             posted_.erase(posted_.begin() +
                           static_cast<std::ptrdiff_t>(i));
@@ -463,8 +500,7 @@ Endpoint::messageComplete(const MsgHeader &header)
         }
     }
     // No match: store as unexpected.
-    unexpectedBySrc_[header.src].emplace(header.seq, msg);
-    unexpectedOrder_.emplace_back(header.src, header.seq);
+    unexpected_.push_back(Unexpected{msg, header.seq});
 }
 
 void
@@ -492,19 +528,21 @@ Endpoint::handleRts(const MsgHeader &header)
     }
     if (rxBuffers_.count(header.msgId))
         return; // data already flowing; the handshake succeeded
-    if (pendingRts_[header.src].count(header.seq))
+    if (std::any_of(pendingRts_.begin(), pendingRts_.end(),
+                    [&](const MsgHeader &h) {
+                        return h.msgId == header.msgId;
+                    }))
         return; // announcement already queued for a future recv
     // Bind the earliest matching unbound posted recv, if any.
     for (auto &rec : posted_) {
         if (rec.boundMsgId == 0 &&
-            matches(rec, header.src, header.tag)) {
+            matches(rec.src, rec.tag, header.src, header.tag)) {
             rec.boundMsgId = header.msgId;
             sendControl(ControlPayload::Kind::Cts, header, header.src);
             return;
         }
     }
-    pendingRts_[header.src].emplace(header.seq, header);
-    pendingRtsOrder_.emplace_back(header.src, header.seq);
+    pendingRts_.push_back(header);
 }
 
 void
@@ -533,14 +571,6 @@ Endpoint::handleCts(const MsgHeader &header)
     }
     it->second->fire();
     ctsWaiters_.erase(it);
-}
-
-bool
-Endpoint::matches(const PostedRecv &recv, Rank src, int tag)
-{
-    return (recv.src == anySource ||
-            recv.src == static_cast<int>(src)) &&
-           (recv.tag == anyTag || recv.tag == tag);
 }
 
 void
@@ -607,71 +637,25 @@ Endpoint::cancelRequest(
 void
 Endpoint::postCommon(PostedRecv rec)
 {
-
     // 1. Already-completed unexpected message?
-    if (rec.src != anySource) {
-        auto &per_src = unexpectedBySrc_[static_cast<Rank>(rec.src)];
-        for (auto it = per_src.begin(); it != per_src.end(); ++it) {
-            if (rec.tag == anyTag || rec.tag == it->second.tag) {
-                const Message msg = it->second;
-                eraseUnexpectedOrder(static_cast<Rank>(rec.src),
-                                     it->first);
-                per_src.erase(it);
-                ++statUnexpected_;
-                finishRecv(rec, msg);
-                return;
-            }
-        }
-    } else {
-        for (auto it = unexpectedOrder_.begin();
-             it != unexpectedOrder_.end(); ++it) {
-            auto &per_src = unexpectedBySrc_[it->first];
-            auto mit = per_src.find(it->second);
-            AQSIM_ASSERT(mit != per_src.end());
-            if (rec.tag == anyTag || rec.tag == mit->second.tag) {
-                const Message msg = mit->second;
-                per_src.erase(mit);
-                unexpectedOrder_.erase(it);
-                ++statUnexpected_;
-                finishRecv(rec, msg);
-                return;
-            }
-        }
+    const auto unexp = findMatch(unexpected_, rec.src, rec.tag);
+    if (unexp != unexpected_.end()) {
+        const Message msg = *unexp;
+        unexpected_.erase(unexp);
+        ++statUnexpected_;
+        finishRecv(rec, msg);
+        return;
     }
 
     // 2. Pending rendezvous announcement?
-    if (rec.src != anySource) {
-        auto &per_src = pendingRts_[static_cast<Rank>(rec.src)];
-        for (auto it = per_src.begin(); it != per_src.end(); ++it) {
-            if (rec.tag == anyTag || rec.tag == it->second.tag) {
-                const MsgHeader header = it->second;
-                erasePendingRtsOrder(static_cast<Rank>(rec.src),
-                                     it->first);
-                per_src.erase(it);
-                rec.boundMsgId = header.msgId;
-                posted_.push_back(rec);
-                sendControl(ControlPayload::Kind::Cts, header,
-                            header.src);
-                return;
-            }
-        }
-    } else {
-        for (auto it = pendingRtsOrder_.begin();
-             it != pendingRtsOrder_.end(); ++it) {
-            auto &per_src = pendingRts_[it->first];
-            auto mit = per_src.find(it->second);
-            AQSIM_ASSERT(mit != per_src.end());
-            if (rec.tag == anyTag || rec.tag == mit->second.tag) {
-                const MsgHeader header = mit->second;
-                per_src.erase(mit);
-                pendingRtsOrder_.erase(it);
-                rec.boundMsgId = header.msgId;
-                posted_.push_back(rec);
-                sendControl(ControlPayload::Kind::Cts, header,
-                            header.src);
-                return;
-            }
-        }
+    const auto rts = findMatch(pendingRts_, rec.src, rec.tag);
+    if (rts != pendingRts_.end()) {
+        const MsgHeader header = *rts;
+        pendingRts_.erase(rts);
+        rec.boundMsgId = header.msgId;
+        posted_.push_back(rec);
+        sendControl(ControlPayload::Kind::Cts, header, header.src);
+        return;
     }
 
     // 3. Wait for a future arrival.
@@ -681,34 +665,7 @@ Endpoint::postCommon(PostedRecv rec)
 bool
 Endpoint::probe(int src, int tag) const
 {
-    for (const auto &[order_src, order_seq] : unexpectedOrder_) {
-        if (src != anySource && static_cast<Rank>(src) != order_src)
-            continue;
-        const auto &per_src = unexpectedBySrc_[order_src];
-        auto it = per_src.find(order_seq);
-        AQSIM_ASSERT(it != per_src.end());
-        if (tag == anyTag || tag == it->second.tag)
-            return true;
-    }
-    return false;
-}
-
-void
-Endpoint::eraseUnexpectedOrder(Rank src, std::uint64_t seq)
-{
-    auto it = std::find(unexpectedOrder_.begin(), unexpectedOrder_.end(),
-                        std::make_pair(src, seq));
-    AQSIM_ASSERT(it != unexpectedOrder_.end());
-    unexpectedOrder_.erase(it);
-}
-
-void
-Endpoint::erasePendingRtsOrder(Rank src, std::uint64_t seq)
-{
-    auto it = std::find(pendingRtsOrder_.begin(), pendingRtsOrder_.end(),
-                        std::make_pair(src, seq));
-    AQSIM_ASSERT(it != pendingRtsOrder_.end());
-    pendingRtsOrder_.erase(it);
+    return findMatch(unexpected_, src, tag) != unexpected_.end();
 }
 
 void
@@ -727,22 +684,18 @@ Endpoint::serialize(ckpt::Writer &w) const
     for (const auto &[msg_id, rx] : rxBuffers_)
         rx.serialize(w);
 
-    w.u32(static_cast<std::uint32_t>(unexpectedOrder_.size()));
-    for (const auto &[src, seq] : unexpectedOrder_) {
-        w.u32(src);
-        w.u64(seq);
-        auto it = unexpectedBySrc_[src].find(seq);
-        AQSIM_ASSERT(it != unexpectedBySrc_[src].end());
-        it->second.serialize(w);
+    w.u32(static_cast<std::uint32_t>(unexpected_.size()));
+    for (const Unexpected &u : unexpected_) {
+        w.u32(u.src);
+        w.u64(u.seq);
+        u.serialize(w);
     }
 
-    w.u32(static_cast<std::uint32_t>(pendingRtsOrder_.size()));
-    for (const auto &[src, seq] : pendingRtsOrder_) {
-        w.u32(src);
-        w.u64(seq);
-        auto it = pendingRts_[src].find(seq);
-        AQSIM_ASSERT(it != pendingRts_[src].end());
-        it->second.serialize(w);
+    w.u32(static_cast<std::uint32_t>(pendingRts_.size()));
+    for (const MsgHeader &h : pendingRts_) {
+        w.u32(h.src);
+        w.u64(h.seq);
+        h.serialize(w);
     }
 
     // Posted receives: the match pattern and rendezvous binding are

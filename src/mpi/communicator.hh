@@ -210,7 +210,7 @@ class Endpoint
 
     /** Diagnostics for deadlock reports. */
     std::size_t postedRecvCount() const { return posted_.size(); }
-    std::size_t unexpectedCount() const { return unexpectedOrder_.size(); }
+    std::size_t unexpectedCount() const { return unexpected_.size(); }
 
     /** Lifetime message counters. */
     std::uint64_t messagesSent() const { return messagesSent_; }
@@ -329,13 +329,6 @@ class Endpoint
     /** Fragments per flow-control window. */
     std::uint32_t windowFragments() const;
 
-    /** Does (src,tag) of a message match a recv pattern? */
-    static bool matches(const PostedRecv &recv, Rank src, int tag);
-
-    /** Drop a consumed entry from the completion-order deques. */
-    void eraseUnexpectedOrder(Rank src, std::uint64_t seq);
-    void erasePendingRtsOrder(Rank src, std::uint64_t seq);
-
     /** Fragmented payload capacity per frame. */
     std::uint32_t framePayload() const;
 
@@ -345,21 +338,24 @@ class Endpoint
     sim::EventQueue &queue_;
     EndpointParams params_;
 
-    /** Per-destination send sequence numbers. */
+    /** Per-destination send sequence numbers (the one N-sized member). */
     std::vector<std::uint64_t> sendSeq_;
     std::uint64_t nextMsgId_ = 1;
     int collectiveTagCounter_ = 0;
 
     /** In-flight inbound reassembly, by msgId. */
     std::map<std::uint64_t, RxBuffer> rxBuffers_;
-    /** Completed unmatched messages: per source, by send seq. */
-    std::vector<std::map<std::uint64_t, Message>> unexpectedBySrc_;
-    /** (src, seq) in completion order, for anySource matching. */
-    std::deque<std::pair<Rank, std::uint64_t>> unexpectedOrder_;
-    /** RTS received with no matching recv posted yet: per src by seq. */
-    std::vector<std::map<std::uint64_t, MsgHeader>> pendingRts_;
-    /** (src, seq) RTS arrival order, for anySource matching. */
-    std::deque<std::pair<Rank, std::uint64_t>> pendingRtsOrder_;
+    /** A completed message no posted receive has matched yet. */
+    struct Unexpected : Message
+    {
+        /** The sender's per-destination send seq. */
+        std::uint64_t seq = 0;
+    };
+
+    /** Completed unmatched messages, in completion order. */
+    std::deque<Unexpected> unexpected_;
+    /** RTS received with no matching recv posted yet, in arrival order. */
+    std::deque<MsgHeader> pendingRts_;
     /** Posted receives in post order. */
     std::deque<PostedRecv> posted_;
     /** Senders blocked waiting for CTS, by msgId. */

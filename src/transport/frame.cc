@@ -63,8 +63,9 @@ encodeFrame(const Frame &frame)
     std::memcpy(wire.data(), &body_len, 4);
     std::memcpy(wire.data() + 4, &type, 4);
     std::memcpy(wire.data() + 8, &crc, 4);
-    std::memcpy(wire.data() + frameHeaderBytes, frame.body.data(),
-                frame.body.size());
+    if (!frame.body.empty())
+        std::memcpy(wire.data() + frameHeaderBytes, frame.body.data(),
+                    frame.body.size());
     return wire;
 }
 

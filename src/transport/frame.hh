@@ -33,7 +33,7 @@ enum class FrameType : std::uint32_t
 {
     /** Peer -> coordinator: worker is alive and speaks the protocol. */
     Hello = 1,
-    /** Coordinator -> peer: run one quantum [qs, qe). */
+    /** Coordinator -> peer: run one quantum up to its end qe. */
     Quantum,
     /** Peer -> coordinator: counter deltas + outbound delivery runs. */
     Exchange,

@@ -112,6 +112,58 @@ TEST(Endpoint, AnySourceMatchesEarliestArrival)
     EXPECT_EQ(sources, (std::vector<Rank>{2, 1}));
 }
 
+namespace
+{
+
+/**
+ * Rank 0 forks two tag-3 sends of @p first then @p second bytes;
+ * rank 1 posts two recv(@p src, 3) late and records the sizes in
+ * match order.
+ */
+std::vector<std::uint64_t>
+forkedPairMatchOrder(std::uint64_t first, std::uint64_t second, int src)
+{
+    std::vector<std::uint64_t> sizes;
+    runLambda(2, [&](AppContext &ctx) -> sim::Process {
+        if (ctx.rank() == 0) {
+            auto a = ctx.comm().send(1, 3, first);
+            a.start();
+            auto b = ctx.comm().send(1, 3, second);
+            b.start();
+            co_await std::move(a);
+            co_await std::move(b);
+        } else {
+            co_await ctx.delay(microseconds(500));
+            for (int i = 0; i < 2; ++i) {
+                mpi::Message m = co_await ctx.comm().recv(src, 3);
+                sizes.push_back(m.bytes);
+            }
+        }
+    });
+    return sizes;
+}
+
+} // namespace
+
+TEST(Endpoint, UnexpectedMatchesSendOrderByNameArrivalOrderByAnySource)
+{
+    // The forked 64 B send completes before the earlier 60000 B one.
+    // A named receive follows send order (MPI non-overtaking); an
+    // anySource receive takes the earliest completion.
+    EXPECT_EQ(forkedPairMatchOrder(60000, 64, 0),
+              (std::vector<std::uint64_t>{60000, 64}));
+    EXPECT_EQ(forkedPairMatchOrder(60000, 64, mpi::anySource),
+              (std::vector<std::uint64_t>{64, 60000}));
+}
+
+TEST(Endpoint, PendingRtsBindsInSendOrderByName)
+{
+    // Both sends are rendezvous; the smaller one's RTS arrives first,
+    // yet the named receive must bind the earlier send.
+    EXPECT_EQ(forkedPairMatchOrder(1000000, 100000, 0),
+              (std::vector<std::uint64_t>{1000000, 100000}));
+}
+
 TEST(Endpoint, AnyTagMatches)
 {
     std::atomic<int> got{0};

@@ -68,6 +68,19 @@ splitList(const std::string &csv)
     return out;
 }
 
+/**
+ * @return the file path given to --@p name, or "" if the flag is
+ * absent. A bare flag (parsed as "true") is an error, not a file name.
+ */
+std::string
+outputPath(const Args &args, const char *name)
+{
+    const std::string path = args.getString(name, "");
+    if (args.has(name) && (path.empty() || path == "true"))
+        fatal("--%s needs a file path (--%s FILE.csv)", name, name);
+    return path;
+}
+
 /** Parse "<head>:FROM:TO" (times via parseTicks) into head + window. */
 std::string
 parseWindowSpec(const std::string &spec, Tick &from, Tick &to)
@@ -261,11 +274,18 @@ runOne(const Args &args, workloads::Workload &workload,
     if (!options.peerDrillSpec.empty() &&
         request.engineKind != supervise::EngineKind::Distributed)
         fatal("--peer-drill requires --engine distributed");
+    // Distributed runs leave no in-process cluster behind: the stats
+    // trees and the packet trace live and die in the worker processes.
+    if (request.engineKind == supervise::EngineKind::Distributed)
+        for (const char *flag : {"stats", "stats-csv", "trace"})
+            if (args.has(flag))
+                fatal("--%s is not supported with --engine distributed",
+                      flag);
     request.engine = options;
     request.cluster = cluster_params;
     request.workload = &workload;
     request.policy = policy.get();
-    if (trace && request.engineKind != supervise::EngineKind::Distributed)
+    if (trace)
         request.onClusterBuilt = [trace](engine::Cluster &cluster) {
             trace->attach(cluster.controller());
         };
@@ -328,6 +348,8 @@ main(int argc, char **argv)
             args.getString("class", "A").at(0));
     const bool quiet = args.getBool("quiet", false);
     Logger::setVerbose(!quiet);
+    const std::string timeline_path = outputPath(args, "timeline");
+    const std::string trace_path = outputPath(args, "trace");
 
     // Shared epilogue: in --check mode print the audit report and
     // convert violations into a distinct exit code.
@@ -347,15 +369,8 @@ main(int argc, char **argv)
         // Comparative mode: run the ground truth plus every listed
         // policy spec and print one table.
         std::vector<std::string> specs{harness::groundTruthSpec};
-        const std::string csv = args.getString("sweep", "");
-        for (std::size_t start = 0; start <= csv.size();) {
-            auto end = csv.find(',', start);
-            if (end == std::string::npos)
-                end = csv.size();
-            if (end > start)
-                specs.push_back(csv.substr(start, end - start));
-            start = end + 1;
-        }
+        for (const auto &spec : splitList(args.getString("sweep", "")))
+            specs.push_back(spec);
         harness::Table table({"policy", "metric", "error", "speedup",
                               "mean Q (us)", "stragglers"});
         engine::RunResult gt;
@@ -380,14 +395,13 @@ main(int argc, char **argv)
         return finish();
     }
 
-    const bool want_timeline = args.has("timeline");
     trace::PacketTrace trace;
     std::unique_ptr<engine::Cluster> cluster;
     engine::Cluster *cluster_ptr = nullptr;
     auto result =
         runOne(args, *workload, cluster_params, policy_spec,
-               want_timeline, &cluster_ptr, cluster,
-               args.has("trace") ? &trace : nullptr);
+               !timeline_path.empty(), &cluster_ptr, cluster,
+               trace_path.empty() ? nullptr : &trace);
 
     if (!quiet)
         std::printf("%s\n", result.summary().c_str());
@@ -408,14 +422,11 @@ main(int argc, char **argv)
                     engine::simTimeRatio(result, gt));
     }
 
-    // Distributed runs leave no in-process cluster behind (the stats
-    // trees live and die in the worker processes).
     if (args.getBool("stats", false) && cluster_ptr)
         stats::dumpText(cluster_ptr->statsRoot(), std::cout);
     if (args.getBool("stats-csv", false) && cluster_ptr)
         stats::dumpCsv(cluster_ptr->statsRoot(), std::cout);
 
-    const std::string timeline_path = args.getString("timeline", "");
     if (!timeline_path.empty()) {
         std::ofstream file(timeline_path);
         if (!file)
@@ -437,7 +448,6 @@ main(int argc, char **argv)
                         result.timeline.size());
     }
 
-    const std::string trace_path = args.getString("trace", "");
     if (!trace_path.empty()) {
         std::ofstream file(trace_path);
         if (!file)
