@@ -1,5 +1,6 @@
 #include "ckpt/ckpt_io.hh"
 
+#include <array>
 #include <cstdio>
 #include <cstring>
 
@@ -14,21 +15,24 @@ namespace
 /** Container magic; the trailing digit tracks the container layout. */
 constexpr char fileMagic[8] = {'A', 'Q', 'S', 'C', 'K', 'P', 'T', '1'};
 
-/** Lazily built CRC32 (IEEE, reflected) lookup table. */
-const std::uint32_t *
+/**
+ * CRC32 (IEEE, reflected) lookup table. A function-local static is
+ * initialized exactly once even when threads race to the first call
+ * (a distributed peer's main and heartbeat threads both frame data).
+ */
+const std::array<std::uint32_t, 256> &
 crcTable()
 {
-    static std::uint32_t table[256];
-    static bool built = false;
-    if (!built) {
+    static const std::array<std::uint32_t, 256> table = [] {
+        std::array<std::uint32_t, 256> t{};
         for (std::uint32_t i = 0; i < 256; ++i) {
             std::uint32_t c = i;
             for (int k = 0; k < 8; ++k)
                 c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            table[i] = c;
+            t[i] = c;
         }
-        built = true;
-    }
+        return t;
+    }();
     return table;
 }
 
@@ -37,7 +41,7 @@ crcTable()
 std::uint32_t
 crc32(const std::uint8_t *data, std::size_t size)
 {
-    const std::uint32_t *table = crcTable();
+    const auto &table = crcTable();
     std::uint32_t crc = 0xffffffffu;
     for (std::size_t i = 0; i < size; ++i)
         crc = table[(crc ^ data[i]) & 0xffu] ^ (crc >> 8);
