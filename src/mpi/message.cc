@@ -29,7 +29,6 @@ MsgHeader::expectedChecksum() const
     h = mix(h ^ (static_cast<std::uint64_t>(src) << 32 | dst));
     h = mix(h ^ static_cast<std::uint64_t>(static_cast<std::int64_t>(tag)));
     h = mix(h ^ bytes);
-    h = mix(h ^ seq);
     h = mix(h ^ sendTick);
     return h;
 }
@@ -54,7 +53,6 @@ MsgHeader::serialize(ckpt::Writer &w) const
     w.u32(dst);
     w.i32(tag);
     w.u64(bytes);
-    w.u64(seq);
     w.u64(sendTick);
     w.u64(checksum);
 }

@@ -34,15 +34,17 @@ constexpr int anyTag = -1;
 /** Identity and shape of one message. */
 struct MsgHeader
 {
-    /** Cluster-unique message id. */
+    /**
+     * Cluster-unique message id: (src + 1) << 40 | the sender's
+     * message counter, so one sender's ids rise in its send order
+     * (MPI ordering).
+     */
     std::uint64_t msgId = 0;
     Rank src = 0;
     Rank dst = 0;
     int tag = 0;
     /** Total payload bytes. */
     std::uint64_t bytes = 0;
-    /** Per-(src,dst) send sequence number (MPI ordering). */
-    std::uint64_t seq = 0;
     /** Tick at which the application issued the send. */
     Tick sendTick = 0;
     /** Integrity checksum over the identity fields. */

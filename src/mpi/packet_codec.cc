@@ -28,7 +28,6 @@ putHeader(ckpt::Writer &w, const MsgHeader &h)
     w.u32(h.dst);
     w.i32(h.tag);
     w.u64(h.bytes);
-    w.u64(h.seq);
     w.u64(h.sendTick);
     w.u64(h.checksum);
 }
@@ -42,7 +41,6 @@ getHeader(ckpt::Reader &r)
     h.dst = r.u32();
     h.tag = r.i32();
     h.bytes = r.u64();
-    h.seq = r.u64();
     h.sendTick = r.u64();
     h.checksum = r.u64();
     return h;

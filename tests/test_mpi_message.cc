@@ -19,7 +19,7 @@ makeHeader(std::uint64_t id = 1, std::uint64_t bytes = 1000)
     h.dst = 1;
     h.tag = 7;
     h.bytes = bytes;
-    h.seq = 3;
+    h.sendTick = 3;
     h.seal();
     return h;
 }
@@ -41,7 +41,7 @@ TEST(MsgHeader, TamperedFieldsFailVerification)
     h.tag = 8;
     EXPECT_FALSE(h.verify());
     h = makeHeader();
-    h.seq += 1;
+    h.sendTick += 1;
     EXPECT_FALSE(h.verify());
 }
 
