@@ -91,11 +91,12 @@ BENCHMARK(BM_ClusterQuantaThroughput)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * Raw quantum-gate round trip through the worker pool: release K
- * workers, no work, wait for all arrivals. This is the per-quantum
+ * Raw empty-quantum round trip through the worker pool: the calling
+ * thread (worker 0) and K-1 pool threads cross the quantum-start and
+ * quantum-end barriers with no work between. This is the per-quantum
  * synchronization floor of the ThreadedEngine (the Fig. 5 cost on the
- * host side), and the direct before/after number for the
- * sense-reversing barrier rewrite.
+ * host side). The name predates the pool's single-barrier design and
+ * is kept so the committed baselines still apply.
  */
 void
 BM_WorkerPoolQuantumGate(benchmark::State &state)

@@ -36,8 +36,8 @@ const char *const descriptions[numNames] = {
     "threaded cross-quantum merge is strictly canonically ordered "
     "and never lands behind the receiver unaccounted",
     "each destination shard's post-exchange merge emits deliveries "
-    "in strictly increasing (when, src, departTick) order, never "
-    "behind the receiver unaccounted",
+    "in strictly increasing (when, src, departTick, staging index) "
+    "order, never behind the receiver unaccounted",
 };
 
 } // namespace

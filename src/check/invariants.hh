@@ -21,7 +21,7 @@
  *                        behind the receiver except as a Straggler
  *   ShardMergeOrder      each destination shard's post-exchange merge
  *                        emits its deliveries in strictly increasing
- *                        canonical (when, src, departTick) order and
+ *                        (when, src, departTick, staging index) order and
  *                        never lands behind the receiver except as a
  *                        Straggler (per destination shard: the K×K
  *                        exchange never materializes a global stream)

@@ -114,11 +114,11 @@ DeliveryBatch::mergeShard(std::size_t d, Cluster &cluster)
             // elements of the shared rows.
             Staged &staged = rows_[item.run].payload[item.key.idx];
             AQSIM_ASSERT(shardOf(staged.pkt->dst) == d);
-            // Strict order doubles as a key-uniqueness check: equal
-            // (when, src, departTick) keys would make delivery order
-            // depend on which shard staged which copy.
+            // Audit the merger's total order (when, src, departTick,
+            // staging index); a duplicate frame's copies share a run,
+            // so the index orders them the same at every shard count.
             const bool strict_ok =
-                lane.items.empty() || prev.strictlyBefore(item.key);
+                lane.items.empty() || prev.before(item.key);
             prev = item.key;
             lane.items.push_back(
                 Resolved{&cluster.node(staged.pkt->dst),

@@ -68,8 +68,9 @@ class Cluster;
 /**
  * K×K staged delivery sub-runs exchanged at quantum barriers.
  *
- * Concurrency contract (gate-protocol ownership, same discipline as
- * NodeMailbox::scratch_ — no member is locked):
+ * Concurrency contract (ownership by the worker-pool barrier
+ * protocol, same discipline as NodeMailbox::scratch_ — no member is
+ * locked):
  *
  *  - Sub-run (s, d) and payload row s are written only by the single
  *    thread executing shard s's nodes (stage/closeRun), and only
@@ -79,11 +80,12 @@ class Cluster;
  *    its payload elements (each element belongs to exactly one
  *    column), and cleared only by shard d's worker (mergeShard).
  *  - Payload row s is cleared by its owner at the *next*
- *    beginQuantum(s); the gate release/acquire orders that after
- *    every column's merge of the previous quantum.
+ *    beginQuantum(s); the quantum-end and quantum-start crossings
+ *    order that after every column's merge of the previous quantum.
  *
- * The WorkerPool gate and the exchange WorkerBarrier publish all
- * cross-thread handoffs (release/acquire on their epochs).
+ * The WorkerPool's one WorkerBarrier, crossed at quantum start, at
+ * the exchange and at quantum end, publishes all cross-thread
+ * handoffs (release/acquire on its epoch).
  */
 class DeliveryBatch
 {

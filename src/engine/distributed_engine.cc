@@ -163,15 +163,16 @@ struct PeerSetup
 {
     std::size_t index = 0;
     std::size_t numPeers = 1;
-    const ClusterParams *params = nullptr;
-    workloads::Workload *workload = nullptr;
+    /** The coordinator's replica, inherited through fork. */
+    Cluster *cluster = nullptr;
     const EngineOptions *options = nullptr;
     transport::SocketChannel *channel = nullptr;
 };
 
 /**
- * Worker protocol loop. Builds a pristine cluster from the shared
- * parameters, executes its shard of nodes each Quantum frame, ships
+ * Worker protocol loop. Runs on its own copy of the coordinator's
+ * pristine replica (built before the fork and untouched until then),
+ * executes its shard of nodes each Quantum frame, ships
  * outbound delivery runs in Exchange frames, adopts inbound runs from
  * Deliver frames, and serializes its state slice on demand.
  *
@@ -180,7 +181,7 @@ struct PeerSetup
 int
 peerMain(const PeerSetup &p)
 {
-    Cluster cluster(*p.params, *p.workload);
+    Cluster &cluster = *p.cluster;
     const std::size_t n = cluster.numNodes();
     const auto [begin, end] =
         WorkerPool::shardRange(p.index, p.numPeers, n);
@@ -1099,7 +1100,8 @@ DistributedEngine::run(const ClusterParams &params,
 
     // Coordinator replica: configuration, the globally absorbed
     // controller counters, and checkpoint assembly. Its nodes never
-    // execute an event.
+    // execute an event, so each forked worker inherits it pristine
+    // and executes its own shard on that copy.
     Cluster cluster(params, workload);
     const std::size_t n = cluster.numNodes();
     QuantumDriver driver(options_, cluster, policy);
@@ -1139,8 +1141,7 @@ DistributedEngine::run(const ClusterParams &params,
             PeerSetup setup;
             setup.index = w;
             setup.numPeers = num_peers;
-            setup.params = &params;
-            setup.workload = &workload;
+            setup.cluster = &cluster;
             setup.options = &options_;
             setup.channel = child_ends[w].get();
             ::_exit(peerProcess(setup));

@@ -91,11 +91,11 @@ struct PeerFailure
  * Multi-process distributed engine (coordinator side).
  *
  * Unlike the in-process engines there is no run(Cluster&) overload:
- * every worker process must construct its own pristine Cluster from
- * the parameters, so externally pre-built clusters cannot be
- * partitioned. The coordinator keeps a replica cluster of its own for
- * configuration, absorbed global counters, and checkpoint assembly —
- * its nodes never execute.
+ * every worker process inherits the coordinator's replica through
+ * fork and needs it pristine, so externally pre-built (possibly
+ * already executed) clusters cannot be partitioned. The replica
+ * serves configuration, absorbed global counters, and checkpoint
+ * assembly — its own nodes never execute.
  */
 class DistributedEngine
 {

@@ -71,13 +71,18 @@ struct EngineOptions
     Tick maxSimTicks = 0;
     /** Abort if quantum count exceeds this (0 = default guard). */
     std::uint64_t maxQuanta = 0;
-    /** Straggler handling (paper: DeliverNow). */
+    /**
+     * Straggler handling (paper: DeliverNow). SequentialEngine only:
+     * the ThreadedEngine rejects DeferToNextQuantum with a fatal.
+     */
     StragglerPolicy stragglerPolicy = StragglerPolicy::DeliverNow;
     /**
-     * ThreadedEngine worker threads (ignored by SequentialEngine).
-     * 0 = hardware concurrency; always clamped to the node count.
-     * Each worker runs a contiguous shard of ceil(N/K) nodes per
-     * quantum; conservative runs are bit-identical for any value.
+     * ThreadedEngine shard count K (ignored by SequentialEngine;
+     * DistributedEngine forks K worker processes). 0 = hardware
+     * concurrency; always clamped to the node count. Each worker runs
+     * a contiguous shard of ceil(N/K) nodes per quantum: the run's own
+     * thread runs shard 0 and K-1 spawned threads run the rest.
+     * Conservative runs are bit-identical for any value.
      */
     std::size_t numWorkers = 0;
     /**

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "base/failure.hh"
+#include "base/logging.hh"
 #include "base/mutex.hh"
 #include "ckpt/checkpoint.hh"
 #include "ckpt/ckpt_io.hh"
@@ -67,8 +68,9 @@ class ThreadedScheduler : public net::DeliveryScheduler
 };
 
 /**
- * The persistent worker pool as a QuantumExecutor. K workers each own
- * a fixed contiguous shard of ceil(n/K) nodes for the whole run, so
+ * The persistent worker pool as a QuantumExecutor. K workers — the
+ * run's own thread as worker 0 plus K-1 pool threads — each own a
+ * fixed contiguous shard of ceil(n/K) nodes for the whole run, so
  * large clusters do not oversubscribe the host with one thread per
  * node.
  */
@@ -82,7 +84,6 @@ class PoolExecutor : public QuantumExecutor
           workers_(WorkerPool::resolveWorkerCount(options.numWorkers, n_)),
           mailboxes_(n_), batch_(n_, workers_, options.phaseStats),
           scheduler_(mailboxes_, batch_, driver.sync()),
-          exchange_(workers_),
           pool_(workers_,
                 [this](std::size_t w, Tick qe) { runShard(w, qe); })
     {
@@ -104,11 +105,11 @@ class PoolExecutor : public QuantumExecutor
     runQuantum() override
     {
         // The exchange merge happens *inside* the quantum, after the
-        // workers' internal barrier: every destination node's staged
+        // workers' exchange crossing: every destination node's staged
         // deliveries flow through its own shard's column merger in
         // canonical (when, src, departTick) order — identical for
         // every worker count — and are already dispatched (visible to
-        // the deadlock check) when the gate round trip completes.
+        // the deadlock check) when runQuantum returns.
         pool_.runQuantum(driver_.sync().quantumEnd());
         {
             // A worker's failure is the root cause; the cancellation
@@ -169,9 +170,10 @@ class PoolExecutor : public QuantumExecutor
      * a fatal()/panic() raised inside an event callback (e.g.
      * reliable-delivery retry exhaustion) unwinds to here as a
      * RunAbort. The first failure is latched, cancellation is
-     * requested, and the failing worker still honours the exchange
-     * barrier so its peers — and the gate round trip — are never left
-     * waiting on a thread that bailed out.
+     * requested, and the failing worker still crosses every barrier
+     * so its peers are never left waiting on a thread that bailed
+     * out. Any other exception terminates on every worker, worker 0
+     * included (WorkerPool::runQuantum is noexcept).
      */
     void
     runShard(std::size_t w, Tick qe)
@@ -196,7 +198,7 @@ class PoolExecutor : public QuantumExecutor
         // sub-runs, so sorting here parallelizes the exchange's
         // preprocessing.
         batch_.closeRun(w);
-        exchange_.arriveAndWait();
+        pool_.barrier().arriveAndWait();
         // A cancellation requested before the exchange barrier is
         // visible to every worker after it, so either all shards
         // merge or none do.
@@ -234,10 +236,9 @@ class PoolExecutor : public QuantumExecutor
         firstFailure_ AQSIM_GUARDED_BY(failMutex_);
     std::chrono::steady_clock::time_point wallStart_;
     std::chrono::steady_clock::time_point quantumStartWall_;
-    WorkerBarrier exchange_;
     /**
-     * Declared last, so destroyed first: a stop epoch is released and
-     * the workers join before the state they touch goes away.
+     * Declared last, so destroyed first: the workers are stopped and
+     * joined before the state they touch goes away.
      */
     WorkerPool pool_;
 };
@@ -246,7 +247,12 @@ class PoolExecutor : public QuantumExecutor
 
 ThreadedEngine::ThreadedEngine(EngineOptions options)
     : options_(options)
-{}
+{
+    if (options_.stragglerPolicy == StragglerPolicy::DeferToNextQuantum)
+        fatal("EngineOptions::stragglerPolicy = DeferToNextQuantum is "
+              "not supported by the threaded engine (sequential "
+              "engine only)");
+}
 
 ThreadedEngine::~ThreadedEngine() = default;
 

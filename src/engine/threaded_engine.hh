@@ -7,10 +7,11 @@
  * as the SequentialEngine, but with genuine std::thread parallelism and
  * a real barrier per quantum — the execution style of the paper's
  * actual system. EngineOptions::numWorkers workers (default: hardware
- * concurrency, clamped to the node count) each execute ceil(N/K) nodes
- * per quantum, so a 64-node cluster no longer oversubscribes the host
- * with 64 threads. Host time is measured, not modeled, which makes the
- * engine nondeterministic when quanta exceed the network latency
+ * concurrency, clamped to the node count) — the run's own thread plus
+ * K-1 pool threads — each execute ceil(N/K) nodes per quantum, so a
+ * 64-node cluster no longer oversubscribes the host with 64 threads.
+ * Host time is measured, not modeled, which makes the engine
+ * nondeterministic when quanta exceed the network latency
  * (exactly like the paper's system). With conservative quanta (Q <= T)
  * every delivery crosses a quantum boundary and is merged in a
  * canonical order, so results are bit-identical to the SequentialEngine

@@ -84,22 +84,24 @@ NodeMailbox::drain()
 }
 
 WorkerPool::WorkerPool(std::size_t workers, QuantumFn fn)
-    : gate_(workers), fn_(std::move(fn))
+    : barrier_(workers), fn_(std::move(fn))
 {
     if (workers == 0)
         fatal("worker pool needs at least one worker "
               "(use resolveWorkerCount to map 0 to the host's "
               "concurrency)");
-    threads_.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w)
+    threads_.reserve(workers - 1);
+    for (std::size_t w = 1; w < workers; ++w)
         threads_.emplace_back(&WorkerPool::threadBody, this, w);
 }
 
 WorkerPool::~WorkerPool()
 {
-    // All workers are parked at the gate (every runQuantum waited for
-    // every arrival), so a stop release reaches each exactly once.
-    gate_.release(0, /*stop=*/true);
+    // Every worker is parked at the quantum-start crossing (each
+    // runQuantum ended with a full crossing), so one stop crossing
+    // reaches each exactly once.
+    stop_ = true;
+    barrier_.arriveAndWait();
     for (auto &t : threads_)
         t.join();
 }
@@ -107,13 +109,12 @@ WorkerPool::~WorkerPool()
 void
 WorkerPool::threadBody(std::size_t worker)
 {
-    std::uint64_t epoch = 0;
     for (;;) {
-        const QuantumGate::Quantum q = gate_.waitRelease(epoch);
-        if (q.stop)
+        barrier_.arriveAndWait();
+        if (stop_)
             return;
-        fn_(worker, q.end);
-        gate_.arrive();
+        fn_(worker, quantumEnd_);
+        barrier_.arriveAndWait();
     }
 }
 

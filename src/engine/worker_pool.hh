@@ -8,22 +8,23 @@
  * overhead dominates parallel cluster simulation — applies to our own
  * host execution too. Two design points follow from it:
  *
- *  - QuantumGate is a sense-reversing (epoch-counted) barrier built on
- *    two atomics with a spin-then-yield wait. Opening and closing a
- *    quantum costs two atomic RMWs per worker instead of four
- *    mutex/condvar transitions, and an uncontended quantum never
- *    enters the kernel.
- *  - WorkerPool spawns a bounded number of threads once per run and
- *    reuses them every quantum, so a 64-node cluster on an 8-core host
- *    runs ceil(64/8) node shards per worker instead of oversubscribing
- *    the machine with 64 threads (see docs/performance.md).
+ *  - One epoch-counted WorkerBarrier with a spin-then-yield wait is
+ *    the only rendezvous: an uncontended crossing is one atomic RMW
+ *    per thread and never enters the kernel.
+ *  - WorkerPool spawns K-1 threads once per run and reuses them every
+ *    quantum; the thread calling runQuantum() runs shard 0 itself, so
+ *    no thread sits idle waiting for the others, and a one-worker run
+ *    is an inline call. A 64-node cluster on an 8-core host runs
+ *    ceil(64/8) node shards per thread instead of oversubscribing the
+ *    machine with 64 threads (see docs/performance.md).
  *
- * Memory-ordering contract: everything the coordinator writes before
- * release() is visible to workers after waitRelease() (release/acquire
- * on the epoch), and everything a worker writes before arrive() is
- * visible to the coordinator after waitAllArrived() (release/acquire
- * on the arrival count). Engines rely on this to touch node state from
- * the coordinator between quanta without extra locks.
+ * Memory-ordering contract: runQuantum() returns only after the
+ * quantum-end crossing, and the next one starts with the quantum-start
+ * crossing, so everything the calling thread writes between quanta is
+ * visible to every worker in the next quantum and everything a worker
+ * writes in a quantum is visible to the caller after runQuantum().
+ * Engines rely on this to touch node state between quanta without
+ * extra locks.
  */
 
 #ifndef AQSIM_ENGINE_WORKER_POOL_HH
@@ -81,93 +82,17 @@ spinUntil(Pred pred)
 } // namespace detail
 
 /**
- * Sense-reversing barrier coordinating one releasing thread (the
- * coordinator) with a fixed set of workers, one epoch per quantum.
- */
-class QuantumGate
-{
-  public:
-    explicit QuantumGate(std::size_t workers) : workers_(workers) {}
-
-    QuantumGate(const QuantumGate &) = delete;
-    QuantumGate &operator=(const QuantumGate &) = delete;
-
-    /** What a release publishes to every worker. */
-    struct Quantum
-    {
-        Tick end;
-        bool stop;
-    };
-
-    /** Coordinator: publish the next quantum window and wake workers. */
-    void
-    release(Tick quantum_end, bool stop)
-    {
-        quantumEnd_ = quantum_end;
-        stop_ = stop;
-        arrived_.store(0, std::memory_order_relaxed);
-        // The epoch bump is the release fence publishing the window
-        // (and all coordinator writes made at the barrier).
-        epoch_.fetch_add(1, std::memory_order_release);
-    }
-
-    /**
-     * Worker: wait for the epoch after @p seen_epoch and read the
-     * published window. The coordinator cannot run more than one epoch
-     * ahead (it waits for all arrivals first), so the epoch the
-     * predicate observes is always seen_epoch + 1.
-     */
-    Quantum
-    waitRelease(std::uint64_t &seen_epoch)
-    {
-        detail::spinUntil([&] {
-            return epoch_.load(std::memory_order_acquire) != seen_epoch;
-        });
-        ++seen_epoch;
-        return Quantum{quantumEnd_, stop_};
-    }
-
-    /** Worker: announce this quantum's work is finished. */
-    void
-    arrive()
-    {
-        // Release: publishes this worker's queue/mailbox writes to the
-        // coordinator's acquire spin in waitAllArrived().
-        arrived_.fetch_add(1, std::memory_order_release);
-    }
-
-    /** Coordinator: wait until every worker has arrived. */
-    void
-    waitAllArrived()
-    {
-        detail::spinUntil([&] {
-            return arrived_.load(std::memory_order_acquire) ==
-                   workers_;
-        });
-    }
-
-  private:
-    alignas(64) std::atomic<std::uint64_t> epoch_{0};
-    alignas(64) std::atomic<std::size_t> arrived_{0};
-    /** Published by release(); read by workers after the epoch bump. */
-    Tick quantumEnd_ = 0;
-    bool stop_ = false;
-    const std::size_t workers_;
-};
-
-/**
- * All-worker rendezvous *inside* one released quantum, with no
- * coordinator involvement: the ThreadedEngine separates its execute
- * and exchange phases with one of these instead of a second gate
- * round trip, so the two-phase quantum costs no extra coordinator
- * wake-up — and is free at K=1.
+ * Epoch-counted (sense-reversing) barrier for a fixed set of threads:
+ * the only rendezvous of the ThreadedEngine. The WorkerPool crosses it
+ * at quantum start and quantum end, and the engine crosses it once in
+ * between to separate its execute and exchange phases. Free at K=1.
  *
- * Everything any worker wrote before its arriveAndWait() is visible
- * to every worker after the call returns (release sequence on the
+ * Everything any thread wrote before its arriveAndWait() is visible
+ * to every thread after the call returns (release sequence on the
  * arrival count into the last arriver, release/acquire on the epoch
- * out of it). Reuse across quanta is safe because the enclosing
- * QuantumGate cycle guarantees every worker has left the barrier
- * before any worker can re-enter it.
+ * out of it). Back-to-back reuse is safe: a phase cannot complete
+ * without every thread's arrival, so a waiter that has not yet seen
+ * the epoch move still sees it differ from the one it entered with.
  */
 class WorkerBarrier
 {
@@ -177,7 +102,7 @@ class WorkerBarrier
     WorkerBarrier(const WorkerBarrier &) = delete;
     WorkerBarrier &operator=(const WorkerBarrier &) = delete;
 
-    /** Worker: arrive and block until every worker has arrived. */
+    /** Arrive and block until every thread has arrived. */
     void
     arriveAndWait()
     {
@@ -282,9 +207,9 @@ class NodeMailbox
 
     /**
      * Swap the parked batch out under one lock acquisition. The
-     * returned buffer is reused on the next drain; worker (mid-
-     * quantum) and coordinator (at the barrier) drains never overlap,
-     * so the single scratch buffer is race-free by the gate protocol.
+     * returned buffer is reused on the next drain; only the node's
+     * owning worker drains (mid-quantum and at close), so the single
+     * scratch buffer is race-free without the lock.
      */
     std::vector<ParkedDelivery> &drain() AQSIM_EXCLUDES(mutex_);
 
@@ -305,9 +230,9 @@ class NodeMailbox
   private:
     base::Mutex mutex_;
     std::vector<ParkedDelivery> incoming_ AQSIM_GUARDED_BY(mutex_);
-    /** Consumer-owned by the gate protocol (drains never overlap);
-     * deliberately not GUARDED_BY — it is touched outside the lock by
-     * whichever single thread owns the drain. */
+    /** Consumer-owned (only the owning worker drains, and the pool
+     * barrier orders drains across quanta); deliberately not
+     * GUARDED_BY — it is touched outside the lock by that worker. */
     std::vector<ParkedDelivery> scratch_;
     /** True between close() and open(); the Dekker partner of
      * claims_ (see class comment). */
@@ -321,9 +246,10 @@ class NodeMailbox
 };
 
 /**
- * A persistent pool of worker threads driven one quantum at a time.
- * Threads are spawned once and parked at the gate between quanta; the
- * destructor releases a stop epoch and joins.
+ * A persistent pool of K workers driven one quantum at a time. Worker 0
+ * is the thread that calls runQuantum(); workers 1..K-1 are threads
+ * spawned once and parked at the quantum-start crossing between
+ * quanta. The destructor publishes stop, crosses once and joins.
  */
 class WorkerPool
 {
@@ -337,15 +263,29 @@ class WorkerPool
     WorkerPool(const WorkerPool &) = delete;
     WorkerPool &operator=(const WorkerPool &) = delete;
 
-    /** Coordinator: run one quantum on every worker and wait. */
+    /**
+     * Run one quantum: release the workers, run shard 0 on this
+     * thread, and wait for every worker at the quantum end. noexcept
+     * so an exception escaping shard 0 terminates, exactly as one
+     * escaping a spawned worker does, instead of unwinding past the
+     * barrier its peers are waiting at.
+     */
     void
-    runQuantum(Tick quantum_end)
+    runQuantum(Tick quantum_end) noexcept
     {
-        gate_.release(quantum_end, /*stop=*/false);
-        gate_.waitAllArrived();
+        quantumEnd_ = quantum_end;
+        barrier_.arriveAndWait();
+        fn_(0, quantum_end);
+        barrier_.arriveAndWait();
     }
 
-    std::size_t numWorkers() const { return threads_.size(); }
+    /**
+     * The pool's barrier, for a rendezvous inside a quantum: every
+     * worker must cross it the same number of times per quantum.
+     */
+    WorkerBarrier &barrier() { return barrier_; }
+
+    std::size_t numWorkers() const { return threads_.size() + 1; }
 
     /**
      * Resolve a requested worker count: 0 means the host's hardware
@@ -367,7 +307,10 @@ class WorkerPool
   private:
     void threadBody(std::size_t worker);
 
-    QuantumGate gate_;
+    WorkerBarrier barrier_;
+    /** Written by worker 0 before the quantum-start crossing. */
+    Tick quantumEnd_ = 0;
+    bool stop_ = false;
     QuantumFn fn_;
     std::vector<std::thread> threads_;
 };

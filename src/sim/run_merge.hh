@@ -22,11 +22,12 @@
  * per source, so the triple is a total order over real deliveries and
  * the merged stream is independent of shard count and thread
  * interleaving — the property the cross-engine bit-identity gate
- * rests on. `idx` breaks ties only for degenerate duplicate keys
- * (e.g. fault-injected duplicate frames), keeping the merge a total
- * order even then; the runtime checker still flags such duplicates
- * (ShardMergeOrder) because they make delivery order depend on which
- * shard staged the copy.
+ * rests on. `idx` breaks ties only for duplicate keys (an unjittered
+ * fault-injected duplicate frame shares its original's triple). Both
+ * copies come from one source, so one worker stages them into one
+ * run, in routing order, at every shard count: the idx tie orders
+ * them the same everywhere, and (when, src, depart, idx) is the total
+ * order the runtime checker (ShardMergeOrder) audits.
  */
 
 #ifndef AQSIM_SIM_RUN_MERGE_HH
@@ -65,17 +66,6 @@ struct RunKey
             return depart < o.depart;
         return idx < o.idx;
     }
-
-    /** Strict canonical order ignoring the idx tie-break (checker). */
-    bool
-    strictlyBefore(const RunKey &o) const
-    {
-        if (when != o.when)
-            return when < o.when;
-        if (src != o.src)
-            return src < o.src;
-        return depart < o.depart;
-    }
 };
 
 /** Sort a staged run into canonical order (one sort per shard per
@@ -93,10 +83,10 @@ struct RunView
  * Deterministic k-way merge over sorted runs.
  *
  * A 4-ary min-heap of run cursors keyed on each run's head; equal keys
- * (possible only through the idx tie, i.e. duplicate frames staged in
- * different shards) fall back to run index, so the output order is a
- * pure function of the run contents. reset()/next() reuse the cursor
- * vector, so steady state allocates nothing.
+ * (impossible for engine runs, where one source's keys all live in one
+ * run) fall back to run index, so the output order is a pure function
+ * of the run contents. reset()/next() reuse the cursor vector, so
+ * steady state allocates nothing.
  */
 class RunMerger
 {

@@ -81,10 +81,10 @@ RunSupervisor::runAttempt(const RunRequest &request,
                           core::QuantumPolicy &policy, bool arm_trap)
 {
     if (request.engineKind == EngineKind::Distributed) {
-        // The worker processes fork their own pristine clusters from
-        // the parameters and the engine keeps a coordinator replica,
-        // so there is no in-process cluster to build or expose — and
-        // a stale one would alias the workload binding.
+        // The engine builds its own coordinator replica, which the
+        // worker processes inherit pristine through fork, so there is
+        // no in-process cluster to build or expose — and a stale one
+        // would alias the workload binding.
         cluster_.reset();
         std::optional<base::FailureTrap> trap;
         if (arm_trap)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/quantum_policy.hh"
+#include "engine/threaded_engine.hh"
 #include "engine/worker_pool.hh"
 #include "fault/fault_injector.hh"
 #include "test_util.hh"
@@ -88,6 +89,15 @@ TEST(WorkerPoolValidation, ZeroWorkersIsRejected)
 {
     EXPECT_EXIT(engine::WorkerPool pool(0, [](std::size_t, Tick) {}),
                 ExitedWithCode(1), "at least one worker");
+}
+
+TEST(EngineOptionsValidation, ThreadedEngineRejectsDeferredStragglers)
+{
+    engine::EngineOptions options;
+    options.stragglerPolicy = engine::StragglerPolicy::DeferToNextQuantum;
+    EXPECT_EXIT(engine::ThreadedEngine engine(options), ExitedWithCode(1),
+                "stragglerPolicy = DeferToNextQuantum is not supported "
+                "by the threaded engine");
 }
 
 namespace

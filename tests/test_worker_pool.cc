@@ -1,6 +1,7 @@
 /**
- * Tests for the worker-pool engine layer: shard math, the quantum
- * gate/pool protocol, and the cross-engine determinism contract — a
+ * Tests for the worker-pool engine layer: shard math, the pool's
+ * barrier protocol (worker 0 is the calling thread), and the
+ * cross-engine determinism contract — a
  * conservative ThreadedEngine run is bit-identical to the
  * SequentialEngine at *every* worker count, including oversubscribed
  * and clamped ones.
@@ -9,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <thread>
 #include <vector>
 
 #include "engine/threaded_engine.hh"
@@ -36,6 +39,17 @@ runWith(const std::string &workload, std::size_t nodes,
     }
     engine::SequentialEngine engine(options);
     return engine.run(params, *wl, *pol);
+}
+
+/** Threads of this process, as the kernel lists them. */
+std::size_t
+liveThreads()
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
 }
 
 } // namespace
@@ -100,6 +114,60 @@ TEST(WorkerPoolGate, StopsCleanlyWithoutQuanta)
 {
     engine::WorkerPool pool(4, [](std::size_t, Tick) {});
     // Destructor joins a pool that never ran a quantum.
+}
+
+TEST(WorkerPoolThreads, WorkerZeroRunsOnTheCallingThread)
+{
+    constexpr std::size_t workers = 3;
+    std::vector<std::thread::id> ran_on(workers);
+    engine::WorkerPool pool(workers, [&](std::size_t w, Tick) {
+        ran_on[w] = std::this_thread::get_id();
+    });
+    pool.runQuantum(1);
+    EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+    EXPECT_NE(ran_on[1], ran_on[0]);
+    EXPECT_NE(ran_on[2], ran_on[0]);
+    EXPECT_NE(ran_on[1], ran_on[2]);
+}
+
+TEST(WorkerPoolThreads, SpawnsOneThreadFewerThanWorkers)
+{
+    const std::size_t before = liveThreads();
+    {
+        engine::WorkerPool pool(1, [](std::size_t, Tick) {});
+        EXPECT_EQ(pool.numWorkers(), 1u);
+        EXPECT_EQ(liveThreads(), before);
+    }
+    {
+        engine::WorkerPool pool(3, [](std::size_t, Tick) {});
+        EXPECT_EQ(pool.numWorkers(), 3u);
+        EXPECT_EQ(liveThreads(), before + 2);
+    }
+    EXPECT_EQ(liveThreads(), before);
+}
+
+TEST(WorkerPoolGate, BarrierSurvivesTenThousandBackToBackQuanta)
+{
+    // Three crossings per quantum (start, one inside like the
+    // engine's exchange, end) with no work between them: each worker
+    // publishes its count before the inner crossing and, after it,
+    // must see every other worker's count for this quantum.
+    constexpr std::size_t workers = 4;
+    constexpr Tick quanta = 10'000;
+    std::vector<std::atomic<Tick>> seen(workers);
+    std::atomic<std::uint64_t> stale{0};
+    engine::WorkerPool pool(workers, [&](std::size_t w, Tick qe) {
+        seen[w].store(qe, std::memory_order_relaxed);
+        pool.barrier().arriveAndWait();
+        for (std::size_t u = 0; u < workers; ++u)
+            if (seen[u].load(std::memory_order_relaxed) != qe)
+                stale.fetch_add(1, std::memory_order_relaxed);
+    });
+    for (Tick q = 1; q <= quanta; ++q)
+        pool.runQuantum(q);
+    EXPECT_EQ(stale.load(), 0u);
+    for (std::size_t w = 0; w < workers; ++w)
+        EXPECT_EQ(seen[w].load(), quanta);
 }
 
 /**
