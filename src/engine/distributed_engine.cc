@@ -210,7 +210,7 @@ peerMain(const PeerSetup &p)
             return 1;
     }
 
-    net::NetworkController::RemoteDeltas prev;
+    net::NetworkController::Counters prev;
     std::uint64_t last_quantum = 0;
     for (;;) {
         transport::Frame f;
@@ -820,7 +820,7 @@ class Coordinator : public QuantumExecutor
             ckpt::Reader r(ex.body, "exchange");
             const std::uint32_t index = r.u32();
             const std::uint64_t q = r.u64();
-            net::NetworkController::RemoteDeltas d;
+            net::NetworkController::Counters d;
             d.idsAssigned = r.u64();
             d.packetsThisQuantum = r.u64();
             d.totalPackets = r.u64();

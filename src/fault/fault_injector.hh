@@ -105,7 +105,8 @@ struct FaultParams
 /**
  * Per-link deterministic fault decisions; one instance per cluster,
  * owned by the Cluster and consulted by the NetworkController while it
- * holds its injection mutex (so decide() needs no locking of its own).
+ * holds its shared-collaborator mutex (so decide() needs no locking
+ * of its own).
  */
 class FaultInjector
 {
@@ -136,7 +137,8 @@ class FaultInjector
     /**
      * Decide the fate of one frame src -> dst departing at
      * @p depart_tick. Consumes randomness from the (src,dst) stream
-     * only. Caller must serialize calls (the controller's inject mutex).
+     * only. Caller must serialize calls (the controller's
+     * shared-collaborator mutex).
      */
     Decision decide(NodeId src, NodeId dst, Tick depart_tick);
 

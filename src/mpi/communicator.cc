@@ -334,13 +334,15 @@ Endpoint::handleRx(const net::PacketPtr &pkt)
         ++corruptDropped_;
         return;
     }
-    if (auto frag = std::dynamic_pointer_cast<const FragmentPayload>(
-            pkt->payload)) {
+    // The delivery event owns pkt, and with it the payload, for the
+    // whole call: casting the raw pointer spares the per-frame atomic
+    // reference-count traffic on a control block the sender allocated.
+    const net::Payload *payload = pkt->payload.get();
+    if (const auto *frag = dynamic_cast<const FragmentPayload *>(payload)) {
         handleFragment(*frag);
         return;
     }
-    if (auto ctrl = std::dynamic_pointer_cast<const ControlPayload>(
-            pkt->payload)) {
+    if (const auto *ctrl = dynamic_cast<const ControlPayload *>(payload)) {
         switch (ctrl->kind) {
           case ControlPayload::Kind::Rts:
             handleRts(ctrl->header);
@@ -374,6 +376,14 @@ Endpoint::handleFragment(const FragmentPayload &frag)
         return;
     }
 
+    if (frag.numFrags == 1) {
+        // Complete on arrival: a reassembly entry would not outlive
+        // this call, so no checkpoint could ever see one.
+        frag.checkIntegrity();
+        deliverInbound(frag.header);
+        return;
+    }
+
     auto [it, inserted] =
         rxBuffers_.try_emplace(frag.header.msgId, frag.header);
     const auto result = it->second.addFragment(frag);
@@ -396,12 +406,7 @@ Endpoint::handleFragment(const FragmentPayload &frag)
         const MsgHeader header = it->second.header();
         rxBuffers_.erase(it);
         ackProgress_.erase(header.msgId);
-        if (params_.reliable) {
-            deliveredMsgIds_.insert(header.msgId);
-            sendControl(ControlPayload::Kind::Rack, header,
-                        header.src);
-        }
-        messageComplete(header);
+        deliverInbound(header);
         return;
     }
     // Flow control: acknowledge every completed transport window of a
@@ -417,6 +422,16 @@ Endpoint::handleFragment(const FragmentPayload &frag)
                         frag.header.src, received);
         }
     }
+}
+
+void
+Endpoint::deliverInbound(const MsgHeader &header)
+{
+    if (params_.reliable) {
+        deliveredMsgIds_.insert(header.msgId);
+        sendControl(ControlPayload::Kind::Rack, header, header.src);
+    }
+    messageComplete(header);
 }
 
 void

@@ -279,6 +279,8 @@ class Endpoint
     /** NIC receive handler: dispatch on payload type. */
     void handleRx(const net::PacketPtr &pkt);
     void handleFragment(const FragmentPayload &frag);
+    /** Every fragment of a message is in: acknowledge and complete. */
+    void deliverInbound(const MsgHeader &header);
     void handleRts(const MsgHeader &header);
     void handleCts(const MsgHeader &header);
     void handleAck(const ControlPayload &ctrl);

@@ -77,6 +77,15 @@ RxBuffer::serialize(ckpt::Writer &w) const
         w.boolean(seen_[i]);
 }
 
+void
+FragmentPayload::checkIntegrity() const
+{
+    if (!header.verify())
+        panic("corrupt fragment checksum for msg %llu",
+              static_cast<unsigned long long>(header.msgId));
+    AQSIM_ASSERT(fragIndex < numFrags);
+}
+
 RxBuffer::RxBuffer(const MsgHeader &header)
     : header_(header), numFrags_(0)
 {
@@ -87,15 +96,12 @@ RxBuffer::AddResult
 RxBuffer::addFragment(const FragmentPayload &frag)
 {
     AQSIM_ASSERT(frag.header.msgId == header_.msgId);
-    if (!frag.header.verify())
-        panic("corrupt fragment checksum for msg %llu",
-              static_cast<unsigned long long>(frag.header.msgId));
+    frag.checkIntegrity();
     if (numFrags_ == 0) {
         numFrags_ = frag.numFrags;
         seen_.assign(numFrags_, false);
     }
     AQSIM_ASSERT(frag.numFrags == numFrags_);
-    AQSIM_ASSERT(frag.fragIndex < numFrags_);
     if (seen_[frag.fragIndex])
         return AddResult::Duplicate;
     seen_[frag.fragIndex] = true;

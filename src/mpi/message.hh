@@ -72,6 +72,12 @@ class FragmentPayload : public net::Payload
         : header(header), fragIndex(index), numFrags(total)
     {}
 
+    /**
+     * Panic on a checksum mismatch; assert the index is in range. A
+     * receiver runs this on every fragment it accounts.
+     */
+    void checkIntegrity() const;
+
     MsgHeader header;
     std::uint32_t fragIndex;
     std::uint32_t numFrags;

@@ -1,5 +1,6 @@
 #include "net/network_controller.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "base/debug.hh"
@@ -29,6 +30,33 @@ deliveryClass(DeliveryKind kind)
     return check::DeliveryClass::OnTime;
 }
 
+/**
+ * Register the network group's scalar stats as views of @p ctl's
+ * counters: they are exact whenever the tree is read and cost the
+ * per-packet path nothing.
+ */
+stats::Group &
+addCounterStats(stats::Group &group, const NetworkController &ctl)
+{
+    using Counters = NetworkController::Counters;
+    const auto add = [&group, &ctl](const char *name, const char *desc,
+                                    std::uint64_t Counters::*field) {
+        group.add<stats::Value>(name, desc, [&ctl, field] {
+            return static_cast<double>(ctl.snapshotCounters().*field);
+        });
+    };
+    add("packets", "frames routed through the controller",
+        &Counters::totalPackets);
+    add("bytes", "bytes routed through the controller",
+        &Counters::bytes);
+    add("stragglers", "frames delivered after their ideal arrival",
+        &Counters::totalStragglers);
+    add("nextQuantumDeliveries",
+        "frames queued to the next quantum boundary (Fig. 3d)",
+        &Counters::totalNextQuantum);
+    return group;
+}
+
 } // namespace
 
 Tick
@@ -39,20 +67,27 @@ NicParams::serialization(std::uint32_t bytes) const
         std::ceil(static_cast<double>(bytes) / bytesPerNs));
 }
 
+NetworkController::Counters &
+NetworkController::Counters::operator+=(const Counters &o)
+{
+    idsAssigned += o.idsAssigned;
+    packetsThisQuantum += o.packetsThisQuantum;
+    totalPackets += o.totalPackets;
+    totalStragglers += o.totalStragglers;
+    totalNextQuantum += o.totalNextQuantum;
+    totalLatenessTicks += o.totalLatenessTicks;
+    totalDropped += o.totalDropped;
+    bytes += o.bytes;
+    return *this;
+}
+
 NetworkController::NetworkController(std::size_t num_nodes,
                                      NetworkParams params,
                                      stats::Group &stats_parent)
     : numNodes_(num_nodes), params_(std::move(params)),
-      statsGroup_(stats_parent.addGroup("network")),
-      statPackets_(statsGroup_.add<stats::Scalar>(
-          "packets", "frames routed through the controller")),
-      statBytes_(statsGroup_.add<stats::Scalar>(
-          "bytes", "bytes routed through the controller")),
-      statStragglers_(statsGroup_.add<stats::Scalar>(
-          "stragglers", "frames delivered after their ideal arrival")),
-      statNextQuantum_(statsGroup_.add<stats::Scalar>(
-          "nextQuantumDeliveries",
-          "frames queued to the next quantum boundary (Fig. 3d)")),
+      slots_(num_nodes),
+      statsGroup_(
+          addCounterStats(stats_parent.addGroup("network"), *this)),
       statLateness_(statsGroup_.add<stats::Log2Distribution>(
           "latenessTicks", "straggler lateness (actual - ideal), ticks")),
       statQuantumPackets_(statsGroup_.add<stats::Average>(
@@ -64,34 +99,9 @@ NetworkController::NetworkController(std::size_t num_nodes,
                   : std::make_shared<PerfectSwitch>();
 }
 
-void
-NetworkController::setScheduler(DeliveryScheduler *scheduler)
-{
-    base::MutexLock lock(injectMutex_);
-    scheduler_ = scheduler;
-}
-
-void
-NetworkController::setFaultInjector(fault::FaultInjector *faults)
-{
-    base::MutexLock lock(injectMutex_);
-    faults_ = faults;
-}
-
-void
-NetworkController::addObserver(PacketObserver observer)
-{
-    base::MutexLock lock(injectMutex_);
-    observers_.push_back(std::move(observer));
-}
-
 Tick
 NetworkController::minNetworkLatency() const
 {
-    // Locked only for the switch_ pointee read (minTraversal is
-    // immutable timing config, but the uniform discipline is cheaper
-    // than a special case: this runs once per quantum at most).
-    base::MutexLock lock(injectMutex_);
     // Smallest possible frame: assume 64-byte minimum Ethernet frame.
     constexpr std::uint32_t min_frame = 64;
     return params_.nic.txLatency + switch_->minTraversal() +
@@ -101,16 +111,18 @@ NetworkController::minNetworkLatency() const
 void
 NetworkController::beginQuantum()
 {
-    base::MutexLock lock(injectMutex_);
+    for (Counters &slot : slots_) {
+        folded_ += slot;
+        slot = Counters{};
+    }
     statQuantumPackets_.sample(
-        static_cast<double>(packetsThisQuantum_));
-    packetsThisQuantum_ = 0;
+        static_cast<double>(folded_.packetsThisQuantum));
+    folded_.packetsThisQuantum = 0;
 }
 
 void
 NetworkController::inject(const PacketPtr &pkt)
 {
-    base::MutexLock lock(injectMutex_);
     AQSIM_ASSERT(scheduler_ != nullptr);
     AQSIM_ASSERT(pkt->src < numNodes_);
     AQSIM_ASSERT(pkt->departTick >= pkt->sendTick);
@@ -137,14 +149,18 @@ NetworkController::routeOne(const PacketPtr &pkt)
         deliverOne(pkt, 0, 0);
         return;
     }
-    const auto d =
-        faults_->decide(pkt->src, pkt->dst, pkt->departTick);
+    fault::FaultInjector::Decision d;
+    {
+        base::MutexLock lock(sharedMutex_);
+        d = faults_->decide(pkt->src, pkt->dst, pkt->departTick);
+    }
     if (d.drop) {
         // The frame transited the controller before dying on the
         // wire, so it still counts as observed traffic for the
         // adaptive quantum signal — but it is never delivered.
-        ++packetsThisQuantum_;
-        ++totalDropped_;
+        Counters &slot = slots_[pkt->src];
+        ++slot.packetsThisQuantum;
+        ++slot.totalDropped;
         AQSIM_DPRINTF(Packet, pkt->departTick, "net", "%s -> DROPPED",
                       pkt->toString().c_str());
         return;
@@ -162,7 +178,11 @@ void
 NetworkController::deliverOne(const PacketPtr &pkt, Tick extra_delay,
                               Tick not_before)
 {
-    pkt->id = nextPacketId_++;
+    Counters &slot = slots_[pkt->src];
+    // Same scheme as MsgHeader::msgId: unique cluster-wide, and
+    // independent of how sources interleave across threads.
+    pkt->id = ((static_cast<std::uint64_t>(pkt->src) + 1) << 40) |
+              ++slot.idsAssigned;
     pkt->idealArrival =
         switch_->egress(pkt->src, pkt->dst, pkt->bytes, pkt->departTick) +
         params_.nic.rxLatency + extra_delay;
@@ -176,22 +196,19 @@ NetworkController::deliverOne(const PacketPtr &pkt, Tick extra_delay,
     AQSIM_ASSERT(actual >= pkt->idealArrival ||
                  kind == DeliveryKind::OnTime);
 
-    ++packetsThisQuantum_;
-    ++totalPackets_;
-    ++statPackets_;
-    statBytes_ += pkt->bytes;
+    ++slot.packetsThisQuantum;
+    ++slot.totalPackets;
+    slot.bytes += pkt->bytes;
 
     if (kind != DeliveryKind::OnTime) {
         const auto lateness =
             static_cast<std::uint64_t>(actual - pkt->idealArrival);
-        totalLatenessTicks_ += lateness;
+        slot.totalLatenessTicks += lateness;
+        ++slot.totalStragglers;
+        if (kind == DeliveryKind::NextQuantum)
+            ++slot.totalNextQuantum;
+        base::MutexLock lock(sharedMutex_);
         statLateness_.sample(lateness);
-        ++totalStragglers_;
-        ++statStragglers_;
-        if (kind == DeliveryKind::NextQuantum) {
-            ++totalNextQuantum_;
-            ++statNextQuantum_;
-        }
     }
 
     AQSIM_DPRINTF(Packet, actual, "net", "%s -> delivered@%llu%s",
@@ -203,47 +220,31 @@ NetworkController::deliverOne(const PacketPtr &pkt, Tick extra_delay,
                              ? " STRAGGLER"
                              : " NEXT-QUANTUM"));
 
-    for (const auto &observer : observers_)
-        observer(*pkt, actual);
+    if (!observers_.empty()) {
+        base::MutexLock lock(sharedMutex_);
+        for (const auto &observer : observers_)
+            observer(*pkt, actual);
+    }
 }
 
-NetworkController::RemoteDeltas
+NetworkController::Counters
 NetworkController::snapshotCounters() const
 {
-    base::MutexLock lock(injectMutex_);
-    RemoteDeltas s;
-    s.idsAssigned = nextPacketId_;
-    s.packetsThisQuantum = packetsThisQuantum_;
-    s.totalPackets = totalPackets_;
-    s.totalStragglers = totalStragglers_;
-    s.totalNextQuantum = totalNextQuantum_;
-    s.totalLatenessTicks = totalLatenessTicks_;
-    s.totalDropped = totalDropped_;
-    s.bytes = static_cast<std::uint64_t>(statBytes_.value());
-    return s;
+    Counters sum = folded_;
+    for (const Counters &slot : slots_)
+        sum += slot;
+    return sum;
 }
 
 void
-NetworkController::absorbRemoteDeltas(const RemoteDeltas &d)
+NetworkController::absorbRemoteDeltas(const Counters &d)
 {
-    base::MutexLock lock(injectMutex_);
-    nextPacketId_ += d.idsAssigned;
-    packetsThisQuantum_ += d.packetsThisQuantum;
-    totalPackets_ += d.totalPackets;
-    totalStragglers_ += d.totalStragglers;
-    totalNextQuantum_ += d.totalNextQuantum;
-    totalLatenessTicks_ += d.totalLatenessTicks;
-    totalDropped_ += d.totalDropped;
-    statPackets_ += static_cast<double>(d.totalPackets);
-    statBytes_ += static_cast<double>(d.bytes);
-    statStragglers_ += static_cast<double>(d.totalStragglers);
-    statNextQuantum_ += static_cast<double>(d.totalNextQuantum);
+    folded_ += d;
 }
 
 void
 NetworkController::reset()
 {
-    base::MutexLock lock(injectMutex_);
     // Drop the previous run's scheduler binding: the engine-side
     // scheduler object dies when run() returns, so carrying the
     // pointer across a reset turns the first inject of a re-run
@@ -251,15 +252,13 @@ NetworkController::reset()
     // fresh scheduler at run start.
     scheduler_ = nullptr;
     switch_->reset();
-    nextPacketId_ = 1;
-    packetsThisQuantum_ = 0;
-    totalPackets_ = totalStragglers_ = totalNextQuantum_ = 0;
-    totalLatenessTicks_ = 0;
-    totalDropped_ = 0;
-    // The registered stats::* objects accumulate alongside the plain
-    // counters and must be cleared with them, or repeated runs in one
-    // process report stale packet/straggler/lateness numbers.
+    folded_ = Counters{};
+    std::fill(slots_.begin(), slots_.end(), Counters{});
+    // The registered stats::* objects that keep their own samples
+    // must be cleared with the counters, or repeated runs in one
+    // process report stale lateness and per-quantum numbers.
     statsGroup_.resetAll();
+    base::MutexLock lock(sharedMutex_);
     if (faults_)
         faults_->reset();
 }
@@ -267,28 +266,34 @@ NetworkController::reset()
 void
 NetworkController::serialize(ckpt::Writer &w) const
 {
-    base::MutexLock lock(injectMutex_);
-    w.u64(nextPacketId_);
-    w.u64(packetsThisQuantum_);
-    w.u64(totalPackets_);
-    w.u64(totalStragglers_);
-    w.u64(totalNextQuantum_);
-    w.u64(totalLatenessTicks_);
-    w.u64(totalDropped_);
+    const Counters c = snapshotCounters();
+    w.u64(1 + c.idsAssigned);
+    w.u64(c.packetsThisQuantum);
+    w.u64(c.totalPackets);
+    w.u64(c.totalStragglers);
+    w.u64(c.totalNextQuantum);
+    w.u64(c.totalLatenessTicks);
+    w.u64(c.totalDropped);
     switch_->serialize(w);
 }
 
 void
 NetworkController::deserialize(ckpt::Reader &r)
 {
-    base::MutexLock lock(injectMutex_);
-    nextPacketId_ = r.u64();
-    packetsThisQuantum_ = r.u64();
-    totalPackets_ = r.u64();
-    totalStragglers_ = r.u64();
-    totalNextQuantum_ = r.u64();
-    totalLatenessTicks_ = r.u64();
-    totalDropped_ = r.u64();
+    Counters c;
+    // Unsigned wrap-around makes this the exact inverse of serialize()
+    // for every stored value.
+    c.idsAssigned = r.u64() - 1;
+    c.packetsThisQuantum = r.u64();
+    c.totalPackets = r.u64();
+    c.totalStragglers = r.u64();
+    c.totalNextQuantum = r.u64();
+    c.totalLatenessTicks = r.u64();
+    c.totalDropped = r.u64();
+    // bytes is not part of the image; it keeps counting from here.
+    c.bytes = snapshotCounters().bytes;
+    folded_ = c;
+    std::fill(slots_.begin(), slots_.end(), Counters{});
     switch_->deserialize(r);
 }
 

@@ -116,6 +116,13 @@ struct NetworkParams
 
 /**
  * Centralized functional + timing network simulator for the cluster.
+ *
+ * Threading: a node's frames are injected on the thread that runs the
+ * node, so the per-packet path writes only the source node's counter
+ * slot and takes no lock unless it calls a collaborator that really is
+ * shared (the fault injector, packet observers, the lateness
+ * histogram). Everything else — binding, reset, quantum boundaries,
+ * counter reads, checkpointing — runs while no node is executing.
  */
 class NetworkController
 {
@@ -130,108 +137,68 @@ class NetworkController
 
     /** Bind the engine's delivery scheduler (required before inject). */
     void setScheduler(DeliveryScheduler *scheduler)
-        AQSIM_EXCLUDES(injectMutex_);
+    {
+        scheduler_ = scheduler;
+    }
 
     /** Currently bound scheduler (nullptr after reset; tests). */
-    DeliveryScheduler *
-    scheduler() const AQSIM_EXCLUDES(injectMutex_)
-    {
-        base::MutexLock lock(injectMutex_);
-        return scheduler_;
-    }
+    DeliveryScheduler *scheduler() const { return scheduler_; }
 
     /**
      * Interpose a fault injector between the NICs and the switch
      * (nullptr = perfect network). The controller consults it for every
-     * unicast route while holding the injection mutex, so the injector
-     * needs no locking of its own.
+     * unicast route while holding its shared-collaborator mutex, so the
+     * injector needs no locking of its own.
      */
     void setFaultInjector(fault::FaultInjector *faults)
-        AQSIM_EXCLUDES(injectMutex_);
+    {
+        faults_ = faults;
+    }
 
-    /** Register an observer called for every routed packet. */
+    /**
+     * Register an observer called for every routed packet. Observers
+     * run under the shared-collaborator mutex, one at a time.
+     */
     void addObserver(PacketObserver observer)
-        AQSIM_EXCLUDES(injectMutex_);
+    {
+        observers_.push_back(std::move(observer));
+    }
 
     /**
      * Inject a frame from a source NIC. pkt->departTick must be set by
      * the NIC (send tick + tx overhead + serialization + tx latency).
      * Broadcast destinations are replicated to every other node.
-     * Thread-safe: concurrent injections from node threads serialize
-     * on an internal mutex (the ThreadedEngine path).
+     * Thread-safe for concurrent injections from *different* source
+     * nodes (the ThreadedEngine path: each worker injects only for the
+     * nodes it runs).
      */
-    void inject(const PacketPtr &pkt) AQSIM_EXCLUDES(injectMutex_);
+    void inject(const PacketPtr &pkt) AQSIM_EXCLUDES(sharedMutex_);
 
     /**
      * @return the minimum possible end-to-end latency T; quanta
      * Q <= T are safe (straggler-free), per the paper's safety rule.
      */
-    Tick minNetworkLatency() const AQSIM_EXCLUDES(injectMutex_);
-
-    /** Start a new quantum: reset the per-quantum packet counter. */
-    void beginQuantum() AQSIM_EXCLUDES(injectMutex_);
-
-    /** @return packets routed since the last beginQuantum(). */
-    std::uint64_t
-    packetsThisQuantum() const AQSIM_EXCLUDES(injectMutex_)
-    {
-        base::MutexLock lock(injectMutex_);
-        return packetsThisQuantum_;
-    }
-
-    /** Lifetime counters (for tests and the harness). */
-    std::uint64_t
-    totalPackets() const AQSIM_EXCLUDES(injectMutex_)
-    {
-        base::MutexLock lock(injectMutex_);
-        return totalPackets_;
-    }
-
-    std::uint64_t
-    totalStragglers() const AQSIM_EXCLUDES(injectMutex_)
-    {
-        base::MutexLock lock(injectMutex_);
-        return totalStragglers_;
-    }
-
-    std::uint64_t
-    totalNextQuantum() const AQSIM_EXCLUDES(injectMutex_)
-    {
-        base::MutexLock lock(injectMutex_);
-        return totalNextQuantum_;
-    }
-
-    /** Frames dropped by the fault layer (0 on a perfect network). */
-    std::uint64_t
-    totalDropped() const AQSIM_EXCLUDES(injectMutex_)
-    {
-        base::MutexLock lock(injectMutex_);
-        return totalDropped_;
-    }
-
-    /** Sum over stragglers of (actual - ideal) delivery ticks. */
-    std::uint64_t
-    totalLatenessTicks() const AQSIM_EXCLUDES(injectMutex_)
-    {
-        base::MutexLock lock(injectMutex_);
-        return totalLatenessTicks_;
-    }
-
-    std::size_t numNodes() const { return numNodes_; }
-    const NicParams &nicParams() const { return params_.nic; }
+    Tick minNetworkLatency() const;
 
     /**
-     * Cross-process counter aggregation (DistributedEngine): one
-     * peer's counter values, snapshotted at a quantum edge. A peer
-     * subtracts two snapshots to get its per-quantum advance and
-     * ships that with its exchange; the coordinator absorbs it into
-     * its replica controller so the adaptive policy and checkpoint
-     * images see the global counts. idsAssigned tracks nextPacketId_
-     * (the *count* of ids a peer assigned is order-independent even
-     * though the ids themselves are not). Straggler fields are zero
-     * in any conservative run but carried so the mapping is total.
+     * Start a new quantum: fold the per-source slots into the
+     * controller totals and reset the per-quantum packet counter.
      */
-    struct RemoteDeltas
+    void beginQuantum();
+
+    /**
+     * Routing counters. Each source node owns one slot of them; the
+     * controller's totals are the folded slots plus anything absorbed
+     * from remote peers. The same struct carries one peer's counter
+     * values across processes (DistributedEngine): a peer snapshots
+     * them at two quantum edges and ships the difference, which the
+     * coordinator absorbs into its replica controller so the adaptive
+     * policy and checkpoint images see the global counts.
+     * idsAssigned counts the packet ids handed out. Straggler fields
+     * are zero in any conservative run but carried so the mapping is
+     * total. alignas keeps two workers' slots off one cache line.
+     */
+    struct alignas(64) Counters
     {
         std::uint64_t idsAssigned = 0;
         std::uint64_t packetsThisQuantum = 0;
@@ -241,78 +208,122 @@ class NetworkController
         std::uint64_t totalLatenessTicks = 0;
         std::uint64_t totalDropped = 0;
         std::uint64_t bytes = 0;
+
+        Counters &operator+=(const Counters &o);
     };
 
-    /** Snapshot every RemoteDeltas counter at its current value. */
-    RemoteDeltas snapshotCounters() const AQSIM_EXCLUDES(injectMutex_);
+    /** @return packets routed since the last beginQuantum(). */
+    std::uint64_t
+    packetsThisQuantum() const
+    {
+        return snapshotCounters().packetsThisQuantum;
+    }
+
+    /** Lifetime counters (for tests and the harness). */
+    std::uint64_t
+    totalPackets() const
+    {
+        return snapshotCounters().totalPackets;
+    }
+
+    std::uint64_t
+    totalStragglers() const
+    {
+        return snapshotCounters().totalStragglers;
+    }
+
+    std::uint64_t
+    totalNextQuantum() const
+    {
+        return snapshotCounters().totalNextQuantum;
+    }
+
+    /** Frames dropped by the fault layer (0 on a perfect network). */
+    std::uint64_t
+    totalDropped() const
+    {
+        return snapshotCounters().totalDropped;
+    }
+
+    /** Sum over stragglers of (actual - ideal) delivery ticks. */
+    std::uint64_t
+    totalLatenessTicks() const
+    {
+        return snapshotCounters().totalLatenessTicks;
+    }
+
+    std::size_t numNodes() const { return numNodes_; }
+    const NicParams &nicParams() const { return params_.nic; }
+
+    /** Every counter at its current value (folded + all slots). */
+    Counters snapshotCounters() const;
 
     /**
      * Absorb one peer's per-quantum counter advance (counters and the
-     * scalar stats; statLateness_ is a distribution and cannot absorb
-     * an aggregate — conservative runs never sample it).
+     * scalar stats derived from them; statLateness_ is a distribution
+     * and cannot absorb an aggregate — conservative runs never sample
+     * it).
      */
-    void absorbRemoteDeltas(const RemoteDeltas &d)
-        AQSIM_EXCLUDES(injectMutex_);
+    void absorbRemoteDeltas(const Counters &d);
 
     /** Reset all per-run state (switch ports, counters). */
-    void reset() AQSIM_EXCLUDES(injectMutex_);
+    void reset() AQSIM_EXCLUDES(sharedMutex_);
 
     /**
      * Checkpoint support. Frames are routed to destination event
      * queues at injection time, so at a quantum boundary the
      * controller holds no in-flight frames of its own — only the
-     * packet-id counter, routing counters and switch port occupancy.
+     * packet-id counter (1 + ids assigned), routing counters and
+     * switch port occupancy.
      */
-    void serialize(ckpt::Writer &w) const AQSIM_EXCLUDES(injectMutex_);
+    void serialize(ckpt::Writer &w) const;
 
-    /** Restore state persisted by serialize(). */
-    void deserialize(ckpt::Reader &r) AQSIM_EXCLUDES(injectMutex_);
+    /**
+     * Restore state persisted by serialize(). The image holds the
+     * counters' sums, not their per-source split, so each source's
+     * packet-id sequence restarts.
+     */
+    void deserialize(ckpt::Reader &r);
 
     /** FNV-1a fingerprint of serialize() output. */
-    std::uint64_t stateHash() const AQSIM_EXCLUDES(injectMutex_);
+    std::uint64_t stateHash() const;
 
   private:
     /** Route a single unicast frame (fault decisions + delivery). */
-    void routeOne(const PacketPtr &pkt) AQSIM_REQUIRES(injectMutex_);
+    void routeOne(const PacketPtr &pkt) AQSIM_EXCLUDES(sharedMutex_);
 
     /** Time and place one delivery (a surviving frame or a copy). */
     void deliverOne(const PacketPtr &pkt, Tick extra_delay,
-                    Tick not_before) AQSIM_REQUIRES(injectMutex_);
+                    Tick not_before) AQSIM_EXCLUDES(sharedMutex_);
 
     std::size_t numNodes_;
-    /**
-     * Serializes concurrent injections (the ThreadedEngine path) and
-     * guards every mutable routing structure below. Coordinator-only
-     * phases (reset, quantum boundaries, checkpointing) take it too:
-     * uncontended acquisition is cheap and keeps the lock discipline
-     * uniform enough for the analysis to prove.
-     */
-    mutable base::Mutex injectMutex_;
     NetworkParams params_;
-    /** Pointer fixed at construction; pointee (port occupancy) is
-     * mutated while routing, hence PT_GUARDED. */
-    std::shared_ptr<SwitchModel> switch_
-        AQSIM_PT_GUARDED_BY(injectMutex_);
-    DeliveryScheduler *scheduler_ AQSIM_GUARDED_BY(injectMutex_) =
+    /** Stateful switch models guard their own port state. */
+    std::shared_ptr<SwitchModel> switch_;
+    /** Bound between runs, never while frames are injected. */
+    DeliveryScheduler *scheduler_ = nullptr;
+    /**
+     * Serializes the collaborators every source shares: the fault
+     * injector (its totals and stats), the packet observers and the
+     * lateness histogram. Never held around the counters.
+     */
+    mutable base::Mutex sharedMutex_;
+    /** Pointer bound at cluster build; pointee shared by all sources. */
+    fault::FaultInjector *faults_ AQSIM_PT_GUARDED_BY(sharedMutex_) =
         nullptr;
-    fault::FaultInjector *faults_ AQSIM_GUARDED_BY(injectMutex_) =
-        nullptr;
-    std::vector<PacketObserver> observers_
-        AQSIM_GUARDED_BY(injectMutex_);
+    /** Registered before the run; each call runs under sharedMutex_. */
+    std::vector<PacketObserver> observers_;
 
-    std::uint64_t nextPacketId_ AQSIM_GUARDED_BY(injectMutex_) = 1;
-    std::uint64_t packetsThisQuantum_ AQSIM_GUARDED_BY(injectMutex_) = 0;
-    std::uint64_t totalPackets_ AQSIM_GUARDED_BY(injectMutex_) = 0;
-    std::uint64_t totalStragglers_ AQSIM_GUARDED_BY(injectMutex_) = 0;
-    std::uint64_t totalNextQuantum_ AQSIM_GUARDED_BY(injectMutex_) = 0;
-    std::uint64_t totalLatenessTicks_ AQSIM_GUARDED_BY(injectMutex_) = 0;
-    std::uint64_t totalDropped_ AQSIM_GUARDED_BY(injectMutex_) = 0;
+    /**
+     * Counters folded at quantum boundaries, absorbed from peers or
+     * restored from a checkpoint. Written only while no node runs.
+     */
+    Counters folded_;
+    /** One slot per source node; written only by that node's thread. */
+    std::vector<Counters> slots_;
 
     stats::Group &statsGroup_;
-    stats::Scalar &statPackets_;
-    stats::Scalar &statBytes_;
-    stats::Scalar &statStragglers_;
-    stats::Scalar &statNextQuantum_;
+    /** Sampled under sharedMutex_ (stragglers only). */
     stats::Log2Distribution &statLateness_;
     stats::Average &statQuantumPackets_;
 };

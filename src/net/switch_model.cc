@@ -22,6 +22,7 @@ Tick
 StoreAndForwardSwitch::egress(NodeId, NodeId dst, std::uint32_t bytes,
                               Tick ingress)
 {
+    base::MutexLock lock(mutex_);
     AQSIM_ASSERT(dst < portBusyUntil_.size());
     const Tick start =
         std::max(ingress + traversal_, portBusyUntil_[dst]);
@@ -34,12 +35,14 @@ StoreAndForwardSwitch::egress(NodeId, NodeId dst, std::uint32_t bytes,
 void
 StoreAndForwardSwitch::reset()
 {
+    base::MutexLock lock(mutex_);
     std::fill(portBusyUntil_.begin(), portBusyUntil_.end(), 0);
 }
 
 void
 StoreAndForwardSwitch::serialize(ckpt::Writer &w) const
 {
+    base::MutexLock lock(mutex_);
     w.u32(static_cast<std::uint32_t>(portBusyUntil_.size()));
     for (Tick t : portBusyUntil_)
         w.u64(t);
@@ -51,6 +54,7 @@ StoreAndForwardSwitch::deserialize(ckpt::Reader &r)
     const std::uint32_t n = r.u32();
     if (!r.ok())
         return;
+    base::MutexLock lock(mutex_);
     if (n != portBusyUntil_.size()) {
         r.fail("switch port count mismatch");
         return;

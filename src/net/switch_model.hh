@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/mutex.hh"
 #include "base/types.hh"
 
 namespace aqsim::ckpt
@@ -44,6 +45,8 @@ class SwitchModel
      * made in nondecreasing ingress order per port for contention to be
      * meaningful; the controller guarantees injection order only within
      * a quantum, which is the same fidelity the paper's controller has.
+     * Sources on different threads call this concurrently; a model
+     * with state guards it itself.
      *
      * @param src source node
      * @param dst destination node
@@ -88,6 +91,8 @@ class PerfectSwitch : public SwitchModel
  * Output-queued store-and-forward switch: a frame is fully received,
  * then serialized onto the destination port at the port bandwidth after
  * a fixed traversal latency; frames to the same destination queue up.
+ * Sources on different threads share the output ports, so the port
+ * state has its own mutex.
  */
 class StoreAndForwardSwitch : public SwitchModel
 {
@@ -113,8 +118,9 @@ class StoreAndForwardSwitch : public SwitchModel
   private:
     double bytesPerNs_;
     Tick traversal_;
+    mutable base::Mutex mutex_;
     /** Tick until which each output port is busy serializing. */
-    std::vector<Tick> portBusyUntil_;
+    std::vector<Tick> portBusyUntil_ AQSIM_GUARDED_BY(mutex_);
 };
 
 } // namespace aqsim::net

@@ -125,6 +125,7 @@ TopologySwitch::egress(NodeId src, NodeId dst, std::uint32_t bytes,
 
     // Output-queued approximation: the frame occupies the destination
     // port for its serialization time after traversing the path.
+    base::MutexLock lock(mutex_);
     const Tick start = std::max(ingress + path_latency,
                                 portBusyUntil_[dst]);
     portBusyUntil_[dst] = start + ser;
@@ -141,6 +142,7 @@ TopologySwitch::minTraversal() const
 void
 TopologySwitch::reset()
 {
+    base::MutexLock lock(mutex_);
     std::fill(portBusyUntil_.begin(), portBusyUntil_.end(), 0);
 }
 

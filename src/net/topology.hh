@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "base/mutex.hh"
 #include "net/switch_model.hh"
 
 namespace aqsim::net
@@ -71,7 +72,9 @@ struct TopologyParams
 };
 
 /**
- * Hop-count based switch timing model over a fixed topology.
+ * Hop-count based switch timing model over a fixed topology. Sources
+ * on different threads share the output ports, so the port state has
+ * its own mutex.
  */
 class TopologySwitch : public SwitchModel
 {
@@ -99,8 +102,9 @@ class TopologySwitch : public SwitchModel
     /** 2-D grid extents (Mesh2D / Torus2D). */
     std::size_t gridX_ = 1;
     std::size_t gridY_ = 1;
+    base::Mutex mutex_;
     /** Output-port occupancy per destination node. */
-    std::vector<Tick> portBusyUntil_;
+    std::vector<Tick> portBusyUntil_ AQSIM_GUARDED_BY(mutex_);
 };
 
 } // namespace aqsim::net

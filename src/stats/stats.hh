@@ -7,14 +7,16 @@
  * dumped as aligned text or CSV (see stats/output.hh).
  *
  * Only the statistic kinds the simulator actually needs are provided:
- * Scalar (a counter/accumulator), Average (mean of samples), and the
- * bucketed types in stats/histogram.hh.
+ * Scalar (a counter/accumulator), Value (a scalar read from its
+ * owner's counters), Average (mean of samples), and the bucketed types
+ * in stats/histogram.hh.
  */
 
 #ifndef AQSIM_STATS_STATS_HH
 #define AQSIM_STATS_STATS_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,18 +70,44 @@ class Scalar : public Stat
     }
 
     void set(double v) { value_ = v; }
-    double value() const { return value_; }
+    virtual double value() const { return value_; }
 
     std::vector<std::pair<std::string, double>>
     rows() const override
     {
-        return {{"", value_}};
+        return {{"", value()}};
     }
 
     void reset() override { value_ = 0.0; }
 
   private:
     double value_ = 0.0;
+};
+
+/**
+ * A scalar computed from its owner's counters each time it is read
+ * (gem5's Value stat). The owner keeps the count wherever it is
+ * cheapest to update, and the stats tree still reads exact at any
+ * point. The owner clears its counters on reset; a Value holds no
+ * count of its own, so it cannot be incremented or set.
+ */
+class Value : public Scalar
+{
+  public:
+    Value(std::string name, std::string desc,
+          std::function<double()> source)
+        : Scalar(std::move(name), std::move(desc)),
+          source_(std::move(source))
+    {}
+
+    Value &operator++() = delete;
+    Value &operator+=(double) = delete;
+    void set(double) = delete;
+
+    double value() const override { return source_(); }
+
+  private:
+    std::function<double()> source_;
 };
 
 /** Mean / min / max over a stream of samples. */

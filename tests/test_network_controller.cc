@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "base/random.hh"
@@ -217,6 +220,162 @@ TEST_F(ControllerFixture, StoreAndForwardSwitchDelaysThroughPorts)
     // traversal 200 + 9000B at 10 B/ns = 900 + rx latency 500.
     EXPECT_EQ(sched.placements[0].pkt->idealArrival, 200u + 900u + 500u);
     EXPECT_EQ(ctrl.minNetworkLatency(), 500u + 200u + 500u + 7u);
+}
+
+namespace
+{
+
+/**
+ * Thread-safe placement for concurrent injection: the delivery kind
+ * and lateness are pure functions of the frame, and each source's
+ * placements go to that source's own list (one writer per list).
+ */
+class PerSourceScheduler : public DeliveryScheduler
+{
+  public:
+    struct Placed
+    {
+        std::uint64_t id;
+        NodeId dst;
+        DeliveryKind kind;
+        Tick actual;
+
+        bool
+        operator==(const Placed &o) const
+        {
+            return id == o.id && dst == o.dst && kind == o.kind &&
+                   actual == o.actual;
+        }
+    };
+
+    explicit PerSourceScheduler(std::size_t sources) : placed(sources) {}
+
+    Tick
+    place(const PacketPtr &pkt, DeliveryKind &kind) override
+    {
+        const Tick d = pkt->departTick;
+        kind = d % 10 == 0  ? DeliveryKind::NextQuantum
+               : d % 5 == 0 ? DeliveryKind::Straggler
+                            : DeliveryKind::OnTime;
+        const Tick actual =
+            pkt->idealArrival +
+            (kind == DeliveryKind::OnTime ? 0 : 7 + d % 13);
+        placed[pkt->src].push_back(Placed{pkt->id, pkt->dst, kind, actual});
+        return actual;
+    }
+
+    std::vector<std::vector<Placed>> placed;
+};
+
+/** Everything one injection run leaves observable. */
+struct InjectOutcome
+{
+    std::vector<std::vector<PerSourceScheduler::Placed>> placed;
+    NetworkController::Counters counters;
+    std::vector<std::pair<std::string, double>> networkStats;
+    std::uint64_t observed = 0;
+    std::uint64_t faultDrops = 0;
+    std::uint64_t faultDuplicates = 0;
+};
+
+/**
+ * Inject a fixed per-source frame sequence — unicasts, broadcasts,
+ * stragglers, next-quantum deliveries, fault-layer drops and
+ * duplicates — from @p threads threads, each owning a disjoint set of
+ * sources, then close the quantum.
+ */
+InjectOutcome
+injectFromThreads(std::size_t threads)
+{
+    constexpr std::size_t sources = 8;
+    constexpr Tick frames = 1500;
+    stats::Group root("cluster");
+    NetworkController ctl(sources, NetworkParams{}, root);
+    fault::FaultParams fp;
+    fp.dropRate = 0.05;
+    fp.duplicateRate = 0.05;
+    fault::FaultInjector faults(sources, fp, Rng(11), root);
+    ctl.setFaultInjector(&faults);
+    PerSourceScheduler sched(sources);
+    ctl.setScheduler(&sched);
+    InjectOutcome out;
+    // Observers run under the controller's shared mutex.
+    ctl.addObserver([&out](const Packet &, Tick) { ++out.observed; });
+
+    const auto send = [&ctl](NodeId src) {
+        for (Tick i = 1; i <= frames; ++i) {
+            const NodeId dst =
+                i % 100 == 0
+                    ? broadcastNode
+                    : static_cast<NodeId>((src + 1 + i % (sources - 1)) %
+                                          sources);
+            auto pkt = makePacket(src, dst,
+                                  static_cast<std::uint32_t>(64 + i % 1400),
+                                  i * 3);
+            pkt->departTick = i * 3 + src;
+            ctl.inject(pkt);
+        }
+    };
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < threads; ++t) {
+        pool.emplace_back([&send, t, threads] {
+            for (std::size_t src = t; src < sources; src += threads)
+                send(static_cast<NodeId>(src));
+        });
+    }
+    for (auto &th : pool)
+        th.join();
+    ctl.beginQuantum();
+
+    out.placed = sched.placed;
+    out.counters = ctl.snapshotCounters();
+    for (const auto &group : root.children()) {
+        if (group->name() != "network")
+            continue;
+        for (const auto &stat : group->statList())
+            for (const auto &[label, value] : stat->rows())
+                out.networkStats.emplace_back(stat->name() + label, value);
+    }
+    out.faultDrops = faults.totalDropped();
+    out.faultDuplicates = faults.totalDuplicated();
+    return out;
+}
+
+} // namespace
+
+TEST(ControllerConcurrency, DisjointSourcesMatchASingleThreadedRun)
+{
+    const InjectOutcome one = injectFromThreads(1);
+    const InjectOutcome four = injectFromThreads(4);
+
+    // The sequence exercised every path it is meant to.
+    EXPECT_GT(one.counters.totalStragglers, one.counters.totalNextQuantum);
+    EXPECT_GT(one.counters.totalNextQuantum, 0u);
+    EXPECT_GT(one.counters.totalDropped, 0u);
+    EXPECT_GT(one.faultDuplicates, 0u);
+
+    EXPECT_EQ(four.counters.idsAssigned, one.counters.idsAssigned);
+    EXPECT_EQ(four.counters.totalPackets, one.counters.totalPackets);
+    EXPECT_EQ(four.counters.totalStragglers,
+              one.counters.totalStragglers);
+    EXPECT_EQ(four.counters.totalNextQuantum,
+              one.counters.totalNextQuantum);
+    EXPECT_EQ(four.counters.totalLatenessTicks,
+              one.counters.totalLatenessTicks);
+    EXPECT_EQ(four.counters.totalDropped, one.counters.totalDropped);
+    EXPECT_EQ(four.counters.bytes, one.counters.bytes);
+    EXPECT_EQ(four.counters.packetsThisQuantum, 0u);
+    EXPECT_EQ(four.networkStats, one.networkStats);
+    EXPECT_EQ(four.observed, one.observed);
+    EXPECT_EQ(four.observed, one.counters.totalPackets);
+    EXPECT_EQ(four.faultDrops, one.faultDrops);
+    EXPECT_EQ(four.faultDuplicates, one.faultDuplicates);
+    // Every packet id, per source and in order: ids must not depend
+    // on how the sources interleave across threads.
+    ASSERT_EQ(four.placed.size(), one.placed.size());
+    for (std::size_t src = 0; src < one.placed.size(); ++src)
+        EXPECT_TRUE(four.placed[src] == one.placed[src])
+            << "source " << src;
 }
 
 TEST(NicParams, SerializationRoundsUp)

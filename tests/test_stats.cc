@@ -21,6 +21,23 @@ TEST(Scalar, AccumulatesAndResets)
     EXPECT_DOUBLE_EQ(s.value(), 0.0);
 }
 
+TEST(Value, ReadsItsSourceAtEveryReadAndThroughTheBase)
+{
+    Group g("root");
+    double count = 2.0;
+    g.add<Value>("derived", "read from count", [&] { return count; });
+    const auto *as_scalar =
+        dynamic_cast<const Scalar *>(g.find("derived"));
+    ASSERT_NE(as_scalar, nullptr);
+    EXPECT_DOUBLE_EQ(as_scalar->value(), 2.0);
+    count = 7.0;
+    EXPECT_DOUBLE_EQ(as_scalar->value(), 7.0);
+    EXPECT_DOUBLE_EQ(as_scalar->rows()[0].second, 7.0);
+    // The owner clears the source; resetting the tree leaves it alone.
+    g.resetAll();
+    EXPECT_DOUBLE_EQ(as_scalar->value(), 7.0);
+}
+
 TEST(Average, TracksMeanMinMax)
 {
     Group g("root");

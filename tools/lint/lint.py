@@ -18,7 +18,11 @@ Checks (each file, line numbers reported):
              no trailing whitespace or tab indentation
   hotpath    no std::function (or <functional> include) under
              src/sim/ — the event kernel is allocation-free; use
-             sim::SmallCallback (docs/performance.md)
+             sim::SmallCallback (docs/performance.md); no
+             std::dynamic_pointer_cast under src/mpi/ or src/net/ —
+             the per-packet path casts the raw pointer its owner keeps
+             alive instead of copying the shared_ptr (two atomic
+             operations on another worker's control block)
   persistence no raw file I/O (fopen/fwrite/fread, std::ofstream/
              ifstream/fstream) under src/ outside src/ckpt/ — all
              persistent simulator state goes through the versioned,
@@ -99,6 +103,7 @@ def findings_for(path: Path, rel: str, text: str):
     posix_rel = rel.replace("\\", "/")
     in_base_random = posix_rel.startswith("src/base/random")
     in_sim_kernel = posix_rel.startswith("src/sim/")
+    in_packet_path = posix_rel.startswith(("src/mpi/", "src/net/"))
     # The incident log is an append-only JSONL diagnostics stream —
     # recovery telemetry, not simulator state — so it writes directly.
     state_serialization_banned = (
@@ -200,6 +205,14 @@ def findings_for(path: Path, rel: str, text: str):
                         "<functional> is banned under src/sim/ "
                         "(the event kernel must not type-erase "
                         "through std::function)")
+
+        # --- hotpath: no shared_ptr copies to downcast a packet ---
+        if in_packet_path and \
+                re.search(r"\bdynamic_pointer_cast\b", code):
+            finding(i, "hotpath",
+                    "std::dynamic_pointer_cast is banned under src/mpi/ "
+                    "and src/net/ (dynamic_cast the raw pointer; see "
+                    "docs/performance.md)")
 
         # --- engine-seam: the harness drives engines only through the
         # --- run supervisor ---

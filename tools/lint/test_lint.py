@@ -146,6 +146,39 @@ class EngineSeam(unittest.TestCase):
         self.assertEqual(len(found), 3, found)
 
 
+class PacketPathCasts(unittest.TestCase):
+    """src/mpi/ and src/net/ downcast payloads without shared_ptr copies."""
+
+    def test_flagged_under_mpi(self):
+        self.assertTrue(findings(
+            "src/mpi/x.cc",
+            "auto f = std::dynamic_pointer_cast<const F>(pkt->payload);\n",
+            "hotpath"))
+
+    def test_flagged_under_net(self):
+        self.assertTrue(findings(
+            "src/net/x.cc",
+            "auto f = dynamic_pointer_cast<const F>(p);\n",
+            "hotpath"))
+
+    def test_raw_dynamic_cast_allowed(self):
+        self.assertFalse(findings(
+            "src/mpi/x.cc",
+            "const auto *f = dynamic_cast<const F *>(p.get());\n",
+            "hotpath"))
+
+    def test_other_directories_exempt(self):
+        self.assertFalse(findings(
+            "src/engine/x.cc",
+            "auto f = std::dynamic_pointer_cast<const F>(p);\n",
+            "hotpath"))
+
+    def test_fixture_body_fires_when_attributed_to_mpi(self):
+        body = (HERE / "fixtures" / "packet_cast_bad.cc").read_text()
+        found = findings("src/mpi/bad.cc", body, "hotpath")
+        self.assertEqual(len(found), 2, found)
+
+
 class PersistenceExemption(unittest.TestCase):
     """The incident log's JSONL append is diagnostics, not state."""
 
