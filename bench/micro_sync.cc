@@ -3,10 +3,13 @@
  * Microbenchmarks (google-benchmark) of the synchronization layer:
  * policy stepping, controller injection, and whole-cluster quantum
  * throughput as a function of node count — including the Fig. 5
- * effect (per-quantum synchronization overhead).
+ * effect (per-quantum synchronization overhead) — and the framed
+ * socket round trip the distributed engine pays once per quantum.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <thread>
 
 #include "core/quantum_policy.hh"
 #include "engine/sequential_engine.hh"
@@ -14,6 +17,7 @@
 #include "engine/worker_pool.hh"
 #include "harness/experiment.hh"
 #include "net/network_controller.hh"
+#include "transport/socket.hh"
 #include "workloads/workload.hh"
 
 using namespace aqsim;
@@ -128,6 +132,48 @@ BM_WorkerPoolQuantumGate(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_WorkerPoolQuantumGate)->Arg(1)->Arg(2)->Arg(4);
+
+/**
+ * One framed request/reply over a socketChannelPair, the far end
+ * echoing on a second thread: the distributed engine's per-quantum
+ * Quantum -> Exchange round trip with no simulation work between.
+ * Arg = body bytes (64 B is a control frame; 4 KB a frame with
+ * delivery runs).
+ */
+void
+BM_FrameRoundTrip(benchmark::State &state)
+{
+    auto [near, far] = transport::socketChannelPair();
+    transport::Frame request;
+    request.type = transport::FrameType::Quantum;
+    request.body.assign(static_cast<std::size_t>(state.range(0)), 0x5a);
+    std::thread echo([&far] {
+        transport::Frame f;
+        while (far->recv(f, 10.0) == transport::RecvStatus::Ok &&
+               f.type == transport::FrameType::Quantum) {
+            f.type = transport::FrameType::Exchange;
+            if (!far->send(f))
+                break;
+        }
+    });
+    transport::Frame reply;
+    for (auto _ : state) {
+        if (!near->send(request) ||
+            near->recv(reply, 10.0) != transport::RecvStatus::Ok) {
+            state.SkipWithError("echo failed");
+            break;
+        }
+    }
+    transport::Frame stop;
+    stop.type = transport::FrameType::Stop;
+    near->send(stop);
+    echo.join();
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()));
+    state.SetBytesProcessed(static_cast<std::int64_t>(
+        state.iterations() * 2 * request.body.size()));
+}
+BENCHMARK(BM_FrameRoundTrip)->Arg(64)->Arg(4096)->UseRealTime();
 
 /**
  * End-to-end ThreadedEngine throughput: exercises the real gate,

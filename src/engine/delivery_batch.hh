@@ -177,7 +177,8 @@ class DeliveryBatch
 
     std::size_t numShards() const { return shards_; }
 
-    /** Keys currently staged from shard @p s to shard @p d (tests). */
+    /** Keys currently staged from shard @p s to shard @p d (tests,
+     * and a distributed peer's check for a pending self-run). */
     std::size_t
     stagedBetween(std::size_t s, std::size_t d) const
     {

@@ -171,10 +171,13 @@ struct PeerSetup
 
 /**
  * Worker protocol loop. Runs on its own copy of the coordinator's
- * pristine replica (built before the fork and untouched until then),
- * executes its shard of nodes each Quantum frame, ships
- * outbound delivery runs in Exchange frames, adopts inbound runs from
- * Deliver frames, and serializes its state slice on demand.
+ * pristine replica (built before the fork and untouched until then).
+ * Each Quantum frame carries the previous quantum's inbound runs at
+ * its head: the worker adopts and merges them, runs its shard of
+ * nodes to the new boundary, and answers with one Exchange frame of
+ * outbound delivery runs and local progress. A Deliver frame (no
+ * reply) merges the pending inbound runs early, before a state
+ * gather; State frames serialize the state slice on demand.
  *
  * @return process exit code (0 = clean Stop).
  */
@@ -212,6 +215,46 @@ peerMain(const PeerSetup &p)
 
     net::NetworkController::Counters prev;
     std::uint64_t last_quantum = 0;
+    // Quantum last_quantum ran and was exchanged, but its inbound
+    // runs (and this peer's own self-run) are not merged yet.
+    bool unmerged = false;
+
+    // Adopt the inbound-run sections heading @p r — K-1 of them while
+    // a quantum is unmerged, none otherwise — then merge this peer's
+    // column: the barrier half of quantum last_quantum.
+    const auto adopt = [&](ckpt::Reader &r) {
+        const std::uint32_t num_sections = r.u32();
+        if (!r.ok() || num_sections != (unmerged ? p.numPeers - 1 : 0))
+            return false;
+        for (std::uint32_t i = 0; i < num_sections; ++i) {
+            const std::uint32_t u = r.u32();
+            const std::uint32_t count = r.u32();
+            if (!r.ok() || u >= p.numPeers || u == p.index)
+                return false;
+            std::vector<net::PacketPtr> items;
+            items.reserve(count);
+            for (std::uint32_t j = 0; j < count; ++j) {
+                net::PacketPtr pkt = mpi::getPacket(r);
+                if (!pkt)
+                    return false;
+                items.push_back(std::move(pkt));
+            }
+            batch.injectRun(u, p.index, std::move(items));
+        }
+        if (!r.ok() || r.remaining() != 0)
+            return false;
+        if (!unmerged)
+            return true;
+        for (std::size_t u = 0; u < p.numPeers; ++u)
+            if (u != p.index)
+                batch.closeRun(u);
+        batch.mergeShard(p.index, cluster);
+        unmerged = false;
+        fireDrills(drills, p.index, fault::PeerDrillPhase::Ack,
+                   last_quantum);
+        return true;
+    };
+
     for (;;) {
         transport::Frame f;
         if (ch.recv(f, deadline) != transport::RecvStatus::Ok)
@@ -221,7 +264,7 @@ peerMain(const PeerSetup &p)
             ckpt::Reader r(f.body, "quantum");
             const Tick qe = r.u64();
             const std::uint64_t qi = r.u64();
-            if (!r.ok() || qi != last_quantum + 1)
+            if (!r.ok() || qi != last_quantum + 1 || !adopt(r))
                 return 1;
             cluster.controller().beginQuantum();
             prev = cluster.controller().snapshotCounters();
@@ -231,8 +274,24 @@ peerMain(const PeerSetup &p)
             for (NodeId id = begin; id < end; ++id)
                 runNodeQuantum(cluster.node(id), mailboxes[id], qe);
             batch.closeRun(p.index);
+            last_quantum = qi;
+            unmerged = true;
             fireDrills(drills, p.index,
                        fault::PeerDrillPhase::Exchange, qi);
+
+            // Progress as it will stand once this quantum is merged:
+            // merging only schedules NIC deliveries, so it finishes
+            // no app, and it leaves a queue non-empty exactly when
+            // the queue already was or a run lands in it — the
+            // self-run counted here, the cross-shard runs by the
+            // coordinator.
+            bool all_done = true;
+            bool any_pending = batch.stagedBetween(p.index, p.index) > 0;
+            for (NodeId id = begin; id < end; ++id) {
+                node::NodeSimulator &node = cluster.node(id);
+                all_done = all_done && node.appDone();
+                any_pending = any_pending || !node.queue().empty();
+            }
 
             transport::Frame ex;
             ex.type = transport::FrameType::Exchange;
@@ -248,6 +307,9 @@ peerMain(const PeerSetup &p)
             w.u64(cur.totalLatenessTicks - prev.totalLatenessTicks);
             w.u64(cur.totalDropped - prev.totalDropped);
             w.u64(cur.bytes - prev.bytes);
+            w.boolean(all_done);
+            w.boolean(any_pending);
+            w.u64(batch.totalStaged());
             w.u32(static_cast<std::uint32_t>(p.numPeers - 1));
             for (std::size_t d = 0; d < p.numPeers; ++d) {
                 if (d == p.index)
@@ -269,56 +331,13 @@ peerMain(const PeerSetup &p)
         case transport::FrameType::Deliver: {
             ckpt::Reader r(f.body, "deliver");
             const std::uint64_t qi = r.u64();
-            const std::uint32_t num_sections = r.u32();
-            if (!r.ok() || qi != last_quantum + 1 ||
-                num_sections != p.numPeers - 1)
-                return 1;
-            for (std::uint32_t i = 0; i < num_sections; ++i) {
-                const std::uint32_t u = r.u32();
-                const std::uint32_t count = r.u32();
-                if (!r.ok() || u >= p.numPeers || u == p.index)
-                    return 1;
-                std::vector<net::PacketPtr> items;
-                items.reserve(count);
-                for (std::uint32_t j = 0; j < count; ++j) {
-                    net::PacketPtr pkt = mpi::getPacket(r);
-                    if (!pkt)
-                        return 1;
-                    items.push_back(std::move(pkt));
-                }
-                batch.injectRun(u, p.index, std::move(items));
-            }
-            if (!r.ok() || r.remaining() != 0)
-                return 1;
-            for (std::size_t u = 0; u < p.numPeers; ++u)
-                if (u != p.index)
-                    batch.closeRun(u);
-            fireDrills(drills, p.index, fault::PeerDrillPhase::Ack, qi);
-            batch.mergeShard(p.index, cluster);
-            last_quantum = qi;
-
-            bool all_done = true;
-            bool any_pending = false;
-            for (NodeId id = begin; id < end; ++id) {
-                node::NodeSimulator &node = cluster.node(id);
-                all_done = all_done && node.appDone();
-                any_pending = any_pending || !node.queue().empty();
-            }
-            transport::Frame ack;
-            ack.type = transport::FrameType::Ack;
-            ckpt::Writer w;
-            w.u32(static_cast<std::uint32_t>(p.index));
-            w.u64(qi);
-            w.boolean(all_done);
-            w.boolean(any_pending);
-            w.u64(batch.totalStaged());
-            w.u64(batch.totalMerged());
-            ack.body = w.buffer();
-            if (!ch.send(ack))
+            if (!r.ok() || !unmerged || qi != last_quantum || !adopt(r))
                 return 1;
             break;
         }
         case transport::FrameType::StateReq: {
+            if (unmerged)
+                return 1; // a gather must follow a Deliver flush
             transport::Frame st;
             st.type = transport::FrameType::State;
             ckpt::Writer w;
@@ -354,6 +373,7 @@ peerMain(const PeerSetup &p)
             for (NodeId id = begin; id < end; ++id)
                 w.u64(cluster.node(id).appFinishTick());
             w.u64(cluster.totalRetransmits());
+            w.u64(batch.totalMerged());
             st.body = w.buffer();
             if (!ch.send(st))
                 return 1;
@@ -589,6 +609,8 @@ struct PeerState
     bool hasFault = false;
     std::vector<Tick> finish;
     std::uint64_t retransmits = 0;
+    /** The peer's DeliveryBatch::totalMerged() (boundary merged). */
+    std::uint64_t merged = 0;
 };
 
 /** Copy the next @p len raw bytes out of @p body via @p r. */
@@ -627,7 +649,7 @@ struct GatheredState
  */
 GatheredState
 assembleState(Cluster &cluster, const std::vector<PeerState> &states,
-              std::uint64_t staged_total, std::uint64_t merged_total)
+              std::uint64_t staged_total)
 {
     const std::size_t n = cluster.numNodes();
     GatheredState g;
@@ -679,6 +701,9 @@ assembleState(Cluster &cluster, const std::vector<PeerState> &states,
         // always 0 and the lifetime counters sum over the peers
         // (stage and merge each happen exactly once per delivery,
         // just in different processes).
+        std::uint64_t merged_total = 0;
+        for (const PeerState &st : states)
+            merged_total += st.merged;
         ckpt::Writer w;
         w.u32(0);
         w.u64(staged_total);
@@ -736,11 +761,13 @@ splicedStateHash(const GatheredState &g)
 
 /**
  * The coordinator side of a run, as a QuantumExecutor: one
- * star-protocol round trip per quantum over the already-forked worker
- * processes. Every barrier wait is deadline-bounded, absorbs
- * heartbeats, polls supervised cancellation, and converts every
- * failure mode into a PeerFailure-carrying RunAbort stamped with the
- * completed-quanta count.
+ * star-protocol round trip (Quantum out, Exchange back) per quantum
+ * over the already-forked worker processes. A quantum's delivery runs
+ * ride the next Quantum frame, or a Deliver flush before a gather.
+ * Every barrier wait is deadline-bounded, absorbs heartbeats, polls
+ * supervised cancellation, and converts every failure mode into a
+ * PeerFailure-carrying RunAbort stamped with the completed-quanta
+ * count.
  */
 class Coordinator : public QuantumExecutor
 {
@@ -751,9 +778,10 @@ class Coordinator : public QuantumExecutor
           peers_(peers), numPeers_(peers.size()),
           hasFault_(cluster.faultInjector() != nullptr),
           // At quantum 0 the pristine replica *is* the peers' state;
-          // afterwards the flags aggregate from the workers' Acks.
+          // afterwards the flags aggregate from the workers' Exchanges.
           allDone_(cluster.allDone()),
-          anyPending_(cluster.anyEventPending())
+          anyPending_(cluster.anyEventPending()),
+          inbound_(numPeers_, std::vector<Segment>(numPeers_))
     {}
 
     const char *name() const override { return "distributed"; }
@@ -797,23 +825,31 @@ class Coordinator : public QuantumExecutor
         const core::Synchronizer &sync = driver_.sync();
         const std::uint64_t qi = sync.numQuanta() + 1;
 
-        transport::Frame quantum;
-        quantum.type = transport::FrameType::Quantum;
-        {
+        // Dispatch: each peer's Quantum frame carries, at its head,
+        // the previous exchange's runs destined to that peer (unless
+        // a gather already flushed them).
+        for (std::size_t d = 0; d < numPeers_; ++d) {
+            transport::Frame quantum;
+            quantum.type = transport::FrameType::Quantum;
             ckpt::Writer w;
             w.u64(sync.quantumEnd());
             w.u64(qi);
+            writeInbound(w, d);
             quantum.body = w.buffer();
+            sendFrame(d, quantum, "quantum dispatch");
         }
-        for (std::size_t w = 0; w < numPeers_; ++w)
-            sendFrame(w, quantum, "quantum dispatch");
+        inboundPending_ = false;
 
-        // Exchange barrier: collect per-peer counter deltas and the raw
-        // per-destination packet runs. The deltas are absorbed into the
-        // replica controller *before* completeQuantum() so the policy
-        // and stats see the global per-quantum packet count.
-        std::vector<std::vector<Segment>> segs(
-            numPeers_, std::vector<Segment>(numPeers_));
+        // Exchange barrier: collect per-peer counter deltas, local
+        // progress and the raw per-destination packet runs. The
+        // deltas are absorbed into the replica controller *before*
+        // completeQuantum() so the policy and stats see the global
+        // per-quantum packet count. A peer's flags already count its
+        // own self-run; a cross-shard run lands in a queue, so it
+        // counts as pending here.
+        allDone_ = true;
+        anyPending_ = false;
+        stagedTotal_ = 0;
         for (std::size_t w = 0; w < numPeers_; ++w) {
             const transport::Frame ex = await(
                 w, transport::FrameType::Exchange, "exchange barrier");
@@ -829,69 +865,31 @@ class Coordinator : public QuantumExecutor
             d.totalLatenessTicks = r.u64();
             d.totalDropped = r.u64();
             d.bytes = r.u64();
+            const bool done_local = r.boolean();
+            const bool pending_local = r.boolean();
+            const std::uint64_t staged = r.u64();
             const std::uint32_t num_sections = r.u32();
             bool ok = r.ok() && index == w && q == qi &&
                       num_sections == numPeers_ - 1;
-            for (std::uint32_t i = 0; ok && i < num_sections; ++i) {
-                const std::uint32_t dst = r.u32();
-                const std::uint32_t count = r.u32();
+            for (std::size_t dst = 0; ok && dst < numPeers_; ++dst) {
+                if (dst == w)
+                    continue;
+                Segment &seg = inbound_[w][dst];
+                ok = r.u32() == dst;
+                seg.count = r.u32();
                 const std::uint64_t len = r.u64();
-                ok = r.ok() && dst < numPeers_ && dst != w;
-                if (ok) {
-                    segs[w][dst].count = count;
-                    ok = takeRaw(r, ex.body, len, segs[w][dst].bytes);
-                }
+                ok = ok && takeRaw(r, ex.body, len, seg.bytes);
+                anyPending_ = anyPending_ || seg.count > 0;
             }
             if (!ok || !r.ok() || r.remaining() != 0)
                 fail(w, PeerFailureKind::Protocol, "exchange barrier",
                      "malformed exchange body");
             cluster_.controller().absorbRemoteDeltas(d);
-        }
-
-        // Deliver: splice each destination's inbound runs — ascending
-        // source order, raw byte segments, no packet re-encoding on the
-        // coordinator.
-        for (std::size_t d = 0; d < numPeers_; ++d) {
-            transport::Frame deliver;
-            deliver.type = transport::FrameType::Deliver;
-            ckpt::Writer w;
-            w.u64(qi);
-            w.u32(static_cast<std::uint32_t>(numPeers_ - 1));
-            for (std::size_t u = 0; u < numPeers_; ++u) {
-                if (u == d)
-                    continue;
-                const Segment &seg = segs[u][d];
-                w.u32(static_cast<std::uint32_t>(u));
-                w.u32(seg.count);
-                w.bytes(seg.bytes.data(), seg.bytes.size());
-            }
-            deliver.body = w.buffer();
-            sendFrame(d, deliver, "delivery dispatch");
-        }
-
-        // Ack barrier: aggregate the workers' local progress.
-        allDone_ = true;
-        anyPending_ = false;
-        stagedTotal_ = 0;
-        mergedTotal_ = 0;
-        for (std::size_t w = 0; w < numPeers_; ++w) {
-            const transport::Frame ack =
-                await(w, transport::FrameType::Ack, "ack barrier");
-            ckpt::Reader r(ack.body, "ack");
-            const std::uint32_t index = r.u32();
-            const std::uint64_t q = r.u64();
-            const bool done_local = r.boolean();
-            const bool pending_local = r.boolean();
-            const std::uint64_t staged = r.u64();
-            const std::uint64_t merged = r.u64();
-            if (!r.ok() || r.remaining() != 0 || index != w || q != qi)
-                fail(w, PeerFailureKind::Protocol, "ack barrier",
-                     "malformed ack body");
             allDone_ = allDone_ && done_local;
             anyPending_ = anyPending_ || pending_local;
             stagedTotal_ += staged;
-            mergedTotal_ += merged;
         }
+        inboundPending_ = true;
 
         const auto now_wall = SteadyClock::now();
         const HostNs quantum_ns =
@@ -944,6 +942,51 @@ class Coordinator : public QuantumExecutor
     {
         if (!peers_.channels[w]->send(frame))
             fail(w, PeerFailureKind::Disconnect, phase);
+    }
+
+    /**
+     * Append peer @p d's inbound runs of the last exchange — ascending
+     * source order, raw byte segments, no packet re-encoding on the
+     * coordinator — or an empty section list once they are delivered.
+     */
+    void
+    writeInbound(ckpt::Writer &w, std::size_t d) const
+    {
+        if (!inboundPending_) {
+            w.u32(0);
+            return;
+        }
+        w.u32(static_cast<std::uint32_t>(numPeers_ - 1));
+        for (std::size_t u = 0; u < numPeers_; ++u) {
+            if (u == d)
+                continue;
+            const Segment &seg = inbound_[u][d];
+            w.u32(static_cast<std::uint32_t>(u));
+            w.u32(seg.count);
+            w.bytes(seg.bytes.data(), seg.bytes.size());
+        }
+    }
+
+    /**
+     * Deliver the last exchange's runs now instead of with the next
+     * Quantum frame, so the peers merge them before a state gather.
+     * No reply: the gather's State frame follows the merge.
+     */
+    void
+    flushInbound()
+    {
+        if (!inboundPending_)
+            return;
+        for (std::size_t d = 0; d < numPeers_; ++d) {
+            transport::Frame deliver;
+            deliver.type = transport::FrameType::Deliver;
+            ckpt::Writer w;
+            w.u64(driver_.sync().numQuanta());
+            writeInbound(w, d);
+            deliver.body = w.buffer();
+            sendFrame(d, deliver, "delivery flush");
+        }
+        inboundPending_ = false;
     }
 
     /**
@@ -1047,6 +1090,7 @@ class Coordinator : public QuantumExecutor
             for (std::uint32_t i = 0; i < owned; ++i)
                 st.finish.push_back(r.u64());
             st.retransmits = r.u64();
+            st.merged = r.u64();
         }
         if (!ok || !r.ok() || r.remaining() != 0)
             fail(w, PeerFailureKind::Protocol, "state gather",
@@ -1057,6 +1101,7 @@ class Coordinator : public QuantumExecutor
     GatheredState
     gather()
     {
+        flushInbound();
         const std::size_t n = cluster_.numNodes();
         std::vector<PeerState> states;
         states.reserve(numPeers_);
@@ -1064,8 +1109,7 @@ class Coordinator : public QuantumExecutor
             const auto [sb, se] = WorkerPool::shardRange(w, numPeers_, n);
             states.push_back(fetchState(w, se - sb));
         }
-        return assembleState(cluster_, states, stagedTotal_,
-                             mergedTotal_);
+        return assembleState(cluster_, states, stagedTotal_);
     }
 
     Cluster &cluster_;
@@ -1077,7 +1121,10 @@ class Coordinator : public QuantumExecutor
     bool allDone_;
     bool anyPending_;
     std::uint64_t stagedTotal_ = 0;
-    std::uint64_t mergedTotal_ = 0;
+    /** The last exchange's raw runs, [source peer][destination peer];
+     * inboundPending_ while they still await delivery. */
+    std::vector<std::vector<Segment>> inbound_;
+    bool inboundPending_ = false;
     SteadyClock::time_point wallStart_;
     SteadyClock::time_point quantumStartWall_;
 };

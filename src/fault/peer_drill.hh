@@ -47,7 +47,12 @@ enum class PeerDrillPhase
     Hello,
     /** After running the quantum, before sending Exchange. */
     Exchange,
-    /** After merging deliveries, before sending Ack. */
+    /**
+     * After merging a quantum's inbound runs: at the head of the next
+     * Quantum frame, or on a Deliver flush before a state gather.
+     * The name predates the one-round-trip protocol, which sends no
+     * Ack frame; `phase=ack` keeps its spelling.
+     */
     Ack,
 };
 

@@ -33,13 +33,18 @@ enum class FrameType : std::uint32_t
 {
     /** Peer -> coordinator: worker is alive and speaks the protocol. */
     Hello = 1,
-    /** Coordinator -> peer: run one quantum up to its end qe. */
+    /** Coordinator -> peer: merge the previous quantum's inbound
+     * delivery runs (carried at the head), then run one quantum up to
+     * its end qe. */
     Quantum,
-    /** Peer -> coordinator: counter deltas + outbound delivery runs. */
+    /** Peer -> coordinator: counter deltas, local progress and the
+     * outbound delivery runs. */
     Exchange,
-    /** Coordinator -> peer: the delivery runs destined to this peer. */
+    /** Coordinator -> peer: merge the pending inbound delivery runs
+     * now, ahead of a state gather (no reply). */
     Deliver,
-    /** Peer -> coordinator: quantum done; local progress summary. */
+    /** No longer sent: progress rides the Exchange frame. The wire
+     * code stays reserved so the later codes keep their values. */
     Ack,
     /** Coordinator -> peer: serialize your state slice. */
     StateReq,

@@ -3,6 +3,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -20,6 +21,15 @@ namespace
 
 /** Poll slice: every blocking wait re-checks its deadline this often. */
 constexpr int pollSliceMs = 100;
+
+/**
+ * How long a read retries a non-blocking recv, yielding the CPU
+ * between tries, before it sleeps in poll. A protocol reply usually
+ * lands within this window, which saves the sleep/wake per frame. The
+ * yield matters: with more processes than CPUs, a busy spin would
+ * keep the very peer being waited on off the CPU.
+ */
+constexpr auto spinBudget = std::chrono::microseconds(50);
 
 int
 remainingMs(std::chrono::steady_clock::time_point deadline)
@@ -70,6 +80,25 @@ SocketChannel::readFully(std::uint8_t *data, std::size_t size,
                          std::chrono::steady_clock::time_point deadline)
 {
     std::size_t got = 0;
+    const auto spin_end = std::min(
+        deadline, std::chrono::steady_clock::now() + spinBudget);
+    while (got < size) {
+        const ssize_t n =
+            ::recv(fd_, data + got, size - got, MSG_DONTWAIT);
+        if (n > 0) {
+            got += static_cast<std::size_t>(n);
+            continue;
+        }
+        if (n == 0)
+            return RecvStatus::Closed; // orderly EOF (peer dead)
+        if (errno == EINTR)
+            continue;
+        if (errno != EAGAIN && errno != EWOULDBLOCK)
+            return RecvStatus::Closed; // ECONNRESET and friends
+        if (std::chrono::steady_clock::now() >= spin_end)
+            break;
+        ::sched_yield();
+    }
     while (got < size) {
         struct pollfd pfd;
         pfd.fd = fd_;

@@ -6,9 +6,11 @@
  * wraps one connected stream fd; frames travel as the wire encoding
  * from frame.hh. Failure semantics are the whole point:
  *
- *  - recv() is sliced into short poll(2) waits, so every wait is
- *    deadline-bounded and a SIGSTOPped or wedged peer surfaces as
- *    RecvStatus::Timeout, never a hang;
+ *  - recv() first retries a non-blocking read for a short, fixed
+ *    spin budget (yielding between tries), then sleeps in short
+ *    poll(2) slices, so every wait is deadline-bounded and a
+ *    SIGSTOPped or wedged peer surfaces as RecvStatus::Timeout,
+ *    never a hang;
  *  - EOF and ECONNRESET surface as Closed (a SIGKILLed peer's kernel
  *    closes its fds, so a dead peer is detected without any timeout);
  *  - a CRC mismatch or an absurd length prefix surfaces as Corrupt;

@@ -6,15 +6,20 @@
  * SIGSTOP heartbeat loss, exit-before-hello) as structured
  * deadline-bounded failures, supervisor-driven recovery with
  * peer-failure/peer-recovery incidents, checkpoint-restore recovery,
- * and the watchdog's per-peer liveness dump.
+ * checkpoint images byte-equal to the threaded engine's, cross-shard
+ * pingpong, and the watchdog's per-peer liveness dump.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <string>
 
+#include "ckpt/checkpoint.hh"
+#include "ckpt/ckpt_io.hh"
 #include "engine/distributed_engine.hh"
+#include "engine/threaded_engine.hh"
 #include "supervise/run_supervisor.hh"
 #include "test_util.hh"
 
@@ -43,6 +48,33 @@ runSequential(const engine::ClusterParams &params)
     auto policy = core::parsePolicy("fixed:1us");
     engine::SequentialEngine engine;
     return engine.run(params, *workload, *policy);
+}
+
+/** Run @p workload_name on @p engine under fixed:1us. */
+template <typename Engine>
+engine::RunResult
+runNamed(Engine &&engine, const std::string &workload_name,
+         std::size_t nodes, double scale)
+{
+    const auto params = harness::defaultCluster(nodes, 7);
+    auto workload = workloads::makeWorkload(workload_name, nodes, scale);
+    auto policy = core::parsePolicy("fixed:1us");
+    return engine.run(params, *workload, *policy);
+}
+
+/** Decode the checkpoint a run wrote at @p quantum into @p dir. */
+ckpt::CheckpointImage
+readImage(const std::string &dir, std::uint64_t quantum)
+{
+    char name[64];
+    std::snprintf(name, sizeof(name), "/ckpt-q%012llu.aqc",
+                  static_cast<unsigned long long>(quantum));
+    std::vector<std::uint8_t> raw;
+    ckpt::CkptError error;
+    ckpt::CheckpointImage image;
+    EXPECT_TRUE(ckpt::readFile(dir + name, raw, error)) << dir + name;
+    EXPECT_TRUE(ckpt::decodeImage(raw, image, error)) << error.str();
+    return image;
 }
 
 engine::RunResult
@@ -310,6 +342,65 @@ TEST(DistributedEngine, CheckpointRoundTripVerifies)
     EXPECT_EQ(second.finalStateHash, first.finalStateHash);
     EXPECT_GT(second.restoredFromQuantum, 0u);
     std::filesystem::remove_all(options.checkpointDir);
+}
+
+TEST(DistributedEngine, CheckpointImagesEqualThreadedEngine)
+{
+    // Every spliced image — engine section included — must be the
+    // threaded engine's image at the same quantum, byte for byte: the
+    // pending delivery runs are flushed and merged before each gather,
+    // and the merge totals come back in the State frames.
+    engine::EngineOptions ck;
+    ck.checkpointEvery = 200;
+    ck.checkpointKeepLast = 0;
+    ck.numWorkers = 2;
+    ck.checkpointDir = scratchDir("xengine_thr");
+    const auto thr = runNamed(engine::ThreadedEngine(ck), "nas.cg", 64,
+                              0.5);
+    ASSERT_GT(thr.checkpointsWritten, 2u);
+    for (std::size_t workers : {2u, 4u}) {
+        auto options = distOptions(workers);
+        options.checkpointEvery = ck.checkpointEvery;
+        options.checkpointKeepLast = 0;
+        options.checkpointDir =
+            scratchDir("xengine_dist" + std::to_string(workers));
+        const auto dist = runNamed(engine::DistributedEngine(options),
+                                   "nas.cg", 64, 0.5);
+        ASSERT_EQ(dist.quanta, thr.quanta);
+        ASSERT_EQ(dist.checkpointsWritten, thr.checkpointsWritten);
+        for (std::uint64_t q = ck.checkpointEvery; q <= dist.quanta;
+             q += ck.checkpointEvery) {
+            const auto a = readImage(ck.checkpointDir, q);
+            const auto b = readImage(options.checkpointDir, q);
+            ASSERT_EQ(a.sections.size(), b.sections.size()) << q;
+            for (std::size_t i = 0; i < a.sections.size(); ++i) {
+                EXPECT_EQ(a.sections[i].name, b.sections[i].name);
+                EXPECT_EQ(a.sections[i].body, b.sections[i].body)
+                    << workers << "w q=" << q << " "
+                    << a.sections[i].name;
+            }
+            EXPECT_EQ(a.stateHash, b.stateHash) << q;
+        }
+        std::filesystem::remove_all(options.checkpointDir);
+    }
+    std::filesystem::remove_all(ck.checkpointDir);
+}
+
+TEST(DistributedEngine, CrossShardPingpongMatchesSequential)
+{
+    // One node per shard: between a send and its receive, the only
+    // pending work is a packet in flight from one shard to another,
+    // so the folded progress flags must count cross-shard runs.
+    for (std::size_t nodes : {2u, 4u}) {
+        const auto seq =
+            runNamed(engine::SequentialEngine(), "pingpong", nodes, 0.2);
+        ASSERT_GT(seq.quanta, 3u);
+        const auto dist =
+            runNamed(engine::DistributedEngine(distOptions(nodes)),
+                     "pingpong", nodes, 0.2);
+        expectMatchesSequential(dist, seq,
+                                "pingpong/" + std::to_string(nodes));
+    }
 }
 
 TEST(DistributedEngine, WatchdogDumpCarriesPeerLiveness)

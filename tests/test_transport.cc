@@ -50,6 +50,15 @@ redecode(std::vector<std::uint8_t> wire, Frame &out)
                        std::move(body), out);
 }
 
+/** Seconds elapsed since @p start. */
+double
+secondsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
 } // namespace
 
 TEST(Frame, EncodeDecodeRoundTrip)
@@ -160,6 +169,57 @@ TEST(SocketChannel, RecvIsDeadlineBounded)
             std::chrono::steady_clock::now() - start)
             .count();
     EXPECT_GE(waited, 0.09);
+    EXPECT_LT(waited, 5.0);
+}
+
+TEST(SocketChannel, FrameAfterSpinBudgetArrivesOk)
+{
+    // The sender is 5 ms late — far past the receive spin — so the
+    // read must fall back to poll and still take the frame.
+    auto [a, b] = socketChannelPair();
+    std::thread sender([&a] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        a->send(makeFrame(FrameType::Quantum, 17));
+    });
+    Frame f;
+    const RecvStatus status = b->recv(f, 5.0);
+    sender.join();
+    ASSERT_EQ(status, RecvStatus::Ok);
+    EXPECT_EQ(f.type, FrameType::Quantum);
+    ckpt::Reader r(f.body, "test");
+    EXPECT_EQ(r.u64(), 17u);
+}
+
+TEST(SocketChannel, PeerClosingDuringSpinReadsClosedAtOnce)
+{
+    // A peer that goes away while the reader is still spinning is
+    // reported as soon as the EOF is seen, not at the deadline.
+    for (int delay_us : {0, 20}) {
+        auto [a, b] = socketChannelPair();
+        const auto start = std::chrono::steady_clock::now();
+        std::thread closer([&a, delay_us] {
+            std::this_thread::sleep_for(
+                std::chrono::microseconds(delay_us));
+            a.reset();
+        });
+        Frame f;
+        const RecvStatus status = b->recv(f, 10.0);
+        closer.join();
+        EXPECT_EQ(status, RecvStatus::Closed) << delay_us;
+        EXPECT_LT(secondsSince(start), 2.0) << delay_us;
+    }
+}
+
+TEST(SocketChannel, SilentPeerTimesOutAtDeadline)
+{
+    // The spin only delays the first poll: a peer that never writes
+    // still costs exactly the deadline, no more and no less.
+    auto [a, b] = socketChannelPair();
+    const auto start = std::chrono::steady_clock::now();
+    Frame f;
+    EXPECT_EQ(b->recv(f, 0.25), RecvStatus::Timeout);
+    const double waited = secondsSince(start);
+    EXPECT_GE(waited, 0.24);
     EXPECT_LT(waited, 5.0);
 }
 

@@ -275,9 +275,11 @@ runOne(const Args &args, workloads::Workload &workload,
         request.engineKind != supervise::EngineKind::Distributed)
         fatal("--peer-drill requires --engine distributed");
     // Distributed runs leave no in-process cluster behind: the stats
-    // trees and the packet trace live and die in the worker processes.
+    // trees, the packet trace, the phase timings and the invariant
+    // checker's audit live and die in the worker processes.
     if (request.engineKind == supervise::EngineKind::Distributed)
-        for (const char *flag : {"stats", "stats-csv", "trace"})
+        for (const char *flag :
+             {"stats", "stats-csv", "trace", "phase-stats", "check"})
             if (args.has(flag))
                 fatal("--%s is not supported with --engine distributed",
                       flag);
