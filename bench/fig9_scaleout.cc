@@ -51,7 +51,7 @@ run(const ExperimentConfig &base, const std::string &policy,
 {
     ExperimentConfig config = base;
     config.policySpec = policy;
-    config.recordTimeline = timeline;
+    config.engine.recordTimeline = timeline;
     config.recordTrace = trace_out != nullptr;
     auto out = runExperiment(config);
     if (trace_out)

@@ -33,7 +33,7 @@ main(int argc, char **argv)
         args.getString("policy", "dyn:1.03:0.02:1us:1000us");
     config.scale = args.getDouble("scale", 0.3);
     config.recordTrace = true;
-    config.recordTimeline = true;
+    config.engine.recordTimeline = true;
 
     std::printf("%s on %zu nodes under %s...\n",
                 config.workload.c_str(), config.numNodes,

@@ -84,7 +84,6 @@
 #include "fault/peer_drill.hh"
 
 // Inter-process transport (distributed engine substrate)
-#include "transport/channel.hh"
 #include "transport/frame.hh"
 #include "transport/heartbeat.hh"
 #include "transport/socket.hh"

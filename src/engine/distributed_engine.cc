@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -175,9 +176,9 @@ struct PeerSetup
  * Each Quantum frame carries the previous quantum's inbound runs at
  * its head: the worker adopts and merges them, runs its shard of
  * nodes to the new boundary, and answers with one Exchange frame of
- * outbound delivery runs and local progress. A Deliver frame (no
- * reply) merges the pending inbound runs early, before a state
- * gather; State frames serialize the state slice on demand.
+ * outbound delivery runs and local progress. A StateReq frame carries
+ * the pending inbound runs the same way: the worker merges them, then
+ * answers with its serialized state slice.
  *
  * @return process exit code (0 = clean Stop).
  */
@@ -328,16 +329,10 @@ peerMain(const PeerSetup &p)
                 return 1;
             break;
         }
-        case transport::FrameType::Deliver: {
-            ckpt::Reader r(f.body, "deliver");
-            const std::uint64_t qi = r.u64();
-            if (!r.ok() || !unmerged || qi != last_quantum || !adopt(r))
-                return 1;
-            break;
-        }
         case transport::FrameType::StateReq: {
-            if (unmerged)
-                return 1; // a gather must follow a Deliver flush
+            ckpt::Reader r(f.body, "state-req");
+            if (!adopt(r))
+                return 1;
             transport::Frame st;
             st.type = transport::FrameType::State;
             ckpt::Writer w;
@@ -763,7 +758,7 @@ splicedStateHash(const GatheredState &g)
  * The coordinator side of a run, as a QuantumExecutor: one
  * star-protocol round trip (Quantum out, Exchange back) per quantum
  * over the already-forked worker processes. A quantum's delivery runs
- * ride the next Quantum frame, or a Deliver flush before a gather.
+ * ride the next Quantum frame, or the StateReq frames of a gather.
  * Every barrier wait is deadline-bounded, absorbs heartbeats, polls
  * supervised cancellation, and converts every failure mode into a
  * PeerFailure-carrying RunAbort stamped with the completed-quanta
@@ -803,8 +798,6 @@ class Coordinator : public QuantumExecutor
     void
     begin() override
     {
-        wallStart_ = SteadyClock::now();
-        quantumStartWall_ = wallStart_;
         const std::size_t n = cluster_.numNodes();
         for (std::size_t w = 0; w < numPeers_; ++w) {
             const transport::Frame hello =
@@ -819,7 +812,7 @@ class Coordinator : public QuantumExecutor
         }
     }
 
-    HostNs
+    std::optional<HostNs>
     runQuantum() override
     {
         const core::Synchronizer &sync = driver_.sync();
@@ -827,7 +820,7 @@ class Coordinator : public QuantumExecutor
 
         // Dispatch: each peer's Quantum frame carries, at its head,
         // the previous exchange's runs destined to that peer (unless
-        // a gather already flushed them).
+        // a gather already delivered them).
         for (std::size_t d = 0; d < numPeers_; ++d) {
             transport::Frame quantum;
             quantum.type = transport::FrameType::Quantum;
@@ -890,14 +883,7 @@ class Coordinator : public QuantumExecutor
             stagedTotal_ += staged;
         }
         inboundPending_ = true;
-
-        const auto now_wall = SteadyClock::now();
-        const HostNs quantum_ns =
-            std::chrono::duration<double, std::nano>(now_wall -
-                                                     quantumStartWall_)
-                .count();
-        quantumStartWall_ = now_wall;
-        return quantum_ns;
+        return std::nullopt; // measured by the driver
     }
 
     /** Cross-process state gather, paid only when an image is due. */
@@ -927,9 +913,6 @@ class Coordinator : public QuantumExecutor
     {
         const GatheredState g = gather();
         peers_.stopAll(options_.peerDeadlineSeconds);
-        result.hostNs = std::chrono::duration<double, std::nano>(
-                            SteadyClock::now() - wallStart_)
-                            .count();
         result.finishTicks = g.finishTicks;
         result.retransmits = g.retransmits;
         result.finalStateHash = splicedStateHash(g);
@@ -965,28 +948,6 @@ class Coordinator : public QuantumExecutor
             w.u32(seg.count);
             w.bytes(seg.bytes.data(), seg.bytes.size());
         }
-    }
-
-    /**
-     * Deliver the last exchange's runs now instead of with the next
-     * Quantum frame, so the peers merge them before a state gather.
-     * No reply: the gather's State frame follows the merge.
-     */
-    void
-    flushInbound()
-    {
-        if (!inboundPending_)
-            return;
-        for (std::size_t d = 0; d < numPeers_; ++d) {
-            transport::Frame deliver;
-            deliver.type = transport::FrameType::Deliver;
-            ckpt::Writer w;
-            w.u64(driver_.sync().numQuanta());
-            writeInbound(w, d);
-            deliver.body = w.buffer();
-            sendFrame(d, deliver, "delivery flush");
-        }
-        inboundPending_ = false;
     }
 
     /**
@@ -1058,13 +1019,10 @@ class Coordinator : public QuantumExecutor
                              driver_.sync().numQuanta());
     }
 
-    /** Request + decode worker @p w's state slice at this boundary. */
+    /** Await + decode worker @p w's state slice at this boundary. */
     PeerState
     fetchState(std::size_t w, std::size_t expect_owned)
     {
-        transport::Frame req;
-        req.type = transport::FrameType::StateReq;
-        sendFrame(w, req, "state request");
         const transport::Frame f =
             await(w, transport::FrameType::State, "state gather");
 
@@ -1098,10 +1056,23 @@ class Coordinator : public QuantumExecutor
         return st;
     }
 
+    /**
+     * Every StateReq goes out before any State is awaited, so the
+     * peers merge their pending inbound runs and serialize in
+     * parallel.
+     */
     GatheredState
     gather()
     {
-        flushInbound();
+        for (std::size_t d = 0; d < numPeers_; ++d) {
+            transport::Frame req;
+            req.type = transport::FrameType::StateReq;
+            ckpt::Writer w;
+            writeInbound(w, d);
+            req.body = w.buffer();
+            sendFrame(d, req, "state request");
+        }
+        inboundPending_ = false;
         const std::size_t n = cluster_.numNodes();
         std::vector<PeerState> states;
         states.reserve(numPeers_);
@@ -1125,8 +1096,6 @@ class Coordinator : public QuantumExecutor
      * inboundPending_ while they still await delivery. */
     std::vector<std::vector<Segment>> inbound_;
     bool inboundPending_ = false;
-    SteadyClock::time_point wallStart_;
-    SteadyClock::time_point quantumStartWall_;
 };
 
 } // namespace

@@ -8,8 +8,8 @@
  * reproduces that shape: the coordinator forks K worker processes,
  * each owning a contiguous shard of ceil(N/K) nodes, and runs as one
  * more executor under the QuantumDriver the in-process engines use —
- * its barrier goes over the transport seam (transport/channel.hh)
- * instead of thread barriers.
+ * its barrier goes over one transport::SocketChannel per worker
+ * (transport/socket.hh) instead of thread barriers.
  *
  * Conservative runs only (quantum <= minimum network latency): every
  * cross-partition delivery then lands at or beyond the next quantum

@@ -1,6 +1,7 @@
 #include "engine/quantum_driver.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <string>
 #include <utility>
 
@@ -12,6 +13,19 @@
 
 namespace aqsim::engine
 {
+
+namespace
+{
+
+using SteadyClock = std::chrono::steady_clock;
+
+HostNs
+nsBetween(SteadyClock::time_point from, SteadyClock::time_point to)
+{
+    return std::chrono::duration<double, std::nano>(to - from).count();
+}
+
+} // namespace
 
 QuantumDriver::QuantumDriver(const EngineOptions &options,
                              Cluster &cluster,
@@ -117,6 +131,9 @@ QuantumDriver::run(QuantumExecutor &exec,
         options_.maxQuanta ? options_.maxQuanta : 500'000'000ULL;
     RunResult result;
     try {
+        // Host time of a measured executor: wall-clock laps from here.
+        const auto wall_start = SteadyClock::now();
+        auto lap_start = wall_start;
         exec.begin();
         sync_.begin();
         while (!exec.done()) {
@@ -127,7 +144,15 @@ QuantumDriver::run(QuantumExecutor &exec,
                       "applications incomplete\n%s%s",
                       info.progress.c_str(), info.peers.c_str());
             }
-            const HostNs quantum_ns = exec.runQuantum();
+            const std::optional<HostNs> modeled = exec.runQuantum();
+            HostNs quantum_ns;
+            if (modeled) {
+                quantum_ns = *modeled;
+            } else {
+                const auto now = SteadyClock::now();
+                quantum_ns = nsBetween(lap_start, now);
+                lap_start = now;
+            }
             pollCancel();
             if (dog)
                 dog->kick();
@@ -155,6 +180,7 @@ QuantumDriver::run(QuantumExecutor &exec,
         // A watchdog drill or expiry at the final quantum trips the
         // token after the run is done; it must still abort.
         pollCancel();
+        result.hostNs = nsBetween(wall_start, SteadyClock::now());
         exec.finish(result);
     } catch (...) {
         // A supervised abort must not leave the watchdog armed with a

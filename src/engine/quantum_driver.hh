@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "ckpt/checkpoint.hh"
 #include "core/quantum_policy.hh"
@@ -59,9 +60,11 @@ class QuantumExecutor
 
     /**
      * Execute the open quantum on every node, through the exchange
-     * barrier. @return the quantum's host time in ns.
+     * barrier. @return the quantum's modeled host time in ns, or
+     * nullopt when the executor runs for real and the driver measures
+     * the quantum's wall-clock lap instead.
      */
-    virtual HostNs runQuantum() = 0;
+    virtual std::optional<HostNs> runQuantum() = 0;
 
     /** @return true once every application has finished. */
     virtual bool done() const = 0;
@@ -84,8 +87,10 @@ class QuantumExecutor
 
     /**
      * Close the run, still under the watchdog, and fill the
-     * engine-specific result fields: host time, finish ticks,
-     * retransmits, the final state hash and exchange phase timings.
+     * engine-specific result fields: finish ticks, retransmits, the
+     * final state hash and exchange phase timings. hostNs arrives
+     * holding the driver's wall-clock measure of the run; an executor
+     * that models host time replaces it.
      */
     virtual void finish(RunResult &result) = 0;
 };

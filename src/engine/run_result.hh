@@ -26,8 +26,9 @@ struct RunResult
 
     /** Simulated completion time (max over ranks). */
     Tick simTicks = 0;
-    /** Modeled (SequentialEngine) or measured (ThreadedEngine) host
-     * wall-clock spent simulating. */
+    /** Host time spent simulating: modeled by the SequentialEngine,
+     * measured by the QuantumDriver for the threaded and distributed
+     * engines (wall clock from the executor's begin() to finish()). */
     HostNs hostNs = 0.0;
     /** The workload's self-reported metric (MOPS or seconds). */
     double metric = 0.0;

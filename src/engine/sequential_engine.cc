@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <vector>
 
@@ -66,7 +67,8 @@ class CoSim : public net::DeliveryScheduler, public QuantumExecutor
     void
     finish(RunResult &result) override
     {
-        // The modeled host total is this executor's own accumulator.
+        // The modeled host total (this executor's own accumulator)
+        // replaces the driver's wall-clock measure.
         result.hostNs = globalHost_;
         fillLocalResult(result, cluster_, batch_, options_.phaseStats);
     }
@@ -269,7 +271,7 @@ class CoSim : public net::DeliveryScheduler, public QuantumExecutor
     }
 
     /** One host-time co-simulated quantum; @return its modeled ns. */
-    HostNs
+    std::optional<HostNs>
     runQuantum() override
     {
         const std::size_t n = states_.size();

@@ -1,6 +1,5 @@
 #include "engine/threaded_engine.hh"
 
-#include <chrono>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -94,14 +93,7 @@ class PoolExecutor : public QuantumExecutor
     bool done() const override { return cluster_.allDone(); }
     bool pending() const override { return cluster_.anyEventPending(); }
 
-    void
-    begin() override
-    {
-        wallStart_ = std::chrono::steady_clock::now();
-        quantumStartWall_ = wallStart_;
-    }
-
-    HostNs
+    std::optional<HostNs>
     runQuantum() override
     {
         // The exchange merge happens *inside* the quantum, after the
@@ -118,13 +110,7 @@ class PoolExecutor : public QuantumExecutor
             if (firstFailure_)
                 throw *firstFailure_;
         }
-        const auto now_wall = std::chrono::steady_clock::now();
-        const HostNs quantum_ns =
-            std::chrono::duration<double, std::nano>(now_wall -
-                                                     quantumStartWall_)
-                .count();
-        quantumStartWall_ = now_wall;
-        return quantum_ns;
+        return std::nullopt; // measured by the driver
     }
 
     /**
@@ -152,9 +138,6 @@ class PoolExecutor : public QuantumExecutor
     void
     finish(RunResult &result) override
     {
-        result.hostNs = std::chrono::duration<double, std::nano>(
-                            std::chrono::steady_clock::now() - wallStart_)
-                            .count();
         fillLocalResult(result, cluster_, batch_, options_.phaseStats);
     }
 
@@ -234,8 +217,6 @@ class PoolExecutor : public QuantumExecutor
     base::Mutex failMutex_;
     std::unique_ptr<base::RunAbort>
         firstFailure_ AQSIM_GUARDED_BY(failMutex_);
-    std::chrono::steady_clock::time_point wallStart_;
-    std::chrono::steady_clock::time_point quantumStartWall_;
     /**
      * Declared last, so destroyed first: the workers are stopped and
      * joined before the state they touch goes away.

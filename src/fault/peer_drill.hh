@@ -49,9 +49,9 @@ enum class PeerDrillPhase
     Exchange,
     /**
      * After merging a quantum's inbound runs: at the head of the next
-     * Quantum frame, or on a Deliver flush before a state gather.
-     * The name predates the one-round-trip protocol, which sends no
-     * Ack frame; `phase=ack` keeps its spelling.
+     * Quantum frame, or of a StateReq frame before a state gather.
+     * The name predates the one-round-trip protocol, which has no Ack
+     * frame; `phase=ack` keeps its spelling.
      */
     Ack,
 };

@@ -35,14 +35,6 @@ defaultCluster(std::size_t num_nodes, std::uint64_t seed)
     return params;
 }
 
-Tick
-safeQuantum(const net::NetworkParams &network, std::size_t num_nodes)
-{
-    stats::Group scratch("probe");
-    net::NetworkController controller(num_nodes, network, scratch);
-    return controller.minNetworkLatency();
-}
-
 std::vector<PolicyConfig>
 paperConfigs()
 {
@@ -63,15 +55,11 @@ runExperiment(const ExperimentConfig &config)
                                             config.scale);
     auto policy = core::parsePolicy(config.policySpec);
 
-    auto cluster_params = defaultCluster(config.numNodes, config.seed);
-    engine::EngineOptions options = config.engine;
-    options.recordTimeline = config.recordTimeline;
-
     ExperimentOutput out;
     supervise::RunRequest request;
     request.engineKind = config.engineKind;
-    request.engine = options;
-    request.cluster = cluster_params;
+    request.engine = config.engine;
+    request.cluster = defaultCluster(config.numNodes, config.seed);
     request.workload = workload.get();
     request.policy = policy.get();
     if (config.recordTrace &&
@@ -118,7 +106,7 @@ Harness::run(const std::string &workload, std::size_t num_nodes,
     config.scale = scale_;
     config.policySpec = policy_spec;
     config.seed = seed_;
-    config.recordTimeline = record_timeline;
+    config.engine.recordTimeline = record_timeline;
     return runExperiment(config).result;
 }
 

@@ -38,15 +38,6 @@ engine::ClusterParams defaultCluster(std::size_t num_nodes,
 /** Policy spec of the ground truth: "fixed:1us". */
 extern const char *const groundTruthSpec;
 
-/**
- * The largest provably safe (straggler-free) quantum for a network:
- * its minimum end-to-end latency T. For the paper's network this is
- * ~1 µs; higher-latency topologies allow proportionally larger
- * conservative quanta — the PDES lookahead observation.
- */
-Tick safeQuantum(const net::NetworkParams &network,
-                 std::size_t num_nodes);
-
 /** A named policy configuration, as labelled in the paper's charts. */
 struct PolicyConfig
 {
@@ -66,7 +57,6 @@ struct ExperimentConfig
     double scale = 1.0;
     std::string policySpec = "fixed:1us";
     std::uint64_t seed = 1;
-    bool recordTimeline = false;
     bool recordTrace = false;
     /** Engine selection (sequential, threaded, or the multi-process
      * distributed engine). Distributed runs ignore recordTrace: the

@@ -3,7 +3,7 @@
  * Wire codec for net::Packet (distributed-engine exchange frames).
  *
  * Cross-partition deliveries travel between worker processes as
- * ordered packet runs inside Exchange/Deliver frames. This codec
+ * ordered packet runs inside Exchange, Quantum and StateReq frames. This codec
  * round-trips every field the simulation reads — timing, identity,
  * corruption flag, and the polymorphic mpi payload — through the
  * ckpt::Writer/Reader encoding, so a decoded packet is functionally

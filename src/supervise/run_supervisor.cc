@@ -48,9 +48,8 @@ abortReport(const base::RunAbort &abort, std::uint64_t attempts,
 Tick
 safeQuantumBound(const engine::ClusterParams &params)
 {
-    // Replicates harness::safeQuantum without the layering violation
-    // (supervise sits below harness): the bound is a pure function of
-    // the network model, probed on a scratch controller.
+    // A pure function of the network model, probed on a scratch
+    // controller.
     stats::Group scratch("probe");
     net::NetworkController controller(params.numNodes, params.network,
                                       scratch);

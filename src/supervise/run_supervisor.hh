@@ -172,8 +172,12 @@ class RunSupervisor
 };
 
 /**
- * The conservative escalation bound for a cluster: the network's
- * minimum end-to-end latency T (Q <= T admits no stragglers).
+ * The largest provably safe (straggler-free) quantum for a cluster,
+ * and the conservative escalation bound: the network's minimum
+ * end-to-end latency T (Q <= T admits no stragglers). For the paper's
+ * network this is ~1 µs; higher-latency topologies allow
+ * proportionally larger conservative quanta — the PDES lookahead
+ * observation.
  */
 Tick safeQuantumBound(const engine::ClusterParams &params);
 

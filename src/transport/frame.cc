@@ -17,10 +17,6 @@ frameTypeName(FrameType type)
         return "quantum";
     case FrameType::Exchange:
         return "exchange";
-    case FrameType::Deliver:
-        return "deliver";
-    case FrameType::Ack:
-        return "ack";
     case FrameType::StateReq:
         return "state-req";
     case FrameType::State:

@@ -12,11 +12,8 @@
  * same self-checking encoding discipline as the checkpoint container
  * (docs/checkpoint-restore.md). A torn, truncated, or bit-flipped
  * frame decodes to RecvStatus::Corrupt — a structured peer failure —
- * never to silently wrong simulation state.
- *
- * Frames are transport-agnostic: the in-process loopback backend
- * passes Frame structs directly, the socket backend moves the encoded
- * bytes. See channel.hh for the Channel seam.
+ * never to silently wrong simulation state. SocketChannel
+ * (socket.hh) moves the encoded bytes.
  */
 
 #ifndef AQSIM_TRANSPORT_FRAME_HH
@@ -41,12 +38,7 @@ enum class FrameType : std::uint32_t
      * outbound delivery runs. */
     Exchange,
     /** Coordinator -> peer: merge the pending inbound delivery runs
-     * now, ahead of a state gather (no reply). */
-    Deliver,
-    /** No longer sent: progress rides the Exchange frame. The wire
-     * code stays reserved so the later codes keep their values. */
-    Ack,
-    /** Coordinator -> peer: serialize your state slice. */
+     * (carried at the head), then serialize your state slice. */
     StateReq,
     /** Peer -> coordinator: the requested state slice. */
     State,

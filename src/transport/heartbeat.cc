@@ -7,7 +7,8 @@
 namespace aqsim::transport
 {
 
-HeartbeatSender::HeartbeatSender(Channel &channel, double period_seconds)
+HeartbeatSender::HeartbeatSender(SocketChannel &channel,
+                                 double period_seconds)
     : channel_(channel), periodSeconds_(period_seconds)
 {
     thread_ = std::thread([this] { loop(); });

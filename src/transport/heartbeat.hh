@@ -22,7 +22,7 @@
 #include <thread>
 
 #include "base/mutex.hh"
-#include "transport/channel.hh"
+#include "transport/socket.hh"
 
 namespace aqsim::transport
 {
@@ -37,12 +37,11 @@ class HeartbeatSender
 {
   public:
     /**
-     * @param channel outbound pipe (must outlive this object; the
-     *        channel's send() is thread-safe against the protocol
-     *        thread by the Channel contract)
+     * @param channel outbound pipe (must outlive this object; its
+     *        send() is thread-safe against the protocol thread)
      * @param period_seconds beacon period in host seconds
      */
-    HeartbeatSender(Channel &channel, double period_seconds);
+    HeartbeatSender(SocketChannel &channel, double period_seconds);
     ~HeartbeatSender();
 
     HeartbeatSender(const HeartbeatSender &) = delete;
@@ -54,7 +53,7 @@ class HeartbeatSender
   private:
     void loop() AQSIM_EXCLUDES(mutex_);
 
-    Channel &channel_;
+    SocketChannel &channel_;
     const double periodSeconds_;
 
     base::Mutex mutex_;

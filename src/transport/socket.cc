@@ -1,7 +1,5 @@
 #include "transport/socket.hh"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sched.h>
 #include <sys/socket.h>
@@ -173,87 +171,6 @@ socketChannelPair()
         fatal("socketpair failed: %s", std::strerror(errno));
     return {std::make_unique<SocketChannel>(fds[0]),
             std::make_unique<SocketChannel>(fds[1])};
-}
-
-int
-tcpListen(std::uint16_t port, std::uint16_t &bound_port)
-{
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        fatal("socket failed: %s", std::strerror(errno));
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    if (::bind(fd, reinterpret_cast<struct sockaddr *>(&addr),
-               sizeof(addr)) != 0)
-        fatal("bind failed: %s", std::strerror(errno));
-    if (::listen(fd, 8) != 0)
-        fatal("listen failed: %s", std::strerror(errno));
-    socklen_t len = sizeof(addr);
-    if (::getsockname(fd, reinterpret_cast<struct sockaddr *>(&addr),
-                      &len) != 0)
-        fatal("getsockname failed: %s", std::strerror(errno));
-    bound_port = ntohs(addr.sin_port);
-    return fd;
-}
-
-int
-tcpConnect(std::uint16_t port)
-{
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return -1;
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    int rc;
-    do {
-        rc = ::connect(fd, reinterpret_cast<struct sockaddr *>(&addr),
-                       sizeof(addr));
-    } while (rc != 0 && errno == EINTR);
-    if (rc != 0) {
-        ::close(fd);
-        return -1;
-    }
-    return fd;
-}
-
-int
-tcpAccept(int listen_fd, double deadline_seconds)
-{
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(deadline_seconds));
-    for (;;) {
-        struct pollfd pfd;
-        pfd.fd = listen_fd;
-        pfd.events = POLLIN;
-        pfd.revents = 0;
-        const int ms = remainingMs(deadline);
-        if (ms == 0 && std::chrono::steady_clock::now() >= deadline)
-            return -1;
-        const int pr = ::poll(&pfd, 1, ms);
-        if (pr < 0) {
-            if (errno == EINTR)
-                continue;
-            return -1;
-        }
-        if (pr == 0)
-            continue;
-        const int fd = ::accept(listen_fd, nullptr, nullptr);
-        if (fd >= 0)
-            return fd;
-        if (errno == EINTR)
-            continue;
-        return -1;
-    }
 }
 
 } // namespace aqsim::transport

@@ -1,10 +1,11 @@
 /**
  * @file
- * Socket-backed Channel: frames over a Unix or TCP stream.
+ * The distributed engine's transport: frames over a Unix stream.
  *
- * The production transport for multi-process runs. One SocketChannel
- * wraps one connected stream fd; frames travel as the wire encoding
- * from frame.hh. Failure semantics are the whole point:
+ * One SocketChannel is one bidirectional, ordered, reliable frame
+ * pipe between the coordinator and a single worker; it wraps one
+ * connected stream fd and moves the wire encoding from frame.hh.
+ * Failure semantics are the whole point:
  *
  *  - recv() first retries a non-blocking read for a short, fixed
  *    spin budget (yielding between tries), then sleeps in short
@@ -19,9 +20,11 @@
  *
  * socketChannelPair() (socketpair(2)) is the fork-model transport:
  * the coordinator creates one pair per worker before forking, each
- * side keeps one end. tcpListen/tcpConnect exist for tests that need
- * a connection whose far side can vanish between connect and first
- * frame (the half-open case).
+ * side keeps one end.
+ *
+ * Thread safety: send() is serialized, so one thread may send (the
+ * heartbeat thread) while another sends or receives. Multiple
+ * concurrent receivers are not supported.
  */
 
 #ifndef AQSIM_TRANSPORT_SOCKET_HH
@@ -33,32 +36,44 @@
 #include <utility>
 
 #include "base/mutex.hh"
-#include "transport/channel.hh"
+#include "transport/frame.hh"
 
 namespace aqsim::transport
 {
 
-/** Channel over one connected stream socket (owns the fd). */
-class SocketChannel : public Channel
+/** Frame pipe over one connected stream socket (owns the fd). */
+class SocketChannel
 {
   public:
     /** Take ownership of connected stream fd @p fd. */
     explicit SocketChannel(int fd);
-    ~SocketChannel() override;
+    ~SocketChannel();
 
     SocketChannel(const SocketChannel &) = delete;
     SocketChannel &operator=(const SocketChannel &) = delete;
 
-    bool send(const Frame &frame) override AQSIM_EXCLUDES(sendMutex_);
-    RecvStatus recv(Frame &frame, double deadline_seconds) override;
+    /**
+     * Write @p frame toward the peer.
+     *
+     * @return false if the pipe is closed (peer gone); the caller maps
+     *         this to a Disconnect-kind peer failure.
+     */
+    bool send(const Frame &frame) AQSIM_EXCLUDES(sendMutex_);
+
+    /**
+     * Wait up to @p deadline_seconds for one complete frame. A frame
+     * written before the peer closed stays readable; after it the
+     * read is Closed.
+     */
+    RecvStatus recv(Frame &frame, double deadline_seconds);
 
     /**
      * shutdown(2) both directions; the fd itself is closed by the
      * destructor. A peer blocked in recv() observes Closed.
      */
-    void close() override;
+    void close();
 
-    /** Raw fd (fork plumbing: children close siblings' fds). */
+    /** Raw fd (tests write torn or damaged bytes through it). */
     int fd() const { return fd_; }
 
   private:
@@ -81,21 +96,6 @@ class SocketChannel : public Channel
  */
 std::pair<std::unique_ptr<SocketChannel>, std::unique_ptr<SocketChannel>>
 socketChannelPair();
-
-/**
- * Listen on 127.0.0.1:@p port (0 = ephemeral). @return listening fd,
- * with the bound port stored in @p bound_port. Fatal on error.
- */
-int tcpListen(std::uint16_t port, std::uint16_t &bound_port);
-
-/** Connect to 127.0.0.1:@p port. @return connected fd; -1 on error. */
-int tcpConnect(std::uint16_t port);
-
-/**
- * Accept one connection on @p listen_fd, waiting at most
- * @p deadline_seconds. @return connected fd; -1 on timeout/error.
- */
-int tcpAccept(int listen_fd, double deadline_seconds);
 
 } // namespace aqsim::transport
 

@@ -5,7 +5,8 @@
  * the peer-failure matrix (SIGKILL at first/mid/last-1 quantum,
  * SIGSTOP heartbeat loss, exit-before-hello) as structured
  * deadline-bounded failures, supervisor-driven recovery with
- * peer-failure/peer-recovery incidents, checkpoint-restore recovery,
+ * peer-failure/peer-recovery incidents, checkpoint-restore recovery
+ * (also from a peer killed inside a checkpoint gather's merge),
  * checkpoint images byte-equal to the threaded engine's, cross-shard
  * pingpong, and the watchdog's per-peer liveness dump.
  */
@@ -320,6 +321,31 @@ TEST(DistributedEngine, SupervisorRecoversHungPeerViaCheckpoint)
     expectMatchesSequential(result, golden, "ckpt-recovery");
     EXPECT_EQ(result.superviseRecoveries, 1u);
     EXPECT_GT(result.restoredFromQuantum, 0u);
+    std::filesystem::remove_all(options.checkpointDir);
+}
+
+TEST(DistributedEngine, PeerKilledInGatherMergeRecovers)
+{
+    // phase=ack on a checkpoint quantum fires inside the merge that
+    // the gather's StateReq frame carries: the image at that quantum
+    // is never written, and the retry restores the one before it.
+    const auto params = configParams("lossy");
+    const auto golden = runSequential(params);
+    ASSERT_GT(golden.quanta, 200u);
+    auto options = distOptions(2);
+    options.checkpointEvery = 100;
+    options.checkpointDir = scratchDir("ckpt_gather_kill");
+    options.peerDrillSpec = "kill:peer=1,quantum=200,phase=ack";
+    supervise::RunSupervisor supervisor(testSupervision());
+    const auto result = runSupervised(params, options, supervisor);
+    expectMatchesSequential(result, golden, "kill@gather");
+    EXPECT_EQ(result.superviseRecoveries, 1u);
+    EXPECT_EQ(result.restoredFromQuantum, 100u);
+    const auto &incidents = supervisor.incidents().incidents();
+    ASSERT_FALSE(incidents.empty());
+    EXPECT_EQ(incidents[0].cause, "peer-failure");
+    EXPECT_NE(incidents[0].detail.find("state gather"), std::string::npos)
+        << incidents[0].detail;
     std::filesystem::remove_all(options.checkpointDir);
 }
 

@@ -24,7 +24,7 @@ runScaled(const std::string &workload, std::size_t nodes,
     config.numNodes = nodes;
     config.scale = scale;
     config.policySpec = policy;
-    config.recordTimeline = timeline;
+    config.engine.recordTimeline = timeline;
     return harness::runExperiment(config).result;
 }
 

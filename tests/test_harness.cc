@@ -163,23 +163,36 @@ TEST(Harness, SeedChangesResultsScaleChangesDuration)
     EXPECT_NE(ra.hostNs, rb.hostNs);
 }
 
+TEST(Harness, EngineRecordTimelineYieldsTimeline)
+{
+    // The engine option alone asks for the per-quantum timeline.
+    ExperimentConfig config;
+    config.workload = "pingpong";
+    config.numNodes = 2;
+    config.scale = 0.05;
+    config.policySpec = "fixed:10us";
+    config.engine.recordTimeline = true;
+    const auto out = runExperiment(config);
+    EXPECT_FALSE(out.result.timeline.empty());
+    EXPECT_EQ(out.result.timeline.size(), out.result.quanta);
+}
+
 TEST(SafeQuantum, MatchesControllerMinimumLatency)
 {
-    auto network = paperNetwork();
-    const Tick t = safeQuantum(network, 8);
+    const Tick t = supervise::safeQuantumBound(defaultCluster(8));
     EXPECT_GE(t, microseconds(1));
     EXPECT_LE(t, microseconds(1) + 10);
 }
 
 TEST(SafeQuantum, GrowsWithTopologyLatency)
 {
-    auto network = paperNetwork();
+    auto params = defaultCluster(8);
     net::TopologyParams topo;
     topo.kind = net::TopologyKind::Ring;
     topo.hopLatency = microseconds(5);
-    network.switchModel =
+    params.network.switchModel =
         std::make_shared<net::TopologySwitch>(8, topo);
-    const Tick t = safeQuantum(network, 8);
+    const Tick t = supervise::safeQuantumBound(params);
     // 5us one-hop traversal on top of the NIC latencies.
     EXPECT_GE(t, microseconds(6));
 }
@@ -192,7 +205,7 @@ TEST(SafeQuantum, SafeFixedPolicyIsStragglerFreeOnSlowNetworks)
     topo.hopLatency = microseconds(10);
     params.network.switchModel =
         std::make_shared<net::TopologySwitch>(4, topo);
-    const Tick t = safeQuantum(params.network, 4);
+    const Tick t = supervise::safeQuantumBound(params);
     EXPECT_GT(t, microseconds(10));
 
     auto workload = workloads::makeWorkload("burst", 4, 0.1);

@@ -159,7 +159,7 @@ TEST(Integration, HostTimeDecomposesIntoQuanta)
     config.numNodes = 4;
     config.scale = 0.08;
     config.policySpec = "dyn:1.05:0.02:1us:1000us";
-    config.recordTimeline = true;
+    config.engine.recordTimeline = true;
     auto out = runExperiment(config);
     HostNs sum = 0.0;
     for (const auto &q : out.result.timeline)

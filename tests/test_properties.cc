@@ -66,7 +66,7 @@ class PropertySweep : public ::testing::TestWithParam<Sweep>
         config.scale = 0.05;
         config.policySpec = s.policy;
         config.seed = s.seed;
-        config.recordTimeline = timeline;
+        config.engine.recordTimeline = timeline;
         return runExperiment(config).result;
     }
 };

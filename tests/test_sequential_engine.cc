@@ -147,7 +147,7 @@ TEST(SequentialEngine, AdaptiveQuantumGrowsDuringSilence)
     config.numNodes = 4;
     config.scale = 1.0; // full-size EP: ~19 ms of silent compute
     config.policySpec = "dyn:1.1:0.02:1us:1000us";
-    config.recordTimeline = true;
+    config.engine.recordTimeline = true;
     auto out = harness::runExperiment(config);
     Tick max_q = 0;
     for (const auto &q : out.result.timeline)
@@ -191,7 +191,7 @@ TEST(SequentialEngine, TimelineCoversWholeRun)
     config.workload = "pingpong";
     config.numNodes = 2;
     config.policySpec = "fixed:10us";
-    config.recordTimeline = true;
+    config.engine.recordTimeline = true;
     auto out = harness::runExperiment(config);
     ASSERT_FALSE(out.result.timeline.empty());
     // Quanta tile simulated time contiguously from zero.

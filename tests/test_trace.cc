@@ -24,7 +24,7 @@ tracedRun(const std::string &workload, std::size_t nodes)
     config.scale = 0.05;
     config.policySpec = "fixed:1us";
     config.recordTrace = true;
-    config.recordTimeline = true;
+    config.engine.recordTimeline = true;
     return harness::runExperiment(config);
 }
 
@@ -195,7 +195,7 @@ TEST(Timeline, RealRunSpeedupSeriesIsPositive)
     config.numNodes = 4;
     config.scale = 0.05;
     config.policySpec = "fixed:100us";
-    config.recordTimeline = true;
+    config.engine.recordTimeline = true;
     auto fast = harness::runExperiment(config);
 
     auto series = speedupOverTime(fast.result.timeline, ref_rate,

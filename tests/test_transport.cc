@@ -1,9 +1,9 @@
 /**
  * Transport-layer tests: frame encode/decode self-checking (CRC,
- * length, type validation), loopback channel semantics (ordering,
- * drain-after-close), socket channel failure mapping (deadline-bounded
- * recv, EOF on close, torn writes, half-open TCP), the heartbeat
- * beacon, and the peer-drill spec parser.
+ * length, type validation), socket channel semantics (ordering,
+ * drain-after-close) and failure mapping (deadline-bounded recv, EOF
+ * on close, torn writes), the heartbeat beacon, and the peer-drill
+ * spec parser.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 
 #include "ckpt/ckpt_io.hh"
 #include "fault/peer_drill.hh"
-#include "transport/channel.hh"
 #include "transport/frame.hh"
 #include "transport/heartbeat.hh"
 #include "transport/socket.hh"
@@ -82,7 +81,7 @@ TEST(Frame, EmptyBodyRoundTrips)
 
 TEST(Frame, BitFlipInBodyIsCorrupt)
 {
-    auto wire = encodeFrame(makeFrame(FrameType::Ack, 7));
+    auto wire = encodeFrame(makeFrame(FrameType::Exchange, 7));
     wire[frameHeaderBytes] ^= 0x01;
     Frame out;
     EXPECT_EQ(redecode(std::move(wire), out), RecvStatus::Corrupt);
@@ -90,7 +89,7 @@ TEST(Frame, BitFlipInBodyIsCorrupt)
 
 TEST(Frame, UnknownTypeIsCorrupt)
 {
-    auto wire = encodeFrame(makeFrame(FrameType::Ack, 7));
+    auto wire = encodeFrame(makeFrame(FrameType::Exchange, 7));
     const std::uint32_t bogus = 999;
     std::memcpy(wire.data() + 4, &bogus, 4);
     Frame out;
@@ -101,7 +100,7 @@ TEST(Frame, OversizeLengthIsCorrupt)
 {
     Frame out;
     EXPECT_EQ(decodeFrame(maxFrameBody + 1,
-                          static_cast<std::uint32_t>(FrameType::Ack),
+                          static_cast<std::uint32_t>(FrameType::Exchange),
                           0, {}, out),
               RecvStatus::Corrupt);
 }
@@ -113,49 +112,45 @@ TEST(Frame, TypeNamesAreStable)
     EXPECT_STREQ(recvStatusName(RecvStatus::Timeout), "timeout");
 }
 
-TEST(LoopbackChannel, OrderedDelivery)
+TEST(SocketChannel, RoundTripOverSocketpair)
 {
-    auto [a, b] = loopbackChannelPair();
+    auto [a, b] = socketChannelPair();
+    ASSERT_TRUE(a->send(makeFrame(FrameType::StateReq, 99)));
+    Frame f;
+    ASSERT_EQ(b->recv(f, 2.0), RecvStatus::Ok);
+    EXPECT_EQ(f.type, FrameType::StateReq);
+    ckpt::Reader r(f.body, "test");
+    EXPECT_EQ(r.u64(), 99u);
+}
+
+TEST(SocketChannel, OrderedDelivery)
+{
+    auto [a, b] = socketChannelPair();
     for (std::uint64_t i = 0; i < 10; ++i)
         ASSERT_TRUE(a->send(makeFrame(FrameType::Quantum, i)));
     for (std::uint64_t i = 0; i < 10; ++i) {
         Frame f;
         ASSERT_EQ(b->recv(f, 1.0), RecvStatus::Ok);
+        EXPECT_EQ(f.type, FrameType::Quantum);
         ckpt::Reader r(f.body, "test");
         EXPECT_EQ(r.u64(), i);
     }
 }
 
-TEST(LoopbackChannel, RecvTimesOutWhenEmpty)
+TEST(SocketChannel, QueuedFramesDrainAfterClose)
 {
-    auto [a, b] = loopbackChannelPair();
-    Frame f;
-    EXPECT_EQ(b->recv(f, 0.05), RecvStatus::Timeout);
-}
-
-TEST(LoopbackChannel, QueuedFramesDrainAfterClose)
-{
-    // A worker that sent its Exchange and then exited cleanly must
-    // still have that frame readable: close is not data loss.
-    auto [a, b] = loopbackChannelPair();
+    // A worker that sent its Exchange and then closed must still have
+    // that frame readable: close is not data loss.
+    auto [a, b] = socketChannelPair();
     ASSERT_TRUE(a->send(makeFrame(FrameType::Exchange, 42)));
     a->close();
     Frame f;
     ASSERT_EQ(b->recv(f, 1.0), RecvStatus::Ok);
     EXPECT_EQ(f.type, FrameType::Exchange);
-    EXPECT_EQ(b->recv(f, 0.05), RecvStatus::Closed);
-    EXPECT_FALSE(a->send(makeFrame(FrameType::Ack, 0)));
-}
-
-TEST(SocketChannel, RoundTripOverSocketpair)
-{
-    auto [a, b] = socketChannelPair();
-    ASSERT_TRUE(a->send(makeFrame(FrameType::Deliver, 99)));
-    Frame f;
-    ASSERT_EQ(b->recv(f, 2.0), RecvStatus::Ok);
-    EXPECT_EQ(f.type, FrameType::Deliver);
     ckpt::Reader r(f.body, "test");
-    EXPECT_EQ(r.u64(), 99u);
+    EXPECT_EQ(r.u64(), 42u);
+    EXPECT_EQ(b->recv(f, 1.0), RecvStatus::Closed);
+    EXPECT_FALSE(a->send(makeFrame(FrameType::Exchange, 0)));
 }
 
 TEST(SocketChannel, RecvIsDeadlineBounded)
@@ -249,7 +244,7 @@ TEST(SocketChannel, TornFrameIsTimeoutNotHang)
     // A peer that wedges mid-frame must not stall the reader past its
     // deadline: write only half a header, then nothing.
     auto [a, b] = socketChannelPair();
-    const auto wire = encodeFrame(makeFrame(FrameType::Ack, 5));
+    const auto wire = encodeFrame(makeFrame(FrameType::Exchange, 5));
     ASSERT_EQ(::write(a->fd(), wire.data(), 6), 6);
     Frame f;
     EXPECT_EQ(b->recv(f, 0.2), RecvStatus::Timeout);
@@ -258,45 +253,13 @@ TEST(SocketChannel, TornFrameIsTimeoutNotHang)
 TEST(SocketChannel, CorruptBytesOnWireAreCorrupt)
 {
     auto [a, b] = socketChannelPair();
-    auto wire = encodeFrame(makeFrame(FrameType::Ack, 5));
+    auto wire = encodeFrame(makeFrame(FrameType::Exchange, 5));
     wire.back() ^= 0xff;
     ASSERT_EQ(::write(a->fd(), wire.data(),
                       static_cast<ssize_t>(wire.size())),
               static_cast<ssize_t>(wire.size()));
     Frame f;
     EXPECT_EQ(b->recv(f, 2.0), RecvStatus::Corrupt);
-}
-
-TEST(SocketChannel, HalfOpenTcpPeerIsDetected)
-{
-    // The classic half-open: the far side connects, then vanishes
-    // without a protocol goodbye. The near side must observe Closed
-    // (EOF), never block forever.
-    std::uint16_t port = 0;
-    const int listen_fd = tcpListen(0, port);
-    ASSERT_GE(listen_fd, 0);
-    const int client_fd = tcpConnect(port);
-    ASSERT_GE(client_fd, 0);
-    const int server_fd = tcpAccept(listen_fd, 5.0);
-    ASSERT_GE(server_fd, 0);
-    ::close(listen_fd);
-
-    SocketChannel server(server_fd);
-    {
-        SocketChannel client(client_fd);
-        // Destructor closes without sending Stop/Abort.
-    }
-    Frame f;
-    EXPECT_EQ(server.recv(f, 2.0), RecvStatus::Closed);
-}
-
-TEST(SocketChannel, TcpAcceptTimesOut)
-{
-    std::uint16_t port = 0;
-    const int listen_fd = tcpListen(0, port);
-    ASSERT_GE(listen_fd, 0);
-    EXPECT_EQ(tcpAccept(listen_fd, 0.1), -1);
-    ::close(listen_fd);
 }
 
 TEST(Heartbeat, BeaconsArriveAndCarrySequence)
