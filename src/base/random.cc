@@ -150,13 +150,4 @@ Rng::state() const
     return out;
 }
 
-void
-Rng::setState(const State &state)
-{
-    for (int i = 0; i < 4; ++i)
-        state_[i] = state.s[i];
-    cachedNormal_ = state.cachedNormal;
-    hasCachedNormal_ = state.hasCachedNormal;
-}
-
 } // namespace aqsim

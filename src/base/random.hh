@@ -78,7 +78,7 @@ class Rng
 
     /**
      * Complete generator state, exposed as plain data so checkpoints
-     * can persist and restore a stream at its exact position.
+     * can persist a stream at its exact position.
      */
     struct State
     {
@@ -89,9 +89,6 @@ class Rng
 
     /** @return a snapshot of the full generator state. */
     State state() const;
-
-    /** Restore a snapshot taken with state(). */
-    void setState(const State &state);
 
   private:
     std::uint64_t state_[4];

@@ -20,7 +20,7 @@ constexpr std::size_t numNames = numInvariants;
 const char *const names[numNames] = {
     "QuantumMonotonic", "QuantumBound",        "PastEvent",
     "TickMonotonic",    "PastDelivery",        "StragglerAccounting",
-    "MailboxOrder",     "ShardMergeOrder",
+    "ShardMergeOrder",
 };
 
 const char *const descriptions[numNames] = {
@@ -33,8 +33,6 @@ const char *const descriptions[numNames] = {
     "exactly on time (Fig. 3 semantics)",
     "SyncStats straggler counts equal the deliveries actually "
     "displaced (Fig. 3d accounting)",
-    "threaded cross-quantum merge is strictly canonically ordered "
-    "and never lands behind the receiver unaccounted",
     "each destination shard's post-exchange merge emits deliveries "
     "in strictly increasing (when, src, departTick, staging index) "
     "order, never behind the receiver unaccounted",

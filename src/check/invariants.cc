@@ -185,28 +185,6 @@ InvariantChecker::deliverySlow(DeliveryClass cls, Tick actual,
 }
 
 void
-InvariantChecker::mailboxMergeSlow(bool strictly_after,
-                                   DeliveryClass cls, Tick when,
-                                   Tick receiver_now)
-{
-    checks_.fetch_add(1, std::memory_order_relaxed);
-    if (!strictly_after) {
-        violation(Invariant::MailboxOrder, when,
-                  "merge batch not strictly canonically ordered at "
-                  "tick %llu",
-                  static_cast<unsigned long long>(when));
-    }
-    if (when < receiver_now && cls != DeliveryClass::Straggler) {
-        violation(Invariant::MailboxOrder, when,
-                  "%s delivery at %llu lands behind receiver at %llu",
-                  cls == DeliveryClass::OnTime ? "on-time"
-                                               : "next-quantum",
-                  static_cast<unsigned long long>(when),
-                  static_cast<unsigned long long>(receiver_now));
-    }
-}
-
-void
 InvariantChecker::shardMergeSlow(bool strictly_after,
                                  DeliveryClass cls, Tick when,
                                  Tick receiver_now)

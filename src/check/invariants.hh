@@ -16,9 +16,6 @@
  *                        and "on time" means exactly on time
  *   StragglerAccounting  SyncStats straggler counts equal the
  *                        deliveries actually displaced
- *   MailboxOrder         the threaded engine's cross-quantum merge is
- *                        strictly canonically ordered and never lands
- *                        behind the receiver except as a Straggler
  *   ShardMergeOrder      each destination shard's post-exchange merge
  *                        emits its deliveries in strictly increasing
  *                        (when, src, departTick, staging index) order and
@@ -57,12 +54,11 @@ enum class Invariant : unsigned
     TickMonotonic,
     PastDelivery,
     StragglerAccounting,
-    MailboxOrder,
     ShardMergeOrder,
 };
 
 /** Number of distinct invariants (array sizing). */
-constexpr std::size_t numInvariants = 8;
+constexpr std::size_t numInvariants = 7;
 
 /** Short stable identifier, e.g. "QuantumBound". */
 const char *invariantName(Invariant inv);
@@ -183,20 +179,6 @@ class InvariantChecker
     }
 
     /**
-     * The threaded engine merged one parked delivery at the barrier:
-     * key order vs the previous delivery in the batch is
-     * @p strictly_after; it lands at @p when with the receiver at
-     * @p receiver_now, placed as @p cls.
-     */
-    void
-    onMailboxMerge(bool strictly_after, DeliveryClass cls, Tick when,
-                   Tick receiver_now)
-    {
-        if (enabled())
-            mailboxMergeSlow(strictly_after, cls, when, receiver_now);
-    }
-
-    /**
      * A destination shard's post-exchange k-way merge emitted one
      * staged delivery: canonical key order vs the previous emission
      * in *that shard's* merge is @p strictly_after; it lands at
@@ -234,8 +216,6 @@ class InvariantChecker
     void eventScheduledSlow(Tick when, Tick now);
     void tickAdvanceSlow(Tick from, Tick to);
     void deliverySlow(DeliveryClass cls, Tick actual, Tick ideal);
-    void mailboxMergeSlow(bool strictly_after, DeliveryClass cls,
-                          Tick when, Tick receiver_now);
     void shardMergeSlow(bool strictly_after, DeliveryClass cls,
                         Tick when, Tick receiver_now);
 

@@ -231,6 +231,16 @@ compareImages(const CheckpointImage &golden,
             return false;
         }
     }
+    for (const Section &r : replayed.sections) {
+        if (!golden.find(r.name)) {
+            error = {r.name, "section missing from checkpoint"};
+            return false;
+        }
+    }
+    if (golden.stateHash != replayed.stateHash) {
+        error = {sectionMeta, "state hash differs"};
+        return false;
+    }
     return true;
 }
 

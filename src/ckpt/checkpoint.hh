@@ -4,9 +4,9 @@
  *
  * A quantum boundary is the one point where the cluster state is a
  * consistent cut: every frame injected during the quantum has been
- * placed into its destination event queue, both engines have drained
- * their delivery paths, and no worker thread holds private state (the
- * ThreadedEngine coordinator takes the snapshot alone). A
+ * placed into its destination event queue, the exchange has been
+ * merged, and no worker thread holds private state (the run's own
+ * thread takes the snapshot alone while the workers are parked). A
  * CheckpointImage captures the architectural state of every layer at
  * that cut — node clocks and event structures, MPI protocol state,
  * network counters and switch occupancy, fault-injector PRNG
@@ -121,7 +121,8 @@ bool decodeImage(const std::vector<std::uint8_t> &file_image,
 /**
  * Compare a replayed snapshot against the golden image section by
  * section. @return true when bit-identical; otherwise @p error names
- * the first diverging section.
+ * the first diverging section, a section only one side holds, or
+ * "meta" when the state hashes differ.
  */
 bool compareImages(const CheckpointImage &golden,
                    const CheckpointImage &replayed, CkptError &error);

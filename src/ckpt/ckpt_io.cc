@@ -263,15 +263,4 @@ putRng(Writer &w, const Rng &rng)
     w.boolean(s.hasCachedNormal);
 }
 
-void
-getRng(Reader &r, Rng &rng)
-{
-    Rng::State s;
-    for (std::uint64_t &word : s.s)
-        word = r.u64();
-    s.cachedNormal = r.f64();
-    s.hasCachedNormal = r.boolean();
-    rng.setState(s);
-}
-
 } // namespace aqsim::ckpt

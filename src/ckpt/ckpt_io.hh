@@ -230,9 +230,6 @@ bool readFile(const std::string &path, std::vector<std::uint8_t> &image,
 /** Serialize a PRNG stream at its exact position. */
 void putRng(Writer &w, const Rng &rng);
 
-/** Restore a PRNG stream persisted with putRng(). */
-void getRng(Reader &r, Rng &rng);
-
 } // namespace aqsim::ckpt
 
 #endif // AQSIM_CKPT_CKPT_IO_HH

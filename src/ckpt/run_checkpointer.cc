@@ -72,11 +72,10 @@ RunCheckpointer::begin()
               static_cast<unsigned long long>(configHash_));
     restoring_ = true;
     inform("restoring from %s (quantum %llu, engine %s): replaying "
-           "with %s divergence checking",
+           "with per-section divergence checking",
            goldenPath_.c_str(),
            static_cast<unsigned long long>(golden_.quantumIndex),
-           golden_.engine.c_str(),
-           options_.verifyRestore ? "per-section" : "state-hash");
+           golden_.engine.c_str());
 }
 
 RunCheckpointer::Due
@@ -108,20 +107,10 @@ RunCheckpointer::onQuantumCompleted(const CheckpointImage &image)
 
     if (due.verify) {
         CkptError error;
-        if (options_.verifyRestore) {
-            if (!compareImages(golden_, image, error))
-                fatal("restore divergence at quantum %llu: %s",
-                      static_cast<unsigned long long>(q),
-                      error.str().c_str());
-        } else if (image.stateHash != golden_.stateHash) {
-            fatal("restore divergence at quantum %llu: replayed "
-                  "state hash %016llx != checkpoint %016llx "
-                  "(rerun with verify-restore to localize the "
-                  "diverging section)",
+        if (!compareImages(golden_, image, error))
+            fatal("restore divergence at quantum %llu: %s",
                   static_cast<unsigned long long>(q),
-                  static_cast<unsigned long long>(image.stateHash),
-                  static_cast<unsigned long long>(golden_.stateHash));
-        }
+                  error.str().c_str());
         restoredFrom_ = q;
         inform("restore verified at quantum %llu (state %016llx)",
                static_cast<unsigned long long>(q),

@@ -49,8 +49,6 @@ struct RunCkptOptions
     std::string dir;
     /** Checkpoint file (or directory to auto-pick) to restore from. */
     std::string restorePath;
-    /** Per-section divergence check instead of hash-only. */
-    bool verifyRestore = false;
     /** Files kept after rotation (0 = unlimited). */
     std::size_t keepLast = 2;
     /** Stash each boundary snapshot for the watchdog panic dump. */

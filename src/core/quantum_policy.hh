@@ -60,7 +60,11 @@ class QuantumPolicy
      */
     virtual void serialize(ckpt::Writer &) const {}
 
-    /** Restore state persisted by serialize(). */
+    /**
+     * Restore state persisted by serialize(). The library restores by
+     * replay and never calls this; it stays because the benchmark
+     * driver's delegating policy (perfbench/driver.cc) overrides it.
+     */
     virtual void deserialize(ckpt::Reader &) {}
 };
 

@@ -91,12 +91,4 @@ Synchronizer::serialize(ckpt::Writer &w) const
     policy_.serialize(w);
 }
 
-std::uint64_t
-Synchronizer::stateHash() const
-{
-    ckpt::Writer w;
-    serialize(w);
-    return w.hash();
-}
-
 } // namespace aqsim::core

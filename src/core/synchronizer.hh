@@ -84,9 +84,6 @@ class Synchronizer
      */
     void serialize(ckpt::Writer &w) const;
 
-    /** FNV-1a fingerprint of serialize() output. */
-    std::uint64_t stateHash() const;
-
   private:
     QuantumPolicy &policy_;
     net::NetworkController &controller_;

@@ -73,14 +73,6 @@ Cluster::allDone() const
     return true;
 }
 
-Tick
-Cluster::maxFinishTick() const
-{
-    Tick max_tick = 0;
-    for (const auto &n : nodes_)
-        max_tick = std::max(max_tick, n->appFinishTick());
-    return max_tick;
-}
 
 std::vector<Tick>
 Cluster::finishTicks() const

@@ -82,9 +82,6 @@ class Cluster
     /** @return true once every rank's program has completed. */
     bool allDone() const;
 
-    /** @return max over ranks of the application completion tick. */
-    Tick maxFinishTick() const;
-
     /** @return per-rank completion ticks. */
     std::vector<Tick> finishTicks() const;
 

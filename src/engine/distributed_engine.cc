@@ -1168,11 +1168,8 @@ DistributedEngine::run(const ClusterParams &params,
         child_ends[w].reset();
 
     Coordinator coord(cluster, driver, options_, peers);
-    // Run-local (not engine-owned like the in-process engines): the
-    // watchdog thread must not exist across this engine's fork calls,
-    // and a fresh run forks fresh workers anyway.
-    std::unique_ptr<Watchdog> watchdog;
-    return driver.run(coord, watchdog);
+    // The driver starts the run's watchdog thread, after every fork.
+    return driver.run(coord);
     // `peers` is destroyed on return: any worker stopAll failed to
     // reap is SIGKILLed and reaped before the replica goes away.
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -75,8 +76,7 @@ QuantumDriver::injectFailure()
 }
 
 RunResult
-QuantumDriver::run(QuantumExecutor &exec,
-                   std::unique_ptr<Watchdog> &watchdog)
+QuantumDriver::run(QuantumExecutor &exec)
 {
     exec_ = &exec;
     const std::uint64_t config_hash = ckpt::configFingerprint(
@@ -86,7 +86,6 @@ QuantumDriver::run(QuantumExecutor &exec,
     ck.every = options_.checkpointEvery;
     ck.dir = options_.checkpointDir;
     ck.restorePath = options_.restorePath;
-    ck.verifyRestore = options_.verifyRestore;
     ck.keepLast = options_.checkpointKeepLast;
     ck.stashForPanic = options_.watchdogSeconds > 0.0 &&
                        !ck.dir.empty() && exec.stashesPanicImage();
@@ -100,11 +99,10 @@ QuantumDriver::run(QuantumExecutor &exec,
     // The watchdog catches hangs the deadlock check cannot see:
     // quanta that never finish (wedged worker, runaway coroutine,
     // silent peer) and lost-progress livelocks where events stay
-    // pending forever. Re-armed per run: fresh kick count and dump.
-    Watchdog *dog = nullptr;
+    // pending forever. Declared after the checkpointer its dump
+    // reads, so it is joined first on every exit path.
+    std::optional<Watchdog> dog;
     if (options_.watchdogSeconds > 0.0) {
-        if (!watchdog)
-            watchdog = std::make_unique<Watchdog>(options_.watchdogSeconds);
         Watchdog::PanicFn on_panic;
         if (options_.cancelToken || options_.onWatchdogPanic) {
             on_panic = [handler = options_.onWatchdogPanic,
@@ -116,7 +114,8 @@ QuantumDriver::run(QuantumExecutor &exec,
                     cancel->requestCancel();
             };
         }
-        watchdog->arm(
+        dog.emplace(
+            options_.watchdogSeconds,
             [this, ckpt = checkpointer.get()] {
                 PanicInfo info = describe();
                 if (ckpt)
@@ -124,73 +123,61 @@ QuantumDriver::run(QuantumExecutor &exec,
                 return info;
             },
             std::move(on_panic));
-        dog = watchdog.get();
     }
 
     const std::uint64_t max_quanta =
         options_.maxQuanta ? options_.maxQuanta : 500'000'000ULL;
     RunResult result;
-    try {
-        // Host time of a measured executor: wall-clock laps from here.
-        const auto wall_start = SteadyClock::now();
-        auto lap_start = wall_start;
-        exec.begin();
-        sync_.begin();
-        while (!exec.done()) {
-            pollCancel();
-            if (!exec.pending()) {
-                const PanicInfo info = describe();
-                panic("cluster deadlock: no pending events but "
-                      "applications incomplete\n%s%s",
-                      info.progress.c_str(), info.peers.c_str());
-            }
-            const std::optional<HostNs> modeled = exec.runQuantum();
-            HostNs quantum_ns;
-            if (modeled) {
-                quantum_ns = *modeled;
-            } else {
-                const auto now = SteadyClock::now();
-                quantum_ns = nsBetween(lap_start, now);
-                lap_start = now;
-            }
-            pollCancel();
-            if (dog)
-                dog->kick();
-            sync_.completeQuantum(quantum_ns);
-            const std::uint64_t q = sync_.numQuanta();
-            // A consistent cut: the executor is parked at its barrier
-            // with the exchange merged, so the image is identical for
-            // every worker count.
-            if (checkpointer && checkpointer->imageDue(q))
-                checkpointer->onQuantumCompleted(
-                    exec.boundaryImage(config_hash));
-            if (options_.injectFailAfterQuantum &&
-                q == options_.injectFailAfterQuantum)
-                injectFailure();
-            if (q > max_quanta)
-                fatal("quantum budget exceeded (%llu); likely "
-                      "livelock or mis-sized workload",
-                      static_cast<unsigned long long>(max_quanta));
-            if (options_.maxSimTicks &&
-                sync_.quantumStart() > options_.maxSimTicks)
-                fatal("simulated time budget exceeded at %llu ticks",
-                      static_cast<unsigned long long>(
-                          sync_.quantumStart()));
-        }
-        // A watchdog drill or expiry at the final quantum trips the
-        // token after the run is done; it must still abort.
+    // Host time of a measured executor: wall-clock laps from here.
+    const auto wall_start = SteadyClock::now();
+    auto lap_start = wall_start;
+    exec.begin();
+    sync_.begin();
+    while (!exec.done()) {
         pollCancel();
-        result.hostNs = nsBetween(wall_start, SteadyClock::now());
-        exec.finish(result);
-    } catch (...) {
-        // A supervised abort must not leave the watchdog armed with a
-        // dump capturing this (dying) run's objects.
+        if (!exec.pending()) {
+            const PanicInfo info = describe();
+            panic("cluster deadlock: no pending events but "
+                  "applications incomplete\n%s%s",
+                  info.progress.c_str(), info.peers.c_str());
+        }
+        const std::optional<HostNs> modeled = exec.runQuantum();
+        HostNs quantum_ns;
+        if (modeled) {
+            quantum_ns = *modeled;
+        } else {
+            const auto now = SteadyClock::now();
+            quantum_ns = nsBetween(lap_start, now);
+            lap_start = now;
+        }
+        pollCancel();
         if (dog)
-            dog->disarm();
-        throw;
+            dog->kick();
+        sync_.completeQuantum(quantum_ns);
+        const std::uint64_t q = sync_.numQuanta();
+        // A consistent cut: the executor is parked at its barrier
+        // with the exchange merged, so the image is identical for
+        // every worker count.
+        if (checkpointer && checkpointer->imageDue(q))
+            checkpointer->onQuantumCompleted(
+                exec.boundaryImage(config_hash));
+        if (options_.injectFailAfterQuantum &&
+            q == options_.injectFailAfterQuantum)
+            injectFailure();
+        if (q > max_quanta)
+            fatal("quantum budget exceeded (%llu); likely "
+                  "livelock or mis-sized workload",
+                  static_cast<unsigned long long>(max_quanta));
+        if (options_.maxSimTicks &&
+            sync_.quantumStart() > options_.maxSimTicks)
+            fatal("simulated time budget exceeded at %llu ticks",
+                  static_cast<unsigned long long>(sync_.quantumStart()));
     }
-    if (dog)
-        dog->disarm();
+    // A watchdog drill or expiry at the final quantum trips the
+    // token after the run is done; it must still abort.
+    pollCancel();
+    result.hostNs = nsBetween(wall_start, SteadyClock::now());
+    exec.finish(result);
 
     result.workload = cluster_.workload().name();
     result.policy = policy_.name();

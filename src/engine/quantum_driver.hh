@@ -20,7 +20,6 @@
 #define AQSIM_ENGINE_QUANTUM_DRIVER_HH
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "ckpt/checkpoint.hh"
@@ -116,12 +115,11 @@ class QuantumDriver
     void pollCancel() const;
 
     /**
-     * Run @p exec to completion. @p watchdog is created on first use
-     * (engine-owned and reused, or run-local) and disarmed on every
+     * Run @p exec to completion under this run's own watchdog (when
+     * EngineOptions::watchdogSeconds is set), which is joined on every
      * exit path.
      */
-    RunResult run(QuantumExecutor &exec,
-                  std::unique_ptr<Watchdog> &watchdog);
+    RunResult run(QuantumExecutor &exec);
 
   private:
     PanicInfo describe() const;

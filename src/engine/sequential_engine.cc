@@ -436,8 +436,6 @@ SequentialEngine::SequentialEngine(EngineOptions options)
     : options_(options)
 {}
 
-SequentialEngine::~SequentialEngine() = default;
-
 RunResult
 SequentialEngine::run(const ClusterParams &params,
                       workloads::Workload &workload,
@@ -452,7 +450,7 @@ SequentialEngine::run(Cluster &cluster, core::QuantumPolicy &policy)
 {
     QuantumDriver driver(options_, cluster, policy);
     CoSim cosim(cluster, driver, options_);
-    return driver.run(cosim, watchdog_);
+    return driver.run(cosim);
 }
 
 } // namespace aqsim::engine

@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "base/failure.hh"
@@ -116,11 +115,6 @@ struct EngineOptions
      * against the checkpointed state at its quantum.
      */
     std::string restorePath;
-    /**
-     * Restore self-check granularity: per-section byte comparison
-     * (names the diverging section) instead of hash-only.
-     */
-    bool verifyRestore = false;
     /** Checkpoint files kept after rotation (0 = unlimited). */
     std::size_t checkpointKeepLast = 2;
 
@@ -185,7 +179,6 @@ class SequentialEngine
 {
   public:
     explicit SequentialEngine(EngineOptions options = {});
-    ~SequentialEngine(); // out-of-line: Watchdog is incomplete here
 
     /**
      * Run @p workload on a cluster built from @p params under
@@ -203,18 +196,8 @@ class SequentialEngine
 
     const EngineOptions &options() const { return options_; }
 
-    /** Engine-owned watchdog (armed per run; tests). */
-    Watchdog *watchdog() { return watchdog_.get(); }
-
   private:
     EngineOptions options_;
-    /**
-     * One watchdog thread for the engine's lifetime, re-armed per
-     * run() with that run's dump callback (a fresh per-run watchdog
-     * would also work, but a reused engine must not carry a stale
-     * kick count or a dump capturing dead objects between runs).
-     */
-    std::unique_ptr<Watchdog> watchdog_;
 };
 
 } // namespace aqsim::engine

@@ -235,7 +235,6 @@ ThreadedEngine::ThreadedEngine(EngineOptions options)
               "engine only)");
 }
 
-ThreadedEngine::~ThreadedEngine() = default;
 
 RunResult
 ThreadedEngine::run(const ClusterParams &params,
@@ -251,7 +250,7 @@ ThreadedEngine::run(Cluster &cluster, core::QuantumPolicy &policy)
 {
     QuantumDriver driver(options_, cluster, policy);
     PoolExecutor pool(cluster, driver, options_);
-    return driver.run(pool, watchdog_);
+    return driver.run(pool);
 }
 
 } // namespace aqsim::engine

@@ -34,7 +34,6 @@ class ThreadedEngine
 {
   public:
     explicit ThreadedEngine(EngineOptions options = {});
-    ~ThreadedEngine(); // out-of-line: Watchdog is incomplete here
 
     /** Run @p workload under @p policy on a freshly built cluster. */
     RunResult run(const ClusterParams &params,
@@ -46,13 +45,8 @@ class ThreadedEngine
 
     const EngineOptions &options() const { return options_; }
 
-    /** Engine-owned watchdog (armed per run; tests). */
-    Watchdog *watchdog() { return watchdog_.get(); }
-
   private:
     EngineOptions options_;
-    /** Reused across runs, re-armed per run (see SequentialEngine). */
-    std::unique_ptr<Watchdog> watchdog_;
 };
 
 } // namespace aqsim::engine

@@ -22,16 +22,10 @@ PanicInfo::format() const
     return out;
 }
 
-Watchdog::Watchdog(double deadline_seconds, DumpFn dump)
+Watchdog::Watchdog(double deadline_seconds, DumpFn dump,
+                   PanicFn on_panic)
     : deadlineSeconds_(deadline_seconds), dump_(std::move(dump)),
-      armed_(true)
-{
-    AQSIM_ASSERT(deadline_seconds > 0.0);
-    thread_ = std::thread([this] { monitor(); });
-}
-
-Watchdog::Watchdog(double deadline_seconds)
-    : deadlineSeconds_(deadline_seconds)
+      onPanic_(std::move(on_panic))
 {
     AQSIM_ASSERT(deadline_seconds > 0.0);
     thread_ = std::thread([this] { monitor(); });
@@ -45,37 +39,6 @@ Watchdog::~Watchdog()
     }
     cv_.notify_all();
     thread_.join();
-}
-
-void
-Watchdog::arm(DumpFn dump, PanicFn on_panic)
-{
-    {
-        base::MutexLock lock(mutex_);
-        dump_ = std::move(dump);
-        onPanic_ = std::move(on_panic);
-        kickCount_ = 0;
-        handlerFired_ = false;
-        armed_ = true;
-    }
-    cv_.notify_all();
-}
-
-void
-Watchdog::disarm()
-{
-    {
-        base::MutexLock lock(mutex_);
-        armed_ = false;
-    }
-    cv_.notify_all();
-}
-
-bool
-Watchdog::armed() const
-{
-    base::MutexLock lock(mutex_);
-    return armed_;
 }
 
 void
@@ -101,17 +64,11 @@ Watchdog::monitor()
     const auto deadline = std::chrono::duration<double>(deadlineSeconds_);
     base::MutexLock lock(mutex_);
     while (!stop_) {
-        if (!armed_) {
-            cv_.wait(mutex_, [&]() AQSIM_REQUIRES(mutex_) {
-                return stop_ || armed_;
-            });
-            continue;
-        }
-        // Wake on every kick (or stop/disarm); declare a hang only
-        // when a full deadline passes with the kick counter frozen.
+        // Wake on every kick (or stop); declare a hang only when a
+        // full deadline passes with the kick counter frozen.
         const std::uint64_t last_seen = kickCount_;
         if (cv_.waitFor(mutex_, deadline, [&]() AQSIM_REQUIRES(mutex_) {
-                return stop_ || !armed_ || kickCount_ != last_seen;
+                return stop_ || kickCount_ != last_seen;
             }))
             continue;
         // Timed out with no progress. The dump callback reads engine

@@ -71,9 +71,11 @@ struct PanicInfo
 };
 
 /**
- * Monitors an engine's quantum loop from a separate host thread and
+ * Monitors one run's quantum loop from a separate host thread and
  * panics with diagnostics when no progress is observed for the
- * deadline. Construction arms it; destruction disarms it.
+ * deadline. Construction arms it; destruction disarms it, so each run
+ * owns its own watchdog and a dump can never capture another run's
+ * objects.
  */
 class Watchdog
 {
@@ -94,17 +96,11 @@ class Watchdog
      * @param dump called (from the watchdog thread) to describe the
      *        stuck state; must be safe to invoke while the engine
      *        threads are wedged mid-quantum
+     * @param on_panic supervised-mode handler for the first expiry;
+     *        null makes every expiry a hard panic
      */
-    Watchdog(double deadline_seconds, DumpFn dump);
-
-    /**
-     * Construct disarmed: the monitor thread idles until arm().
-     * This is the engine-owned shape — one watchdog reused across
-     * run() calls, re-armed per run with that run's dump callback, so
-     * a hang in run N can never fire a dump that captures objects of
-     * run N-1 (nor inherit its stale kick count).
-     */
-    explicit Watchdog(double deadline_seconds);
+    Watchdog(double deadline_seconds, DumpFn dump,
+             PanicFn on_panic = nullptr);
 
     Watchdog(const Watchdog &) = delete;
     Watchdog &operator=(const Watchdog &) = delete;
@@ -112,39 +108,24 @@ class Watchdog
     /** Disarm and join the monitor thread. */
     ~Watchdog();
 
-    /**
-     * (Re-)arm for a new run: zero the kick count, install this run's
-     * dump callback (and optional supervised panic handler), restart
-     * the deadline window.
-     */
-    void arm(DumpFn dump, PanicFn on_panic = nullptr)
-        AQSIM_EXCLUDES(mutex_);
-
-    /** Stop watching; kicks still count, but no deadline runs. */
-    void disarm() AQSIM_EXCLUDES(mutex_);
-
-    /** @return true while the deadline is being enforced. */
-    bool armed() const AQSIM_EXCLUDES(mutex_);
-
     /** Record progress: one quantum completed. */
     void kick() AQSIM_EXCLUDES(mutex_);
 
-    /** Number of kicks observed since the last arm() (tests). */
+    /** Number of kicks observed so far (tests). */
     std::uint64_t kicks() const AQSIM_EXCLUDES(mutex_);
 
   private:
     void monitor() AQSIM_EXCLUDES(mutex_);
 
     const double deadlineSeconds_;
+    const DumpFn dump_;
+    const PanicFn onPanic_;
 
     mutable base::Mutex mutex_;
     base::CondVar cv_;
-    DumpFn dump_ AQSIM_GUARDED_BY(mutex_);
-    PanicFn onPanic_ AQSIM_GUARDED_BY(mutex_);
     std::uint64_t kickCount_ AQSIM_GUARDED_BY(mutex_) = 0;
     bool handlerFired_ AQSIM_GUARDED_BY(mutex_) = false;
     bool stop_ AQSIM_GUARDED_BY(mutex_) = false;
-    bool armed_ AQSIM_GUARDED_BY(mutex_) = false;
 
     std::thread thread_;
 };

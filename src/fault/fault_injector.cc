@@ -195,24 +195,6 @@ FaultInjector::serialize(ckpt::Writer &w) const
 }
 
 void
-FaultInjector::deserialize(ckpt::Reader &r)
-{
-    const std::uint32_t n = r.u32();
-    if (!r.ok())
-        return;
-    if (n != linkRng_.size()) {
-        r.fail("fault link-stream count mismatch");
-        return;
-    }
-    for (Rng &rng : linkRng_)
-        ckpt::getRng(r, rng);
-    totalDropped_ = r.u64();
-    totalDuplicated_ = r.u64();
-    totalCorrupted_ = r.u64();
-    totalDelayed_ = r.u64();
-}
-
-void
 FaultInjector::serializeLinkRange(ckpt::Writer &w, NodeId begin,
                                   NodeId end) const
 {
@@ -220,14 +202,6 @@ FaultInjector::serializeLinkRange(ckpt::Writer &w, NodeId begin,
     for (std::size_t l = linkIndex(begin, 0); l < linkIndex(end, 0);
          ++l)
         ckpt::putRng(w, linkRng_[l]);
-}
-
-std::uint64_t
-FaultInjector::stateHash() const
-{
-    ckpt::Writer w;
-    serialize(w);
-    return w.hash();
 }
 
 } // namespace aqsim::fault

@@ -31,7 +31,6 @@
 
 namespace aqsim::ckpt
 {
-class Reader;
 class Writer;
 } // namespace aqsim::ckpt
 
@@ -152,9 +151,6 @@ class FaultInjector
      */
     void serialize(ckpt::Writer &w) const;
 
-    /** Restore state persisted by serialize(). */
-    void deserialize(ckpt::Reader &r);
-
     /**
      * Partition-range serialization (DistributedEngine state gather):
      * the stream states of every directed link whose *source* lies in
@@ -166,9 +162,6 @@ class FaultInjector
      */
     void serializeLinkRange(ckpt::Writer &w, NodeId begin,
                             NodeId end) const;
-
-    /** FNV-1a fingerprint of serialize() output. */
-    std::uint64_t stateHash() const;
 
     const FaultParams &params() const { return params_; }
 

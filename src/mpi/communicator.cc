@@ -756,12 +756,4 @@ Endpoint::serialize(ckpt::Writer &w) const
     w.u64(corruptDropped_);
 }
 
-std::uint64_t
-Endpoint::stateHash() const
-{
-    ckpt::Writer w;
-    serialize(w);
-    return w.hash();
-}
-
 } // namespace aqsim::mpi

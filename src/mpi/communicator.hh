@@ -228,9 +228,6 @@ class Endpoint
      */
     void serialize(ckpt::Writer &w) const;
 
-    /** FNV-1a fingerprint of serialize() output. */
-    std::uint64_t stateHash() const;
-
     /** Retransmission events fired in reliable mode. */
     std::uint64_t retransmits() const { return retransmits_; }
     /** Frames discarded for a set corrupted flag (link CRC failure). */

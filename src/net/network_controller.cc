@@ -277,32 +277,4 @@ NetworkController::serialize(ckpt::Writer &w) const
     switch_->serialize(w);
 }
 
-void
-NetworkController::deserialize(ckpt::Reader &r)
-{
-    Counters c;
-    // Unsigned wrap-around makes this the exact inverse of serialize()
-    // for every stored value.
-    c.idsAssigned = r.u64() - 1;
-    c.packetsThisQuantum = r.u64();
-    c.totalPackets = r.u64();
-    c.totalStragglers = r.u64();
-    c.totalNextQuantum = r.u64();
-    c.totalLatenessTicks = r.u64();
-    c.totalDropped = r.u64();
-    // bytes is not part of the image; it keeps counting from here.
-    c.bytes = snapshotCounters().bytes;
-    folded_ = c;
-    std::fill(slots_.begin(), slots_.end(), Counters{});
-    switch_->deserialize(r);
-}
-
-std::uint64_t
-NetworkController::stateHash() const
-{
-    ckpt::Writer w;
-    serialize(w);
-    return w.hash();
-}
-
 } // namespace aqsim::net

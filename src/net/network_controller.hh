@@ -32,7 +32,6 @@
 
 namespace aqsim::ckpt
 {
-class Reader;
 class Writer;
 } // namespace aqsim::ckpt
 
@@ -277,16 +276,6 @@ class NetworkController
      * switch port occupancy.
      */
     void serialize(ckpt::Writer &w) const;
-
-    /**
-     * Restore state persisted by serialize(). The image holds the
-     * counters' sums, not their per-source split, so each source's
-     * packet-id sequence restarts.
-     */
-    void deserialize(ckpt::Reader &r);
-
-    /** FNV-1a fingerprint of serialize() output. */
-    std::uint64_t stateHash() const;
 
   private:
     /** Route a single unicast frame (fault decisions + delivery). */

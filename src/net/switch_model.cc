@@ -48,19 +48,4 @@ StoreAndForwardSwitch::serialize(ckpt::Writer &w) const
         w.u64(t);
 }
 
-void
-StoreAndForwardSwitch::deserialize(ckpt::Reader &r)
-{
-    const std::uint32_t n = r.u32();
-    if (!r.ok())
-        return;
-    base::MutexLock lock(mutex_);
-    if (n != portBusyUntil_.size()) {
-        r.fail("switch port count mismatch");
-        return;
-    }
-    for (Tick &t : portBusyUntil_)
-        t = r.u64();
-}
-
 } // namespace aqsim::net

@@ -24,7 +24,6 @@
 
 namespace aqsim::ckpt
 {
-class Reader;
 class Writer;
 } // namespace aqsim::ckpt
 
@@ -69,9 +68,6 @@ class SwitchModel
 
     /** Checkpoint support: persist per-port timing state (if any). */
     virtual void serialize(ckpt::Writer &) const {}
-
-    /** Restore state persisted by serialize(). */
-    virtual void deserialize(ckpt::Reader &) {}
 };
 
 /** Zero-latency, infinite-bandwidth switch (the paper's setup). */
@@ -113,7 +109,6 @@ class StoreAndForwardSwitch : public SwitchModel
     void reset() override;
 
     void serialize(ckpt::Writer &w) const override;
-    void deserialize(ckpt::Reader &r) override;
 
   private:
     double bytesPerNs_;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "base/logging.hh"
+#include "ckpt/ckpt_io.hh"
 
 namespace aqsim::net
 {
@@ -144,6 +145,15 @@ TopologySwitch::reset()
 {
     base::MutexLock lock(mutex_);
     std::fill(portBusyUntil_.begin(), portBusyUntil_.end(), 0);
+}
+
+void
+TopologySwitch::serialize(ckpt::Writer &w) const
+{
+    base::MutexLock lock(mutex_);
+    w.u32(static_cast<std::uint32_t>(portBusyUntil_.size()));
+    for (Tick t : portBusyUntil_)
+        w.u64(t);
 }
 
 } // namespace aqsim::net

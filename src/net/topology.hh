@@ -88,6 +88,9 @@ class TopologySwitch : public SwitchModel
 
     void reset() override;
 
+    /** Checkpoint support: persist the output-port occupancy. */
+    void serialize(ckpt::Writer &w) const override;
+
     /** Number of hops between two nodes on this topology. */
     std::size_t hops(NodeId src, NodeId dst) const;
 
@@ -102,7 +105,7 @@ class TopologySwitch : public SwitchModel
     /** 2-D grid extents (Mesh2D / Torus2D). */
     std::size_t gridX_ = 1;
     std::size_t gridY_ = 1;
-    base::Mutex mutex_;
+    mutable base::Mutex mutex_;
     /** Output-port occupancy per destination node. */
     std::vector<Tick> portBusyUntil_ AQSIM_GUARDED_BY(mutex_);
 };

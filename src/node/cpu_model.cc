@@ -21,20 +21,6 @@ CpuModel::serialize(ckpt::Writer &w) const
     w.u32(computeDepth_);
 }
 
-void
-CpuModel::deserialize(ckpt::Reader &r)
-{
-    computeDepth_ = r.u32();
-}
-
-std::uint64_t
-CpuModel::stateHash() const
-{
-    ckpt::Writer w;
-    serialize(w);
-    return w.hash();
-}
-
 SimpleCpuModel::SimpleCpuModel(CpuParams params) : params_(params)
 {
     AQSIM_ASSERT(params_.opsPerNs > 0.0);
@@ -79,14 +65,6 @@ SamplingCpuModel::serialize(ckpt::Writer &w) const
     CpuModel::serialize(w);
     ckpt::putRng(w, rng_);
     w.boolean(inDetail_);
-}
-
-void
-SamplingCpuModel::deserialize(ckpt::Reader &r)
-{
-    CpuModel::deserialize(r);
-    ckpt::getRng(r, rng_);
-    inDetail_ = r.boolean();
 }
 
 } // namespace aqsim::node

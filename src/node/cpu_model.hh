@@ -27,7 +27,6 @@
 
 namespace aqsim::ckpt
 {
-class Reader;
 class Writer;
 } // namespace aqsim::ckpt
 
@@ -75,12 +74,6 @@ class CpuModel
     /** Checkpoint support: persist the timing-model state. */
     virtual void serialize(ckpt::Writer &w) const;
 
-    /** Restore state persisted by serialize(). */
-    virtual void deserialize(ckpt::Reader &r);
-
-    /** FNV-1a fingerprint of serialize() output. */
-    std::uint64_t stateHash() const;
-
   private:
     std::uint32_t computeDepth_ = 0;
 };
@@ -124,7 +117,6 @@ class SamplingCpuModel : public CpuModel
     Tick computeLatency(double ops) override;
     double hostDetailFactor() const override;
     void serialize(ckpt::Writer &w) const override;
-    void deserialize(ckpt::Reader &r) override;
 
   private:
     Params params_;

@@ -55,20 +55,4 @@ HostCostModel::serialize(ckpt::Writer &w) const
     w.f64(logState_);
 }
 
-void
-HostCostModel::deserialize(ckpt::Reader &r)
-{
-    ckpt::getRng(r, rng_);
-    factor_ = r.f64();
-    logState_ = r.f64();
-}
-
-std::uint64_t
-HostCostModel::stateHash() const
-{
-    ckpt::Writer w;
-    serialize(w);
-    return w.hash();
-}
-
 } // namespace aqsim::node

@@ -38,7 +38,6 @@
 
 namespace aqsim::ckpt
 {
-class Reader;
 class Writer;
 } // namespace aqsim::ckpt
 
@@ -120,12 +119,6 @@ class HostCostModel
 
     /** Checkpoint support: persist noise stream + AR(1) state. */
     void serialize(ckpt::Writer &w) const;
-
-    /** Restore state persisted by serialize(). */
-    void deserialize(ckpt::Reader &r);
-
-    /** FNV-1a fingerprint of serialize() output. */
-    std::uint64_t stateHash() const;
 
   private:
     HostCostParams params_;

@@ -71,18 +71,4 @@ NicModel::serialize(ckpt::Writer &w) const
     w.u64(txBusyUntil_);
 }
 
-void
-NicModel::deserialize(ckpt::Reader &r)
-{
-    txBusyUntil_ = r.u64();
-}
-
-std::uint64_t
-NicModel::stateHash() const
-{
-    ckpt::Writer w;
-    serialize(w);
-    return w.hash();
-}
-
 } // namespace aqsim::node

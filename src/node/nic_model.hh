@@ -28,7 +28,6 @@
 
 namespace aqsim::ckpt
 {
-class Reader;
 class Writer;
 } // namespace aqsim::ckpt
 
@@ -79,12 +78,6 @@ class NicModel
 
     /** Checkpoint support: persist the transmit-side timing state. */
     void serialize(ckpt::Writer &w) const;
-
-    /** Restore state persisted by serialize(). */
-    void deserialize(ckpt::Reader &r);
-
-    /** FNV-1a fingerprint of serialize() output. */
-    std::uint64_t stateHash() const;
 
     /** Shared NIC timing parameters (from the controller config). */
     const net::NicParams &

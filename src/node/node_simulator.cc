@@ -41,12 +41,4 @@ NodeSimulator::serialize(ckpt::Writer &w) const
     nic_.serialize(w);
 }
 
-std::uint64_t
-NodeSimulator::stateHash() const
-{
-    ckpt::Writer w;
-    serialize(w);
-    return w.hash();
-}
-
 } // namespace aqsim::node

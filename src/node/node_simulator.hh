@@ -72,9 +72,6 @@ class NodeSimulator
      */
     void serialize(ckpt::Writer &w) const;
 
-    /** FNV-1a fingerprint of serialize() output. */
-    std::uint64_t stateHash() const;
-
   private:
     NodeId id_;
     stats::Group &statsGroup_;

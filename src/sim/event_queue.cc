@@ -235,12 +235,4 @@ EventQueue::serialize(ckpt::Writer &w) const
     }
 }
 
-std::uint64_t
-EventQueue::stateHash() const
-{
-    ckpt::Writer w;
-    serialize(w);
-    return w.hash();
-}
-
 } // namespace aqsim::sim

@@ -170,9 +170,6 @@ class EventQueue
      */
     void serialize(ckpt::Writer &w) const;
 
-    /** FNV-1a fingerprint of serialize() output. */
-    std::uint64_t stateHash() const;
-
   private:
     /** One pooled event record; records never move once allocated. */
     struct Record

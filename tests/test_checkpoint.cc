@@ -2,9 +2,10 @@
  * End-to-end checkpoint/restore tests: the kill-and-restore matrix
  * ((SequentialEngine, ThreadedEngine x 1/2/4 workers) x (clean, lossy
  * reliable) x kill-at-quantum {1, mid, last-1}), rotation, restore
- * rejection of foreign configurations/engines, cross-engine section
+ * rejection of foreign configurations/engines, tampered images that
+ * the replay's per-section check names, cross-engine section
  * equality, checkpoint stats surfacing, and the engine re-run
- * regression (fresh watchdog kick state, per-run checkpoint counters,
+ * regression (watchdog-armed rerun, per-run checkpoint counters,
  * scheduler unbinding on controller reset).
  */
 
@@ -18,7 +19,6 @@
 #include "ckpt/checkpoint.hh"
 #include "ckpt/manager.hh"
 #include "engine/threaded_engine.hh"
-#include "engine/watchdog.hh"
 #include "net/network_controller.hh"
 #include "test_util.hh"
 
@@ -139,7 +139,6 @@ TEST(Checkpoint, KillAndRestoreMatrix)
         for (std::uint64_t k : kills) {
             engine::EngineOptions restore;
             restore.restorePath = checkpointFile(dir, k);
-            restore.verifyRestore = true;
             const auto restored = runCell(cell, restore);
             const std::string what =
                 tag + " kill@" + std::to_string(k);
@@ -289,6 +288,69 @@ TEST(CheckpointDeathTest, RestoreRejectsForeignEngine)
 }
 
 /**
+ * Write a golden checkpoint, apply @p edit to its decoded image,
+ * re-encode it with the meta hash recomputed (so the file itself
+ * decodes cleanly) and @return its path. Only the replay's
+ * per-section check can then tell the image from the live state.
+ */
+template <typename Edit>
+std::string
+tamperedCheckpoint(const std::string &dir, Edit edit)
+{
+    engine::EngineOptions ck;
+    ck.checkpointEvery = 100;
+    ck.checkpointDir = dir;
+    ck.checkpointKeepLast = 0;
+    runCell({false, 0, false}, ck);
+
+    std::vector<std::uint8_t> raw;
+    ckpt::CheckpointImage image;
+    ckpt::CkptError error;
+    const std::string golden = checkpointFile(dir, 100);
+    EXPECT_TRUE(ckpt::readFile(golden, raw, error)) << error.str();
+    EXPECT_TRUE(ckpt::decodeImage(raw, image, error)) << error.str();
+    edit(image);
+    image.stateHash = ckpt::sectionsHash(image.sections);
+    const std::string path = dir + "/tampered.aqc";
+    EXPECT_TRUE(ckpt::writeFileAtomic(path, ckpt::encodeImage(image),
+                                      error))
+        << error.str();
+    return path;
+}
+
+TEST(CheckpointDeathTest, RestoreNamesTheDivergingSection)
+{
+    const std::string dir = scratchDir("flipmpi");
+    engine::EngineOptions restore;
+    restore.restorePath =
+        tamperedCheckpoint(dir, [](ckpt::CheckpointImage &image) {
+            for (auto &section : image.sections)
+                if (section.name == ckpt::sectionMpi)
+                    section.body.at(0) ^= 0x01;
+        });
+    EXPECT_EXIT(runCell({false, 0, false}, restore),
+                ::testing::ExitedWithCode(1),
+                "restore divergence.*section 'mpi'");
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointDeathTest, RestoreRejectsAnImageMissingAReplayedSection)
+{
+    const std::string dir = scratchDir("noengine");
+    engine::EngineOptions restore;
+    restore.restorePath =
+        tamperedCheckpoint(dir, [](ckpt::CheckpointImage &image) {
+            std::erase_if(image.sections, [](const auto &section) {
+                return section.name == ckpt::sectionEngine;
+            });
+        });
+    EXPECT_EXIT(runCell({false, 0, false}, restore),
+                ::testing::ExitedWithCode(1),
+                "restore divergence.*section 'engine'");
+    std::filesystem::remove_all(dir);
+}
+
+/**
  * A hung run with a checkpoint directory configured must die with a
  * resumable panic checkpoint: the engine stashes the encoded snapshot
  * at every boundary, and the watchdog dump path persists the stash.
@@ -349,10 +411,10 @@ TEST(CheckpointDeathTest, CadenceWithoutDirectoryIsFatal)
 }
 
 /**
- * Engine re-run regression (reset paths): a reused engine must arm the
- * watchdog with a fresh kick count and per-run dump, count checkpoint
- * stats per run (not cumulatively), and a controller reset must drop
- * the previous run's scheduler binding.
+ * Engine re-run regression (reset paths): a reused engine with a
+ * watchdog reruns identically, counts checkpoint stats per run (not
+ * cumulatively), and a controller reset must drop the previous run's
+ * scheduler binding.
  */
 TEST(Checkpoint, EngineRerunResetsWatchdogAndCheckpointCounters)
 {
@@ -369,15 +431,8 @@ TEST(Checkpoint, EngineRerunResetsWatchdogAndCheckpointCounters)
 
     const auto first =
         engine.run(cellParams(false), *workload1, *policy1);
-    ASSERT_NE(engine.watchdog(), nullptr);
-    EXPECT_FALSE(engine.watchdog()->armed());
-    EXPECT_EQ(engine.watchdog()->kicks(), first.quanta);
-
     const auto second =
         engine.run(cellParams(false), *workload2, *policy2);
-    EXPECT_FALSE(engine.watchdog()->armed());
-    // arm() zeroed the previous run's kicks; only run 2's count shows.
-    EXPECT_EQ(engine.watchdog()->kicks(), second.quanta);
     expectSameRun(first, second, "rerun determinism");
 
     // Checkpoint counters are per run, not accumulated across runs.

@@ -134,19 +134,19 @@ TEST_F(CheckerFixture, QuantumWindowGapDetected)
     EXPECT_EQ(checker.violations(Invariant::QuantumMonotonic), 1u);
 }
 
-TEST_F(CheckerFixture, MailboxMergeViolationsDetected)
+TEST_F(CheckerFixture, ShardMergeViolationsDetected)
 {
-    checker.onMailboxMerge(/*strictly_after=*/false,
-                           DeliveryClass::OnTime, 100, 50);
-    EXPECT_EQ(checker.violations(Invariant::MailboxOrder), 1u);
+    checker.onShardMerge(/*strictly_after=*/false,
+                         DeliveryClass::OnTime, 100, 50);
+    EXPECT_EQ(checker.violations(Invariant::ShardMergeOrder), 1u);
 
     // An unaccounted delivery behind the receiver is also flagged...
-    checker.onMailboxMerge(true, DeliveryClass::NextQuantum, 40, 90);
-    EXPECT_EQ(checker.violations(Invariant::MailboxOrder), 2u);
+    checker.onShardMerge(true, DeliveryClass::NextQuantum, 40, 90);
+    EXPECT_EQ(checker.violations(Invariant::ShardMergeOrder), 2u);
 
     // ...but an accounted Straggler behind the receiver is legal.
-    checker.onMailboxMerge(true, DeliveryClass::Straggler, 40, 90);
-    EXPECT_EQ(checker.violations(Invariant::MailboxOrder), 2u);
+    checker.onShardMerge(true, DeliveryClass::Straggler, 40, 90);
+    EXPECT_EQ(checker.violations(Invariant::ShardMergeOrder), 2u);
 }
 
 TEST_F(CheckerFixture, ViolationsTraceUnderCheckFlag)

@@ -486,7 +486,6 @@ TEST(ShardIdentity, RestoreAtGoldenQuantumMatchesAcrossEngines)
 
             engine::EngineOptions restore;
             restore.restorePath = checkpointFile(dir, mid);
-            restore.verifyRestore = true;
             const auto restored =
                 runMatrixCell(workers, lossy, restore);
             expectBitIdentical(golden, restored, tag + " restored");

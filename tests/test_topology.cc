@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/ckpt_io.hh"
 #include "net/topology.hh"
 #include "test_util.hh"
 
@@ -99,6 +100,22 @@ TEST(Topology, ContentionQueuesOnDestinationPort)
     EXPECT_EQ(sw.egress(2, 1, 1000, 0), 2100u); // queues
     sw.reset();
     EXPECT_EQ(sw.egress(2, 1, 1000, 0), 1100u);
+}
+
+TEST(Topology, CheckpointCarriesPortOccupancy)
+{
+    TopologyParams params;
+    params.kind = TopologyKind::Star;
+    params.hopLatency = 100;
+    params.bytesPerNs = 1.0;
+    TopologySwitch idle(4, params);
+    TopologySwitch busy(4, params);
+    busy.egress(0, 1, 1000, 0);
+    ckpt::Writer a;
+    ckpt::Writer b;
+    idle.serialize(a);
+    busy.serialize(b);
+    EXPECT_NE(a.buffer(), b.buffer());
 }
 
 TEST(Topology, MinTraversalIsOneHop)

@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <future>
+#include <memory>
 #include <thread>
 
 #include "engine/threaded_engine.hh"
@@ -42,65 +43,6 @@ TEST(Watchdog, RegularKicksKeepItQuietPastTheDeadline)
     EXPECT_EQ(dog.kicks(), 12u);
 }
 
-TEST(Watchdog, DisarmedWatchdogNeverFires)
-{
-    // Disarmed construction (the engine-owned shape): the deadline
-    // passes many times over with no kick and nothing happens.
-    engine::Watchdog dog(0.05);
-    EXPECT_FALSE(dog.armed());
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    EXPECT_EQ(dog.kicks(), 0u);
-}
-
-TEST(Watchdog, RearmZeroesKickCountAndSwapsTheDump)
-{
-    engine::Watchdog dog(30.0);
-    dog.arm([] { return engine::PanicInfo{}; });
-    EXPECT_TRUE(dog.armed());
-    dog.kick();
-    dog.kick();
-    EXPECT_EQ(dog.kicks(), 2u);
-    dog.disarm();
-    EXPECT_FALSE(dog.armed());
-    // Re-arming for the next run must not inherit run one's count.
-    dog.arm([] { return engine::PanicInfo{}; });
-    EXPECT_EQ(dog.kicks(), 0u);
-    dog.kick();
-    EXPECT_EQ(dog.kicks(), 1u);
-}
-
-TEST(Watchdog, DisarmStopsTheDeadline)
-{
-    engine::Watchdog dog(0.1, [] { return engine::PanicInfo{}; });
-    dog.kick();
-    dog.disarm();
-    // Starve well past the deadline: a disarmed watchdog stays silent.
-    std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    EXPECT_EQ(dog.kicks(), 1u);
-}
-
-TEST(WatchdogDeath, RearmedWatchdogFiresWithTheNewDump)
-{
-    EXPECT_DEATH(
-        {
-            engine::Watchdog dog(0.05);
-            dog.arm([] {
-                engine::PanicInfo info;
-                info.progress = "first-run dump";
-                return info;
-            });
-            dog.kick();
-            dog.disarm();
-            dog.arm([] {
-                engine::PanicInfo info;
-                info.progress = "second-run dump";
-                return info;
-            });
-            std::this_thread::sleep_for(std::chrono::seconds(5));
-        },
-        "second-run dump");
-}
-
 TEST(WatchdogDeath, FiresWithTheDiagnosticDumpWhenStarved)
 {
     EXPECT_DEATH(
@@ -123,8 +65,8 @@ TEST(Watchdog, PanicHandlerReceivesStructuredInfoInsteadOfDying)
     // per-node progress whenever no checkpoint directory (and hence
     // no panic-image note) was configured.
     std::promise<engine::PanicInfo> fired;
-    engine::Watchdog dog(0.05);
-    dog.arm(
+    auto dog = std::make_unique<engine::Watchdog>(
+        0.05,
         [] {
             engine::PanicInfo info;
             info.quantumStart = 17;
@@ -140,7 +82,7 @@ TEST(Watchdog, PanicHandlerReceivesStructuredInfoInsteadOfDying)
     ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
               std::future_status::ready);
     const engine::PanicInfo info = future.get();
-    dog.disarm();
+    dog.reset();
     EXPECT_DOUBLE_EQ(info.deadlineSeconds, 0.05);
     EXPECT_EQ(info.quantaCompleted, 0u);
     EXPECT_EQ(info.quantumStart, 17u);
@@ -158,8 +100,8 @@ TEST(WatchdogDeath, SecondExpiryAfterHandlerStillHardPanics)
     // progress falls through to the classic panic.
     EXPECT_DEATH(
         {
-            engine::Watchdog dog(0.05);
-            dog.arm(
+            engine::Watchdog dog(
+                0.05,
                 [] {
                     engine::PanicInfo info;
                     info.progress = "still wedged";
@@ -254,4 +196,31 @@ TEST(WatchdogDeath, ThreadedEngineHangBecomesAFailedRun)
             engine.run(params, workload, *policy);
         },
         "watchdog: no quantum completed");
+}
+
+TEST(WatchdogDeath, ReusedEngineDiesWithTheHungRunsDump)
+{
+    // Each run owns its watchdog: a healthy first run on a reused
+    // engine leaves nothing behind, and the second run's hang dumps
+    // the second run's cluster (two nodes, one dropped frame).
+    engine::EngineOptions options;
+    options.watchdogSeconds = 0.3;
+    EXPECT_DEATH(
+        {
+            engine::SequentialEngine engine(options);
+            test::LambdaWorkload healthy([](AppContext &ctx)
+                                             -> sim::Process {
+                if (ctx.rank() == 0)
+                    co_await ctx.comm().send(1, 1, 4096);
+                else if (ctx.rank() == 1)
+                    co_await ctx.comm().recv(0, 1);
+            });
+            auto first_policy = core::parsePolicy("fixed:1us");
+            engine.run(harness::defaultCluster(4, 1), healthy,
+                       *first_policy);
+            test::LambdaWorkload hung(lostAckPollLoop);
+            auto second_policy = core::parsePolicy("fixed:1us");
+            engine.run(blackholeParams(), hung, *second_policy);
+        },
+        "watchdog: no quantum completed.*node1:.*faults: dropped=1 ");
 }

@@ -25,7 +25,7 @@
  *             [--phase-stats]          # exchange-phase timings
 
  *             [--checkpoint-every N --checkpoint-dir DIR]
- *             [--restore FILE|DIR] [--verify-restore]
+ *             [--restore FILE|DIR]
  *             [--checkpoint-keep N]    # rotation (0 = unlimited)
  *             [--baseline]             # also run the 1us ground truth
  *             [--sweep spec1,spec2,...] # compare several policies
@@ -252,7 +252,6 @@ runOne(const Args &args, workloads::Workload &workload,
         args.getInt("checkpoint-every", 0));
     options.checkpointDir = args.getString("checkpoint-dir", "");
     options.restorePath = args.getString("restore", "");
-    options.verifyRestore = args.getBool("verify-restore", false);
     options.checkpointKeepLast =
         static_cast<std::size_t>(args.getInt("checkpoint-keep", 2));
     options.peerDeadlineSeconds =
@@ -319,7 +318,7 @@ main(int argc, char **argv)
                "jitter-max", "link-down", "node-crash", "node-pause",
                "reliable", "retry-timeout", "watchdog", "phase-stats",
                "checkpoint-every", "checkpoint-dir", "restore",
-               "verify-restore", "checkpoint-keep", "chaos",
+               "checkpoint-keep", "chaos",
                "supervise", "max-restarts", "backoff", "incident-log",
                "inject-fail", "peer-deadline", "heartbeat",
                "peer-drill"});
