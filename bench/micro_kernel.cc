@@ -1,15 +1,19 @@
 /**
  * @file
  * Microbenchmarks (google-benchmark) of the simulation kernel: event
- * queue throughput, coroutine switching, RNG, statistics sampling.
+ * queue throughput, coroutine switching, RNG, statistics sampling,
+ * and the per-node cost of building a cluster.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "base/random.hh"
+#include "engine/cluster.hh"
+#include "harness/experiment.hh"
 #include "sim/event_queue.hh"
 #include "sim/process.hh"
 #include "stats/histogram.hh"
+#include "workloads/workload.hh"
 
 using namespace aqsim;
 
@@ -135,5 +139,25 @@ BM_Log2DistSample(benchmark::State &state)
         d.sample(rng.next() & 0xffffff);
 }
 BENCHMARK(BM_Log2DistSample);
+
+/**
+ * Build and destroy a nas.ep cluster: what a node costs before it
+ * does any work (event slab, MPI match lists, stats tree, NIC). The
+ * workload is made once; only the cluster is timed.
+ */
+void
+BM_ClusterBuild(benchmark::State &state)
+{
+    const auto nodes = static_cast<std::size_t>(state.range(0));
+    auto workload = workloads::makeWorkload("nas.ep", nodes, 1.0);
+    const auto params = harness::defaultCluster(nodes, 1);
+    for (auto _ : state) {
+        engine::Cluster cluster(params, *workload);
+        benchmark::DoNotOptimize(cluster.numNodes());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * nodes));
+}
+BENCHMARK(BM_ClusterBuild)->Arg(2048)->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -189,7 +189,10 @@ peerMain(const PeerSetup &p)
     const std::size_t n = cluster.numNodes();
     const auto [begin, end] =
         WorkerPool::shardRange(p.index, p.numPeers, n);
-    std::vector<NodeMailbox> mailboxes(n);
+    // One mailbox per owned node, indexed from begin. DistScheduler
+    // stages every delivery in the batch, so they never hold anything;
+    // runNodeQuantum only needs their open/close handshake.
+    std::vector<NodeMailbox> mailboxes(end - begin);
     DeliveryBatch batch(n, p.numPeers, false);
     DistScheduler scheduler(batch);
     cluster.controller().setScheduler(&scheduler);
@@ -273,7 +276,7 @@ peerMain(const PeerSetup &p)
                 batch.beginQuantum(s);
             scheduler.setQuantumEnd(qe);
             for (NodeId id = begin; id < end; ++id)
-                runNodeQuantum(cluster.node(id), mailboxes[id], qe);
+                runNodeQuantum(cluster.node(id), mailboxes[id - begin], qe);
             batch.closeRun(p.index);
             last_quantum = qi;
             unmerged = true;

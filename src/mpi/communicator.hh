@@ -24,7 +24,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -351,12 +350,17 @@ class Endpoint
         std::uint64_t msgId = 0;
     };
 
+    /*
+     * The three match lists hold a few entries at most and are empty
+     * on most ranks most of the time; an empty vector allocates
+     * nothing. A match erases by position, so the rest keep order.
+     */
     /** Completed unmatched messages, in completion order. */
-    std::deque<Unexpected> unexpected_;
+    std::vector<Unexpected> unexpected_;
     /** RTS received with no matching recv posted yet, in arrival order. */
-    std::deque<MsgHeader> pendingRts_;
+    std::vector<MsgHeader> pendingRts_;
     /** Posted receives in post order. */
-    std::deque<PostedRecv> posted_;
+    std::vector<PostedRecv> posted_;
     /** Senders blocked waiting for CTS, by msgId. */
     std::map<std::uint64_t, std::unique_ptr<sim::Trigger>> ctsWaiters_;
     /** A sender stalled on one flow-control window boundary. */

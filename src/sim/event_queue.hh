@@ -218,8 +218,12 @@ class EventQueue
         std::uint32_t gen;
     };
 
-    static constexpr std::uint32_t chunkShift = 8;
-    /** Records per slab chunk; chunks are stable in memory. */
+    /**
+     * Records per slab chunk. Most nodes hold a handful of live
+     * events, so a chunk is small (8 records) and a busy queue just
+     * grows more of them; chunks are stable in memory.
+     */
+    static constexpr std::uint32_t chunkShift = 3;
     static constexpr std::uint32_t chunkSize = 1u << chunkShift;
     static constexpr std::uint32_t noFreeSlot = 0xffffffffu;
 

@@ -8,9 +8,9 @@
 namespace aqsim::stats
 {
 
-Histogram::Histogram(std::string name, std::string desc, double lo,
+Histogram::Histogram(std::string name, const char *desc, double lo,
                      double hi, std::size_t buckets)
-    : Stat(std::move(name), std::move(desc)), lo_(lo), hi_(hi),
+    : Stat(std::move(name), desc), lo_(lo), hi_(hi),
       width_((hi - lo) / static_cast<double>(buckets)),
       counts_(buckets, 0)
 {
@@ -61,8 +61,8 @@ Histogram::reset()
     sum_ = 0.0;
 }
 
-Log2Distribution::Log2Distribution(std::string name, std::string desc)
-    : Stat(std::move(name), std::move(desc))
+Log2Distribution::Log2Distribution(std::string name, const char *desc)
+    : Stat(std::move(name), desc)
 {}
 
 void

@@ -23,7 +23,7 @@ walkText(const Group &group, const std::string &prefix, std::ostream &out)
                 full += "::" + label;
             out << std::left << std::setw(52) << full << ' '
                 << std::setw(16) << std::setprecision(9) << value;
-            if (!stat->desc().empty())
+            if (*stat->desc() != '\0')
                 out << " # " << stat->desc();
             out << '\n';
         }

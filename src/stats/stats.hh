@@ -26,18 +26,22 @@ namespace aqsim::stats
 
 class Group;
 
-/** Base class for a named, documented statistic. */
+/**
+ * Base class for a named, documented statistic. The description is
+ * kept by pointer, not copied: every node registers the same stats, so
+ * it must be static text (a string literal) that outlives the stat.
+ */
 class Stat
 {
   public:
-    Stat(std::string name, std::string desc)
-        : name_(std::move(name)), desc_(std::move(desc))
+    Stat(std::string name, const char *desc)
+        : name_(std::move(name)), desc_(desc)
     {}
 
     virtual ~Stat() = default;
 
     const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
+    const char *desc() const { return desc_; }
 
     /** Render the value(s) as "label value" rows for text output. */
     virtual std::vector<std::pair<std::string, double>> rows() const = 0;
@@ -47,7 +51,7 @@ class Stat
 
   private:
     std::string name_;
-    std::string desc_;
+    const char *desc_;
 };
 
 /** A scalar counter / accumulator. */
@@ -94,9 +98,9 @@ class Scalar : public Stat
 class Value : public Scalar
 {
   public:
-    Value(std::string name, std::string desc,
+    Value(std::string name, const char *desc,
           std::function<double()> source)
-        : Scalar(std::move(name), std::move(desc)),
+        : Scalar(std::move(name), desc),
           source_(std::move(source))
     {}
 
@@ -146,12 +150,15 @@ class Group
     Group(const Group &) = delete;
     Group &operator=(const Group &) = delete;
 
-    /** Create (and own) a statistic of type T in this group. */
+    /**
+     * Create (and own) a statistic of type T in this group. @p desc
+     * must be static text; the stat keeps the pointer.
+     */
     template <typename T, typename... CtorArgs>
     T &
-    add(std::string name, std::string desc, CtorArgs &&...args)
+    add(std::string name, const char *desc, CtorArgs &&...args)
     {
-        auto stat = std::make_unique<T>(std::move(name), std::move(desc),
+        auto stat = std::make_unique<T>(std::move(name), desc,
                                         std::forward<CtorArgs>(args)...);
         T &ref = *stat;
         stats_.push_back(std::move(stat));

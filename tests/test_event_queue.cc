@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -194,4 +198,77 @@ TEST(EventQueue, ManyEventsStressOrdering)
     while (q.runOne()) {}
     EXPECT_TRUE(monotonic);
     EXPECT_EQ(q.numExecuted(), 1000u);
+}
+
+TEST(EventQueue, RecordsStayPutWhileACallbackGrowsTheSlab)
+{
+    // The running callback lives in its slab record. Scheduling five
+    // chunks' worth of events (8 records per chunk) from inside it
+    // adds chunks under that record, which must not move: the
+    // callback then reads and writes its own captures.
+    static constexpr int numNew = 40;
+    static constexpr std::array<Priority, 3> prios = {
+        Priority::Late, Priority::Delivery, Priority::Default};
+    struct Fired
+    {
+        Tick when;
+        int prio;
+        int index;
+    };
+    struct Log
+    {
+        std::vector<EventQueue::EventId> ids;
+        std::vector<Fired> fired;
+        std::array<std::uint64_t, 4> marker{};
+    } log;
+
+    EventQueue q;
+    q.schedule(1, [&q, &log,
+                   marker = std::array<std::uint64_t, 4>{1, 2, 3, 4}]()
+                  mutable {
+        for (int i = 0; i < numNew; ++i) {
+            const Priority prio = prios[i % prios.size()];
+            log.ids.push_back(q.schedule(
+                q.now() + 1 + static_cast<Tick>(i % 5),
+                [&q, &log, prio, i] {
+                    log.fired.push_back(
+                        {q.now(), static_cast<int>(prio), i});
+                },
+                prio));
+        }
+        for (std::uint64_t &m : marker)
+            m *= 10;
+        log.marker = marker;
+    });
+    ASSERT_TRUE(q.runOne());
+    EXPECT_EQ(log.marker,
+              (std::array<std::uint64_t, 4>{10, 20, 30, 40}));
+    ASSERT_EQ(log.ids.size(), static_cast<std::size_t>(numNew));
+
+    std::vector<Fired> expected;
+    for (int i = 0; i < numNew; ++i) {
+        if (i % 2 == 1) {
+            EXPECT_TRUE(q.deschedule(log.ids[i]));
+            continue;
+        }
+        expected.push_back(
+            {2 + static_cast<Tick>(i % 5),
+             static_cast<int>(prios[i % prios.size()]), i});
+    }
+    // Scheduled in index order, so index order is sequence order.
+    const auto key = [](const Fired &f) {
+        return std::tie(f.when, f.prio, f.index);
+    };
+    std::sort(expected.begin(), expected.end(),
+              [&](const Fired &a, const Fired &b) {
+                  return key(a) < key(b);
+              });
+
+    while (q.runOne()) {}
+    ASSERT_EQ(log.fired.size(), expected.size());
+    for (std::size_t k = 0; k < expected.size(); ++k) {
+        EXPECT_EQ(key(log.fired[k]), key(expected[k])) << "event " << k;
+    }
+    EXPECT_EQ(q.numExecuted(), 1u + expected.size());
+    EXPECT_EQ(q.numCancelled(), static_cast<std::uint64_t>(numNew / 2));
 }

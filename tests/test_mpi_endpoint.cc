@@ -119,6 +119,47 @@ TEST(Endpoint, AnySourceMatchesEarliestArrival)
 namespace
 {
 
+struct Send
+{
+    int tag;
+    std::uint64_t bytes;
+};
+
+struct Recv
+{
+    int src;
+    int tag;
+};
+
+/**
+ * Rank 0 forks @p sends to rank 1 in order; rank 1 posts @p recvs one
+ * after another, late, and records the sizes in match order.
+ */
+std::vector<std::uint64_t>
+lateRecvMatchOrder(const std::vector<Send> &sends,
+                   const std::vector<Recv> &recvs)
+{
+    std::vector<std::uint64_t> sizes;
+    runLambda(2, [&](AppContext &ctx) -> sim::Process {
+        if (ctx.rank() == 0) {
+            std::vector<sim::Process> forked;
+            for (const Send &s : sends) {
+                forked.push_back(ctx.comm().send(1, s.tag, s.bytes));
+                forked.back().start();
+            }
+            for (sim::Process &p : forked)
+                co_await std::move(p);
+        } else {
+            co_await ctx.delay(microseconds(500));
+            for (const Recv &r : recvs) {
+                mpi::Message m = co_await ctx.comm().recv(r.src, r.tag);
+                sizes.push_back(m.bytes);
+            }
+        }
+    });
+    return sizes;
+}
+
 /**
  * Rank 0 forks two tag-3 sends of @p first then @p second bytes;
  * rank 1 posts two recv(@p src, 3) late and records the sizes in
@@ -127,24 +168,19 @@ namespace
 std::vector<std::uint64_t>
 forkedPairMatchOrder(std::uint64_t first, std::uint64_t second, int src)
 {
-    std::vector<std::uint64_t> sizes;
-    runLambda(2, [&](AppContext &ctx) -> sim::Process {
-        if (ctx.rank() == 0) {
-            auto a = ctx.comm().send(1, 3, first);
-            a.start();
-            auto b = ctx.comm().send(1, 3, second);
-            b.start();
-            co_await std::move(a);
-            co_await std::move(b);
-        } else {
-            co_await ctx.delay(microseconds(500));
-            for (int i = 0; i < 2; ++i) {
-                mpi::Message m = co_await ctx.comm().recv(src, 3);
-                sizes.push_back(m.bytes);
-            }
-        }
-    });
-    return sizes;
+    return lateRecvMatchOrder({{3, first}, {3, second}},
+                              {{src, 3}, {src, 3}});
+}
+
+/**
+ * Sends for a mid-list match: two tag-3 messages, then a tag-4 one
+ * that arrives between them (the first, long one completes last).
+ */
+std::vector<Send>
+tag4InTheMiddle(std::uint64_t first, std::uint64_t second,
+                std::uint64_t tag4)
+{
+    return {{3, first}, {3, second}, {4, tag4}};
 }
 
 } // namespace
@@ -166,6 +202,68 @@ TEST(Endpoint, PendingRtsBindsInSendOrderByName)
     // yet the named receive must bind the earlier send.
     EXPECT_EQ(forkedPairMatchOrder(1000000, 100000, 0),
               (std::vector<std::uint64_t>{1000000, 100000}));
+}
+
+TEST(Endpoint, UnexpectedMidListMatchKeepsTheRestInOrder)
+{
+    const auto sends = tag4InTheMiddle(60000, 64, 96);
+    // Arrival order: 64, the tag-4 96, then the long 60000.
+    ASSERT_EQ(lateRecvMatchOrder(sends, {{mpi::anySource, mpi::anyTag},
+                                         {mpi::anySource, mpi::anyTag},
+                                         {mpi::anySource, mpi::anyTag}}),
+              (std::vector<std::uint64_t>{64, 96, 60000}));
+    // Taking the middle entry leaves 64 ahead of 60000 for anySource,
+    // and a named receive still takes the lower msgId (60000) first.
+    EXPECT_EQ(lateRecvMatchOrder(sends, {{0, 4},
+                                         {mpi::anySource, 3},
+                                         {mpi::anySource, 3}}),
+              (std::vector<std::uint64_t>{96, 64, 60000}));
+    EXPECT_EQ(lateRecvMatchOrder(sends, {{0, 4}, {0, 3}, {0, 3}}),
+              (std::vector<std::uint64_t>{96, 60000, 64}));
+}
+
+TEST(Endpoint, PendingRtsMidListMatchKeepsTheRestInOrder)
+{
+    const auto sends = tag4InTheMiddle(1000000, 100000, 200000);
+    // All three are rendezvous. RTS arrival order: 100000, the tag-4
+    // 200000, then 1000000.
+    ASSERT_EQ(lateRecvMatchOrder(sends, {{mpi::anySource, mpi::anyTag},
+                                         {mpi::anySource, mpi::anyTag},
+                                         {mpi::anySource, mpi::anyTag}}),
+              (std::vector<std::uint64_t>{100000, 200000, 1000000}));
+    EXPECT_EQ(lateRecvMatchOrder(sends, {{0, 4},
+                                         {mpi::anySource, 3},
+                                         {mpi::anySource, 3}}),
+              (std::vector<std::uint64_t>{200000, 100000, 1000000}));
+    EXPECT_EQ(lateRecvMatchOrder(sends, {{0, 4}, {0, 3}, {0, 3}}),
+              (std::vector<std::uint64_t>{200000, 1000000, 100000}));
+}
+
+TEST(Endpoint, PostedMidListMatchKeepsTheRestInOrder)
+{
+    // Posted: (0, 1), (0, 2), then two (0, anyTag). The tag-2 message
+    // takes the second entry; the two tag-9 messages must then fill
+    // the anyTag receives in post order.
+    std::vector<std::uint64_t> sizes;
+    runLambda(2, [&](AppContext &ctx) -> sim::Process {
+        if (ctx.rank() == 0) {
+            co_await ctx.delay(microseconds(100));
+            co_await ctx.comm().send(1, 2, 20);
+            co_await ctx.comm().send(1, 9, 90);
+            co_await ctx.comm().send(1, 9, 91);
+            co_await ctx.comm().send(1, 1, 10);
+        } else {
+            auto tag1 = ctx.comm().irecv(0, 1);
+            auto tag2 = ctx.comm().irecv(0, 2);
+            auto any1 = ctx.comm().irecv(0, mpi::anyTag);
+            auto any2 = ctx.comm().irecv(0, mpi::anyTag);
+            for (auto *req : {&tag1, &tag2, &any1, &any2}) {
+                mpi::Message m = co_await *req;
+                sizes.push_back(m.bytes);
+            }
+        }
+    });
+    EXPECT_EQ(sizes, (std::vector<std::uint64_t>{10, 20, 90, 91}));
 }
 
 TEST(Endpoint, AnyTagMatches)
