@@ -41,10 +41,10 @@ class NullScheduler : public net::DeliveryScheduler
 {
   public:
     Tick
-    place(const net::PacketPtr &pkt, net::DeliveryKind &kind) override
+    place(const net::Packet &pkt, net::DeliveryKind &kind) override
     {
         kind = net::DeliveryKind::OnTime;
-        return pkt->idealArrival;
+        return pkt.idealArrival;
     }
 };
 
@@ -71,8 +71,12 @@ BM_ControllerInject(benchmark::State &state)
         static_cast<NodeId>((src + 1) % controller.numNodes());
     Tick t = 0;
     for (auto _ : state) {
-        auto pkt = net::makePacket(src, dst, 1500, t);
-        pkt->departTick = t;
+        net::Packet pkt;
+        pkt.src = src;
+        pkt.dst = dst;
+        pkt.bytes = 1500;
+        pkt.sendTick = t;
+        pkt.departTick = t;
         controller.inject(pkt);
         ++t;
     }

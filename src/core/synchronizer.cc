@@ -28,16 +28,19 @@ Synchronizer::begin()
     check::InvariantChecker::instance().onQuantumOpen(
         start_, end_, conservative(),
         controller_.minNetworkLatency());
-    stragglerBase_ = controller_.totalStragglers();
-    controller_.beginQuantum();
+    stragglerBase_ = controller_.beginQuantum().totalStragglers;
 }
 
 void
 Synchronizer::completeQuantum(HostNs host_ns)
 {
-    const std::uint64_t packets = controller_.packetsThisQuantum();
+    // One fold of the per-source counter slots closes this quantum
+    // and opens the next; its result is all this boundary reads.
+    const net::NetworkController::Counters closing =
+        controller_.beginQuantum();
+    const std::uint64_t packets = closing.packetsThisQuantum;
     const std::uint64_t stragglers =
-        controller_.totalStragglers() - stragglerBase_;
+        closing.totalStragglers - stragglerBase_;
 
     QuantumRecord rec;
     rec.start = start_;
@@ -65,8 +68,7 @@ Synchronizer::completeQuantum(HostNs host_ns)
     check::InvariantChecker::instance().onQuantumOpen(
         start_, end_, conservative(),
         controller_.minNetworkLatency());
-    stragglerBase_ = controller_.totalStragglers();
-    controller_.beginQuantum();
+    stragglerBase_ = closing.totalStragglers;
 }
 
 bool

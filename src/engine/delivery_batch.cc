@@ -57,14 +57,14 @@ DeliveryBatch::beginQuantum(std::size_t s)
 }
 
 void
-DeliveryBatch::stage(const net::PacketPtr &pkt, Tick when,
+DeliveryBatch::stage(const net::Packet &pkt, Tick when,
                      net::DeliveryKind kind)
 {
-    Row &row = rows_[shardOf(pkt->src)];
+    Row &row = rows_[shardOf(pkt.src)];
     AQSIM_ASSERT(!row.sorted);
-    subRun(shardOf(pkt->src), shardOf(pkt->dst))
+    subRun(shardOf(pkt.src), shardOf(pkt.dst))
         .keys.push_back(sim::RunKey{
-            when, pkt->departTick, pkt->src,
+            when, pkt.departTick, pkt.src,
             static_cast<std::uint32_t>(row.payload.size())});
     row.payload.push_back(Staged{pkt, kind});
     ++row.staged;
@@ -108,12 +108,11 @@ DeliveryBatch::mergeShard(std::size_t d, Cluster &cluster)
         sim::RunKey prev{};
         sim::RunMerger::Item item;
         while (lane.merger.next(item)) {
-            // Moving the payload element out is the column's exclusive
-            // right: every staged element belongs to exactly one
-            // destination column, so concurrent lanes touch disjoint
-            // elements of the shared rows.
-            Staged &staged = rows_[item.run].payload[item.key.idx];
-            AQSIM_ASSERT(shardOf(staged.pkt->dst) == d);
+            // Lanes only read the rows: every staged element belongs
+            // to exactly one destination column, and its NIC copies
+            // the frame out at dispatch.
+            const Staged &staged = rows_[item.run].payload[item.key.idx];
+            AQSIM_ASSERT(shardOf(staged.pkt.dst) == d);
             // Audit the merger's total order (when, src, departTick,
             // staging index); a duplicate frame's copies share a run,
             // so the index orders them the same at every shard count.
@@ -121,9 +120,8 @@ DeliveryBatch::mergeShard(std::size_t d, Cluster &cluster)
                 lane.items.empty() || prev.before(item.key);
             prev = item.key;
             lane.items.push_back(
-                Resolved{&cluster.node(staged.pkt->dst),
-                         std::move(staged.pkt), item.key.when,
-                         staged.kind, strict_ok});
+                Resolved{&cluster.node(staged.pkt.dst), &staged.pkt,
+                         item.key.when, staged.kind, strict_ok});
         }
     }
 
@@ -134,17 +132,19 @@ DeliveryBatch::mergeShard(std::size_t d, Cluster &cluster)
                                 stats::EnginePhase::Dispatch);
         Resolved *items = lane.items.data();
         for (std::size_t i = 0; i < merged; ++i) {
-            // The destination queue is the one cold structure on this
-            // path; start its line ahead of the dispatch that needs
-            // it. (&queue() is plain member address arithmetic.)
+            // The destination queue and the frame in the source row
+            // are the cold structures on this path; start their lines
+            // ahead of the dispatch that needs them. (&queue() is
+            // plain member address arithmetic.)
             if (i + prefetchAhead < merged) {
                 __builtin_prefetch(
                     &items[i + prefetchAhead].node->queue());
+                __builtin_prefetch(items[i + prefetchAhead].pkt);
             }
             Resolved &r = items[i];
             checker.onShardMerge(r.strictOk, deliveryClass(r.kind),
                                  r.when, r.node->queue().now());
-            dispatchDelivery(*r.node, std::move(r.pkt), r.when);
+            dispatchDelivery(*r.node, *r.pkt, r.when);
         }
         lane.items.clear();
         // Column d is consumed: clearing its keys is this lane's
@@ -175,38 +175,17 @@ DeliveryBatch::mergeInto(Cluster &cluster)
     return merged;
 }
 
-std::vector<net::PacketPtr>
-DeliveryBatch::takeRun(std::size_t s, std::size_t d)
-{
-    AQSIM_ASSERT(rows_[s].sorted);
-    SubRun &sub = subRun(s, d);
-    std::vector<net::PacketPtr> items;
-    items.reserve(sub.keys.size());
-    for (const sim::RunKey &key : sub.keys) {
-        Staged &staged = rows_[s].payload[key.idx];
-        AQSIM_ASSERT(staged.pkt && key.when == staged.pkt->idealArrival);
-        items.push_back(std::move(staged.pkt));
-    }
-    // The column is consumed locally; the receiving process merges it.
-    sub.keys.clear();
-    return items;
-}
-
 void
-DeliveryBatch::injectRun(std::size_t s, std::size_t d,
-                         std::vector<net::PacketPtr> items)
+DeliveryBatch::injectRemote(std::size_t s, std::size_t d,
+                            const net::Packet &pkt)
 {
     Row &row = rows_[s];
     AQSIM_ASSERT(!row.sorted);
-    SubRun &sub = subRun(s, d);
-    for (net::PacketPtr &pkt : items) {
-        AQSIM_ASSERT(shardOf(pkt->src) == s && shardOf(pkt->dst) == d);
-        sub.keys.push_back(sim::RunKey{
-            pkt->idealArrival, pkt->departTick, pkt->src,
-            static_cast<std::uint32_t>(row.payload.size())});
-        row.payload.push_back(
-            Staged{std::move(pkt), net::DeliveryKind::OnTime});
-    }
+    AQSIM_ASSERT(shardOf(pkt.src) == s && shardOf(pkt.dst) == d);
+    subRun(s, d).keys.push_back(sim::RunKey{
+        pkt.idealArrival, pkt.departTick, pkt.src,
+        static_cast<std::uint32_t>(row.payload.size())});
+    row.payload.push_back(Staged{pkt, net::DeliveryKind::OnTime});
 }
 
 std::size_t

@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/logging.hh"
 #include "base/types.hh"
 #include "net/network_controller.hh"
 #include "net/packet.hh"
@@ -74,11 +75,14 @@ class Cluster;
  *
  *  - Sub-run (s, d) and payload row s are written only by the single
  *    thread executing shard s's nodes (stage/closeRun), and only
- *    between its beginQuantum(s) and the exchange barrier.
+ *    between its beginQuantum(s) and the exchange barrier. Row s
+ *    holds the staged frames themselves, by value and contiguously.
  *  - After every worker reached the exchange barrier, column d —
- *    sub-runs (0..K-1, d) and its lane scratch — is read, drained of
- *    its payload elements (each element belongs to exactly one
- *    column), and cleared only by shard d's worker (mergeShard).
+ *    sub-runs (0..K-1, d) and its lane scratch — is read and cleared
+ *    only by shard d's worker (mergeShard). The lane only *reads*
+ *    the rows: each destination NIC copies its frames into its own
+ *    receive pool, so no line of a sender's row is written by a
+ *    receiving worker.
  *  - Payload row s is cleared by its owner at the *next*
  *    beginQuantum(s); the quantum-end and quantum-start crossings
  *    order that after every column's merge of the previous quantum.
@@ -102,19 +106,19 @@ class DeliveryBatch
                   bool phase_stats = false);
 
     /**
-     * Owner of shard @p s = shardOf(pkt->src): reset row s for a new
+     * Owner of shard @p s = shardOf(pkt.src): reset row s for a new
      * quantum (drops the previous quantum's dispatched payload,
      * keeping capacity). First per-quantum step of the owning worker.
      */
     void beginQuantum(std::size_t s);
 
     /**
-     * Stage a delivery of @p pkt at @p when (>= the quantum boundary)
-     * into the (source shard, destination shard) sub-run. Called by
-     * the source shard's owning worker only (via the controller's
-     * placement path).
+     * Stage a delivery of a copy of @p pkt at @p when (>= the quantum
+     * boundary) into the (source shard, destination shard) sub-run.
+     * Called by the source shard's owning worker only (via the
+     * controller's placement path).
      */
-    void stage(const net::PacketPtr &pkt, Tick when,
+    void stage(const net::Packet &pkt, Tick when,
                net::DeliveryKind kind);
 
     /** Sort shard @p s's K destination sub-runs into canonical order;
@@ -144,26 +148,31 @@ class DeliveryBatch
     std::size_t mergeInto(Cluster &cluster);
 
     /**
-     * Distributed-exchange seam: extract sub-run (s, d) as an ordered
-     * packet sequence for shipping to another process. The sub-run
-     * must be closed (sorted); the keys are dropped — each packet's
-     * own (idealArrival, departTick, src) fields reconstruct them
-     * exactly on the receiving side, so the wire carries no key
-     * material. Conservative runs only (every staged delivery is
-     * OnTime at its ideal arrival; DistributedEngine enforces this).
+     * Distributed-exchange seam: hand sub-run (s, d) to @p emit as an
+     * ordered packet sequence, emit(const net::Packet &) once per
+     * packet, for shipping to another process; then drop its keys.
+     * The sub-run must be closed (sorted); the keys are not shipped —
+     * each packet's own (idealArrival, departTick, src) fields
+     * reconstruct them exactly on the receiving side, so the wire
+     * carries no key material. Conservative runs only (every staged
+     * delivery is OnTime at its ideal arrival; DistributedEngine
+     * enforces this).
+     *
+     * @return the number of packets emitted.
      */
-    std::vector<net::PacketPtr> takeRun(std::size_t s, std::size_t d);
+    template <typename Emit>
+    std::size_t takeRun(std::size_t s, std::size_t d, Emit &&emit);
 
     /**
-     * Distributed-exchange seam: adopt a remote peer's sub-run
-     * (s, d) — packets in canonical (when, src, departTick) order as
-     * produced by takeRun — into this batch, re-deriving each key
+     * Distributed-exchange seam: append one packet of a remote peer's
+     * sub-run (s, d) — fed in canonical (when, src, departTick) order
+     * as takeRun emitted them — to this batch, re-deriving its key
      * from the packet fields. Does not count toward totalStaged()
-     * (the staging peer already did); call closeRun(s) afterwards so
-     * mergeShard sees the row as sorted.
+     * (the staging peer already did); call closeRun(s) after the last
+     * one so mergeShard sees the row as sorted.
      */
-    void injectRun(std::size_t s, std::size_t d,
-                   std::vector<net::PacketPtr> items);
+    void injectRemote(std::size_t s, std::size_t d,
+                      const net::Packet &pkt);
 
     /** Deliveries staged but not yet merged (0 at every boundary). */
     std::size_t pending() const;
@@ -201,10 +210,10 @@ class DeliveryBatch
     const stats::PhaseTimes &phases() const { return phases_; }
 
   private:
-    /** Payload referenced by sim::RunKey::idx; touched on dispatch. */
+    /** Payload referenced by sim::RunKey::idx; read on dispatch. */
     struct Staged
     {
-        net::PacketPtr pkt;
+        net::Packet pkt;
         net::DeliveryKind kind;
     };
 
@@ -229,7 +238,8 @@ class DeliveryBatch
     struct Resolved
     {
         node::NodeSimulator *node;
-        net::PacketPtr pkt;
+        /** The frame in its source row (read-only for the lane). */
+        const net::Packet *pkt;
         Tick when;
         net::DeliveryKind kind;
         /** Canonical order vs the previous merged key held. */
@@ -264,6 +274,23 @@ class DeliveryBatch
     std::vector<Lane> lanes_;
     stats::PhaseTimes phases_;
 };
+
+template <typename Emit>
+std::size_t
+DeliveryBatch::takeRun(std::size_t s, std::size_t d, Emit &&emit)
+{
+    AQSIM_ASSERT(rows_[s].sorted);
+    SubRun &sub = subRun(s, d);
+    for (const sim::RunKey &key : sub.keys) {
+        const Staged &staged = rows_[s].payload[key.idx];
+        AQSIM_ASSERT(key.when == staged.pkt.idealArrival);
+        emit(staged.pkt);
+    }
+    const std::size_t n = sub.keys.size();
+    // The column is consumed locally; the receiving process merges it.
+    sub.keys.clear();
+    return n;
+}
 
 } // namespace aqsim::engine
 

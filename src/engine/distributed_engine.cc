@@ -115,9 +115,9 @@ class DistScheduler : public net::DeliveryScheduler
     void setQuantumEnd(Tick qe) { qe_ = qe; }
 
     Tick
-    place(const net::PacketPtr &pkt, net::DeliveryKind &kind) override
+    place(const net::Packet &pkt, net::DeliveryKind &kind) override
     {
-        const Tick ideal = pkt->idealArrival;
+        const Tick ideal = pkt.idealArrival;
         if (ideal < qe_)
             fatal("distributed run is not conservative: delivery at "
                   "tick %llu inside the open quantum ending %llu",
@@ -235,15 +235,12 @@ peerMain(const PeerSetup &p)
             const std::uint32_t count = r.u32();
             if (!r.ok() || u >= p.numPeers || u == p.index)
                 return false;
-            std::vector<net::PacketPtr> items;
-            items.reserve(count);
             for (std::uint32_t j = 0; j < count; ++j) {
-                net::PacketPtr pkt = mpi::getPacket(r);
-                if (!pkt)
+                net::Packet pkt;
+                if (!mpi::getPacket(r, pkt))
                     return false;
-                items.push_back(std::move(pkt));
+                batch.injectRemote(u, p.index, pkt);
             }
-            batch.injectRun(u, p.index, std::move(items));
         }
         if (!r.ok() || r.remaining() != 0)
             return false;
@@ -318,12 +315,13 @@ peerMain(const PeerSetup &p)
             for (std::size_t d = 0; d < p.numPeers; ++d) {
                 if (d == p.index)
                     continue;
-                const auto items = batch.takeRun(p.index, d);
                 ckpt::Writer pw;
-                for (const net::PacketPtr &pkt : items)
-                    mpi::putPacket(pw, *pkt);
+                const std::size_t count = batch.takeRun(
+                    p.index, d, [&pw](const net::Packet &pkt) {
+                        mpi::putPacket(pw, pkt);
+                    });
                 w.u32(static_cast<std::uint32_t>(d));
-                w.u32(static_cast<std::uint32_t>(items.size()));
+                w.u32(static_cast<std::uint32_t>(count));
                 w.u64(pw.size());
                 w.bytes(pw.buffer().data(), pw.size());
             }

@@ -75,10 +75,10 @@ class CoSim : public net::DeliveryScheduler, public QuantumExecutor
 
     /** DeliveryScheduler: place a packet into its destination node. */
     Tick
-    place(const net::PacketPtr &pkt, net::DeliveryKind &kind) override
+    place(const net::Packet &pkt, net::DeliveryKind &kind) override
     {
-        NodeState &dst = states_[pkt->dst];
-        const Tick ideal = pkt->idealArrival;
+        NodeState &dst = states_[pkt.dst];
+        const Tick ideal = pkt.idealArrival;
         const Tick qe = sync_.quantumEnd();
 
         if (ideal >= qe) {
@@ -93,7 +93,7 @@ class CoSim : public net::DeliveryScheduler, public QuantumExecutor
         // (lazy) receiver must first be materialized as if its barrier
         // entry had been in the heap all along.
         if (dst.lazy)
-            materialize(pkt->dst);
+            materialize(pkt.dst);
         if (dst.atBarrier) {
             // Fig. 3d: receiver already finished its quantum; the
             // controller queues the packet to the next boundary.
@@ -131,7 +131,7 @@ class CoSim : public net::DeliveryScheduler, public QuantumExecutor
             // exchange merge).
             deliverUrgent(*dst.node, pkt, ideal);
             kind = net::DeliveryKind::OnTime;
-            requeue(pkt->dst);
+            requeue(pkt.dst);
             return ideal;
         }
         if (rpos >= qe) {
@@ -141,8 +141,8 @@ class CoSim : public net::DeliveryScheduler, public QuantumExecutor
         }
         AQSIM_DPRINTF(Straggler, ideal, "engine",
                       "pkt#%llu %u->%u late: ideal=%llu receiver@%llu",
-                      static_cast<unsigned long long>(pkt->id),
-                      pkt->src, pkt->dst,
+                      static_cast<unsigned long long>(pkt.id),
+                      pkt.src, pkt.dst,
                       static_cast<unsigned long long>(ideal),
                       static_cast<unsigned long long>(rpos));
         if (options_.stragglerPolicy ==
@@ -155,7 +155,7 @@ class CoSim : public net::DeliveryScheduler, public QuantumExecutor
         const Tick actual = std::max(rpos, dst.node->queue().now());
         deliverUrgent(*dst.node, pkt, actual);
         kind = net::DeliveryKind::Straggler;
-        requeue(pkt->dst);
+        requeue(pkt.dst);
         return actual;
     }
 

@@ -25,10 +25,8 @@ runNodeQuantum(node::NodeSimulator &node, NodeMailbox &mbx, Tick qe,
     // race the engine already clamps for. The race-free merge check
     // happens in DeliveryBatch::mergeShard.
     auto deliver = [&](std::vector<ParkedDelivery> &batch) {
-        for (auto &d : batch) {
-            node.nic().deliverAt(std::move(d.pkt),
-                                 std::max(d.when, queue.now()));
-        }
+        for (const auto &d : batch)
+            node.nic().deliverAt(d.pkt, std::max(d.when, queue.now()));
     };
 
     mbx.open();
@@ -79,15 +77,14 @@ snapToQuantumEnd(node::NodeSimulator &node, Tick qe)
 }
 
 void
-dispatchDelivery(node::NodeSimulator &node, net::PacketPtr pkt,
+dispatchDelivery(node::NodeSimulator &node, const net::Packet &pkt,
                  Tick when)
 {
-    const Tick at = std::max(when, node.queue().now());
-    node.nic().deliverAt(std::move(pkt), at);
+    node.nic().deliverAt(pkt, std::max(when, node.queue().now()));
 }
 
 void
-deliverUrgent(node::NodeSimulator &node, const net::PacketPtr &pkt,
+deliverUrgent(node::NodeSimulator &node, const net::Packet &pkt,
               Tick when)
 {
     node.nic().deliverAt(pkt, when);

@@ -74,11 +74,11 @@ void snapToQuantumEnd(node::NodeSimulator &node, Tick qe);
  * @p when, clamped to the receiver's clock (a restore replay can find
  * the receiver already past a staged tick). Called only by the worker
  * that owns the destination node's shard, from
- * DeliveryBatch::mergeShard. Takes the packet by value: the exchange
- * hands each packet's last reference straight through to the NIC's
- * delivery event, refcount-free.
+ * DeliveryBatch::mergeShard. The NIC copies the frame out of the
+ * source shard's staging row into its own receive pool, so the lane
+ * only reads the sender's row.
  */
-void dispatchDelivery(node::NodeSimulator &node, net::PacketPtr pkt,
+void dispatchDelivery(node::NodeSimulator &node, const net::Packet &pkt,
                       Tick when);
 
 /**
@@ -86,8 +86,8 @@ void dispatchDelivery(node::NodeSimulator &node, net::PacketPtr pkt,
  * @p when (the urgent on-time/straggler path: the caller has already
  * resolved the tick against the receiver's position).
  */
-void deliverUrgent(node::NodeSimulator &node,
-                   const net::PacketPtr &pkt, Tick when);
+void deliverUrgent(node::NodeSimulator &node, const net::Packet &pkt,
+                   Tick when);
 
 } // namespace aqsim::engine
 

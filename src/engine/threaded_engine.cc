@@ -39,9 +39,9 @@ class ThreadedScheduler : public net::DeliveryScheduler
     {}
 
     Tick
-    place(const net::PacketPtr &pkt, net::DeliveryKind &kind) override
+    place(const net::Packet &pkt, net::DeliveryKind &kind) override
     {
-        const Tick ideal = pkt->idealArrival;
+        const Tick ideal = pkt.idealArrival;
         // quantumEnd only changes at the barrier, with every worker
         // parked, so this unlocked read is stable for the whole
         // quantum.
@@ -54,7 +54,7 @@ class ThreadedScheduler : public net::DeliveryScheduler
         }
         bool parked = false;
         const Tick when =
-            mailboxes_[pkt->dst].park(pkt, ideal, qe, kind, parked);
+            mailboxes_[pkt.dst].park(pkt, ideal, qe, kind, parked);
         if (!parked)
             batch_.stage(pkt, when, kind);
         return when;

@@ -8,7 +8,7 @@ namespace aqsim::engine
 {
 
 Tick
-NodeMailbox::park(const net::PacketPtr &pkt, Tick ideal, Tick qe,
+NodeMailbox::park(const net::Packet &pkt, Tick ideal, Tick qe,
                   net::DeliveryKind &kind, bool &parked)
 {
     parked = false;

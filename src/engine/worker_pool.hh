@@ -129,10 +129,10 @@ class WorkerBarrier
     const std::size_t workers_;
 };
 
-/** A delivery parked in a destination node's mailbox. */
+/** A delivery parked in a destination node's mailbox (by value). */
 struct ParkedDelivery
 {
-    net::PacketPtr pkt;
+    net::Packet pkt;
     Tick when;
     /** How the placement was accounted (for the invariant checker). */
     net::DeliveryKind kind;
@@ -143,9 +143,9 @@ struct ParkedDelivery
     {
         if (when != o.when)
             return when < o.when;
-        if (pkt->src != o.pkt->src)
-            return pkt->src < o.pkt->src;
-        return pkt->departTick < o.pkt->departTick;
+        if (pkt.src != o.pkt.src)
+            return pkt.src < o.pkt.src;
+        return pkt.departTick < o.pkt.departTick;
     }
 };
 
@@ -187,7 +187,7 @@ class NodeMailbox
      * closed) are *not* stored — the caller stages them into its
      * shard's DeliveryBatch run for the canonical barrier merge.
      */
-    Tick park(const net::PacketPtr &pkt, Tick ideal, Tick qe,
+    Tick park(const net::Packet &pkt, Tick ideal, Tick qe,
               net::DeliveryKind &kind, bool &parked)
         AQSIM_EXCLUDES(mutex_);
 

@@ -45,6 +45,23 @@ findMatch(Queue &queue, int src, int tag)
     return best;
 }
 
+/**
+ * The endpoint's stats group, opened with its views of the message
+ * counters the endpoint keeps (registered first: the dump order).
+ */
+stats::Group &
+mpiGroup(stats::Group &node_stats, const std::uint64_t &sent,
+         const std::uint64_t &bytes_sent, const std::uint64_t &received)
+{
+    stats::Group &group = node_stats.addGroup("mpi");
+    group.add<stats::Value>("msgsSent", "messages sent", sent);
+    group.add<stats::Value>("bytesSent", "message payload bytes sent",
+                            bytes_sent);
+    group.add<stats::Value>("msgsRecvd", "messages received and matched",
+                            received);
+    return group;
+}
+
 } // namespace
 
 void
@@ -76,13 +93,8 @@ Endpoint::Endpoint(Rank rank, std::size_t num_ranks,
                    node::NodeSimulator &node, EndpointParams params)
     : rank_(rank), numRanks_(num_ranks), node_(node),
       queue_(node.queue()), params_(params),
-      mpiStats_(node.statsGroup().addGroup("mpi")),
-      statMsgsSent_(mpiStats_.add<stats::Scalar>(
-          "msgsSent", "messages sent")),
-      statBytesSent_(mpiStats_.add<stats::Scalar>(
-          "bytesSent", "message payload bytes sent")),
-      statMsgsRecvd_(mpiStats_.add<stats::Scalar>(
-          "msgsRecvd", "messages received and matched")),
+      mpiStats_(mpiGroup(node.statsGroup(), messagesSent_, bytesSent_,
+                         messagesReceived_)),
       statRendezvous_(mpiStats_.add<stats::Scalar>(
           "rendezvous", "messages using the RTS/CTS protocol")),
       statUnexpected_(mpiStats_.add<stats::Scalar>(
@@ -105,8 +117,9 @@ Endpoint::Endpoint(Rank rank, std::size_t num_ranks,
             fatal("mpi: reliable mode needs maxRetries >= 1");
     }
     node_.nic().setRxHandler(
-        [this](const net::PacketPtr &pkt) { handleRx(pkt); });
+        [this](const net::Packet &pkt) { handleRx(pkt); });
 }
+
 
 std::uint32_t
 Endpoint::framePayload() const
@@ -144,8 +157,7 @@ Endpoint::send(Rank dst, int tag, std::uint64_t bytes)
     hdr.seal();
 
     ++messagesSent_;
-    ++statMsgsSent_;
-    statBytesSent_ += static_cast<double>(bytes);
+    bytesSent_ += bytes;
 
     // Software overhead plus staging copy into the transport.
     const auto copy = static_cast<Tick>(
@@ -218,8 +230,7 @@ Endpoint::sendControl(ControlPayload::Kind kind, const MsgHeader &header,
                       Rank to, std::uint32_t progress)
 {
     node_.nic().send(to, params_.ctrlFrameBytes,
-                     std::make_shared<ControlPayload>(kind, header,
-                                                     progress));
+                     controlFrame(ControlPayload(kind, header, progress)));
 }
 
 std::uint32_t
@@ -250,9 +261,9 @@ Endpoint::transmitFragments(const MsgHeader &header, std::uint32_t first,
         const auto in_frame = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(header.bytes - offset,
                                     payload_cap));
-        node_.nic().send(
-            header.dst, in_frame + params_.frameOverhead,
-            std::make_shared<FragmentPayload>(header, i, num_frags));
+        node_.nic().send(header.dst, in_frame + params_.frameOverhead,
+                         fragmentFrame(FragmentPayload(header, i,
+                                                       num_frags)));
     }
 }
 
@@ -323,10 +334,10 @@ Endpoint::onRetryTimeout(std::uint64_t msg_id)
 }
 
 void
-Endpoint::handleRx(const net::PacketPtr &pkt)
+Endpoint::handleRx(const net::Packet &pkt)
 {
-    AQSIM_ASSERT(pkt->payload != nullptr);
-    if (pkt->corrupted) {
+    AQSIM_ASSERT(frameKind(pkt) != FrameKind::None);
+    if (pkt.corrupted) {
         // Link-layer CRC failure: the frame is discarded before any
         // protocol processing. Reliable mode recovers through the
         // sender's retransmit timer; without it the loss is permanent,
@@ -334,30 +345,30 @@ Endpoint::handleRx(const net::PacketPtr &pkt)
         ++corruptDropped_;
         return;
     }
-    // The delivery event owns pkt, and with it the payload, for the
-    // whole call: casting the raw pointer spares the per-frame atomic
-    // reference-count traffic on a control block the sender allocated.
-    const net::Payload *payload = pkt->payload.get();
-    if (const auto *frag = dynamic_cast<const FragmentPayload *>(payload)) {
-        handleFragment(*frag);
+    switch (frameKind(pkt)) {
+      case FrameKind::Fragment:
+        handleFragment(pkt.payloadAs<FragmentPayload>());
         return;
-    }
-    if (const auto *ctrl = dynamic_cast<const ControlPayload *>(payload)) {
-        switch (ctrl->kind) {
+      case FrameKind::Control: {
+        const auto ctrl = pkt.payloadAs<ControlPayload>();
+        switch (ctrl.kind) {
           case ControlPayload::Kind::Rts:
-            handleRts(ctrl->header);
+            handleRts(ctrl.header);
             break;
           case ControlPayload::Kind::Cts:
-            handleCts(ctrl->header);
+            handleCts(ctrl.header);
             break;
           case ControlPayload::Kind::Ack:
-            handleAck(*ctrl);
+            handleAck(ctrl);
             break;
           case ControlPayload::Kind::Rack:
-            handleRack(ctrl->header);
+            handleRack(ctrl.header);
             break;
         }
         return;
+      }
+      default:
+        break;
     }
     panic("endpoint %u received a frame with unknown payload type",
           rank_);
@@ -596,7 +607,6 @@ Endpoint::finishRecv(PostedRecv &recv, const Message &msg)
                   rank_, msg.src, msg.tag,
                   static_cast<unsigned long long>(msg.bytes));
     ++messagesReceived_;
-    ++statMsgsRecvd_;
     if (recv.request) {
         // Non-blocking receive: complete the shared state after the
         // software overhead; resume a joiner if one is waiting.

@@ -272,8 +272,8 @@ class Endpoint
         sim::EventQueue::EventId timer = sim::EventQueue::invalidEvent;
     };
 
-    /** NIC receive handler: dispatch on payload type. */
-    void handleRx(const net::PacketPtr &pkt);
+    /** NIC receive handler: dispatch on the frame's payload kind. */
+    void handleRx(const net::Packet &pkt);
     void handleFragment(const FragmentPayload &frag);
     /** Every fragment of a message is in: acknowledge and complete. */
     void deliverInbound(const MsgHeader &header);
@@ -386,16 +386,16 @@ class Endpoint
     /** Reliable mode: fully delivered inbound msgIds (dup filter). */
     std::set<std::uint64_t> deliveredMsgIds_;
 
+    /** Message counters; the mpi.msgsSent, bytesSent and msgsRecvd
+     * stats are views of them. */
     std::uint64_t messagesSent_ = 0;
+    std::uint64_t bytesSent_ = 0;
     std::uint64_t messagesReceived_ = 0;
     std::uint64_t rendezvousCount_ = 0;
     std::uint64_t retransmits_ = 0;
     std::uint64_t corruptDropped_ = 0;
 
     stats::Group &mpiStats_;
-    stats::Scalar &statMsgsSent_;
-    stats::Scalar &statBytesSent_;
-    stats::Scalar &statMsgsRecvd_;
     stats::Scalar &statRendezvous_;
     stats::Scalar &statUnexpected_;
     stats::Scalar &statRetransmits_;

@@ -13,6 +13,7 @@
 #define AQSIM_MPI_MESSAGE_HH
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "base/types.hh"
@@ -63,10 +64,27 @@ struct MsgHeader
     void serialize(ckpt::Writer &w) const;
 };
 
-/** One data fragment of a segmented message. */
-class FragmentPayload : public net::Payload
+/**
+ * What a frame's inline payload area holds (net::Packet::payloadKind).
+ * The values are also the payload tags of the wire codec
+ * (mpi/packet_codec.hh).
+ */
+enum class FrameKind : std::uint8_t
 {
-  public:
+    None = net::Packet::noPayload,
+    /** A FragmentPayload. */
+    Fragment = 1,
+    /** A ControlPayload. */
+    Control = 2,
+};
+
+/**
+ * One data fragment of a segmented message. Trivially copyable: it
+ * travels inside the frame's inline payload area.
+ */
+struct FragmentPayload
+{
+    FragmentPayload() = default;
     FragmentPayload(MsgHeader header, std::uint32_t index,
                     std::uint32_t total)
         : header(header), fragIndex(index), numFrags(total)
@@ -79,15 +97,17 @@ class FragmentPayload : public net::Payload
     void checkIntegrity() const;
 
     MsgHeader header;
-    std::uint32_t fragIndex;
-    std::uint32_t numFrags;
+    std::uint32_t fragIndex = 0;
+    std::uint32_t numFrags = 0;
 };
 
-/** Rendezvous-protocol control packets. */
-class ControlPayload : public net::Payload
+/**
+ * Rendezvous-protocol control packets. Trivially copyable: they
+ * travel inside the frame's inline payload area.
+ */
+struct ControlPayload
 {
-  public:
-    enum class Kind
+    enum class Kind : std::uint8_t
     {
         /** Request to send: large message announced by the sender. */
         Rts,
@@ -109,12 +129,12 @@ class ControlPayload : public net::Payload
         Rack,
     };
 
+    ControlPayload() = default;
     ControlPayload(Kind kind, MsgHeader header,
                    std::uint32_t progress = 0)
-        : kind(kind), header(header), progress(progress)
+        : header(header), progress(progress), kind(kind)
     {}
 
-    Kind kind;
     MsgHeader header;
     /**
      * Ack only: the receiver's cumulative distinct-fragment count at
@@ -125,8 +145,37 @@ class ControlPayload : public net::Payload
      * window it is actually stalled on, so a stale or repeated Ack
      * can never release a later window early.
      */
-    std::uint32_t progress;
+    std::uint32_t progress = 0;
+    Kind kind = Kind::Rts;
 };
+
+static_assert(std::is_trivially_copyable_v<FragmentPayload> &&
+              sizeof(FragmentPayload) <= net::Packet::payloadCapacity);
+static_assert(std::is_trivially_copyable_v<ControlPayload> &&
+              sizeof(ControlPayload) <= net::Packet::payloadCapacity);
+
+/** A frame carrying one data fragment. */
+inline net::Packet
+fragmentFrame(const FragmentPayload &frag)
+{
+    return net::Packet::carrying(
+        static_cast<std::uint8_t>(FrameKind::Fragment), frag);
+}
+
+/** A frame carrying one control packet. */
+inline net::Packet
+controlFrame(const ControlPayload &ctrl)
+{
+    return net::Packet::carrying(
+        static_cast<std::uint8_t>(FrameKind::Control), ctrl);
+}
+
+/** The kind of payload @p pkt carries. */
+inline FrameKind
+frameKind(const net::Packet &pkt)
+{
+    return static_cast<FrameKind>(pkt.payloadKind);
+}
 
 /** A fully received, verified message as seen by the application. */
 struct Message

@@ -1,7 +1,5 @@
 #include "mpi/packet_codec.hh"
 
-#include <memory>
-
 #include "mpi/message.hh"
 
 namespace aqsim::mpi
@@ -9,14 +7,6 @@ namespace aqsim::mpi
 
 namespace
 {
-
-/** Payload discriminator tag on the wire. */
-enum : std::uint8_t
-{
-    payloadNone = 0,
-    payloadFragment = 1,
-    payloadControl = 2,
-};
 
 void
 putHeader(ckpt::Writer &w, const MsgHeader &h)
@@ -59,66 +49,76 @@ putPacket(ckpt::Writer &w, const net::Packet &pkt)
     w.u64(pkt.departTick);
     w.u64(pkt.idealArrival);
     w.boolean(pkt.corrupted);
-    if (const auto *frag =
-            dynamic_cast<const FragmentPayload *>(pkt.payload.get())) {
-        w.u8(payloadFragment);
-        putHeader(w, frag->header);
-        w.u32(frag->fragIndex);
-        w.u32(frag->numFrags);
-    } else if (const auto *ctl = dynamic_cast<const ControlPayload *>(
-                   pkt.payload.get())) {
-        w.u8(payloadControl);
-        w.u8(static_cast<std::uint8_t>(ctl->kind));
-        putHeader(w, ctl->header);
-        w.u32(ctl->progress);
-    } else {
-        w.u8(payloadNone);
+    switch (frameKind(pkt)) {
+    case FrameKind::Fragment: {
+        const auto frag = pkt.payloadAs<FragmentPayload>();
+        w.u8(static_cast<std::uint8_t>(FrameKind::Fragment));
+        putHeader(w, frag.header);
+        w.u32(frag.fragIndex);
+        w.u32(frag.numFrags);
+        break;
+    }
+    case FrameKind::Control: {
+        const auto ctl = pkt.payloadAs<ControlPayload>();
+        w.u8(static_cast<std::uint8_t>(FrameKind::Control));
+        w.u8(static_cast<std::uint8_t>(ctl.kind));
+        putHeader(w, ctl.header);
+        w.u32(ctl.progress);
+        break;
+    }
+    default:
+        w.u8(static_cast<std::uint8_t>(FrameKind::None));
+        break;
     }
 }
 
-net::PacketPtr
-getPacket(ckpt::Reader &r)
+bool
+getPacket(ckpt::Reader &r, net::Packet &pkt)
 {
-    auto pkt = std::make_shared<net::Packet>();
-    pkt->id = r.u64();
-    pkt->src = r.u32();
-    pkt->dst = r.u32();
-    pkt->bytes = r.u32();
-    pkt->sendTick = r.u64();
-    pkt->departTick = r.u64();
-    pkt->idealArrival = r.u64();
-    pkt->corrupted = r.boolean();
-    const std::uint8_t tag = r.u8();
-    switch (tag) {
-    case payloadNone:
+    const std::uint64_t id = r.u64();
+    const NodeId src = r.u32();
+    const NodeId dst = r.u32();
+    const std::uint32_t bytes = r.u32();
+    const Tick send_tick = r.u64();
+    const Tick depart_tick = r.u64();
+    const Tick ideal_arrival = r.u64();
+    const bool corrupted = r.boolean();
+    switch (static_cast<FrameKind>(r.u8())) {
+    case FrameKind::None:
+        pkt = net::Packet{};
         break;
-    case payloadFragment: {
+    case FrameKind::Fragment: {
         const MsgHeader h = getHeader(r);
         const std::uint32_t index = r.u32();
         const std::uint32_t total = r.u32();
-        pkt->payload =
-            std::make_shared<FragmentPayload>(h, index, total);
+        pkt = fragmentFrame(FragmentPayload(h, index, total));
         break;
     }
-    case payloadControl: {
+    case FrameKind::Control: {
         const std::uint8_t kind = r.u8();
         if (kind > static_cast<std::uint8_t>(ControlPayload::Kind::Rack)) {
             r.fail("bad control-payload kind");
-            return nullptr;
+            return false;
         }
         const MsgHeader h = getHeader(r);
         const std::uint32_t progress = r.u32();
-        pkt->payload = std::make_shared<ControlPayload>(
-            static_cast<ControlPayload::Kind>(kind), h, progress);
+        pkt = controlFrame(ControlPayload(
+            static_cast<ControlPayload::Kind>(kind), h, progress));
         break;
     }
     default:
         r.fail("bad payload tag");
-        return nullptr;
+        return false;
     }
-    if (!r.ok())
-        return nullptr;
-    return pkt;
+    pkt.id = id;
+    pkt.src = src;
+    pkt.dst = dst;
+    pkt.bytes = bytes;
+    pkt.sendTick = send_tick;
+    pkt.departTick = depart_tick;
+    pkt.idealArrival = ideal_arrival;
+    pkt.corrupted = corrupted;
+    return r.ok();
 }
 
 } // namespace aqsim::mpi

@@ -5,15 +5,13 @@
  * Cross-partition deliveries travel between worker processes as
  * ordered packet runs inside Exchange, Quantum and StateReq frames. This codec
  * round-trips every field the simulation reads — timing, identity,
- * corruption flag, and the polymorphic mpi payload — through the
- * ckpt::Writer/Reader encoding, so a decoded packet is functionally
- * indistinguishable from the original: reassembly, rendezvous
- * control, checksum verification, and the merge keys
- * (idealArrival, departTick, src) all behave bit-identically.
- *
- * Payload objects are duplicated by value across the wire (the
- * in-process shared_ptr aliasing is an optimization, not semantics:
- * receivers read payload fields, never pointer identity).
+ * corruption flag, and the mpi payload held in the frame's inline
+ * area — through the ckpt::Writer/Reader encoding, field by field,
+ * so a decoded packet is functionally indistinguishable from the
+ * original: reassembly, rendezvous control, checksum verification,
+ * and the merge keys (idealArrival, departTick, src) all behave
+ * bit-identically. The wire layout is the codec's own and does not
+ * follow the in-memory layout of net::Packet.
  */
 
 #ifndef AQSIM_MPI_PACKET_CODEC_HH
@@ -29,10 +27,10 @@ namespace aqsim::mpi
 void putPacket(ckpt::Writer &w, const net::Packet &pkt);
 
 /**
- * Decode one packet written with putPacket(). On malformed input the
- * reader latches its error and the result is null.
+ * Decode one packet written with putPacket() into @p pkt. On malformed
+ * input the reader latches its error and the result is false.
  */
-net::PacketPtr getPacket(ckpt::Reader &r);
+bool getPacket(ckpt::Reader &r, net::Packet &pkt);
 
 } // namespace aqsim::mpi
 

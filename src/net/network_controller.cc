@@ -108,42 +108,44 @@ NetworkController::minNetworkLatency() const
            params_.nic.rxLatency + params_.nic.serialization(min_frame);
 }
 
-void
+NetworkController::Counters
 NetworkController::beginQuantum()
 {
     for (Counters &slot : slots_) {
         folded_ += slot;
         slot = Counters{};
     }
+    const Counters closing = folded_;
     statQuantumPackets_.sample(
-        static_cast<double>(folded_.packetsThisQuantum));
+        static_cast<double>(closing.packetsThisQuantum));
     folded_.packetsThisQuantum = 0;
+    return closing;
 }
 
 void
-NetworkController::inject(const PacketPtr &pkt)
+NetworkController::inject(Packet &pkt)
 {
     AQSIM_ASSERT(scheduler_ != nullptr);
-    AQSIM_ASSERT(pkt->src < numNodes_);
-    AQSIM_ASSERT(pkt->departTick >= pkt->sendTick);
+    AQSIM_ASSERT(pkt.src < numNodes_);
+    AQSIM_ASSERT(pkt.departTick >= pkt.sendTick);
 
-    if (pkt->dst == broadcastNode) {
+    if (pkt.dst == broadcastNode) {
         for (NodeId n = 0; n < numNodes_; ++n) {
-            if (n == pkt->src)
+            if (n == pkt.src)
                 continue;
-            auto copy = std::make_shared<Packet>(*pkt);
-            copy->dst = n;
+            Packet copy = pkt;
+            copy.dst = n;
             routeOne(copy);
         }
         return;
     }
-    AQSIM_ASSERT(pkt->dst < numNodes_);
-    AQSIM_ASSERT(pkt->dst != pkt->src);
+    AQSIM_ASSERT(pkt.dst < numNodes_);
+    AQSIM_ASSERT(pkt.dst != pkt.src);
     routeOne(pkt);
 }
 
 void
-NetworkController::routeOne(const PacketPtr &pkt)
+NetworkController::routeOne(Packet &pkt)
 {
     if (!faults_) {
         deliverOne(pkt, 0, 0);
@@ -152,57 +154,59 @@ NetworkController::routeOne(const PacketPtr &pkt)
     fault::FaultInjector::Decision d;
     {
         base::MutexLock lock(sharedMutex_);
-        d = faults_->decide(pkt->src, pkt->dst, pkt->departTick);
+        d = faults_->decide(pkt.src, pkt.dst, pkt.departTick);
     }
     if (d.drop) {
         // The frame transited the controller before dying on the
         // wire, so it still counts as observed traffic for the
         // adaptive quantum signal — but it is never delivered.
-        Counters &slot = slots_[pkt->src];
+        Counters &slot = slots_[pkt.src];
         ++slot.packetsThisQuantum;
         ++slot.totalDropped;
-        AQSIM_DPRINTF(Packet, pkt->departTick, "net", "%s -> DROPPED",
-                      pkt->toString().c_str());
+        AQSIM_DPRINTF(Packet, pkt.departTick, "net", "%s -> DROPPED",
+                      pkt.toString().c_str());
         return;
     }
     if (d.corrupt)
-        pkt->corrupted = true;
+        pkt.corrupted = true;
     deliverOne(pkt, d.jitter, d.notBefore);
     if (d.duplicate) {
-        auto copy = std::make_shared<Packet>(*pkt);
+        // Copied after the corrupt flag is set: a duplicate of a
+        // damaged frame is damaged too.
+        Packet copy = pkt;
         deliverOne(copy, d.duplicateJitter, d.notBefore);
     }
 }
 
 void
-NetworkController::deliverOne(const PacketPtr &pkt, Tick extra_delay,
+NetworkController::deliverOne(Packet &pkt, Tick extra_delay,
                               Tick not_before)
 {
-    Counters &slot = slots_[pkt->src];
+    Counters &slot = slots_[pkt.src];
     // Same scheme as MsgHeader::msgId: unique cluster-wide, and
     // independent of how sources interleave across threads.
-    pkt->id = ((static_cast<std::uint64_t>(pkt->src) + 1) << 40) |
-              ++slot.idsAssigned;
-    pkt->idealArrival =
-        switch_->egress(pkt->src, pkt->dst, pkt->bytes, pkt->departTick) +
+    pkt.id = ((static_cast<std::uint64_t>(pkt.src) + 1) << 40) |
+             ++slot.idsAssigned;
+    pkt.idealArrival =
+        switch_->egress(pkt.src, pkt.dst, pkt.bytes, pkt.departTick) +
         params_.nic.rxLatency + extra_delay;
-    if (pkt->idealArrival < not_before)
-        pkt->idealArrival = not_before;
+    if (pkt.idealArrival < not_before)
+        pkt.idealArrival = not_before;
 
     DeliveryKind kind = DeliveryKind::OnTime;
     const Tick actual = scheduler_->place(pkt, kind);
     check::InvariantChecker::instance().onDelivery(
-        deliveryClass(kind), actual, pkt->idealArrival);
-    AQSIM_ASSERT(actual >= pkt->idealArrival ||
+        deliveryClass(kind), actual, pkt.idealArrival);
+    AQSIM_ASSERT(actual >= pkt.idealArrival ||
                  kind == DeliveryKind::OnTime);
 
     ++slot.packetsThisQuantum;
     ++slot.totalPackets;
-    slot.bytes += pkt->bytes;
+    slot.bytes += pkt.bytes;
 
     if (kind != DeliveryKind::OnTime) {
         const auto lateness =
-            static_cast<std::uint64_t>(actual - pkt->idealArrival);
+            static_cast<std::uint64_t>(actual - pkt.idealArrival);
         slot.totalLatenessTicks += lateness;
         ++slot.totalStragglers;
         if (kind == DeliveryKind::NextQuantum)
@@ -212,7 +216,7 @@ NetworkController::deliverOne(const PacketPtr &pkt, Tick extra_delay,
     }
 
     AQSIM_DPRINTF(Packet, actual, "net", "%s -> delivered@%llu%s",
-                  pkt->toString().c_str(),
+                  pkt.toString().c_str(),
                   static_cast<unsigned long long>(actual),
                   kind == DeliveryKind::OnTime
                       ? ""
@@ -223,7 +227,7 @@ NetworkController::deliverOne(const PacketPtr &pkt, Tick extra_delay,
     if (!observers_.empty()) {
         base::MutexLock lock(sharedMutex_);
         for (const auto &observer : observers_)
-            observer(*pkt, actual);
+            observer(pkt, actual);
     }
 }
 

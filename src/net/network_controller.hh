@@ -73,14 +73,15 @@ class DeliveryScheduler
     virtual ~DeliveryScheduler() = default;
 
     /**
-     * Place the delivery of @p pkt into node pkt->dst. pkt->idealArrival
-     * holds the physically correct arrival tick.
+     * Place the delivery of @p pkt into node pkt.dst. pkt.idealArrival
+     * holds the physically correct arrival tick. The frame is the
+     * caller's; a scheduler that keeps it keeps a copy.
      *
      * @param kind (out) how the delivery was placed
      * @return the actual delivery tick (>= any tick the receiver has
      *         already simulated)
      */
-    virtual Tick place(const PacketPtr &pkt, DeliveryKind &kind) = 0;
+    virtual Tick place(const Packet &pkt, DeliveryKind &kind) = 0;
 };
 
 /** Observer of routed packets (tracing / visualization). */
@@ -164,26 +165,22 @@ class NetworkController
     }
 
     /**
-     * Inject a frame from a source NIC. pkt->departTick must be set by
+     * Inject a frame from a source NIC. pkt.departTick must be set by
      * the NIC (send tick + tx overhead + serialization + tx latency).
-     * Broadcast destinations are replicated to every other node.
+     * The controller stamps the frame's id, idealArrival and corrupted
+     * flag in place. Broadcast destinations are replicated to every
+     * other node.
      * Thread-safe for concurrent injections from *different* source
      * nodes (the ThreadedEngine path: each worker injects only for the
      * nodes it runs).
      */
-    void inject(const PacketPtr &pkt) AQSIM_EXCLUDES(sharedMutex_);
+    void inject(Packet &pkt) AQSIM_EXCLUDES(sharedMutex_);
 
     /**
      * @return the minimum possible end-to-end latency T; quanta
      * Q <= T are safe (straggler-free), per the paper's safety rule.
      */
     Tick minNetworkLatency() const;
-
-    /**
-     * Start a new quantum: fold the per-source slots into the
-     * controller totals and reset the per-quantum packet counter.
-     */
-    void beginQuantum();
 
     /**
      * Routing counters. Each source node owns one slot of them; the
@@ -210,6 +207,16 @@ class NetworkController
 
         Counters &operator+=(const Counters &o);
     };
+
+    /**
+     * Start a new quantum: fold the per-source slots into the
+     * controller totals (the one pass over the slots a quantum
+     * boundary makes) and reset the per-quantum packet counter.
+     *
+     * @return every counter as it stood before the reset, i.e. the
+     *         closing quantum's packetsThisQuantum and the totals.
+     */
+    Counters beginQuantum();
 
     /** @return packets routed since the last beginQuantum(). */
     std::uint64_t
@@ -279,10 +286,10 @@ class NetworkController
 
   private:
     /** Route a single unicast frame (fault decisions + delivery). */
-    void routeOne(const PacketPtr &pkt) AQSIM_EXCLUDES(sharedMutex_);
+    void routeOne(Packet &pkt) AQSIM_EXCLUDES(sharedMutex_);
 
     /** Time and place one delivery (a surviving frame or a copy). */
-    void deliverOne(const PacketPtr &pkt, Tick extra_delay,
+    void deliverOne(Packet &pkt, Tick extra_delay,
                     Tick not_before) AQSIM_EXCLUDES(sharedMutex_);
 
     std::size_t numNodes_;

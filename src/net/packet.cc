@@ -20,19 +20,4 @@ Packet::toString() const
     return buf;
 }
 
-PacketPtr
-makePacket(NodeId src, NodeId dst, std::uint32_t bytes, Tick send_tick,
-           PayloadPtr payload)
-{
-    auto pkt = std::make_shared<Packet>();
-    pkt->src = src;
-    pkt->dst = dst;
-    pkt->bytes = bytes;
-    pkt->sendTick = send_tick;
-    pkt->departTick = send_tick;
-    pkt->idealArrival = send_tick;
-    pkt->payload = std::move(payload);
-    return pkt;
-}
-
 } // namespace aqsim::net

@@ -11,37 +11,40 @@ namespace aqsim::node
 NicModel::NicModel(NodeId id, sim::EventQueue &queue,
                    net::NetworkController &controller,
                    stats::Group &stats_parent)
-    : id_(id), queue_(queue), controller_(controller),
-      statsGroup_(stats_parent.addGroup("nic")),
-      statTxFrames_(statsGroup_.add<stats::Scalar>(
-          "txFrames", "frames transmitted")),
-      statTxBytes_(statsGroup_.add<stats::Scalar>(
-          "txBytes", "bytes transmitted")),
-      statRxFrames_(statsGroup_.add<stats::Scalar>(
-          "rxFrames", "frames received")),
-      statRxBytes_(statsGroup_.add<stats::Scalar>(
-          "rxBytes", "bytes received"))
-{}
+    : id_(id), queue_(queue), controller_(controller)
+{
+    stats::Group &group = stats_parent.addGroup("nic");
+    group.add<stats::Value>("txFrames", "frames transmitted", txFrames_);
+    group.add<stats::Value>("txBytes", "bytes transmitted", txBytes_);
+    group.add<stats::Value>("rxFrames", "frames received", rxFrames_);
+    group.add<stats::Value>("rxBytes", "bytes received", rxBytes_);
+}
 
 void
-NicModel::send(NodeId dst, std::uint32_t bytes, net::PayloadPtr payload)
+NicModel::send(NodeId dst, std::uint32_t bytes, net::Packet frame)
 {
     const net::NicParams &nic = controller_.nicParams();
     AQSIM_ASSERT(bytes > 0 && bytes <= nic.mtu);
 
     const Tick now = queue_.now();
-    auto pkt = net::makePacket(id_, dst, bytes, now, std::move(payload));
+    frame.src = id_;
+    frame.dst = dst;
+    frame.bytes = bytes;
+    frame.sendTick = now;
 
     // Frames queue behind the transmitter; serialization is sequential.
     const Tick start =
         std::max(now + nic.txOverhead, txBusyUntil_);
     txBusyUntil_ = start + nic.serialization(bytes);
-    pkt->departTick = txBusyUntil_ + nic.txLatency;
+    frame.departTick = txBusyUntil_ + nic.txLatency;
+    // The controller computes the real arrival; until then (e.g. in
+    // the trace line of a dropped frame) it reads as the send tick.
+    frame.idealArrival = now;
 
-    ++statTxFrames_;
-    statTxBytes_ += bytes;
+    ++txFrames_;
+    txBytes_ += bytes;
 
-    controller_.inject(pkt);
+    controller_.inject(frame);
 }
 
 void
@@ -51,18 +54,33 @@ NicModel::setRxHandler(RxHandler handler)
 }
 
 void
-NicModel::deliverAt(net::PacketPtr pkt, Tick when)
+NicModel::deliverAt(const net::Packet &pkt, Tick when)
 {
-    AQSIM_ASSERT(pkt->dst == id_);
+    AQSIM_ASSERT(pkt.dst == id_);
+    std::uint32_t slot = rxFreeHead_;
+    if (slot == noFreeSlot) {
+        slot = static_cast<std::uint32_t>(rxSlots_.size());
+        rxSlots_.push_back(pkt);
+    } else {
+        rxFreeHead_ = static_cast<std::uint32_t>(rxSlots_[slot].id);
+        rxSlots_[slot] = pkt;
+    }
     queue_.schedule(
-        when,
-        [this, pkt = std::move(pkt)] {
-            ++statRxFrames_;
-            statRxBytes_ += pkt->bytes;
-            if (rxHandler_)
-                rxHandler_(pkt);
-        },
-        sim::Priority::Delivery);
+        when, [this, slot] { receive(slot); }, sim::Priority::Delivery);
+}
+
+void
+NicModel::receive(std::uint32_t slot)
+{
+    // Copy the frame out and free its slot before the handler runs:
+    // the handler may send, and a send may deliver into this pool.
+    const net::Packet pkt = rxSlots_[slot];
+    rxSlots_[slot].id = rxFreeHead_;
+    rxFreeHead_ = slot;
+    ++rxFrames_;
+    rxBytes_ += pkt.bytes;
+    if (rxHandler_)
+        rxHandler_(pkt);
 }
 
 void

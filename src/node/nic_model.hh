@@ -18,7 +18,9 @@
 #ifndef AQSIM_NODE_NIC_MODEL_HH
 #define AQSIM_NODE_NIC_MODEL_HH
 
+#include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "base/types.hh"
 #include "net/network_controller.hh"
@@ -35,7 +37,7 @@ namespace aqsim::node
 {
 
 /** Callback receiving frames on the rx side. */
-using RxHandler = std::function<void(const net::PacketPtr &)>;
+using RxHandler = std::function<void(const net::Packet &)>;
 
 /** Transmit/receive model of one node's NIC. */
 class NicModel
@@ -52,14 +54,16 @@ class NicModel
              stats::Group &stats_parent);
 
     /**
-     * Transmit one frame (<= MTU) to @p dst. The frame queues behind
-     * frames already serializing; departTick reflects tx overhead,
-     * queueing, serialization and tx latency. Injection into the
-     * controller happens immediately (the functional transfer), with
-     * the timing carried on the packet — exactly the decoupled
-     * functional/timing split the paper describes.
+     * Transmit one frame of @p bytes (<= MTU) to @p dst carrying
+     * @p frame's payload; the NIC stamps the frame's source, size and
+     * ticks. The frame queues behind frames already serializing;
+     * departTick reflects tx overhead, queueing, serialization and tx
+     * latency. Injection into the controller happens immediately (the
+     * functional transfer), with the timing carried on the packet —
+     * exactly the decoupled functional/timing split the paper
+     * describes.
      */
-    void send(NodeId dst, std::uint32_t bytes, net::PayloadPtr payload);
+    void send(NodeId dst, std::uint32_t bytes, net::Packet frame = {});
 
     /** Bind the upper-layer receive handler. */
     void setRxHandler(RxHandler handler);
@@ -67,11 +71,16 @@ class NicModel
     /**
      * Schedule delivery of @p pkt at @p when in the node's event queue
      * (called by the engine's delivery paths — see engine/shard_exec).
-     * By value: callers handing over their last reference (the
-     * exchange dispatch, mailbox drains) move it straight into the
-     * delivery event with no refcount traffic.
+     * The frame is copied into a slot of this NIC's receive pool, so
+     * the caller's storage (another worker's staging row, a mailbox
+     * buffer) is free again as soon as the call returns; the delivery
+     * event captures only the slot index.
      */
-    void deliverAt(net::PacketPtr pkt, Tick when);
+    void deliverAt(const net::Packet &pkt, Tick when);
+
+    /** Receive-pool slots ever allocated: the most frames this node
+     * has had in flight towards it at once (tests). */
+    std::size_t rxPoolSlots() const { return rxSlots_.size(); }
 
     /** Tick until which the transmitter is busy serializing. */
     Tick txBusyUntil() const { return txBusyUntil_; }
@@ -89,17 +98,32 @@ class NicModel
     NodeId id() const { return id_; }
 
   private:
+    /** Delivery event of receive-pool slot @p slot. */
+    void receive(std::uint32_t slot);
+
     NodeId id_;
     sim::EventQueue &queue_;
     net::NetworkController &controller_;
     RxHandler rxHandler_;
     Tick txBusyUntil_ = 0;
 
-    stats::Group &statsGroup_;
-    stats::Scalar &statTxFrames_;
-    stats::Scalar &statTxBytes_;
-    stats::Scalar &statRxFrames_;
-    stats::Scalar &statRxBytes_;
+    /**
+     * Receive pool: frames scheduled for delivery, by slot. It grows
+     * on demand to the most frames this node ever has in flight
+     * towards it, and freed slots are reused; nothing is reserved up
+     * front. A free slot holds the index of the next free slot in its
+     * frame's id field, so the free list costs no storage of its own.
+     * Written only by the thread that owns this node.
+     */
+    std::vector<net::Packet> rxSlots_;
+    static constexpr std::uint32_t noFreeSlot = ~std::uint32_t{0};
+    std::uint32_t rxFreeHead_ = noFreeSlot;
+
+    /** Frame counters, read by the nic.* stats (stats::Value views). */
+    std::uint64_t txFrames_ = 0;
+    std::uint64_t txBytes_ = 0;
+    std::uint64_t rxFrames_ = 0;
+    std::uint64_t rxBytes_ = 0;
 };
 
 } // namespace aqsim::node

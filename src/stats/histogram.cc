@@ -8,9 +8,9 @@
 namespace aqsim::stats
 {
 
-Histogram::Histogram(std::string name, const char *desc, double lo,
+Histogram::Histogram(const char *name, const char *desc, double lo,
                      double hi, std::size_t buckets)
-    : Stat(std::move(name), desc), lo_(lo), hi_(hi),
+    : Stat(name, desc), lo_(lo), hi_(hi),
       width_((hi - lo) / static_cast<double>(buckets)),
       counts_(buckets, 0)
 {
@@ -61,8 +61,8 @@ Histogram::reset()
     sum_ = 0.0;
 }
 
-Log2Distribution::Log2Distribution(std::string name, const char *desc)
-    : Stat(std::move(name), desc)
+Log2Distribution::Log2Distribution(const char *name, const char *desc)
+    : Stat(name, desc)
 {}
 
 void

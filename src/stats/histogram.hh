@@ -21,7 +21,7 @@ namespace aqsim::stats
 class Histogram : public Stat
 {
   public:
-    Histogram(std::string name, const char *desc, double lo, double hi,
+    Histogram(const char *name, const char *desc, double lo, double hi,
               std::size_t buckets);
 
     void sample(double v);
@@ -57,7 +57,7 @@ class Histogram : public Stat
 class Log2Distribution : public Stat
 {
   public:
-    Log2Distribution(std::string name, const char *desc);
+    Log2Distribution(const char *name, const char *desc);
 
     void sample(std::uint64_t v);
 

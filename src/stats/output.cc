@@ -18,7 +18,7 @@ walkText(const Group &group, const std::string &prefix, std::ostream &out)
         prefix.empty() ? group.name() : prefix + "." + group.name();
     for (const auto &stat : group.statList()) {
         for (const auto &[label, value] : stat->rows()) {
-            std::string full = path + "." + stat->name();
+            std::string full = path + "." + std::string(stat->name());
             if (!label.empty())
                 full += "::" + label;
             out << std::left << std::setw(52) << full << ' '
@@ -40,7 +40,7 @@ walkCsv(const Group &group, const std::string &prefix, CsvWriter &csv)
     for (const auto &stat : group.statList()) {
         for (const auto &[label, value] : stat->rows()) {
             csv.row()
-                .field(path + "." + stat->name())
+                .field(path + "." + std::string(stat->name()))
                 .field(label)
                 .field(value)
                 .field(stat->desc());

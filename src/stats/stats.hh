@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace aqsim::stats
@@ -27,20 +28,19 @@ namespace aqsim::stats
 class Group;
 
 /**
- * Base class for a named, documented statistic. The description is
- * kept by pointer, not copied: every node registers the same stats, so
- * it must be static text (a string literal) that outlives the stat.
+ * Base class for a named, documented statistic. The name and the
+ * description are kept by pointer, not copied: every node registers
+ * the same stats, so both must be static text (string literals) that
+ * outlive the stat.
  */
 class Stat
 {
   public:
-    Stat(std::string name, const char *desc)
-        : name_(std::move(name)), desc_(desc)
-    {}
+    Stat(const char *name, const char *desc) : name_(name), desc_(desc) {}
 
     virtual ~Stat() = default;
 
-    const std::string &name() const { return name_; }
+    std::string_view name() const { return name_; }
     const char *desc() const { return desc_; }
 
     /** Render the value(s) as "label value" rows for text output. */
@@ -50,7 +50,7 @@ class Stat
     virtual void reset() = 0;
 
   private:
-    std::string name_;
+    const char *name_;
     const char *desc_;
 };
 
@@ -98,10 +98,16 @@ class Scalar : public Stat
 class Value : public Scalar
 {
   public:
-    Value(std::string name, const char *desc,
+    Value(const char *name, const char *desc,
           std::function<double()> source)
-        : Scalar(std::move(name), desc),
-          source_(std::move(source))
+        : Scalar(name, desc), source_(std::move(source))
+    {}
+
+    /** A view of one of the owner's counters, @p counter. */
+    Value(const char *name, const char *desc,
+          const std::uint64_t &counter)
+        : Value(name, desc,
+                [&counter] { return static_cast<double>(counter); })
     {}
 
     Value &operator++() = delete;
@@ -151,14 +157,14 @@ class Group
     Group &operator=(const Group &) = delete;
 
     /**
-     * Create (and own) a statistic of type T in this group. @p desc
-     * must be static text; the stat keeps the pointer.
+     * Create (and own) a statistic of type T in this group. @p name
+     * and @p desc must be static text; the stat keeps the pointers.
      */
     template <typename T, typename... CtorArgs>
     T &
-    add(std::string name, const char *desc, CtorArgs &&...args)
+    add(const char *name, const char *desc, CtorArgs &&...args)
     {
-        auto stat = std::make_unique<T>(std::move(name), desc,
+        auto stat = std::make_unique<T>(name, desc,
                                         std::forward<CtorArgs>(args)...);
         T &ref = *stat;
         stats_.push_back(std::move(stat));

@@ -22,7 +22,7 @@ PingPong::PingPong(std::size_t num_ranks, double scale)
 {}
 
 PingPong::PingPong(std::size_t num_ranks, double scale, Params params)
-    : numRanks_(num_ranks), params_(params)
+    : numRanks_(num_ranks), params_(params), roundtrips_(num_ranks)
 {
     AQSIM_ASSERT(num_ranks >= 2);
     params_.rounds = std::max<std::size_t>(
@@ -33,9 +33,13 @@ PingPong::PingPong(std::size_t num_ranks, double scale, Params params)
 double
 PingPong::meanRoundtripTicks() const
 {
-    const auto count = roundtripCount_.load();
-    return count ? static_cast<double>(roundtripSum_.load()) /
-                       static_cast<double>(count)
+    std::uint64_t sum = 0;
+    std::uint64_t count = 0;
+    for (const Roundtrips &slot : roundtrips_) {
+        sum += slot.sumTicks;
+        count += slot.count;
+    }
+    return count ? static_cast<double>(sum) / static_cast<double>(count)
                  : 0.0;
 }
 
@@ -54,8 +58,9 @@ PingPong::program(AppContext &ctx)
             const Tick t0 = ctx.now();
             co_await ctx.comm().send(peer, tagPing, params_.bytes);
             co_await ctx.comm().recv(static_cast<int>(peer), tagPong);
-            roundtripSum_ += ctx.now() - t0;
-            ++roundtripCount_;
+            Roundtrips &mine = roundtrips_[r];
+            mine.sumTicks += ctx.now() - t0;
+            ++mine.count;
             if (params_.gap)
                 co_await ctx.delay(params_.gap);
         } else {

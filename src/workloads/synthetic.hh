@@ -6,7 +6,8 @@
 #ifndef AQSIM_WORKLOADS_SYNTHETIC_HH
 #define AQSIM_WORKLOADS_SYNTHETIC_HH
 
-#include <atomic>
+#include <cstdint>
+#include <vector>
 
 #include "workloads/workload.hh"
 
@@ -47,12 +48,18 @@ class PingPong : public Workload
     const Params &params() const { return params_; }
 
   private:
+    /** One pinging rank's roundtrips, on a line of its own. */
+    struct alignas(64) Roundtrips
+    {
+        std::uint64_t sumTicks = 0;
+        std::uint64_t count = 0;
+    };
+
     std::size_t numRanks_;
     Params params_;
-    /** Atomics: pinger coroutines on different ThreadedEngine threads
-     * update these concurrently. */
-    std::atomic<std::uint64_t> roundtripSum_{0};
-    std::atomic<std::uint64_t> roundtripCount_{0};
+    /** One slot per rank, written only by that rank's coroutine (and
+     * so by the one worker that runs the rank); summed when read. */
+    std::vector<Roundtrips> roundtrips_;
 };
 
 /**

@@ -29,18 +29,18 @@ class RecordingScheduler : public DeliveryScheduler
   public:
     struct Placement
     {
-        PacketPtr pkt;
+        test::FrameCopy pkt;
         DeliveryKind kind;
         Tick actual;
     };
 
     Tick
-    place(const PacketPtr &pkt, DeliveryKind &kind) override
+    place(const Packet &pkt, DeliveryKind &kind) override
     {
         kind = DeliveryKind::OnTime;
         placements.push_back(
-            Placement{pkt, kind, pkt->idealArrival});
-        return pkt->idealArrival;
+            Placement{test::copyOf(pkt), kind, pkt.idealArrival});
+        return pkt.idealArrival;
     }
 
     std::vector<Placement> placements;
@@ -63,12 +63,10 @@ struct FaultFixture : public ::testing::Test
         controller->setFaultInjector(faults.get());
     }
 
-    PacketPtr
+    test::FrameCopy
     makeFrame(NodeId src, NodeId dst, std::uint32_t bytes, Tick depart)
     {
-        auto pkt = makePacket(src, dst, bytes, depart);
-        pkt->departTick = depart;
-        return pkt;
+        return test::copyOf(test::frame(src, dst, bytes, depart));
     }
 
     stats::Group root;
@@ -84,8 +82,8 @@ TEST_F(FaultFixture, DropsCountAsTrafficButAreNeverDelivered)
     FaultParams params;
     params.dropRate = 1.0;
     attach(params);
-    controller->inject(makeFrame(0, 1, 100, 0));
-    controller->inject(makeFrame(0, 2, 100, 0));
+    controller->inject(*makeFrame(0, 1, 100, 0));
+    controller->inject(*makeFrame(0, 2, 100, 0));
     EXPECT_TRUE(scheduler.placements.empty());
     EXPECT_EQ(controller->totalDropped(), 2u);
     EXPECT_EQ(faults->totalDropped(), 2u);
@@ -103,7 +101,7 @@ TEST_F(FaultFixture, DuplicateDeliversTwoCopiesAndObserversSeeBoth)
     std::vector<std::uint64_t> observed_ids;
     controller->addObserver(
         [&](const Packet &pkt, Tick) { observed_ids.push_back(pkt.id); });
-    controller->inject(makeFrame(0, 1, 100, 0));
+    controller->inject(*makeFrame(0, 1, 100, 0));
     ASSERT_EQ(scheduler.placements.size(), 2u);
     // Primary first, copy second, each with its own id; the observer
     // ordering matches the placement ordering exactly.
@@ -123,7 +121,7 @@ TEST_F(FaultFixture, CorruptSetsTheFlagWithoutChangingTiming)
     FaultParams params;
     params.corruptRate = 1.0;
     attach(params);
-    controller->inject(makeFrame(0, 1, 9000, 5000));
+    controller->inject(*makeFrame(0, 1, 9000, 5000));
     ASSERT_EQ(scheduler.placements.size(), 1u);
     EXPECT_TRUE(scheduler.placements[0].pkt->corrupted);
     // Perfect switch: ideal = depart + rx latency, unchanged.
@@ -138,7 +136,7 @@ TEST_F(FaultFixture, JitterOnlyEverAddsLatency)
     params.maxJitterTicks = 300;
     attach(params);
     for (int i = 0; i < 20; ++i)
-        controller->inject(makeFrame(0, 1, 100, 1000));
+        controller->inject(*makeFrame(0, 1, 100, 1000));
     const Tick base = 1000 + 500; // depart + rx latency
     ASSERT_EQ(scheduler.placements.size(), 20u);
     for (const auto &p : scheduler.placements) {
@@ -153,11 +151,11 @@ TEST_F(FaultFixture, LinkDownWindowDropsBothDirectionsOnlyInWindow)
     FaultParams params;
     params.linkDown.push_back({0, 1, 1000, 2000});
     attach(params);
-    controller->inject(makeFrame(0, 1, 100, 1500)); // down, forward
-    controller->inject(makeFrame(1, 0, 100, 1500)); // down, reverse
-    controller->inject(makeFrame(0, 2, 100, 1500)); // other link: fine
-    controller->inject(makeFrame(0, 1, 100, 2000)); // window end: fine
-    controller->inject(makeFrame(0, 1, 100, 999));  // before: fine
+    controller->inject(*makeFrame(0, 1, 100, 1500)); // down, forward
+    controller->inject(*makeFrame(1, 0, 100, 1500)); // down, reverse
+    controller->inject(*makeFrame(0, 2, 100, 1500)); // other link: fine
+    controller->inject(*makeFrame(0, 1, 100, 2000)); // window end: fine
+    controller->inject(*makeFrame(0, 1, 100, 999));  // before: fine
     EXPECT_EQ(controller->totalDropped(), 2u);
     EXPECT_EQ(scheduler.placements.size(), 3u);
 }
@@ -167,10 +165,10 @@ TEST_F(FaultFixture, NodeCrashWindowDropsAllTrafficOfTheNode)
     FaultParams params;
     params.nodeCrash.push_back({2, 100, 500});
     attach(params);
-    controller->inject(makeFrame(0, 2, 100, 200)); // to crashed node
-    controller->inject(makeFrame(2, 3, 100, 200)); // from crashed node
-    controller->inject(makeFrame(0, 1, 100, 200)); // unrelated
-    controller->inject(makeFrame(0, 2, 100, 600)); // after recovery
+    controller->inject(*makeFrame(0, 2, 100, 200)); // to crashed node
+    controller->inject(*makeFrame(2, 3, 100, 200)); // from crashed node
+    controller->inject(*makeFrame(0, 1, 100, 200)); // unrelated
+    controller->inject(*makeFrame(0, 2, 100, 600)); // after recovery
     EXPECT_EQ(controller->totalDropped(), 2u);
     EXPECT_EQ(scheduler.placements.size(), 2u);
 }
@@ -180,12 +178,12 @@ TEST_F(FaultFixture, NodePauseHoldsArrivalToWindowEnd)
     FaultParams params;
     params.nodePause.push_back({1, 0, 10000});
     attach(params);
-    controller->inject(makeFrame(0, 1, 100, 1000));
+    controller->inject(*makeFrame(0, 1, 100, 1000));
     ASSERT_EQ(scheduler.placements.size(), 1u);
     // Natural arrival would be 1500; the pause holds it to 10000.
     EXPECT_EQ(scheduler.placements[0].pkt->idealArrival, 10000u);
     // A frame departing after the window is unaffected.
-    controller->inject(makeFrame(0, 1, 100, 20000));
+    controller->inject(*makeFrame(0, 1, 100, 20000));
     EXPECT_EQ(scheduler.placements[1].pkt->idealArrival, 20500u);
 }
 

@@ -17,6 +17,7 @@
 #include "net/network_controller.hh"
 #include "stats/stats.hh"
 #include "workloads/workload.hh"
+#include "test_util.hh"
 
 using namespace aqsim;
 using check::DeliveryClass;
@@ -51,10 +52,10 @@ class TimeTravelScheduler : public net::DeliveryScheduler
 {
   public:
     Tick
-    place(const net::PacketPtr &pkt, net::DeliveryKind &kind) override
+    place(const net::Packet &pkt, net::DeliveryKind &kind) override
     {
         kind = net::DeliveryKind::OnTime;
-        return pkt->idealArrival > 100 ? pkt->idealArrival - 100 : 0;
+        return pkt.idealArrival > 100 ? pkt.idealArrival - 100 : 0;
     }
 };
 
@@ -97,8 +98,7 @@ TEST_F(CheckerFixture, PastDeliveryThroughControllerDetected)
     TimeTravelScheduler scheduler;
     controller.setScheduler(&scheduler);
 
-    auto pkt = net::makePacket(0, 1, 256, /*depart=*/50'000);
-    pkt->departTick = 50'000;
+    net::Packet pkt = test::frame(0, 1, 256, /*depart=*/50'000);
     controller.inject(pkt);
 
     EXPECT_EQ(checker.violations(Invariant::PastDelivery), 1u);

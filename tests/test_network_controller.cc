@@ -11,6 +11,7 @@
 #include "fault/fault_injector.hh"
 #include "net/network_controller.hh"
 #include "stats/stats.hh"
+#include "test_util.hh"
 
 using namespace aqsim;
 using namespace aqsim::net;
@@ -24,7 +25,7 @@ class RecordingScheduler : public DeliveryScheduler
   public:
     struct Placement
     {
-        PacketPtr pkt;
+        test::FrameCopy pkt;
         DeliveryKind kind;
         Tick actual;
     };
@@ -34,11 +35,11 @@ class RecordingScheduler : public DeliveryScheduler
     Tick extraLateness = 0;
 
     Tick
-    place(const PacketPtr &pkt, DeliveryKind &kind) override
+    place(const Packet &pkt, DeliveryKind &kind) override
     {
         kind = nextKind;
-        const Tick actual = pkt->idealArrival + extraLateness;
-        placements.push_back(Placement{pkt, kind, actual});
+        const Tick actual = pkt.idealArrival + extraLateness;
+        placements.push_back(Placement{test::copyOf(pkt), kind, actual});
         return actual;
     }
 
@@ -53,13 +54,11 @@ struct ControllerFixture : public ::testing::Test
         controller.setScheduler(&scheduler);
     }
 
-    PacketPtr
+    test::FrameCopy
     makeFrame(NodeId src, NodeId dst, std::uint32_t bytes,
               Tick depart)
     {
-        auto pkt = makePacket(src, dst, bytes, depart);
-        pkt->departTick = depart;
-        return pkt;
+        return test::copyOf(test::frame(src, dst, bytes, depart));
     }
 
     stats::Group root;
@@ -79,7 +78,7 @@ TEST_F(ControllerFixture, MinNetworkLatencyMatchesPaperConfig)
 
 TEST_F(ControllerFixture, RoutesUnicastWithIdealArrival)
 {
-    controller.inject(makeFrame(0, 1, 9000, 5000));
+    controller.inject(*makeFrame(0, 1, 9000, 5000));
     ASSERT_EQ(scheduler.placements.size(), 1u);
     const auto &p = scheduler.placements[0];
     // Perfect switch: ideal = depart + rx latency.
@@ -90,15 +89,15 @@ TEST_F(ControllerFixture, RoutesUnicastWithIdealArrival)
 
 TEST_F(ControllerFixture, AssignsUniqueIds)
 {
-    controller.inject(makeFrame(0, 1, 100, 0));
-    controller.inject(makeFrame(1, 2, 100, 0));
+    controller.inject(*makeFrame(0, 1, 100, 0));
+    controller.inject(*makeFrame(1, 2, 100, 0));
     EXPECT_NE(scheduler.placements[0].pkt->id,
               scheduler.placements[1].pkt->id);
 }
 
 TEST_F(ControllerFixture, BroadcastReplicatesToAllOthers)
 {
-    controller.inject(makeFrame(2, broadcastNode, 100, 0));
+    controller.inject(*makeFrame(2, broadcastNode, 100, 0));
     ASSERT_EQ(scheduler.placements.size(), 3u);
     std::vector<NodeId> dsts;
     for (const auto &p : scheduler.placements)
@@ -109,8 +108,8 @@ TEST_F(ControllerFixture, BroadcastReplicatesToAllOthers)
 
 TEST_F(ControllerFixture, QuantumPacketCountResetsAtBeginQuantum)
 {
-    controller.inject(makeFrame(0, 1, 100, 0));
-    controller.inject(makeFrame(0, 2, 100, 0));
+    controller.inject(*makeFrame(0, 1, 100, 0));
+    controller.inject(*makeFrame(0, 2, 100, 0));
     EXPECT_EQ(controller.packetsThisQuantum(), 2u);
     controller.beginQuantum();
     EXPECT_EQ(controller.packetsThisQuantum(), 0u);
@@ -121,7 +120,7 @@ TEST_F(ControllerFixture, StragglerAccounting)
 {
     scheduler.nextKind = DeliveryKind::Straggler;
     scheduler.extraLateness = 123;
-    controller.inject(makeFrame(0, 1, 100, 0));
+    controller.inject(*makeFrame(0, 1, 100, 0));
     EXPECT_EQ(controller.totalStragglers(), 1u);
     EXPECT_EQ(controller.totalNextQuantum(), 0u);
     EXPECT_EQ(controller.totalLatenessTicks(), 123u);
@@ -131,14 +130,14 @@ TEST_F(ControllerFixture, NextQuantumCountsAsStragglerToo)
 {
     scheduler.nextKind = DeliveryKind::NextQuantum;
     scheduler.extraLateness = 50;
-    controller.inject(makeFrame(0, 1, 100, 0));
+    controller.inject(*makeFrame(0, 1, 100, 0));
     EXPECT_EQ(controller.totalStragglers(), 1u);
     EXPECT_EQ(controller.totalNextQuantum(), 1u);
 }
 
 TEST_F(ControllerFixture, OnTimeDeliveriesAreNotStragglers)
 {
-    controller.inject(makeFrame(0, 1, 100, 0));
+    controller.inject(*makeFrame(0, 1, 100, 0));
     EXPECT_EQ(controller.totalStragglers(), 0u);
     EXPECT_EQ(controller.totalLatenessTicks(), 0u);
 }
@@ -149,7 +148,7 @@ TEST_F(ControllerFixture, ObserversSeeEveryPacket)
     controller.addObserver([&](const Packet &pkt, Tick actual) {
         seen.emplace_back(pkt.dst, actual);
     });
-    controller.inject(makeFrame(0, 3, 100, 700));
+    controller.inject(*makeFrame(0, 3, 100, 700));
     ASSERT_EQ(seen.size(), 1u);
     EXPECT_EQ(seen[0].first, 3u);
     EXPECT_EQ(seen[0].second, 700u + 500u);
@@ -157,7 +156,7 @@ TEST_F(ControllerFixture, ObserversSeeEveryPacket)
 
 TEST_F(ControllerFixture, ResetClearsCounters)
 {
-    controller.inject(makeFrame(0, 1, 100, 0));
+    controller.inject(*makeFrame(0, 1, 100, 0));
     controller.reset();
     EXPECT_EQ(controller.totalPackets(), 0u);
     EXPECT_EQ(controller.packetsThisQuantum(), 0u);
@@ -167,7 +166,7 @@ TEST_F(ControllerFixture, ResetAlsoClearsTheStatsTree)
 {
     scheduler.nextKind = DeliveryKind::Straggler;
     scheduler.extraLateness = 77;
-    controller.inject(makeFrame(0, 1, 100, 0));
+    controller.inject(*makeFrame(0, 1, 100, 0));
     const auto *packets = dynamic_cast<const stats::Scalar *>(
         root.find("network.packets"));
     const auto *stragglers = dynamic_cast<const stats::Scalar *>(
@@ -191,7 +190,7 @@ TEST_F(ControllerFixture, ResetRestoresTheFaultLayerToo)
     fp.dropRate = 1.0;
     fault::FaultInjector faults(4, fp, Rng(9), root);
     controller.setFaultInjector(&faults);
-    controller.inject(makeFrame(0, 1, 100, 0));
+    controller.inject(*makeFrame(0, 1, 100, 0));
     EXPECT_EQ(controller.totalDropped(), 1u);
     EXPECT_EQ(faults.totalDropped(), 1u);
     const auto *dropped = dynamic_cast<const stats::Scalar *>(
@@ -214,8 +213,7 @@ TEST_F(ControllerFixture, StoreAndForwardSwitchDelaysThroughPorts)
     RecordingScheduler sched;
     ctrl.setScheduler(&sched);
 
-    auto pkt = makePacket(0, 1, 9000, 0);
-    pkt->departTick = 0;
+    Packet pkt = test::frame(0, 1, 9000, 0);
     ctrl.inject(pkt);
     // traversal 200 + 9000B at 10 B/ns = 900 + rx latency 500.
     EXPECT_EQ(sched.placements[0].pkt->idealArrival, 200u + 900u + 500u);
@@ -251,16 +249,16 @@ class PerSourceScheduler : public DeliveryScheduler
     explicit PerSourceScheduler(std::size_t sources) : placed(sources) {}
 
     Tick
-    place(const PacketPtr &pkt, DeliveryKind &kind) override
+    place(const Packet &pkt, DeliveryKind &kind) override
     {
-        const Tick d = pkt->departTick;
+        const Tick d = pkt.departTick;
         kind = d % 10 == 0  ? DeliveryKind::NextQuantum
                : d % 5 == 0 ? DeliveryKind::Straggler
                             : DeliveryKind::OnTime;
         const Tick actual =
-            pkt->idealArrival +
+            pkt.idealArrival +
             (kind == DeliveryKind::OnTime ? 0 : 7 + d % 13);
-        placed[pkt->src].push_back(Placed{pkt->id, pkt->dst, kind, actual});
+        placed[pkt.src].push_back(Placed{pkt.id, pkt.dst, kind, actual});
         return actual;
     }
 
@@ -309,10 +307,9 @@ injectFromThreads(std::size_t threads)
                     ? broadcastNode
                     : static_cast<NodeId>((src + 1 + i % (sources - 1)) %
                                           sources);
-            auto pkt = makePacket(src, dst,
-                                  static_cast<std::uint32_t>(64 + i % 1400),
-                                  i * 3);
-            pkt->departTick = i * 3 + src;
+            Packet pkt = test::frame(
+                src, dst, static_cast<std::uint32_t>(64 + i % 1400), i * 3);
+            pkt.departTick = i * 3 + src;
             ctl.inject(pkt);
         }
     };
@@ -334,7 +331,8 @@ injectFromThreads(std::size_t threads)
             continue;
         for (const auto &stat : group->statList())
             for (const auto &[label, value] : stat->rows())
-                out.networkStats.emplace_back(stat->name() + label, value);
+                out.networkStats.emplace_back(
+                    std::string(stat->name()) + label, value);
     }
     out.faultDrops = faults.totalDropped();
     out.faultDuplicates = faults.totalDuplicated();
@@ -393,6 +391,6 @@ TEST(ControllerDeath, SelfSendIsRejected)
     NetworkController ctrl(2, NetworkParams{}, root);
     RecordingScheduler sched;
     ctrl.setScheduler(&sched);
-    auto pkt = makePacket(0, 0, 100, 0);
+    Packet pkt = test::frame(0, 0, 100, 0);
     EXPECT_DEATH(ctrl.inject(pkt), "assertion");
 }

@@ -8,6 +8,7 @@
 #include "node/nic_model.hh"
 #include "sim/event_queue.hh"
 #include "stats/stats.hh"
+#include "test_util.hh"
 
 using namespace aqsim;
 using namespace aqsim::net;
@@ -20,14 +21,14 @@ class CaptureScheduler : public DeliveryScheduler
 {
   public:
     Tick
-    place(const PacketPtr &pkt, DeliveryKind &kind) override
+    place(const Packet &pkt, DeliveryKind &kind) override
     {
         kind = DeliveryKind::OnTime;
-        packets.push_back(pkt);
-        return pkt->idealArrival;
+        packets.push_back(test::copyOf(pkt));
+        return pkt.idealArrival;
     }
 
-    std::vector<PacketPtr> packets;
+    std::vector<test::FrameCopy> packets;
 };
 
 struct NicFixture : public ::testing::Test
@@ -50,7 +51,7 @@ struct NicFixture : public ::testing::Test
 
 TEST_F(NicFixture, DepartIncludesOverheadSerializationAndLatency)
 {
-    queue.schedule(1000, [&] { nic.send(1, 9000, nullptr); });
+    queue.schedule(1000, [&] { nic.send(1, 9000); });
     queue.runOne();
     ASSERT_EQ(scheduler.packets.size(), 1u);
     const auto &pkt = *scheduler.packets[0];
@@ -62,8 +63,8 @@ TEST_F(NicFixture, DepartIncludesOverheadSerializationAndLatency)
 TEST_F(NicFixture, BackToBackFramesQueueOnSerialization)
 {
     queue.schedule(0, [&] {
-        nic.send(1, 9000, nullptr);
-        nic.send(1, 9000, nullptr);
+        nic.send(1, 9000);
+        nic.send(1, 9000);
     });
     queue.runOne();
     ASSERT_EQ(scheduler.packets.size(), 2u);
@@ -76,9 +77,9 @@ TEST_F(NicFixture, BackToBackFramesQueueOnSerialization)
 
 TEST_F(NicFixture, IdleGapResetsQueueing)
 {
-    queue.schedule(0, [&] { nic.send(1, 9000, nullptr); });
+    queue.schedule(0, [&] { nic.send(1, 9000); });
     queue.runOne();
-    queue.schedule(50000, [&] { nic.send(1, 9000, nullptr); });
+    queue.schedule(50000, [&] { nic.send(1, 9000); });
     queue.runOne();
     const Tick d1 = scheduler.packets[1]->departTick;
     EXPECT_EQ(d1, 50000u + 100u + 900u + 500u);
@@ -87,10 +88,10 @@ TEST_F(NicFixture, IdleGapResetsQueueing)
 TEST_F(NicFixture, DeliverySchedulesRxEventAndInvokesHandler)
 {
     std::vector<std::pair<Tick, std::uint32_t>> received;
-    nic.setRxHandler([&](const PacketPtr &pkt) {
-        received.emplace_back(queue.now(), pkt->bytes);
+    nic.setRxHandler([&](const Packet &pkt) {
+        received.emplace_back(queue.now(), pkt.bytes);
     });
-    auto pkt = makePacket(1, 0, 777, 0);
+    const Packet pkt = test::frame(1, 0, 777, 0);
     nic.deliverAt(pkt, 4242);
     queue.runUntil(10000);
     ASSERT_EQ(received.size(), 1u);
@@ -100,10 +101,10 @@ TEST_F(NicFixture, DeliverySchedulesRxEventAndInvokesHandler)
 
 TEST_F(NicFixture, StatsCountFrames)
 {
-    nic.setRxHandler([](const PacketPtr &) {});
-    queue.schedule(0, [&] { nic.send(1, 500, nullptr); });
+    nic.setRxHandler([](const Packet &) {});
+    queue.schedule(0, [&] { nic.send(1, 500); });
     queue.runOne();
-    nic.deliverAt(makePacket(1, 0, 200, 0), 100);
+    nic.deliverAt(test::frame(1, 0, 200, 0), 100);
     queue.runUntil(1000);
     const auto *tx = root.find("node-less"); // not present
     EXPECT_EQ(tx, nullptr);
@@ -119,6 +120,48 @@ TEST_F(NicFixture, StatsCountFrames)
 
 TEST_F(NicFixture, OversizedFramePanics)
 {
-    queue.schedule(0, [&] { nic.send(1, 9001, nullptr); });
+    queue.schedule(0, [&] { nic.send(1, 9001); });
     EXPECT_DEATH(queue.runOne(), "assertion");
+}
+
+TEST_F(NicFixture, ReceivePoolGrowsToInFlightFramesAndReusesSlots)
+{
+    // Nothing is reserved up front: a NIC that never receives holds
+    // no pool at all.
+    EXPECT_EQ(nic.rxPoolSlots(), 0u);
+    std::vector<std::uint32_t> received;
+    nic.setRxHandler(
+        [&](const Packet &pkt) { received.push_back(pkt.bytes); });
+    nic.deliverAt(test::frame(1, 0, 100, 0), 10);
+    nic.deliverAt(test::frame(1, 0, 101, 0), 20);
+    nic.deliverAt(test::frame(1, 0, 102, 0), 30);
+    EXPECT_EQ(nic.rxPoolSlots(), 3u);
+    queue.runUntil(100);
+    // Freed slots are reused: two more frames in flight add none.
+    nic.deliverAt(test::frame(1, 0, 103, 0), 110);
+    nic.deliverAt(test::frame(1, 0, 104, 0), 120);
+    queue.runUntil(200);
+    EXPECT_EQ(nic.rxPoolSlots(), 3u);
+    EXPECT_EQ(received,
+              (std::vector<std::uint32_t>{100, 101, 102, 103, 104}));
+}
+
+TEST_F(NicFixture, HandlerMayDeliverIntoItsOwnPool)
+{
+    // The delivery event copies its frame out of the pool before the
+    // handler runs, so a handler that grows the pool (here: delivers
+    // again into the same NIC) still reads the frame it was given.
+    std::vector<std::uint32_t> received;
+    nic.setRxHandler([&](const Packet &pkt) {
+        if (pkt.bytes < 100 + 8)
+            nic.deliverAt(test::frame(1, 0, pkt.bytes + 1, 0),
+                          queue.now() + 1);
+        nic.deliverAt(test::frame(1, 0, 1000, 0), queue.now() + 500);
+        received.push_back(pkt.bytes);
+    });
+    nic.deliverAt(test::frame(1, 0, 100, 0), 10);
+    queue.runUntil(20);
+    EXPECT_EQ(received,
+              (std::vector<std::uint32_t>{100, 101, 102, 103, 104, 105,
+                                          106, 107, 108}));
 }

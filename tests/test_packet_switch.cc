@@ -15,20 +15,13 @@
 using namespace aqsim;
 using namespace aqsim::net;
 
-TEST(Packet, FactoryInitializesTimestamps)
-{
-    auto pkt = makePacket(1, 2, 512, 1000);
-    EXPECT_EQ(pkt->src, 1u);
-    EXPECT_EQ(pkt->dst, 2u);
-    EXPECT_EQ(pkt->bytes, 512u);
-    EXPECT_EQ(pkt->sendTick, 1000u);
-    EXPECT_EQ(pkt->departTick, 1000u);
-}
-
 TEST(Packet, ToStringContainsEndpoints)
 {
-    auto pkt = makePacket(3, 7, 64, 0);
-    const std::string s = pkt->toString();
+    Packet pkt;
+    pkt.src = 3;
+    pkt.dst = 7;
+    pkt.bytes = 64;
+    const std::string s = pkt.toString();
     EXPECT_NE(s.find("3->7"), std::string::npos);
     EXPECT_NE(s.find("64B"), std::string::npos);
 }

@@ -5,6 +5,7 @@
 #include "core/synchronizer.hh"
 #include "net/network_controller.hh"
 #include "stats/stats.hh"
+#include "test_util.hh"
 
 using namespace aqsim;
 using namespace aqsim::core;
@@ -16,10 +17,10 @@ class NullScheduler : public net::DeliveryScheduler
 {
   public:
     Tick
-    place(const net::PacketPtr &pkt, net::DeliveryKind &kind) override
+    place(const net::Packet &pkt, net::DeliveryKind &kind) override
     {
         kind = net::DeliveryKind::OnTime;
-        return pkt->idealArrival;
+        return pkt.idealArrival;
     }
 };
 
@@ -33,7 +34,7 @@ struct SyncFixture : public ::testing::Test
     void
     injectOne()
     {
-        auto pkt = net::makePacket(0, 1, 100, 0);
+        net::Packet pkt = test::frame(0, 1, 100, 0);
         controller.inject(pkt);
     }
 
@@ -164,11 +165,11 @@ TEST_F(SyncFixture, StragglerDeltaRecordedPerQuantum)
     {
       public:
         Tick
-        place(const net::PacketPtr &pkt,
+        place(const net::Packet &pkt,
               net::DeliveryKind &kind) override
         {
             kind = net::DeliveryKind::Straggler;
-            return pkt->idealArrival + 10;
+            return pkt.idealArrival + 10;
         }
     };
     LateScheduler late;

@@ -10,6 +10,7 @@
 #include <atomic>
 
 #include "engine/threaded_engine.hh"
+#include "workloads/synthetic.hh"
 #include "test_util.hh"
 
 using namespace aqsim;
@@ -50,6 +51,31 @@ TEST(ThreadedEngine, RunsPingPongToCompletion)
     EXPECT_GT(result.hostNs, 0.0);
     EXPECT_EQ(result.engine, "threaded");
     EXPECT_EQ(result.stragglers, 0u);
+}
+
+TEST(ThreadedEngine, PingPongRoundtripMatchesAtFourWorkers)
+{
+    // Each pinging rank keeps its roundtrips in its own slot, written
+    // only by the worker running it; the mean sums the slots. Four
+    // workers running the pingers of 8 ranks must report exactly the
+    // one-worker figures.
+    const auto run = [](std::size_t workers) {
+        PingPong workload(8, 0.2);
+        auto policy = core::parsePolicy("fixed:1us");
+        auto params = harness::defaultCluster(8, 1);
+        engine::EngineOptions options;
+        options.numWorkers = workers;
+        engine::ThreadedEngine engine(options);
+        const auto result = engine.run(params, workload, *policy);
+        return std::make_pair(result, workload.meanRoundtripTicks());
+    };
+    const auto [one, one_roundtrip] = run(1);
+    const auto [four, four_roundtrip] = run(4);
+    EXPECT_GT(one_roundtrip, 0.0);
+    EXPECT_EQ(four_roundtrip, one_roundtrip);
+    EXPECT_EQ(four.metric, one.metric);
+    EXPECT_EQ(four.simTicks, one.simTicks);
+    EXPECT_EQ(four.finalStateHash, one.finalStateHash);
 }
 
 TEST(ThreadedEngine, ConservativeMatchesSequentialExactly)

@@ -4,16 +4,47 @@
 #define AQSIM_TESTS_TEST_UTIL_HH
 
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "core/quantum_policy.hh"
 #include "engine/cluster.hh"
 #include "engine/sequential_engine.hh"
 #include "harness/experiment.hh"
+#include "net/packet.hh"
 #include "workloads/workload.hh"
 
 namespace aqsim::test
 {
+
+/**
+ * A payload-less frame from @p src to @p dst of @p bytes, handed to
+ * the NIC and departed at @p send (the controller's input shape).
+ */
+inline net::Packet
+frame(NodeId src, NodeId dst, std::uint32_t bytes, Tick send)
+{
+    net::Packet pkt;
+    pkt.src = src;
+    pkt.dst = dst;
+    pkt.bytes = bytes;
+    pkt.sendTick = send;
+    pkt.departTick = send;
+    pkt.idealArrival = send;
+    return pkt;
+}
+
+/**
+ * A test's own heap copy of a frame: what a recording scheduler keeps
+ * of each placement, read after the placing call has returned.
+ */
+using FrameCopy = std::shared_ptr<net::Packet>;
+
+inline FrameCopy
+copyOf(const net::Packet &pkt)
+{
+    return std::make_shared<net::Packet>(pkt);
+}
 
 /** Workload whose per-rank program is a caller-provided lambda. */
 class LambdaWorkload : public workloads::Workload

@@ -22,7 +22,12 @@ Checks (each file, line numbers reported):
              std::dynamic_pointer_cast under src/mpi/ or src/net/ —
              the per-packet path casts the raw pointer its owner keeps
              alive instead of copying the shared_ptr (two atomic
-             operations on another worker's control block)
+             operations on another worker's control block); no
+             std::make_shared/std::shared_ptr of a packet or payload
+             type under src/net/, src/mpi/, src/node/nic_model.* or
+             src/engine/delivery_batch.* — a frame is a trivially
+             copyable value from NicModel::send to Endpoint::handleRx,
+             so no heap object is shared between workers
   persistence no raw file I/O (fopen/fwrite/fread, std::ofstream/
              ifstream/fstream) under src/ outside src/ckpt/ — all
              persistent simulator state goes through the versioned,
@@ -87,6 +92,13 @@ BANNED = [
 
 SNAKE_CASE = re.compile(r"^[a-z0-9_.]+$")
 
+# A shared_ptr (or a make_shared/allocate_shared) whose element type
+# names a packet or a payload: net::Packet, const Packet, the mpi
+# FragmentPayload/ControlPayload, any *Packet*/*Payload* type.
+SHARED_FRAME = re.compile(
+    r"\b(make_shared|allocate_shared|shared_ptr)\s*<\s*"
+    r"(const\s+)?(\w+\s*::\s*)*\w*(Packet|Payload)\w*\b")
+
 
 def findings_for(path: Path, rel: str, text: str):
     lines = text.splitlines()
@@ -104,6 +116,8 @@ def findings_for(path: Path, rel: str, text: str):
     in_base_random = posix_rel.startswith("src/base/random")
     in_sim_kernel = posix_rel.startswith("src/sim/")
     in_packet_path = posix_rel.startswith(("src/mpi/", "src/net/"))
+    in_value_frame_path = in_packet_path or posix_rel.startswith(
+        ("src/node/nic_model.", "src/engine/delivery_batch."))
     # The incident log is an append-only JSONL diagnostics stream —
     # recovery telemetry, not simulator state — so it writes directly.
     state_serialization_banned = (
@@ -213,6 +227,15 @@ def findings_for(path: Path, rel: str, text: str):
                     "std::dynamic_pointer_cast is banned under src/mpi/ "
                     "and src/net/ (dynamic_cast the raw pointer; see "
                     "docs/performance.md)")
+
+        # --- hotpath: frames are values, never shared heap objects ---
+        if in_value_frame_path and SHARED_FRAME.search(code):
+            finding(i, "hotpath",
+                    "std::make_shared/std::shared_ptr of a packet or "
+                    "payload is banned on the frame path (src/net/, "
+                    "src/mpi/, src/node/nic_model.*, "
+                    "src/engine/delivery_batch.*): a frame is a "
+                    "trivially copyable value; see docs/performance.md")
 
         # --- engine-seam: the harness drives engines only through the
         # --- run supervisor ---

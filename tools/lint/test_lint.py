@@ -179,6 +179,63 @@ class PacketPathCasts(unittest.TestCase):
         self.assertEqual(len(found), 2, found)
 
 
+class ValueFrames(unittest.TestCase):
+    """The frame path never puts a packet or payload on the heap."""
+
+    def test_make_shared_packet_flagged_under_net(self):
+        self.assertTrue(findings(
+            "src/net/x.cc",
+            "auto copy = std::make_shared<Packet>(*pkt);\n",
+            "hotpath"))
+
+    def test_shared_ptr_payload_flagged_under_mpi(self):
+        self.assertTrue(findings(
+            "src/mpi/x.hh",
+            "using PayloadPtr = std::shared_ptr<const net::Payload>;\n",
+            "hotpath"))
+
+    def test_make_shared_payload_flagged_under_mpi(self):
+        self.assertTrue(findings(
+            "src/mpi/x.cc",
+            "nic.send(d, b, std::make_shared<FragmentPayload>(h, i, n));\n",
+            "hotpath"))
+
+    def test_flagged_in_nic_model(self):
+        self.assertTrue(findings(
+            "src/node/nic_model.hh",
+            "void deliverAt(std::shared_ptr<net::Packet> pkt, Tick when);\n",
+            "hotpath"))
+
+    def test_flagged_in_delivery_batch(self):
+        self.assertTrue(findings(
+            "src/engine/delivery_batch.hh",
+            "std::vector<std::shared_ptr<net::Packet>> payload;\n",
+            "hotpath"))
+
+    def test_other_shared_ptrs_allowed(self):
+        self.assertFalse(findings(
+            "src/net/x.cc",
+            "switch_ = std::make_shared<PerfectSwitch>();\n",
+            "hotpath"))
+        self.assertFalse(findings(
+            "src/mpi/x.cc",
+            "std::shared_ptr<RecvRequest::State> request;\n",
+            "hotpath"))
+
+    def test_other_files_exempt(self):
+        for rel in ("src/engine/threaded_engine.cc",
+                    "src/node/cpu_model.cc", "tests/test_x.cc"):
+            self.assertFalse(findings(
+                rel, "auto p = std::make_shared<net::Packet>();\n",
+                "hotpath"), rel)
+
+    def test_fixture_body_fires_when_attributed_to_net(self):
+        body = (HERE / "fixtures" / "packet_shared_bad.cc").read_text()
+        found = findings("src/net/bad.cc", body, "hotpath")
+        self.assertEqual([f[1] for f in found], [12, 13, 19, 20, 21],
+                         found)
+
+
 class PersistenceExemption(unittest.TestCase):
     """The incident log's JSONL append is diagnostics, not state."""
 
