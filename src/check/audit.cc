@@ -33,9 +33,9 @@ const char *const descriptions[numNames] = {
     "exactly on time (Fig. 3 semantics)",
     "SyncStats straggler counts equal the deliveries actually "
     "displaced (Fig. 3d accounting)",
-    "each destination shard's post-exchange merge emits deliveries "
-    "in strictly increasing (when, src, departTick, staging index) "
-    "order, never behind the receiver unaccounted",
+    "each node receives its post-exchange deliveries in strictly "
+    "increasing (when, src, departTick, staging index) order, never "
+    "behind the receiver unaccounted",
 };
 
 } // namespace

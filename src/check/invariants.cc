@@ -10,12 +10,7 @@
 namespace aqsim::check
 {
 
-InvariantChecker &
-InvariantChecker::instance()
-{
-    static InvariantChecker checker;
-    return checker;
-}
+constinit InvariantChecker InvariantChecker::instance_;
 
 void
 InvariantChecker::setEnabled(bool on)
@@ -192,8 +187,8 @@ InvariantChecker::shardMergeSlow(bool strictly_after,
     checks_.fetch_add(1, std::memory_order_relaxed);
     if (!strictly_after) {
         violation(Invariant::ShardMergeOrder, when,
-                  "shard merge not strictly canonically ordered at "
-                  "tick %llu",
+                  "node's merged deliveries not strictly canonically "
+                  "ordered at tick %llu",
                   static_cast<unsigned long long>(when));
     }
     if (when < receiver_now && cls != DeliveryClass::Straggler) {

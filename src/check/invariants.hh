@@ -16,12 +16,12 @@
  *                        and "on time" means exactly on time
  *   StragglerAccounting  SyncStats straggler counts equal the
  *                        deliveries actually displaced
- *   ShardMergeOrder      each destination shard's post-exchange merge
- *                        emits its deliveries in strictly increasing
- *                        (when, src, departTick, staging index) order and
- *                        never lands behind the receiver except as a
- *                        Straggler (per destination shard: the K×K
- *                        exchange never materializes a global stream)
+ *   ShardMergeOrder      each node receives its post-exchange
+ *                        deliveries in strictly increasing (when, src,
+ *                        departTick, staging index) order, and none
+ *                        lands behind the receiver except as a
+ *                        Straggler (per destination node: the exchange
+ *                        orders each node's slice, never a stream)
  *
  * The checker is always compiled and off by default: every hook is a
  * relaxed atomic load and a branch until enabled. Enable it from code
@@ -88,8 +88,8 @@ enum class DeliveryClass
 class InvariantChecker
 {
   public:
-    /** The process-wide checker. */
-    static InvariantChecker &instance();
+    /** The process-wide checker: a plain address, no call or guard. */
+    static InvariantChecker &instance() { return instance_; }
 
     /** Turn checking on or off (off: hooks cost one load+branch). */
     void setEnabled(bool on);
@@ -179,13 +179,13 @@ class InvariantChecker
     }
 
     /**
-     * A destination shard's post-exchange k-way merge emitted one
-     * staged delivery: canonical key order vs the previous emission
-     * in *that shard's* merge is @p strictly_after; it lands at
-     * @p when with the receiver at @p receiver_now, placed as @p cls.
-     * Called concurrently by every worker merging its own column
-     * (both engines share this via DeliveryBatch::mergeShard); the
-     * slow path touches only atomics.
+     * The post-exchange merge dispatched one staged delivery:
+     * canonical key order vs the previous delivery to *the same
+     * node* is @p strictly_after (true for a node's first); it lands
+     * at @p when with the receiver at @p receiver_now, placed as
+     * @p cls. Called concurrently by every worker merging its own
+     * column (both engines share this via DeliveryBatch::mergeShard);
+     * the slow path touches only atomics.
      */
     void
     onShardMerge(bool strictly_after, DeliveryClass cls, Tick when,
@@ -206,7 +206,10 @@ class InvariantChecker
     std::string report() const;
 
   private:
-    InvariantChecker() = default;
+    // constexpr: instance_ is constant-initialized (no init order).
+    constexpr InvariantChecker() = default;
+
+    static InvariantChecker instance_;
 
     void runBeginSlow();
     void quantumOpenSlow(Tick start, Tick end, bool conservative,

@@ -16,24 +16,39 @@ namespace
 constexpr char fileMagic[8] = {'A', 'Q', 'S', 'C', 'K', 'P', 'T', '1'};
 
 /**
- * CRC32 (IEEE, reflected) lookup table. A function-local static is
- * initialized exactly once even when threads race to the first call
- * (a distributed peer's main and heartbeat threads both frame data).
+ * Slice-by-8 CRC32 (IEEE, reflected) tables: t[0] is the byte-wise
+ * table, t[k][b] the CRC of byte b followed by k zero bytes, so eight
+ * lookups fold eight bytes. Built at compile time: no init race
+ * between a peer's threads, no guard on the hot path.
  */
-const std::array<std::uint32_t, 256> &
-crcTable()
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables
+makeCrcTables()
 {
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    return table;
+    CrcTables t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+        t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k)
+        for (std::uint32_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    return t;
+}
+
+constexpr CrcTables crcTables = makeCrcTables();
+
+/** Little-endian 32-bit load, whatever the host byte order. */
+inline std::uint32_t
+loadLe32(const std::uint8_t *p)
+{
+    return static_cast<std::uint32_t>(p[0]) |
+           static_cast<std::uint32_t>(p[1]) << 8 |
+           static_cast<std::uint32_t>(p[2]) << 16 |
+           static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 } // namespace
@@ -41,10 +56,18 @@ crcTable()
 std::uint32_t
 crc32(const std::uint8_t *data, std::size_t size)
 {
-    const auto &table = crcTable();
+    const auto &t = crcTables;
     std::uint32_t crc = 0xffffffffu;
-    for (std::size_t i = 0; i < size; ++i)
-        crc = table[(crc ^ data[i]) & 0xffu] ^ (crc >> 8);
+    for (; size >= 8; data += 8, size -= 8) {
+        const std::uint32_t lo = loadLe32(data) ^ crc;
+        const std::uint32_t hi = loadLe32(data + 4);
+        crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+              t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+              t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+              t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
+    for (; size > 0; ++data, --size)
+        crc = t[0][(crc ^ *data) & 0xffu] ^ (crc >> 8);
     return crc ^ 0xffffffffu;
 }
 

@@ -1,5 +1,6 @@
 #include "engine/cluster.hh"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "base/logging.hh"
@@ -103,7 +104,7 @@ Cluster::totalRetransmits() const
 }
 
 std::string
-Cluster::progressReport() const
+Cluster::progressReport(Tick clock_floor) const
 {
     std::string out;
     for (NodeId id = 0; id < nodes_.size(); ++id) {
@@ -114,7 +115,8 @@ Cluster::progressReport() const
             "postedRecvs=%zu unexpected=%zu unacked=%zu "
             "retransmits=%llu\n",
             id,
-            static_cast<unsigned long long>(nodes_[id]->queue().now()),
+            static_cast<unsigned long long>(
+                std::max(nodes_[id]->queue().now(), clock_floor)),
             nodes_[id]->appDone() ? 1 : 0,
             nodes_[id]->queue().pendingCount(),
             endpoints_[id]->postedRecvCount(),

@@ -93,9 +93,12 @@ class Cluster
 
     /**
      * Describe per-node progress for deadlock diagnostics (posted
-     * receives, pending events, clocks).
+     * receives, pending events, clocks). A clock behind
+     * @p clock_floor — the quantum start, for a node an engine left
+     * idle rather than snapping it to each boundary — is reported as
+     * the floor.
      */
-    std::string progressReport() const;
+    std::string progressReport(Tick clock_floor = 0) const;
 
     /**
      * Checkpoint support: each method fills one checkpoint section

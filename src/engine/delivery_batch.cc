@@ -1,7 +1,5 @@
 #include "engine/delivery_batch.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
 #include "check/invariants.hh"
 #include "ckpt/ckpt_io.hh"
@@ -30,10 +28,6 @@ deliveryClass(net::DeliveryKind kind)
     return check::DeliveryClass::OnTime;
 }
 
-/** Dispatch lookahead: far enough to cover the queue-touch latency,
- * near enough that the line is still resident when reached. */
-constexpr std::size_t prefetchAhead = 4;
-
 } // namespace
 
 DeliveryBatch::DeliveryBatch(std::size_t num_nodes,
@@ -44,129 +38,140 @@ DeliveryBatch::DeliveryBatch(std::size_t num_nodes,
       lanes_(num_shards), phases_(num_shards, phase_stats)
 {
     AQSIM_ASSERT(num_nodes > 0 && num_shards > 0);
+    for (Lane &lane : lanes_)
+        lane.count.assign(per_, 0);
 }
 
 void
 DeliveryBatch::beginQuantum(std::size_t s)
 {
-    Row &row = rows_[s];
     // clear() keeps capacity: the steady state reuses the same
     // payload storage every quantum.
-    row.payload.clear();
-    row.sorted = false;
+    rows_[s].payload.clear();
+}
+
+void
+DeliveryBatch::append(const net::Packet &pkt, Tick when,
+                      net::DeliveryKind kind)
+{
+    const std::size_t s = shardOf(pkt.src);
+    Row &row = rows_[s];
+    subRun(s, shardOf(pkt.dst))
+        .keys.push_back(StagedKey{
+            when, pkt.departTick, pkt.src,
+            static_cast<std::uint32_t>(row.payload.size()), pkt.dst,
+            static_cast<std::uint32_t>(s)});
+    row.payload.push_back(Staged{pkt, kind});
 }
 
 void
 DeliveryBatch::stage(const net::Packet &pkt, Tick when,
                      net::DeliveryKind kind)
 {
-    Row &row = rows_[shardOf(pkt.src)];
-    AQSIM_ASSERT(!row.sorted);
-    subRun(shardOf(pkt.src), shardOf(pkt.dst))
-        .keys.push_back(sim::RunKey{
-            when, pkt.departTick, pkt.src,
-            static_cast<std::uint32_t>(row.payload.size())});
-    row.payload.push_back(Staged{pkt, kind});
-    ++row.staged;
-}
-
-void
-DeliveryBatch::closeRun(std::size_t s)
-{
-    stats::PhaseTimer timer(phases_, s, stats::EnginePhase::Sort);
-    // K independent sorts emit the same per-sub-run order a global
-    // sort + stable partition by destination would (see file comment),
-    // over strictly smaller inputs.
-    for (std::size_t d = 0; d < shards_; ++d)
-        sim::sortRun(subRun(s, d).keys);
-    rows_[s].sorted = true;
+    append(pkt, when, kind);
+    ++rows_[shardOf(pkt.src)].staged;
 }
 
 std::size_t
-DeliveryBatch::mergeShard(std::size_t d, Cluster &cluster)
+DeliveryBatch::orderColumn(std::size_t d)
 {
     Lane &lane = lanes_[d];
+    const std::size_t first = d * per_;
+    std::size_t total = 0;
     {
+        // Count each node's slice; only nodes that have one are
+        // remembered and touched below.
         stats::PhaseTimer timer(phases_, d,
                                 stats::EnginePhase::Exchange);
-        lane.views.resize(shards_);
-        std::size_t total = 0;
+        lane.touched.clear();
         for (std::size_t s = 0; s < shards_; ++s) {
-            AQSIM_ASSERT(rows_[s].sorted);
-            const auto &keys = subRun(s, d).keys;
-            lane.views[s] = sim::RunView{keys.data(), keys.size()};
-            total += keys.size();
+            for (const StagedKey &key : subRun(s, d).keys) {
+                AQSIM_ASSERT(shardOf(key.dst) == d);
+                if (lane.count[key.dst - first]++ == 0)
+                    lane.touched.push_back(
+                        static_cast<std::uint32_t>(key.dst - first));
+            }
+            total += subRun(s, d).keys.size();
         }
         if (total == 0)
             return 0;
-        lane.merger.reset(lane.views.data(), lane.views.size());
     }
-
     {
-        stats::PhaseTimer timer(phases_, d, stats::EnginePhase::Merge);
-        lane.items.clear();
-        sim::RunKey prev{};
-        sim::RunMerger::Item item;
-        while (lane.merger.next(item)) {
-            // Lanes only read the rows: every staged element belongs
-            // to exactly one destination column, and its NIC copies
-            // the frame out at dispatch.
-            const Staged &staged = rows_[item.run].payload[item.key.idx];
-            AQSIM_ASSERT(shardOf(staged.pkt.dst) == d);
-            // Audit the merger's total order (when, src, departTick,
-            // staging index); a duplicate frame's copies share a run,
-            // so the index orders them the same at every shard count.
-            const bool strict_ok =
-                lane.items.empty() || prev.before(item.key);
-            prev = item.key;
-            lane.items.push_back(
-                Resolved{&cluster.node(staged.pkt.dst), &staged.pkt,
-                         item.key.when, staged.kind, strict_ok});
+        // Scatter node-major (count becomes each slice's end).
+        stats::PhaseTimer timer(phases_, d, stats::EnginePhase::Sort);
+        std::uint32_t offset = 0;
+        for (const std::uint32_t t : lane.touched) {
+            const std::uint32_t size = lane.count[t];
+            lane.count[t] = offset;
+            offset += size;
         }
-    }
-
-    auto &checker = check::InvariantChecker::instance();
-    const std::size_t merged = lane.items.size();
-    {
-        stats::PhaseTimer timer(phases_, d,
-                                stats::EnginePhase::Dispatch);
-        Resolved *items = lane.items.data();
-        for (std::size_t i = 0; i < merged; ++i) {
-            // The destination queue and the frame in the source row
-            // are the cold structures on this path; start their lines
-            // ahead of the dispatch that needs them. (&queue() is
-            // plain member address arithmetic.)
-            if (i + prefetchAhead < merged) {
-                __builtin_prefetch(
-                    &items[i + prefetchAhead].node->queue());
-                __builtin_prefetch(items[i + prefetchAhead].pkt);
-            }
-            Resolved &r = items[i];
-            checker.onShardMerge(r.strictOk, deliveryClass(r.kind),
-                                 r.when, r.node->queue().now());
-            dispatchDelivery(*r.node, *r.pkt, r.when);
-        }
-        lane.items.clear();
-        // Column d is consumed: clearing its keys is this lane's
-        // single-writer handoff back to the key owners (capacity
-        // kept for the next quantum).
+        lane.sorted.resize(total);
         for (std::size_t s = 0; s < shards_; ++s)
-            subRun(s, d).keys.clear();
+            for (const StagedKey &key : subRun(s, d).keys)
+                lane.sorted[lane.count[key.dst - first]++] = key;
     }
-    lane.merged += merged;
-    return merged;
+    {
+        // Insertion-sort each slice (a handful of keys, a source's
+        // in departure order already) into canonical order.
+        stats::PhaseTimer timer(phases_, d, stats::EnginePhase::Merge);
+        StagedKey *keys = lane.sorted.data();
+        std::uint32_t begin = 0;
+        for (const std::uint32_t t : lane.touched) {
+            const std::uint32_t end = lane.count[t];
+            lane.count[t] = 0;
+            for (std::uint32_t i = begin + 1; i < end; ++i) {
+                const StagedKey key = keys[i];
+                std::uint32_t j = i;
+                for (; j > begin && key.before(keys[j - 1]); --j)
+                    keys[j] = keys[j - 1];
+                keys[j] = key;
+            }
+            begin = end;
+        }
+    }
+    return total;
+}
+
+void
+DeliveryBatch::finishColumn(std::size_t d, std::size_t n)
+{
+    // Column d is consumed: clearing its keys is this lane's
+    // single-writer handoff back to the key owners (capacity kept for
+    // the next quantum).
+    for (std::size_t s = 0; s < shards_; ++s)
+        subRun(s, d).keys.clear();
+    lanes_[d].merged += n;
+}
+
+std::size_t
+DeliveryBatch::mergeShard(std::size_t d, Cluster &cluster, Tick *wake)
+{
+    auto &checker = check::InvariantChecker::instance();
+    const StagedKey *prev = nullptr;
+    node::NodeSimulator *node = nullptr;
+    return drainColumn(d, [&](const StagedKey &key,
+                              const net::Packet &pkt,
+                              net::DeliveryKind kind) {
+        // Slices are node-major: a new destination starts a new
+        // canonical sequence, audited against its own predecessor.
+        const bool same_node = prev && prev->dst == key.dst;
+        if (!same_node) {
+            node = &cluster.node(key.dst);
+            // The slice is sorted, so its first key is its earliest.
+            if (wake && key.when < wake[key.dst])
+                wake[key.dst] = key.when;
+        }
+        checker.onShardMerge(!same_node || prev->before(key),
+                             deliveryClass(kind), key.when,
+                             node->queue().now());
+        dispatchDelivery(*node, pkt, key.when);
+        prev = &key;
+    });
 }
 
 std::size_t
 DeliveryBatch::mergeInto(Cluster &cluster)
 {
-    // The engines close every run before merging; tolerate a missing
-    // close (e.g. a unit test staging directly) so the merge is
-    // self-contained.
-    for (std::size_t s = 0; s < shards_; ++s) {
-        if (!rows_[s].sorted)
-            closeRun(s);
-    }
     std::size_t merged = 0;
     for (std::size_t d = 0; d < shards_; ++d)
         merged += mergeShard(d, cluster);
@@ -179,13 +184,8 @@ void
 DeliveryBatch::injectRemote(std::size_t s, std::size_t d,
                             const net::Packet &pkt)
 {
-    Row &row = rows_[s];
-    AQSIM_ASSERT(!row.sorted);
     AQSIM_ASSERT(shardOf(pkt.src) == s && shardOf(pkt.dst) == d);
-    subRun(s, d).keys.push_back(sim::RunKey{
-        pkt.idealArrival, pkt.departTick, pkt.src,
-        static_cast<std::uint32_t>(row.payload.size())});
-    row.payload.push_back(Staged{pkt, net::DeliveryKind::OnTime});
+    append(pkt, pkt.idealArrival, net::DeliveryKind::OnTime);
 }
 
 std::size_t

@@ -1,40 +1,32 @@
 /**
  * @file
  * K×K destination-sharded staging and exchange of cross-quantum
- * deliveries — the engine half of the sharded event kernel
- * (sim/run_merge.hh is the sim half; docs/performance.md describes
- * the design).
+ * deliveries — the exchange half of the sharded event kernel
+ * (engine/shard_exec.hh is the execution half; docs/performance.md
+ * describes the design).
  *
  * During a quantum, every delivery that lands at or beyond the quantum
- * boundary — in a conservative run (Q <= T), that is *every* delivery —
- * is staged by the worker that owns the *source* node. Because the
- * destination is known at stage time, the key goes straight into the
- * (source shard, destination shard) sub-run: K sorted sub-runs per
- * source shard, each with exactly one writer per quantum, so staging
- * stays a plain vector append with no per-message locking. The old
- * NodeMailbox keeps only the urgent path (stragglers and on-time
- * deliveries inside the open quantum, which must reach a live
- * receiver mid-quantum).
+ * boundary — in a conservative run (Q <= T), *every* delivery — is
+ * appended by the worker that owns the *source* node to the (source
+ * shard, destination shard) sub-run: one writer per sub-run, no lock.
+ * NodeMailbox keeps only the urgent path (deliveries inside the open
+ * quantum, which must reach a live receiver mid-quantum).
  *
- * At quantum close each worker sorts its K sub-runs (closeRun); after
- * an all-worker exchange barrier each worker k-way merges the K
- * sub-runs destined for *its own* shard (mergeShard) and dispatches
- * them into its own nodes' queues through the shard_exec seam — in
- * parallel, with no cross-shard queue mutation and no global stream
- * ever materialized. Every delivery for a destination node flows
- * through that node's single column merger in canonical
- * (when, src, departTick) order, so the per-queue schedule — and with
- * it the full RunResult, finalStateHash and checkpoint images — is a
- * pure function of the run contents, independent of worker count and
- * thread interleaving. Both engines dispatch through this class (the
- * SequentialEngine's mergeInto is the K=1 degenerate case), so
- * cross-engine bit-identity falls out of sharing the code path rather
- * than of two implementations agreeing.
- *
- * Sorting each (s, d) sub-run independently emits exactly the order a
- * global sort of shard s's run followed by a stable partition by
- * destination would: the idx tie-break *is* staging order, and
- * duplicate keys share src and dst, hence a sub-run.
+ * After the exchange barrier each worker drains the K sub-runs
+ * destined for *its own* shard (mergeShard): a counting sort groups
+ * the column by destination node, an insertion sort puts each node's
+ * slice (usually 0–2 deliveries) in canonical (when, src, departTick,
+ * staging index) order, and the slices are dispatched node-major
+ * through the shard_exec seam. The cost is linear in the deliveries
+ * plus the nodes they reach. Dispatch into a node touches only its
+ * NIC and queue, so the order across nodes is free; the order within
+ * each slice fixes every queue's sequence numbers — and with them the
+ * RunResult, finalStateHash and checkpoint images — as a pure function
+ * of the run contents, at every worker count. `depart` strictly
+ * increases per source; the staging index only orders a fault-injected
+ * duplicate after its original (same source, hence one row, staged in
+ * routing order). The SequentialEngine's mergeInto is the K=1 case of
+ * the same code, so cross-engine bit-identity comes from sharing it.
  */
 
 #ifndef AQSIM_ENGINE_DELIVERY_BATCH_HH
@@ -48,7 +40,6 @@
 #include "base/types.hh"
 #include "net/network_controller.hh"
 #include "net/packet.hh"
-#include "sim/run_merge.hh"
 #include "stats/phase_timing.hh"
 
 namespace aqsim::ckpt
@@ -56,15 +47,36 @@ namespace aqsim::ckpt
 class Writer;
 } // namespace aqsim::ckpt
 
-namespace aqsim::node
-{
-class NodeSimulator;
-} // namespace aqsim::node
-
 namespace aqsim::engine
 {
 
 class Cluster;
+
+/** Sort key of one staged delivery (32-byte POD: the sorts move keys
+ * and reach the payload, row[idx], only on dispatch). */
+struct StagedKey
+{
+    Tick when;
+    Tick depart;
+    std::uint32_t src;
+    /** Payload position in source row `row` (staging order). */
+    std::uint32_t idx;
+    std::uint32_t dst;
+    std::uint32_t row;
+
+    /** Canonical (when, src, depart) order; idx as a final tie. */
+    bool
+    before(const StagedKey &o) const
+    {
+        if (when != o.when)
+            return when < o.when;
+        if (src != o.src)
+            return src < o.src;
+        if (depart != o.depart)
+            return depart < o.depart;
+        return idx < o.idx;
+    }
+};
 
 /**
  * K×K staged delivery sub-runs exchanged at quantum barriers.
@@ -74,9 +86,9 @@ class Cluster;
  * locked):
  *
  *  - Sub-run (s, d) and payload row s are written only by the single
- *    thread executing shard s's nodes (stage/closeRun), and only
- *    between its beginQuantum(s) and the exchange barrier. Row s
- *    holds the staged frames themselves, by value and contiguously.
+ *    thread executing shard s's nodes (stage), and only between its
+ *    beginQuantum(s) and the exchange barrier. Row s holds the staged
+ *    frames themselves, by value and contiguously.
  *  - After every worker reached the exchange barrier, column d —
  *    sub-runs (0..K-1, d) and its lane scratch — is read and cleared
  *    only by shard d's worker (mergeShard). The lane only *reads*
@@ -121,42 +133,45 @@ class DeliveryBatch
     void stage(const net::Packet &pkt, Tick when,
                net::DeliveryKind kind);
 
-    /** Sort shard @p s's K destination sub-runs into canonical order;
-     * called by the owning worker as the last step before the
-     * exchange barrier. */
-    void closeRun(std::size_t s);
-
     /**
      * Owner of destination shard @p d, after the exchange barrier:
-     * k-way merge the K sorted sub-runs destined for shard d in
-     * canonical (when, src, departTick) order, dispatch each packet
-     * into its destination node through the shard_exec seam, report
-     * the merge order to the invariant checker, and clear column d's
-     * keys. Runs concurrently with other shards' mergeShard calls.
+     * drain column d (drainColumn) into its nodes through the
+     * shard_exec seam, audit each delivery against the previous one
+     * *to the same node* (ShardMergeOrder), and lower each receiving
+     * node's @p wake entry (by node id; may be null) to its earliest
+     * delivery. Runs concurrently with other shards' calls.
      *
      * @return number of deliveries merged into shard d.
      */
-    std::size_t mergeShard(std::size_t d, Cluster &cluster);
+    std::size_t mergeShard(std::size_t d, Cluster &cluster,
+                           Tick *wake = nullptr);
 
     /**
-     * Single-threaded wrapper (SequentialEngine, tests): close any
-     * unsorted rows, merge every destination column, reset every row.
-     * Equivalent to one full exchange at K=1. Leaves the batch empty.
+     * mergeShard's ordering kernel: sort column @p d node-major, each
+     * node's slice canonical, call dispatch(const StagedKey &, const
+     * net::Packet &, net::DeliveryKind) per delivery in that order,
+     * and clear the column. @return number of deliveries drained.
+     */
+    template <typename Dispatch>
+    std::size_t drainColumn(std::size_t d, Dispatch &&dispatch);
+
+    /**
+     * Single-threaded wrapper (SequentialEngine, tests): merge every
+     * destination column and reset every row. Equivalent to one full
+     * exchange at K=1. Leaves the batch empty.
      *
      * @return number of deliveries merged.
      */
     std::size_t mergeInto(Cluster &cluster);
 
     /**
-     * Distributed-exchange seam: hand sub-run (s, d) to @p emit as an
-     * ordered packet sequence, emit(const net::Packet &) once per
-     * packet, for shipping to another process; then drop its keys.
-     * The sub-run must be closed (sorted); the keys are not shipped —
-     * each packet's own (idealArrival, departTick, src) fields
-     * reconstruct them exactly on the receiving side, so the wire
-     * carries no key material. Conservative runs only (every staged
-     * delivery is OnTime at its ideal arrival; DistributedEngine
-     * enforces this).
+     * Distributed-exchange seam: hand sub-run (s, d) to @p emit,
+     * emit(const net::Packet &) per packet in staging order, for
+     * shipping to another process; then drop its keys. The wire
+     * carries no keys: each packet's (idealArrival, departTick, src)
+     * rebuilds its key, and staging order its idx tie-break.
+     * Conservative runs only (every delivery OnTime at its ideal
+     * arrival; DistributedEngine enforces this).
      *
      * @return the number of packets emitted.
      */
@@ -165,11 +180,9 @@ class DeliveryBatch
 
     /**
      * Distributed-exchange seam: append one packet of a remote peer's
-     * sub-run (s, d) — fed in canonical (when, src, departTick) order
-     * as takeRun emitted them — to this batch, re-deriving its key
-     * from the packet fields. Does not count toward totalStaged()
-     * (the staging peer already did); call closeRun(s) after the last
-     * one so mergeShard sees the row as sorted.
+     * sub-run (s, d) — fed in the order takeRun emitted them — to
+     * this batch, re-deriving its key from the packet fields. Does
+     * not count toward totalStaged() (the staging peer already did).
      */
     void injectRemote(std::size_t s, std::size_t d,
                       const net::Packet &pkt);
@@ -210,7 +223,7 @@ class DeliveryBatch
     const stats::PhaseTimes &phases() const { return phases_; }
 
   private:
-    /** Payload referenced by sim::RunKey::idx; read on dispatch. */
+    /** Payload referenced by StagedKey::idx; read on dispatch. */
     struct Staged
     {
         net::Packet pkt;
@@ -221,7 +234,7 @@ class DeliveryBatch
      * padded so adjacent sub-runs' appends never share a line. */
     struct alignas(64) SubRun
     {
-        std::vector<sim::RunKey> keys;
+        std::vector<StagedKey> keys;
     };
 
     /** One source shard's payload row (single writer per quantum). */
@@ -230,29 +243,19 @@ class DeliveryBatch
         std::vector<Staged> payload;
         /** Lifetime stage count (this shard's slot of totalStaged). */
         std::uint64_t staged = 0;
-        bool sorted = false;
     };
 
-    /** A merged delivery resolved to its destination, staged in the
-     * lane scratch so dispatch can prefetch ahead. */
-    struct Resolved
-    {
-        node::NodeSimulator *node;
-        /** The frame in its source row (read-only for the lane). */
-        const net::Packet *pkt;
-        Tick when;
-        net::DeliveryKind kind;
-        /** Canonical order vs the previous merged key held. */
-        bool strictOk;
-    };
-
-    /** One destination shard's merge scratch (single writer per
+    /** One destination shard's sort scratch (single writer per
      * exchange; buffers reused across quanta). */
     struct alignas(64) Lane
     {
-        sim::RunMerger merger;
-        std::vector<sim::RunView> views;
-        std::vector<Resolved> items;
+        /** By node of the shard: slice size, then slice end; all 0
+         * between exchanges. */
+        std::vector<std::uint32_t> count;
+        /** Nodes with a slice, in first-seen order. */
+        std::vector<std::uint32_t> touched;
+        /** The column's keys, node-major, each slice sorted. */
+        std::vector<StagedKey> sorted;
         /** Lifetime merge count (this shard's slot of totalMerged). */
         std::uint64_t merged = 0;
     };
@@ -265,6 +268,18 @@ class DeliveryBatch
         return subs_[s * shards_ + d];
     }
 
+    /** Count, scatter and slice-sort column @p d into its lane.
+     * @return the column's size. */
+    std::size_t orderColumn(std::size_t d);
+
+    /** Clear column @p d's keys (the handoff back to their writers)
+     * and account @p n merged deliveries. */
+    void finishColumn(std::size_t d, std::size_t n);
+
+    /** Append one delivery to row shardOf(pkt.src). */
+    void append(const net::Packet &pkt, Tick when,
+                net::DeliveryKind kind);
+
     /** Nodes per shard (ceil division, same map as shardRange). */
     std::size_t shards_;
     std::size_t per_;
@@ -275,13 +290,31 @@ class DeliveryBatch
     stats::PhaseTimes phases_;
 };
 
+template <typename Dispatch>
+std::size_t
+DeliveryBatch::drainColumn(std::size_t d, Dispatch &&dispatch)
+{
+    const std::size_t n = orderColumn(d);
+    if (n == 0)
+        return 0;
+    {
+        stats::PhaseTimer timer(phases_, d,
+                                stats::EnginePhase::Dispatch);
+        for (const StagedKey &key : lanes_[d].sorted) {
+            const Staged &staged = rows_[key.row].payload[key.idx];
+            dispatch(key, staged.pkt, staged.kind);
+        }
+    }
+    finishColumn(d, n);
+    return n;
+}
+
 template <typename Emit>
 std::size_t
 DeliveryBatch::takeRun(std::size_t s, std::size_t d, Emit &&emit)
 {
-    AQSIM_ASSERT(rows_[s].sorted);
     SubRun &sub = subRun(s, d);
-    for (const sim::RunKey &key : sub.keys) {
+    for (const StagedKey &key : sub.keys) {
         const Staged &staged = rows_[s].payload[key.idx];
         AQSIM_ASSERT(key.when == staged.pkt.idealArrival);
         emit(staged.pkt);

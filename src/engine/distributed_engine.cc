@@ -189,13 +189,13 @@ peerMain(const PeerSetup &p)
     const std::size_t n = cluster.numNodes();
     const auto [begin, end] =
         WorkerPool::shardRange(p.index, p.numPeers, n);
-    // One mailbox per owned node, indexed from begin. DistScheduler
-    // stages every delivery in the batch, so they never hold anything;
-    // runNodeQuantum only needs their open/close handshake.
-    std::vector<NodeMailbox> mailboxes(end - begin);
+    // Every quantum is conservative (DistScheduler stages every
+    // delivery), so the shard loop needs no mailboxes.
     DeliveryBatch batch(n, p.numPeers, false);
     DistScheduler scheduler(batch);
     cluster.controller().setScheduler(&scheduler);
+    cluster.controller().setFoldLanes(p.numPeers);
+    ShardLoop loop(cluster, nullptr);
 
     const auto drills = fault::parsePeerDrills(p.options->peerDrillSpec);
     // Healthy peers must outlive coordinator-side failure detection:
@@ -219,6 +219,8 @@ peerMain(const PeerSetup &p)
 
     net::NetworkController::Counters prev;
     std::uint64_t last_quantum = 0;
+    // End of the last quantum run (the next one's start).
+    Tick boundary = 0;
     // Quantum last_quantum ran and was exchanged, but its inbound
     // runs (and this peer's own self-run) are not merged yet.
     bool unmerged = false;
@@ -246,10 +248,7 @@ peerMain(const PeerSetup &p)
             return false;
         if (!unmerged)
             return true;
-        for (std::size_t u = 0; u < p.numPeers; ++u)
-            if (u != p.index)
-                batch.closeRun(u);
-        batch.mergeShard(p.index, cluster);
+        batch.mergeShard(p.index, cluster, loop.wake());
         unmerged = false;
         fireDrills(drills, p.index, fault::PeerDrillPhase::Ack,
                    last_quantum);
@@ -272,9 +271,8 @@ peerMain(const PeerSetup &p)
             for (std::size_t s = 0; s < p.numPeers; ++s)
                 batch.beginQuantum(s);
             scheduler.setQuantumEnd(qe);
-            for (NodeId id = begin; id < end; ++id)
-                runNodeQuantum(cluster.node(id), mailboxes[id - begin], qe);
-            batch.closeRun(p.index);
+            loop.runQuantum(begin, end, boundary, qe, p.index);
+            boundary = qe;
             last_quantum = qi;
             unmerged = true;
             fireDrills(drills, p.index,
@@ -334,6 +332,7 @@ peerMain(const PeerSetup &p)
             ckpt::Reader r(f.body, "state-req");
             if (!adopt(r))
                 return 1;
+            loop.catchUp(begin, end, boundary);
             transport::Frame st;
             st.type = transport::FrameType::State;
             ckpt::Writer w;
@@ -778,7 +777,10 @@ class Coordinator : public QuantumExecutor
           allDone_(cluster.allDone()),
           anyPending_(cluster.anyEventPending()),
           inbound_(numPeers_, std::vector<Segment>(numPeers_))
-    {}
+    {
+        // The replica's nodes never run: one empty lane, no slot scan.
+        cluster.controller().setFoldLanes(1);
+    }
 
     const char *name() const override { return "distributed"; }
 

@@ -45,6 +45,8 @@ class CoSim : public net::DeliveryScheduler, public QuantumExecutor
             });
         }
         cluster.controller().setScheduler(this);
+        // One thread runs every node: the boundary folds the slots.
+        cluster.controller().setFoldLanes(0);
     }
 
     const char *name() const override { return "sequential"; }
@@ -371,7 +373,6 @@ class CoSim : public net::DeliveryScheduler, public QuantumExecutor
         // (when, src, departTick) order before the quantum completes,
         // keeping them visible to the deadlock check and inside the
         // checkpoint cut.
-        batch_.closeRun(0);
         batch_.mergeInto(cluster_);
 
         globalHost_ = maxBarrier_ +

@@ -4,11 +4,61 @@
 #include <vector>
 
 #include "base/failure.hh"
+#include "engine/cluster.hh"
 #include "engine/worker_pool.hh"
 #include "node/node_simulator.hh"
 
 namespace aqsim::engine
 {
+
+ShardLoop::ShardLoop(Cluster &cluster, NodeMailbox *mailboxes)
+    : cluster_(cluster), controller_(cluster.controller()),
+      mailboxes_(mailboxes),
+      minLatency_(cluster.controller().minNetworkLatency()),
+      wake_(cluster.numNodes(), 0)
+{}
+
+void
+ShardLoop::runQuantum(std::size_t begin, std::size_t end, Tick qs,
+                      Tick qe, std::size_t lane,
+                      const base::CancelToken *cancel)
+{
+    const bool conservative = qe - qs <= minLatency_;
+    AQSIM_ASSERT(conservative || mailboxes_ != nullptr);
+    for (auto id = static_cast<NodeId>(begin); id < end; ++id) {
+        if (conservative && wake_[id] >= qe)
+            continue; // nothing before qe, and nothing can arrive
+        node::NodeSimulator &node = cluster_.node(id);
+        auto &queue = node.queue();
+        try {
+            if (!conservative) {
+                runNodeQuantum(node, mailboxes_[id], qe, cancel);
+            } else {
+                // No delivery can land before qe, so no mailbox: one
+                // heap peek per event. The clock stays at the last
+                // event until catchUp or a later visit.
+                while (!(cancel && cancel->cancelled()) &&
+                       queue.runBefore(qe))
+                    continue;
+            }
+        } catch (...) {
+            controller_.foldSource(id, lane);
+            throw;
+        }
+        controller_.foldSource(id, lane);
+        wake_[id] = queue.nextTick();
+    }
+}
+
+void
+ShardLoop::catchUp(std::size_t begin, std::size_t end, Tick boundary)
+{
+    for (auto id = static_cast<NodeId>(begin); id < end; ++id) {
+        node::NodeSimulator &node = cluster_.node(id);
+        if (node.queue().now() < boundary)
+            snapToQuantumEnd(node, boundary);
+    }
+}
 
 void
 runNodeQuantum(node::NodeSimulator &node, NodeMailbox &mbx, Tick qe,
@@ -31,15 +81,16 @@ runNodeQuantum(node::NodeSimulator &node, NodeMailbox &mbx, Tick qe,
 
     mbx.open();
     for (;;) {
-        while (queue.nextTick() < qe) {
-            // Supervised-run unwedge point: a quantum that spins here
-            // forever (e.g. a poll loop waiting on a frame the fault
-            // layer blackholed) returns as soon as the watchdog's
-            // handler requests cancellation. The run is abandoned, so
-            // leaving the node mid-quantum is fine.
+        // Supervised-run unwedge point: a quantum that spins here
+        // forever (e.g. a poll loop waiting on a frame the fault
+        // layer blackholed) returns as soon as the watchdog's handler
+        // requests cancellation. The run is abandoned, so leaving the
+        // node mid-quantum is fine.
+        for (;;) {
             if (cancel && cancel->cancelled())
                 return;
-            queue.runOne();
+            if (!queue.runBefore(qe))
+                break;
             mbx.setCurrentTick(queue.now());
             if (mbx.urgent())
                 deliver(mbx.drain());

@@ -83,10 +83,13 @@ class PoolExecutor : public QuantumExecutor
           workers_(WorkerPool::resolveWorkerCount(options.numWorkers, n_)),
           mailboxes_(n_), batch_(n_, workers_, options.phaseStats),
           scheduler_(mailboxes_, batch_, driver.sync()),
+          loop_(cluster, mailboxes_.data()),
           pool_(workers_,
                 [this](std::size_t w, Tick qe) { runShard(w, qe); })
     {
         cluster.controller().setScheduler(&scheduler_);
+        // Each worker folds the counter slots of the nodes it ran.
+        cluster.controller().setFoldLanes(workers_);
     }
 
     const char *name() const override { return "threaded"; }
@@ -102,6 +105,7 @@ class PoolExecutor : public QuantumExecutor
         // canonical (when, src, departTick) order — identical for
         // every worker count — and are already dispatched (visible to
         // the deadlock check) when runQuantum returns.
+        quantumStart_ = driver_.sync().quantumStart();
         pool_.runQuantum(driver_.sync().quantumEnd());
         {
             // A worker's failure is the root cause; the cancellation
@@ -123,6 +127,7 @@ class PoolExecutor : public QuantumExecutor
     ckpt::CheckpointImage
     boundaryImage(std::uint64_t config_hash) override
     {
+        loop_.catchUp(0, n_, driver_.sync().quantumStart());
         ckpt::Writer w;
         batch_.serialize(w);
         return ckpt::buildImage(cluster_, driver_.sync(), config_hash,
@@ -132,22 +137,25 @@ class PoolExecutor : public QuantumExecutor
     void
     describe(PanicInfo &info) const override
     {
-        info.progress = cluster_.progressReport();
+        // Read-only (the watchdog thread calls it too): a lagging
+        // clock reads as the quantum start.
+        info.progress = cluster_.progressReport(info.quantumStart);
     }
 
     void
     finish(RunResult &result) override
     {
+        loop_.catchUp(0, n_, driver_.sync().quantumStart());
         fillLocalResult(result, cluster_, batch_, options_.phaseStats);
     }
 
   private:
     /**
-     * One worker's quantum: execute its shard, sort its K destination
-     * sub-runs, meet the other workers at the exchange barrier, then
-     * merge + dispatch the column destined for its *own* shard — so
-     * the merge runs K-wide, with no cross-shard queue mutation
-     * (DeliveryBatch documents the ownership protocol).
+     * One worker's quantum: execute its shard through the shard loop,
+     * meet the other workers at the exchange barrier, then merge +
+     * dispatch the column destined for its *own* shard — so the merge
+     * runs K-wide, with no cross-shard queue mutation (DeliveryBatch
+     * documents the ownership protocol).
      *
      * Supervised runs execute under a per-thread base::FailureTrap, so
      * a fatal()/panic() raised inside an event callback (e.g.
@@ -170,24 +178,19 @@ class PoolExecutor : public QuantumExecutor
             if (!cancel || !cancel->cancelled()) {
                 const auto [begin, end] =
                     WorkerPool::shardRange(w, workers_, n_);
-                for (std::size_t id = begin; id < end; ++id)
-                    runNodeQuantum(cluster_.node(id), mailboxes_[id], qe,
-                                   cancel);
+                loop_.runQuantum(begin, end, quantumStart_, qe, w,
+                                 cancel);
             }
         } catch (const base::RunAbort &abort) {
             latchFailure(abort);
         }
-        // One sort per shard per quantum: the worker owns its
-        // sub-runs, so sorting here parallelizes the exchange's
-        // preprocessing.
-        batch_.closeRun(w);
         pool_.barrier().arriveAndWait();
         // A cancellation requested before the exchange barrier is
         // visible to every worker after it, so either all shards
         // merge or none do.
         if (!cancel || !cancel->cancelled()) {
             try {
-                batch_.mergeShard(w, cluster_);
+                batch_.mergeShard(w, cluster_, loop_.wake());
             } catch (const base::RunAbort &abort) {
                 latchFailure(abort);
             }
@@ -214,6 +217,9 @@ class PoolExecutor : public QuantumExecutor
     std::vector<NodeMailbox> mailboxes_;
     DeliveryBatch batch_;
     ThreadedScheduler scheduler_;
+    ShardLoop loop_;
+    /** Written by worker 0 before the quantum-start crossing. */
+    Tick quantumStart_ = 0;
     base::Mutex failMutex_;
     std::unique_ptr<base::RunAbort>
         firstFailure_ AQSIM_GUARDED_BY(failMutex_);

@@ -8,8 +8,9 @@
  * a real barrier per quantum — the execution style of the paper's
  * actual system. EngineOptions::numWorkers workers (default: hardware
  * concurrency, clamped to the node count) — the run's own thread plus
- * K-1 pool threads — each execute ceil(N/K) nodes per quantum, so a
- * 64-node cluster no longer oversubscribes the host with 64 threads.
+ * K-1 pool threads — each own ceil(N/K) nodes and run them through
+ * the shard loop (engine/shard_exec.hh), so a 64-node cluster does
+ * not oversubscribe the host with 64 threads.
  * Host time is measured, not modeled, which makes the engine
  * nondeterministic when quanta exceed the network latency
  * (exactly like the paper's system). With conservative quanta (Q <= T)

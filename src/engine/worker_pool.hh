@@ -136,17 +136,6 @@ struct ParkedDelivery
     Tick when;
     /** How the placement was accounted (for the invariant checker). */
     net::DeliveryKind kind;
-    /** Canonical merge key: (when, src, departTick) is a total order
-     * because departTick strictly increases per source NIC. */
-    bool
-    operator<(const ParkedDelivery &o) const
-    {
-        if (when != o.when)
-            return when < o.when;
-        if (pkt.src != o.pkt.src)
-            return pkt.src < o.pkt.src;
-        return pkt.departTick < o.pkt.departTick;
-    }
 };
 
 /**

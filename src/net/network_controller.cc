@@ -108,12 +108,27 @@ NetworkController::minNetworkLatency() const
            params_.nic.rxLatency + params_.nic.serialization(min_frame);
 }
 
+void
+NetworkController::setFoldLanes(std::size_t lanes)
+{
+    // Nothing may sit in a lane that is about to go away.
+    for (const Counters &lane : lanes_)
+        folded_ += lane;
+    lanes_.assign(lanes, Counters{});
+}
+
 NetworkController::Counters
 NetworkController::beginQuantum()
 {
-    for (Counters &slot : slots_) {
-        folded_ += slot;
-        slot = Counters{};
+    if (lanes_.empty()) {
+        for (Counters &slot : slots_) {
+            folded_ += slot;
+            slot = Counters{};
+        }
+    }
+    for (Counters &lane : lanes_) {
+        folded_ += lane;
+        lane = Counters{};
     }
     const Counters closing = folded_;
     statQuantumPackets_.sample(
@@ -235,6 +250,8 @@ NetworkController::Counters
 NetworkController::snapshotCounters() const
 {
     Counters sum = folded_;
+    for (const Counters &lane : lanes_)
+        sum += lane;
     for (const Counters &slot : slots_)
         sum += slot;
     return sum;
@@ -258,6 +275,7 @@ NetworkController::reset()
     switch_->reset();
     folded_ = Counters{};
     std::fill(slots_.begin(), slots_.end(), Counters{});
+    std::fill(lanes_.begin(), lanes_.end(), Counters{});
     // The registered stats::* objects that keep their own samples
     // must be cleared with the counters, or repeated runs in one
     // process report stale lateness and per-quantum numbers.

@@ -209,9 +209,28 @@ class NetworkController
     };
 
     /**
-     * Start a new quantum: fold the per-source slots into the
-     * controller totals (the one pass over the slots a quantum
-     * boundary makes) and reset the per-quantum packet counter.
+     * With 0 lanes (the default) beginQuantum() folds all N slots.
+     * With @p lanes > 0 the engine folds each source's slot into a
+     * lane partial (foldSource) before the boundary, and
+     * beginQuantum() folds only the K partials. Call while no node
+     * runs.
+     */
+    void setFoldLanes(std::size_t lanes);
+
+    /** Fold and clear @p src's slot into lane @p lane; only by the
+     * thread that runs @p src and owns @p lane, after @p src ran. */
+    void
+    foldSource(NodeId src, std::size_t lane)
+    {
+        Counters &slot = slots_[src];
+        lanes_[lane] += slot;
+        slot = Counters{};
+    }
+
+    /**
+     * Start a new quantum: fold the lane partials (or, with no lanes,
+     * the per-source slots) into the controller totals and reset the
+     * per-quantum packet counter.
      *
      * @return every counter as it stood before the reset, i.e. the
      *         closing quantum's packetsThisQuantum and the totals.
@@ -261,7 +280,7 @@ class NetworkController
     std::size_t numNodes() const { return numNodes_; }
     const NicParams &nicParams() const { return params_.nic; }
 
-    /** Every counter at its current value (folded + all slots). */
+    /** Every counter at its current value (folded, lanes, slots). */
     Counters snapshotCounters() const;
 
     /**
@@ -317,6 +336,8 @@ class NetworkController
     Counters folded_;
     /** One slot per source node; written only by that node's thread. */
     std::vector<Counters> slots_;
+    /** One padded partial per fold lane, written by its owner. */
+    std::vector<Counters> lanes_;
 
     stats::Group &statsGroup_;
     /** Sampled under sharedMutex_ (stragglers only). */

@@ -137,6 +137,21 @@ class EventQueue
     bool runOne();
 
     /**
+     * Single-peek step: run the earliest event if its tick is before
+     * @p limit (one stale-prune, where nextTick() + runOne() make two).
+     * @return true if an event ran.
+     */
+    bool
+    runBefore(Tick limit)
+    {
+        pruneStale();
+        if (keys_.empty() || keys_.front().when >= limit)
+            return false;
+        fireTop();
+        return true;
+    }
+
+    /**
      * Run every event with tick <= limit, then advance now() to limit.
      * Events scheduled during execution are honored if they fall within
      * the limit.

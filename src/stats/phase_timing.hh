@@ -32,16 +32,17 @@
 namespace aqsim::stats
 {
 
-/** Phases of the engines' K×K delivery exchange (delivery_batch). */
+/** Phases of the engines' K×K delivery exchange (delivery_batch),
+ * each timed per destination column after the exchange barrier. */
 enum class EnginePhase : unsigned
 {
-    /** Per-shard sorting of the K destination sub-runs at close. */
+    /** Counting-sort scatter of the column into per-node slices. */
     Sort,
-    /** Post-barrier assembly of a destination column's run views. */
+    /** Counting the column's deliveries per destination node. */
     Exchange,
-    /** Per-destination k-way merge into the lane's dispatch scratch. */
+    /** Insertion sort of each node's slice into canonical order. */
     Merge,
-    /** Scheduling merged deliveries into the shard's node queues. */
+    /** Scheduling the sorted deliveries into the shard's node queues. */
     Dispatch,
 };
 

@@ -284,4 +284,43 @@ TEST_F(CorruptFixture, RotationNeverDeletesNewestVerifiedUnderKeepLastOne)
     std::filesystem::remove_all(rot);
 }
 
+/** The textbook one-byte-at-a-time CRC32 the slice-by-8 kernel
+ * must reproduce. */
+std::uint32_t
+bytewiseCrc32(const std::uint8_t *data, std::size_t size)
+{
+    std::uint32_t crc = 0xffffffffu;
+    for (std::size_t i = 0; i < size; ++i) {
+        crc ^= data[i];
+        for (int k = 0; k < 8; ++k)
+            crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return crc ^ 0xffffffffu;
+}
+
+TEST(CkptCrc32, KnownAnswer)
+{
+    const std::string check = "123456789";
+    EXPECT_EQ(ckpt::crc32(
+                  reinterpret_cast<const std::uint8_t *>(check.data()),
+                  check.size()),
+              0xCBF43926u);
+    EXPECT_EQ(ckpt::crc32(nullptr, 0), 0u);
+}
+
+TEST(CkptCrc32, SliceBy8MatchesBytewiseAtEveryLengthAndAlignment)
+{
+    // Lengths 0-67 cover the 8-byte body, every tail length and
+    // several body iterations; offsets 0-7 cover every alignment of
+    // the body's loads.
+    std::vector<std::uint8_t> buf(8 + 67);
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<std::uint8_t>(i * 151 + 7);
+    for (std::size_t offset = 0; offset < 8; ++offset)
+        for (std::size_t len = 0; len <= 67; ++len)
+            EXPECT_EQ(ckpt::crc32(buf.data() + offset, len),
+                      bytewiseCrc32(buf.data() + offset, len))
+                << "offset " << offset << " length " << len;
+}
+
 } // namespace

@@ -369,7 +369,7 @@ scanPointerKeys(const SourceFile &file, std::vector<Finding> &findings)
  * matches; `queue.runOne(` does).
  */
 const std::regex kQueueMutatorRe(
-    R"((\.|->)\s*(runOne|runUntil|fastForwardTo|scheduleIn|schedule|deschedule|deliverAt)\s*\()");
+    R"((\.|->)\s*(runOne|runBefore|runUntil|fastForwardTo|scheduleIn|schedule|deschedule|deliverAt)\s*\()");
 
 void
 scanQueueSeam(const SourceFile &file, std::vector<Finding> &findings)
