@@ -119,17 +119,6 @@ BM_RngLognormal(benchmark::State &state)
 BENCHMARK(BM_RngLognormal);
 
 void
-BM_HistogramSample(benchmark::State &state)
-{
-    stats::Group g("bench");
-    auto &h = g.add<stats::Histogram>("h", "", 0.0, 1000.0, 64);
-    Rng rng(7);
-    for (auto _ : state)
-        h.sample(rng.uniform(0.0, 1100.0));
-}
-BENCHMARK(BM_HistogramSample);
-
-void
 BM_Log2DistSample(benchmark::State &state)
 {
     stats::Group g("bench");

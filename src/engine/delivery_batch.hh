@@ -200,7 +200,7 @@ class DeliveryBatch
     std::size_t numShards() const { return shards_; }
 
     /** Keys currently staged from shard @p s to shard @p d (tests,
-     * and a distributed peer's check for a pending self-run). */
+     * and a distributed shard's progress flags). */
     std::size_t
     stagedBetween(std::size_t s, std::size_t d) const
     {

@@ -10,6 +10,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -96,7 +97,7 @@ secondsSince(SteadyClock::time_point start)
 }
 
 /* ------------------------------------------------------------------ */
-/* Worker-process side                                                */
+/* Every process: one shard and its half of the mesh                 */
 /* ------------------------------------------------------------------ */
 
 /**
@@ -149,7 +150,7 @@ fireDrills(const std::vector<fault::PeerDrill> &drills, std::size_t peer,
             ::kill(::getpid(), SIGKILL);
             break; // unreachable
         case fault::PeerDrillOp::Stop:
-            // Frozen until the coordinator's teardown SIGKILL: the
+            // Frozen until process 0's teardown SIGKILL: the
             // socket stays open, heartbeats stop — the Hang case.
             ::raise(SIGSTOP);
             break;
@@ -159,50 +160,279 @@ fireDrills(const std::vector<fault::PeerDrill> &drills, std::size_t peer,
     }
 }
 
-/** Everything one worker process needs (set up before fork). */
-struct PeerSetup
+/** What a peer's Exchange frame tells process 0 besides its rows: its
+ * counter advance this quantum and its progress as it will stand once
+ * the quantum is merged. */
+struct Report
 {
-    std::size_t index = 0;
-    std::size_t numPeers = 1;
-    /** The coordinator's replica, inherited through fork. */
-    Cluster *cluster = nullptr;
-    const EngineOptions *options = nullptr;
-    transport::SocketChannel *channel = nullptr;
+    net::NetworkController::Counters deltas;
+    bool done = true;
+    bool pending = false;
 };
 
 /**
- * Worker protocol loop. Runs on its own copy of the coordinator's
- * pristine replica (built before the fork and untouched until then).
- * Each Quantum frame carries the previous quantum's inbound runs at
- * its head: the worker adopts and merges them, runs its shard of
- * nodes to the new boundary, and answers with one Exchange frame of
- * outbound delivery runs and local progress. A StateReq frame carries
- * the pending inbound runs the same way: the worker merges them, then
- * answers with its serialized state slice.
+ * One process's shard and its half of the socket mesh. Process 0 and
+ * every forked peer run the same object: the shard loop, a K-lane
+ * DeliveryBatch that only stages (DistScheduler), and the one Exchange
+ * and State encoding.
+ *
+ * Exchange := from(u32) qi(u64) [deltas(8 x u64) done pending]
+ *             count(u32) packet*count
+ *
+ * The bracketed part rides only the frame to process 0; the packets
+ * are sub-run (from, to) in staging order (DeliveryBatch::takeRun).
+ */
+class MeshShard
+{
+  public:
+    MeshShard(Cluster &cluster, std::size_t index, std::size_t k)
+        : cluster_(cluster), index_(index), k_(k),
+          range_(WorkerPool::shardRange(index, k, cluster.numNodes())),
+          // Every quantum is conservative (DistScheduler stages every
+          // delivery), so the shard loop needs no mailboxes.
+          batch_(cluster.numNodes(), k, false), scheduler_(batch_),
+          loop_(cluster, nullptr)
+    {
+        cluster.controller().setScheduler(&scheduler_);
+        cluster.controller().setFoldLanes(k);
+    }
+
+    /** Run the shard's nodes from the last boundary to @p qe. */
+    void
+    run(Tick qe, const base::CancelToken *cancel)
+    {
+        prev_ = cluster_.controller().snapshotCounters();
+        for (std::size_t s = 0; s < k_; ++s)
+            batch_.beginQuantum(s);
+        scheduler_.setQuantumEnd(qe);
+        loop_.runQuantum(range_.first, range_.second, boundary_, qe,
+                         index_, cancel);
+        boundary_ = qe;
+    }
+
+    /**
+     * Merging only schedules NIC deliveries, so it finishes no app,
+     * and it leaves a queue non-empty exactly when the queue already
+     * was or a staged delivery lands in it. So the OR over every
+     * shard of "a queue is non-empty or this shard staged a delivery"
+     * is the merged cluster's pending flag.
+     */
+    Report
+    progress() const
+    {
+        Report p;
+        for (NodeId id = range_.first; id < range_.second; ++id) {
+            const node::NodeSimulator &node = cluster_.node(id);
+            p.done = p.done && node.appDone();
+            p.pending = p.pending || !node.queue().empty();
+        }
+        for (std::size_t d = 0; d < k_; ++d)
+            p.pending = p.pending || batch_.stagedBetween(index_, d) > 0;
+        return p;
+    }
+
+    /** This quantum's Exchange frame to process @p to. */
+    transport::Frame
+    exchangeFrame(std::uint64_t qi, std::size_t to)
+    {
+        ckpt::Writer w;
+        w.u32(static_cast<std::uint32_t>(index_));
+        w.u64(qi);
+        if (to == 0) {
+            const auto cur = cluster_.controller().snapshotCounters();
+            w.u64(cur.idsAssigned - prev_.idsAssigned);
+            w.u64(cur.packetsThisQuantum - prev_.packetsThisQuantum);
+            w.u64(cur.totalPackets - prev_.totalPackets);
+            w.u64(cur.totalStragglers - prev_.totalStragglers);
+            w.u64(cur.totalNextQuantum - prev_.totalNextQuantum);
+            w.u64(cur.totalLatenessTicks - prev_.totalLatenessTicks);
+            w.u64(cur.totalDropped - prev_.totalDropped);
+            w.u64(cur.bytes - prev_.bytes);
+            const Report p = progress();
+            w.boolean(p.done);
+            w.boolean(p.pending);
+        }
+        const std::size_t count = batch_.stagedBetween(index_, to);
+        w.u32(static_cast<std::uint32_t>(count));
+        const std::size_t taken =
+            batch_.takeRun(index_, to, [&w](const net::Packet &pkt) {
+                mpi::putPacket(w, pkt);
+            });
+        AQSIM_ASSERT(taken == count);
+        transport::Frame f;
+        f.type = transport::FrameType::Exchange;
+        f.body = w.buffer();
+        return f;
+    }
+
+    /**
+     * Decode process @p from's Exchange frame of quantum @p qi and
+     * stage its rows for this shard's merge. Process 0 also reads
+     * @p report. @return false if the frame is malformed.
+     */
+    bool
+    adopt(const transport::Frame &f, std::uint64_t qi, std::size_t from,
+          Report &report)
+    {
+        ckpt::Reader r(f.body, "exchange");
+        if (f.type != transport::FrameType::Exchange || r.u32() != from ||
+            r.u64() != qi)
+            return false;
+        if (index_ == 0) {
+            net::NetworkController::Counters &d = report.deltas;
+            d.idsAssigned = r.u64();
+            d.packetsThisQuantum = r.u64();
+            d.totalPackets = r.u64();
+            d.totalStragglers = r.u64();
+            d.totalNextQuantum = r.u64();
+            d.totalLatenessTicks = r.u64();
+            d.totalDropped = r.u64();
+            d.bytes = r.u64();
+            report.done = r.boolean();
+            report.pending = r.boolean();
+        }
+        const std::uint32_t count = r.u32();
+        for (std::uint32_t j = 0; r.ok() && j < count; ++j) {
+            net::Packet pkt;
+            if (!mpi::getPacket(r, pkt))
+                return false;
+            batch_.injectRemote(from, index_, pkt);
+        }
+        return r.ok() && r.remaining() == 0;
+    }
+
+    /**
+     * The exchange half of quantum @p qi: visit every other process in
+     * ascending index, sending before receiving to a lower one and
+     * receiving before sending to a higher one, then merge this
+     * shard's column. Every process thus works through the pairs in
+     * one global order, ascending (higher index, lower index), so the
+     * least unfinished pair always has both ends at it: a frame larger
+     * than the socket buffer blocks its sender only until the partner
+     * reads it. A peer's frame to process 0 leaves first.
+     *
+     * @param send send(q, frame) -> bool
+     * @param recv recv(q) -> bool, receiving and adopting q's frame
+     * @return false as soon as a send or receive fails.
+     */
+    template <typename Send, typename Recv>
+    bool
+    exchange(std::uint64_t qi, Send &&send, Recv &&recv)
+    {
+        for (std::size_t q = 0; q < k_; ++q) {
+            if (q == index_)
+                continue;
+            if (q < index_) {
+                if (!send(q, exchangeFrame(qi, q)) || !recv(q))
+                    return false;
+            } else if (!recv(q) || !send(q, exchangeFrame(qi, q))) {
+                return false;
+            }
+        }
+        batch_.mergeShard(index_, cluster_, loop_.wake());
+        return true;
+    }
+
+    /**
+     * State := index(u32) q(u64) nodes mpi workload (u64-length
+     * slices) hasFault [linkRows totals(4 x u64)] owned(u32)
+     * finishTick*owned retransmits merged staged
+     *
+     * This shard's slice of every cluster section at boundary @p q,
+     * nodes caught up first.
+     */
+    std::vector<std::uint8_t>
+    stateSlice(std::uint64_t q)
+    {
+        const auto [begin, end] = range_;
+        loop_.catchUp(begin, end, boundary_);
+        ckpt::Writer w;
+        w.u32(static_cast<std::uint32_t>(index_));
+        w.u64(q);
+        const auto slice = [&](auto &&serialize) {
+            ckpt::Writer b;
+            serialize(b);
+            w.u64(b.size());
+            w.bytes(b.buffer().data(), b.size());
+        };
+        slice([&](ckpt::Writer &b) {
+            cluster_.serializeNodeRange(b, begin, end);
+        });
+        slice([&](ckpt::Writer &b) {
+            cluster_.serializeMpiRange(b, begin, end);
+        });
+        slice([&](ckpt::Writer &b) {
+            cluster_.serializeWorkloadRange(b, begin, end);
+        });
+        const fault::FaultInjector *inj = cluster_.faultInjector();
+        w.boolean(inj != nullptr);
+        if (inj) {
+            slice([&](ckpt::Writer &b) {
+                inj->serializeLinkRange(b, begin, end);
+            });
+            w.u64(inj->totalDropped());
+            w.u64(inj->totalDuplicated());
+            w.u64(inj->totalCorrupted());
+            w.u64(inj->totalDelayed());
+        }
+        w.u32(static_cast<std::uint32_t>(end - begin));
+        for (NodeId id = begin; id < end; ++id)
+            w.u64(cluster_.node(id).appFinishTick());
+        w.u64(cluster_.totalRetransmits());
+        w.u64(batch_.totalMerged());
+        w.u64(batch_.totalStaged());
+        return w.buffer();
+    }
+
+  private:
+    Cluster &cluster_;
+    const std::size_t index_;
+    const std::size_t k_;
+    const std::pair<std::size_t, std::size_t> range_;
+    DeliveryBatch batch_;
+    DistScheduler scheduler_;
+    ShardLoop loop_;
+    /** End of the last quantum run (the next one's start). */
+    Tick boundary_ = 0;
+    /** Controller counters when the open quantum began. */
+    net::NetworkController::Counters prev_;
+};
+
+/** Everything one forked peer needs (set up before fork). */
+struct PeerSetup
+{
+    std::size_t index = 1;
+    /** Process 0's replica, inherited through fork. */
+    Cluster *cluster = nullptr;
+    const EngineOptions *options = nullptr;
+    const std::vector<fault::PeerDrill> *drills = nullptr;
+    /** This process's end of each mesh pair, by partner; own slot
+     * empty. Link 0 carries the control frames and heartbeats. */
+    std::vector<std::unique_ptr<transport::SocketChannel>> *links =
+        nullptr;
+};
+
+/**
+ * Peer protocol loop, on the peer's own copy of process 0's pristine
+ * replica (built before the fork and untouched until then). A Quantum
+ * frame runs the shard to the new boundary, exchanges rows with every
+ * other process and merges this shard's column. A StateReq frame
+ * answers with the shard's State slice.
  *
  * @return process exit code (0 = clean Stop).
  */
 int
 peerMain(const PeerSetup &p)
 {
-    Cluster &cluster = *p.cluster;
-    const std::size_t n = cluster.numNodes();
-    const auto [begin, end] =
-        WorkerPool::shardRange(p.index, p.numPeers, n);
-    // Every quantum is conservative (DistScheduler stages every
-    // delivery), so the shard loop needs no mailboxes.
-    DeliveryBatch batch(n, p.numPeers, false);
-    DistScheduler scheduler(batch);
-    cluster.controller().setScheduler(&scheduler);
-    cluster.controller().setFoldLanes(p.numPeers);
-    ShardLoop loop(cluster, nullptr);
-
-    const auto drills = fault::parsePeerDrills(p.options->peerDrillSpec);
-    // Healthy peers must outlive coordinator-side failure detection:
-    // a peer that gave up first would turn one failed peer into K.
+    auto &links = *p.links;
+    MeshShard shard(*p.cluster, p.index, links.size());
+    const auto &drills = *p.drills;
+    // Healthy peers must outlive failure detection in process 0: a
+    // peer that gave up first would turn one failed peer into K-1.
     const double deadline = p.options->peerDeadlineSeconds * 2.0 + 1.0;
-    transport::SocketChannel &ch = *p.channel;
-    transport::HeartbeatSender heartbeat(ch, p.options->heartbeatSeconds);
+    transport::SocketChannel &control = *links[0];
+    transport::HeartbeatSender heartbeat(control,
+                                         p.options->heartbeatSeconds);
 
     fireDrills(drills, p.index, fault::PeerDrillPhase::Hello, 0);
     {
@@ -210,186 +440,65 @@ peerMain(const PeerSetup &p)
         hello.type = transport::FrameType::Hello;
         ckpt::Writer w;
         w.u32(static_cast<std::uint32_t>(p.index));
-        w.u32(static_cast<std::uint32_t>(p.numPeers));
-        w.u32(static_cast<std::uint32_t>(n));
+        w.u32(static_cast<std::uint32_t>(links.size()));
+        w.u32(static_cast<std::uint32_t>(p.cluster->numNodes()));
         hello.body = w.buffer();
-        if (!ch.send(hello))
+        if (!control.send(hello))
             return 1;
     }
 
-    net::NetworkController::Counters prev;
     std::uint64_t last_quantum = 0;
-    // End of the last quantum run (the next one's start).
-    Tick boundary = 0;
-    // Quantum last_quantum ran and was exchanged, but its inbound
-    // runs (and this peer's own self-run) are not merged yet.
-    bool unmerged = false;
-
-    // Adopt the inbound-run sections heading @p r — K-1 of them while
-    // a quantum is unmerged, none otherwise — then merge this peer's
-    // column: the barrier half of quantum last_quantum.
-    const auto adopt = [&](ckpt::Reader &r) {
-        const std::uint32_t num_sections = r.u32();
-        if (!r.ok() || num_sections != (unmerged ? p.numPeers - 1 : 0))
-            return false;
-        for (std::uint32_t i = 0; i < num_sections; ++i) {
-            const std::uint32_t u = r.u32();
-            const std::uint32_t count = r.u32();
-            if (!r.ok() || u >= p.numPeers || u == p.index)
-                return false;
-            for (std::uint32_t j = 0; j < count; ++j) {
-                net::Packet pkt;
-                if (!mpi::getPacket(r, pkt))
-                    return false;
-                batch.injectRemote(u, p.index, pkt);
-            }
-        }
-        if (!r.ok() || r.remaining() != 0)
-            return false;
-        if (!unmerged)
-            return true;
-        batch.mergeShard(p.index, cluster, loop.wake());
-        unmerged = false;
-        fireDrills(drills, p.index, fault::PeerDrillPhase::Ack,
-                   last_quantum);
-        return true;
+    const auto send = [&](std::size_t q, const transport::Frame &f) {
+        return links[q]->send(f);
+    };
+    const auto recv = [&](std::size_t q) {
+        transport::Frame f;
+        Report unused;
+        return links[q]->recv(f, deadline) == transport::RecvStatus::Ok &&
+               shard.adopt(f, last_quantum, q, unused);
     };
 
     for (;;) {
         transport::Frame f;
-        if (ch.recv(f, deadline) != transport::RecvStatus::Ok)
-            return 1; // coordinator gone or wedged: nothing to save
+        if (control.recv(f, deadline) != transport::RecvStatus::Ok)
+            return 1; // process 0 gone or wedged: nothing to save
         switch (f.type) {
         case transport::FrameType::Quantum: {
             ckpt::Reader r(f.body, "quantum");
             const Tick qe = r.u64();
             const std::uint64_t qi = r.u64();
-            if (!r.ok() || qi != last_quantum + 1 || !adopt(r))
+            if (!r.ok() || r.remaining() != 0 || qi != last_quantum + 1)
                 return 1;
-            cluster.controller().beginQuantum();
-            prev = cluster.controller().snapshotCounters();
-            for (std::size_t s = 0; s < p.numPeers; ++s)
-                batch.beginQuantum(s);
-            scheduler.setQuantumEnd(qe);
-            loop.runQuantum(begin, end, boundary, qe, p.index);
-            boundary = qe;
+            p.cluster->controller().beginQuantum();
+            shard.run(qe, nullptr);
             last_quantum = qi;
-            unmerged = true;
             fireDrills(drills, p.index,
                        fault::PeerDrillPhase::Exchange, qi);
-
-            // Progress as it will stand once this quantum is merged:
-            // merging only schedules NIC deliveries, so it finishes
-            // no app, and it leaves a queue non-empty exactly when
-            // the queue already was or a run lands in it — the
-            // self-run counted here, the cross-shard runs by the
-            // coordinator.
-            bool all_done = true;
-            bool any_pending = batch.stagedBetween(p.index, p.index) > 0;
-            for (NodeId id = begin; id < end; ++id) {
-                node::NodeSimulator &node = cluster.node(id);
-                all_done = all_done && node.appDone();
-                any_pending = any_pending || !node.queue().empty();
-            }
-
-            transport::Frame ex;
-            ex.type = transport::FrameType::Exchange;
-            ckpt::Writer w;
-            w.u32(static_cast<std::uint32_t>(p.index));
-            w.u64(qi);
-            const auto cur = cluster.controller().snapshotCounters();
-            w.u64(cur.idsAssigned - prev.idsAssigned);
-            w.u64(cur.packetsThisQuantum - prev.packetsThisQuantum);
-            w.u64(cur.totalPackets - prev.totalPackets);
-            w.u64(cur.totalStragglers - prev.totalStragglers);
-            w.u64(cur.totalNextQuantum - prev.totalNextQuantum);
-            w.u64(cur.totalLatenessTicks - prev.totalLatenessTicks);
-            w.u64(cur.totalDropped - prev.totalDropped);
-            w.u64(cur.bytes - prev.bytes);
-            w.boolean(all_done);
-            w.boolean(any_pending);
-            w.u64(batch.totalStaged());
-            w.u32(static_cast<std::uint32_t>(p.numPeers - 1));
-            for (std::size_t d = 0; d < p.numPeers; ++d) {
-                if (d == p.index)
-                    continue;
-                ckpt::Writer pw;
-                const std::size_t count = batch.takeRun(
-                    p.index, d, [&pw](const net::Packet &pkt) {
-                        mpi::putPacket(pw, pkt);
-                    });
-                w.u32(static_cast<std::uint32_t>(d));
-                w.u32(static_cast<std::uint32_t>(count));
-                w.u64(pw.size());
-                w.bytes(pw.buffer().data(), pw.size());
-            }
-            ex.body = w.buffer();
-            if (!ch.send(ex))
-                return 1;
+            if (!shard.exchange(qi, send, recv))
+                return 1; // a sibling gone: process 0 attributes it
+            fireDrills(drills, p.index, fault::PeerDrillPhase::Ack, qi);
             break;
         }
         case transport::FrameType::StateReq: {
-            ckpt::Reader r(f.body, "state-req");
-            if (!adopt(r))
-                return 1;
-            loop.catchUp(begin, end, boundary);
             transport::Frame st;
             st.type = transport::FrameType::State;
-            ckpt::Writer w;
-            w.u32(static_cast<std::uint32_t>(p.index));
-            w.u64(last_quantum);
-            const auto slice = [&](auto &&serialize) {
-                ckpt::Writer b;
-                serialize(b);
-                w.u64(b.size());
-                w.bytes(b.buffer().data(), b.size());
-            };
-            slice([&](ckpt::Writer &b) {
-                cluster.serializeNodeRange(b, begin, end);
-            });
-            slice([&](ckpt::Writer &b) {
-                cluster.serializeMpiRange(b, begin, end);
-            });
-            slice([&](ckpt::Writer &b) {
-                cluster.serializeWorkloadRange(b, begin, end);
-            });
-            const fault::FaultInjector *inj = cluster.faultInjector();
-            w.boolean(inj != nullptr);
-            if (inj) {
-                slice([&](ckpt::Writer &b) {
-                    inj->serializeLinkRange(b, begin, end);
-                });
-                w.u64(inj->totalDropped());
-                w.u64(inj->totalDuplicated());
-                w.u64(inj->totalCorrupted());
-                w.u64(inj->totalDelayed());
-            }
-            w.u32(static_cast<std::uint32_t>(end - begin));
-            for (NodeId id = begin; id < end; ++id)
-                w.u64(cluster.node(id).appFinishTick());
-            w.u64(cluster.totalRetransmits());
-            w.u64(batch.totalMerged());
-            st.body = w.buffer();
-            if (!ch.send(st))
+            st.body = shard.stateSlice(last_quantum);
+            if (!f.body.empty() || !control.send(st))
                 return 1;
             break;
         }
         case transport::FrameType::Stop:
             return 0;
-        case transport::FrameType::Abort:
-            return 1;
-        case transport::FrameType::Heartbeat:
-            break; // tolerated, though the coordinator sends none
         default:
-            return 1;
+            return 1; // Abort, or a frame no peer expects
         }
     }
 }
 
 /**
- * Worker-process entry: run the protocol loop under a FailureTrap so
- * an in-simulation fatal()/panic() becomes an Abort frame the
- * coordinator can attribute, instead of a silent disconnect.
+ * Peer entry: run the protocol loop under a FailureTrap so an
+ * in-simulation fatal()/panic() becomes an Abort frame process 0 can
+ * attribute, instead of a silent disconnect.
  */
 int
 peerProcess(const PeerSetup &p)
@@ -404,20 +513,21 @@ peerProcess(const PeerSetup &p)
         w.str(abort.cause());
         w.str(abort.detail());
         f.body = w.buffer();
-        p.channel->send(f); // best effort; the pipe may be gone
+        (*p.links)[0]->send(f); // best effort; the pipe may be gone
         return 1;
     }
 }
 
 /* ------------------------------------------------------------------ */
-/* Coordinator side                                                   */
+/* Process 0: the quantum driver and its peers                        */
 /* ------------------------------------------------------------------ */
 
 /**
- * The coordinator's view of its worker processes: channels and pids
+ * Process 0's view of its forked peers, indexed by process (slot 0,
+ * process 0 itself, holds no channel and no pid): mesh links and pids
  * (protocol-thread-owned), plus a mutex-guarded liveness table the
  * watchdog's dump thread reads, and RAII teardown — on any exit path
- * every child is SIGKILLed (which also reaps SIGSTOPped workers) and
+ * every child is SIGKILLed (which also reaps SIGSTOPped peers) and
  * reaped, so a failed run never leaks processes.
  */
 class PeerGroup
@@ -477,14 +587,14 @@ class PeerGroup
         return live_[w].failed;
     }
 
-    /** One line per worker for the watchdog's PanicInfo::peers. */
+    /** One line per forked peer for the watchdog's PanicInfo::peers. */
     std::string
     report() const AQSIM_EXCLUDES(mutex_)
     {
         const auto now = SteadyClock::now();
         base::MutexLock lock(mutex_);
         std::string out;
-        for (std::size_t w = 0; w < live_.size(); ++w) {
+        for (std::size_t w = 1; w < live_.size(); ++w) {
             const double age = std::chrono::duration<double>(
                                    now - live_[w].lastFrame)
                                    .count();
@@ -500,7 +610,7 @@ class PeerGroup
     }
 
     /**
-     * Clean shutdown: Stop frame to every healthy worker, then a
+     * Clean shutdown: Stop frame to every healthy peer, then a
      * bounded reap; whoever fails to exit in time meets teardown()'s
      * SIGKILL.
      */
@@ -531,8 +641,8 @@ class PeerGroup
 
     /**
      * Last-resort teardown (every exit path): best-effort Abort frame
-     * so a healthy worker can exit on its own terms, then SIGKILL —
-     * which also terminates SIGSTOPped workers — and a blocking reap.
+     * so a healthy peer can exit on its own terms, then SIGKILL —
+     * which also terminates SIGSTOPped peers — and a blocking reap.
      * Idempotent.
      */
     void
@@ -545,7 +655,7 @@ class PeerGroup
                 transport::Frame f;
                 f.type = transport::FrameType::Abort;
                 ckpt::Writer wr;
-                wr.str("coordinator");
+                wr.str("process 0");
                 wr.str("run torn down");
                 f.body = wr.buffer();
                 channels[w]->send(f);
@@ -586,14 +696,8 @@ class PeerGroup
     std::vector<Liveness> live_ AQSIM_GUARDED_BY(mutex_);
 };
 
-/** One raw, already-encoded packet run headed for one destination. */
-struct Segment
-{
-    std::uint32_t count = 0;
-    std::vector<std::uint8_t> bytes;
-};
-
-/** One worker's serialized state slice (State frame, decoded). */
+/** One shard's serialized state slice (MeshShard::stateSlice,
+ * decoded). */
 struct PeerState
 {
     std::vector<std::uint8_t> nodes;
@@ -604,8 +708,9 @@ struct PeerState
     bool hasFault = false;
     std::vector<Tick> finish;
     std::uint64_t retransmits = 0;
-    /** The peer's DeliveryBatch::totalMerged() (boundary merged). */
+    /** The shard's DeliveryBatch lifetime totals (boundary merged). */
     std::uint64_t merged = 0;
+    std::uint64_t staged = 0;
 };
 
 /** Copy the next @p len raw bytes out of @p body via @p r. */
@@ -636,9 +741,9 @@ struct GatheredState
 };
 
 /**
- * Splice the workers' contiguous, node-ordered slices back into the
+ * Splice the shards' contiguous, node-ordered slices back into the
  * exact whole-cluster section encodings Cluster::serialize* would
- * produce — the coordinator's replica contributes the net section
+ * produce — process 0's replica contributes the net section
  * (its controller holds the absorbed global counters; the default
  * PerfectSwitch is stateless, which run() enforced up front).
  */
@@ -755,12 +860,11 @@ splicedStateHash(const GatheredState &g)
 }
 
 /**
- * The coordinator side of a run, as a QuantumExecutor: one
- * star-protocol round trip (Quantum out, Exchange back) per quantum
- * over the already-forked worker processes. A quantum's delivery runs
- * ride the next Quantum frame, or the StateReq frames of a gather.
- * Every barrier wait is deadline-bounded, absorbs heartbeats, polls
- * supervised cancellation, and converts every failure mode into a
+ * Process 0's side of a run, as a QuantumExecutor: it runs shard 0
+ * itself and drives the forked peers, one Quantum frame each per
+ * quantum, then the same mesh exchange every peer runs. Every wait on
+ * a peer is deadline-bounded, absorbs heartbeats, polls supervised
+ * cancellation, and converts every failure mode into a
  * PeerFailure-carrying RunAbort stamped with the completed-quanta
  * count.
  */
@@ -770,17 +874,12 @@ class Coordinator : public QuantumExecutor
     Coordinator(Cluster &cluster, QuantumDriver &driver,
                 const EngineOptions &options, PeerGroup &peers)
         : cluster_(cluster), driver_(driver), options_(options),
-          peers_(peers), numPeers_(peers.size()),
-          hasFault_(cluster.faultInjector() != nullptr),
-          // At quantum 0 the pristine replica *is* the peers' state;
-          // afterwards the flags aggregate from the workers' Exchanges.
+          peers_(peers), k_(peers.size()), shard_(cluster, 0, k_),
+          // At quantum 0 the pristine replica *is* every shard's
+          // state; afterwards the flags aggregate over the shards.
           allDone_(cluster.allDone()),
-          anyPending_(cluster.anyEventPending()),
-          inbound_(numPeers_, std::vector<Segment>(numPeers_))
-    {
-        // The replica's nodes never run: one empty lane, no slot scan.
-        cluster.controller().setFoldLanes(1);
-    }
+          anyPending_(cluster.anyEventPending())
+    {}
 
     const char *name() const override { return "distributed"; }
 
@@ -795,21 +894,21 @@ class Coordinator : public QuantumExecutor
     bool pending() const override { return anyPending_; }
 
     /**
-     * Handshake: every worker announces itself with a geometry echo,
+     * Handshake: every peer announces itself with a geometry echo,
      * which catches build/parameter skew before any quantum runs.
      */
     void
     begin() override
     {
         const std::size_t n = cluster_.numNodes();
-        for (std::size_t w = 0; w < numPeers_; ++w) {
+        for (std::size_t w = 1; w < k_; ++w) {
             const transport::Frame hello =
                 await(w, transport::FrameType::Hello, "hello");
             ckpt::Reader r(hello.body, "hello");
             const std::uint32_t index = r.u32();
             const std::uint32_t k = r.u32();
             const std::uint32_t nodes = r.u32();
-            if (!r.ok() || index != w || k != numPeers_ || nodes != n)
+            if (!r.ok() || index != w || k != k_ || nodes != n)
                 fail(w, PeerFailureKind::Protocol, "hello",
                      "geometry mismatch in hello");
         }
@@ -820,72 +919,41 @@ class Coordinator : public QuantumExecutor
     {
         const core::Synchronizer &sync = driver_.sync();
         const std::uint64_t qi = sync.numQuanta() + 1;
+        transport::Frame quantum;
+        quantum.type = transport::FrameType::Quantum;
+        ckpt::Writer wr;
+        wr.u64(sync.quantumEnd());
+        wr.u64(qi);
+        quantum.body = wr.buffer();
+        for (std::size_t w = 1; w < k_; ++w)
+            sendFrame(w, quantum, "quantum dispatch");
+        shard_.run(sync.quantumEnd(), options_.cancelToken);
+        driver_.pollCancel();
 
-        // Dispatch: each peer's Quantum frame carries, at its head,
-        // the previous exchange's runs destined to that peer (unless
-        // a gather already delivered them).
-        for (std::size_t d = 0; d < numPeers_; ++d) {
-            transport::Frame quantum;
-            quantum.type = transport::FrameType::Quantum;
-            ckpt::Writer w;
-            w.u64(sync.quantumEnd());
-            w.u64(qi);
-            writeInbound(w, d);
-            quantum.body = w.buffer();
-            sendFrame(d, quantum, "quantum dispatch");
-        }
-        inboundPending_ = false;
-
-        // Exchange barrier: collect per-peer counter deltas, local
-        // progress and the raw per-destination packet runs. The
-        // deltas are absorbed into the replica controller *before*
-        // completeQuantum() so the policy and stats see the global
-        // per-quantum packet count. A peer's flags already count its
-        // own self-run; a cross-shard run lands in a queue, so it
-        // counts as pending here.
-        allDone_ = true;
-        anyPending_ = false;
-        stagedTotal_ = 0;
-        for (std::size_t w = 0; w < numPeers_; ++w) {
-            const transport::Frame ex = await(
-                w, transport::FrameType::Exchange, "exchange barrier");
-            ckpt::Reader r(ex.body, "exchange");
-            const std::uint32_t index = r.u32();
-            const std::uint64_t q = r.u64();
-            net::NetworkController::Counters d;
-            d.idsAssigned = r.u64();
-            d.packetsThisQuantum = r.u64();
-            d.totalPackets = r.u64();
-            d.totalStragglers = r.u64();
-            d.totalNextQuantum = r.u64();
-            d.totalLatenessTicks = r.u64();
-            d.totalDropped = r.u64();
-            d.bytes = r.u64();
-            const bool done_local = r.boolean();
-            const bool pending_local = r.boolean();
-            const std::uint64_t staged = r.u64();
-            const std::uint32_t num_sections = r.u32();
-            bool ok = r.ok() && index == w && q == qi &&
-                      num_sections == numPeers_ - 1;
-            for (std::size_t dst = 0; ok && dst < numPeers_; ++dst) {
-                if (dst == w)
-                    continue;
-                Segment &seg = inbound_[w][dst];
-                ok = r.u32() == dst;
-                seg.count = r.u32();
-                const std::uint64_t len = r.u64();
-                ok = ok && takeRaw(r, ex.body, len, seg.bytes);
-                anyPending_ = anyPending_ || seg.count > 0;
-            }
-            if (!ok || !r.ok() || r.remaining() != 0)
-                fail(w, PeerFailureKind::Protocol, "exchange barrier",
-                     "malformed exchange body");
-            cluster_.controller().absorbRemoteDeltas(d);
-            allDone_ = allDone_ && done_local;
-            anyPending_ = anyPending_ || pending_local;
-            stagedTotal_ += staged;
-        }
-        inboundPending_ = true;
+        // Each peer's deltas are absorbed into this controller
+        // *before* completeQuantum(), so the policy and stats see the
+        // global per-quantum packet count.
+        const Report own = shard_.progress();
+        allDone_ = own.done;
+        anyPending_ = own.pending;
+        shard_.exchange(
+            qi,
+            [this](std::size_t w, const transport::Frame &f) {
+                sendFrame(w, f, "exchange barrier");
+                return true;
+            },
+            [this, qi](std::size_t w) {
+                const transport::Frame f = await(
+                    w, transport::FrameType::Exchange, "exchange barrier");
+                Report report;
+                if (!shard_.adopt(f, qi, w, report))
+                    fail(w, PeerFailureKind::Protocol, "exchange barrier",
+                         "malformed exchange body");
+                cluster_.controller().absorbRemoteDeltas(report.deltas);
+                allDone_ = allDone_ && report.done;
+                anyPending_ = anyPending_ || report.pending;
+                return true;
+            });
         return std::nullopt; // measured by the driver
     }
 
@@ -897,8 +965,8 @@ class Coordinator : public QuantumExecutor
     }
 
     /**
-     * Node state lives in the worker processes; the useful dump here
-     * is per-peer liveness.
+     * The other shards' node state lives in the peers; the useful
+     * dump here is per-peer liveness.
      */
     void
     describe(PanicInfo &info) const override
@@ -931,30 +999,7 @@ class Coordinator : public QuantumExecutor
     }
 
     /**
-     * Append peer @p d's inbound runs of the last exchange — ascending
-     * source order, raw byte segments, no packet re-encoding on the
-     * coordinator — or an empty section list once they are delivered.
-     */
-    void
-    writeInbound(ckpt::Writer &w, std::size_t d) const
-    {
-        if (!inboundPending_) {
-            w.u32(0);
-            return;
-        }
-        w.u32(static_cast<std::uint32_t>(numPeers_ - 1));
-        for (std::size_t u = 0; u < numPeers_; ++u) {
-            if (u == d)
-                continue;
-            const Segment &seg = inbound_[u][d];
-            w.u32(static_cast<std::uint32_t>(u));
-            w.u32(seg.count);
-            w.bytes(seg.bytes.data(), seg.bytes.size());
-        }
-    }
-
-    /**
-     * Wait for one @p want frame from worker @p w. Any frame resets
+     * Wait for one @p want frame from peer @p w. Any frame resets
      * the liveness window (heartbeats keep a slow peer alive); the
      * deadline elapsing, a closed pipe, wire damage, an unexpected
      * type, or a peer-reported Abort all throw.
@@ -1004,7 +1049,7 @@ class Coordinator : public QuantumExecutor
         }
     }
 
-    /** Quarantine worker @p w and abort the run with its failure. */
+    /** Quarantine peer @p w and abort the run with its failure. */
     [[noreturn]] void
     fail(std::size_t w, PeerFailureKind kind, const char *phase,
          std::string detail = "")
@@ -1022,83 +1067,76 @@ class Coordinator : public QuantumExecutor
                              driver_.sync().numQuanta());
     }
 
-    /** Await + decode worker @p w's state slice at this boundary. */
-    PeerState
-    fetchState(std::size_t w, std::size_t expect_owned)
+    /**
+     * Every StateReq goes out before shard 0's own slice is taken and
+     * any State is awaited, so all shards serialize in parallel. Each
+     * column is already merged, so a StateReq carries nothing.
+     */
+    GatheredState
+    gather()
     {
-        const transport::Frame f =
-            await(w, transport::FrameType::State, "state gather");
+        transport::Frame req;
+        req.type = transport::FrameType::StateReq;
+        for (std::size_t w = 1; w < k_; ++w)
+            sendFrame(w, req, "state gather");
+        const std::uint64_t q = driver_.sync().numQuanta();
+        std::vector<PeerState> states(k_);
+        if (!readSlice(shard_.stateSlice(q), 0, q, states[0]))
+            panic("shard 0 wrote a malformed state slice");
+        for (std::size_t w = 1; w < k_; ++w) {
+            const transport::Frame f =
+                await(w, transport::FrameType::State, "state gather");
+            if (!readSlice(f.body, w, q, states[w]))
+                fail(w, PeerFailureKind::Protocol, "state gather",
+                     "malformed state slice");
+        }
+        std::uint64_t staged_total = 0;
+        for (const PeerState &st : states)
+            staged_total += st.staged;
+        return assembleState(cluster_, states, staged_total);
+    }
 
-        ckpt::Reader r(f.body, "state");
-        PeerState st;
-        const std::uint32_t index = r.u32();
-        const std::uint64_t q = r.u64();
-        bool ok = index == w && q == driver_.sync().numQuanta();
-        ok = ok && takeRaw(r, f.body, r.u64(), st.nodes);
-        ok = ok && takeRaw(r, f.body, r.u64(), st.mpi);
-        ok = ok && takeRaw(r, f.body, r.u64(), st.workload);
+    /** Decode shard @p w's State slice at boundary @p q into @p st.
+     * @return false if it is malformed or off this run's geometry. */
+    bool
+    readSlice(const std::vector<std::uint8_t> &body, std::size_t w,
+              std::uint64_t q, PeerState &st) const
+    {
+        const auto [sb, se] =
+            WorkerPool::shardRange(w, k_, cluster_.numNodes());
+        ckpt::Reader r(body, "state");
+        bool ok = r.u32() == w && r.u64() == q;
+        ok = ok && takeRaw(r, body, r.u64(), st.nodes);
+        ok = ok && takeRaw(r, body, r.u64(), st.mpi);
+        ok = ok && takeRaw(r, body, r.u64(), st.workload);
         st.hasFault = r.boolean();
-        ok = ok && st.hasFault == hasFault_;
+        ok = ok && st.hasFault == (cluster_.faultInjector() != nullptr);
         if (ok && st.hasFault) {
-            ok = takeRaw(r, f.body, r.u64(), st.faultRows);
+            ok = takeRaw(r, body, r.u64(), st.faultRows);
             for (std::uint64_t &total : st.faultTotals)
                 total = r.u64();
         }
         const std::uint32_t owned = r.u32();
-        ok = ok && r.ok() && owned == expect_owned;
+        ok = ok && r.ok() && owned == se - sb;
         if (ok) {
             st.finish.reserve(owned);
             for (std::uint32_t i = 0; i < owned; ++i)
                 st.finish.push_back(r.u64());
             st.retransmits = r.u64();
             st.merged = r.u64();
+            st.staged = r.u64();
         }
-        if (!ok || !r.ok() || r.remaining() != 0)
-            fail(w, PeerFailureKind::Protocol, "state gather",
-                 "malformed state slice");
-        return st;
-    }
-
-    /**
-     * Every StateReq goes out before any State is awaited, so the
-     * peers merge their pending inbound runs and serialize in
-     * parallel.
-     */
-    GatheredState
-    gather()
-    {
-        for (std::size_t d = 0; d < numPeers_; ++d) {
-            transport::Frame req;
-            req.type = transport::FrameType::StateReq;
-            ckpt::Writer w;
-            writeInbound(w, d);
-            req.body = w.buffer();
-            sendFrame(d, req, "state request");
-        }
-        inboundPending_ = false;
-        const std::size_t n = cluster_.numNodes();
-        std::vector<PeerState> states;
-        states.reserve(numPeers_);
-        for (std::size_t w = 0; w < numPeers_; ++w) {
-            const auto [sb, se] = WorkerPool::shardRange(w, numPeers_, n);
-            states.push_back(fetchState(w, se - sb));
-        }
-        return assembleState(cluster_, states, stagedTotal_);
+        return ok && r.ok() && r.remaining() == 0;
     }
 
     Cluster &cluster_;
     QuantumDriver &driver_;
     const EngineOptions &options_;
     PeerGroup &peers_;
-    const std::size_t numPeers_;
-    const bool hasFault_;
+    const std::size_t k_;
+    MeshShard shard_;
     bool allDone_;
     bool anyPending_;
-    std::uint64_t stagedTotal_ = 0;
-    /** The last exchange's raw runs, [source peer][destination peer];
-     * inboundPending_ while they still await delivery. */
-    std::vector<std::vector<Segment>> inbound_;
-    bool inboundPending_ = false;
 };
 
 } // namespace
@@ -1117,10 +1155,10 @@ DistributedEngine::run(const ClusterParams &params,
               "stateful per-port switch occupancy cannot be spliced "
               "from per-peer state slices");
 
-    // Coordinator replica: configuration, the globally absorbed
-    // controller counters, and checkpoint assembly. Its nodes never
-    // execute an event, so each forked worker inherits it pristine
-    // and executes its own shard on that copy.
+    // Process 0's replica: shard 0 runs on it, and it holds the
+    // globally absorbed controller counters and assembles checkpoints.
+    // Nothing has executed on it before the forks, so each peer
+    // inherits it pristine and runs its own shard on that copy.
     Cluster cluster(params, workload);
     const std::size_t n = cluster.numNodes();
     QuantumDriver driver(options_, cluster, policy);
@@ -1131,50 +1169,58 @@ DistributedEngine::run(const ClusterParams &params,
               static_cast<unsigned long long>(
                   cluster.controller().minNetworkLatency()));
 
-    const std::size_t num_peers =
+    const std::size_t k =
         WorkerPool::resolveWorkerCount(options_.numWorkers, n);
+    const auto drills = fault::parsePeerDrills(options_.peerDrillSpec);
+    for (const fault::PeerDrill &d : drills)
+        if (d.peer == 0 || d.peer >= k)
+            fatal("peer drill names peer %zu, which is not one of "
+                  "the %zu forked peers 1..K-1 (process 0 runs shard "
+                  "0)",
+                  d.peer, k - 1);
 
-    // Fork every worker before any coordinator thread exists
-    // (watchdog, heartbeat receivers): a post-thread fork could
-    // inherit a lock held mid-operation by a non-forked thread.
-    PeerGroup peers(num_peers);
-    std::vector<std::unique_ptr<transport::SocketChannel>> child_ends(
-        num_peers);
-    for (std::size_t w = 0; w < num_peers; ++w) {
-        auto [coord_end, peer_end] = transport::socketChannelPair();
-        peers.channels[w] = std::move(coord_end);
-        child_ends[w] = std::move(peer_end);
-    }
-    for (std::size_t w = 0; w < num_peers; ++w) {
+    // The mesh: links[a][b] is process a's end of the socketpair it
+    // shares with process b. Every pair exists before any fork, and
+    // every fork happens before any thread of process 0 exists
+    // (watchdog): a post-thread fork could inherit a lock held
+    // mid-operation by a non-forked thread.
+    std::vector<std::vector<std::unique_ptr<transport::SocketChannel>>>
+        links(k);
+    for (auto &ends : links)
+        ends.resize(k);
+    for (std::size_t a = 0; a < k; ++a)
+        for (std::size_t b = a + 1; b < k; ++b)
+            std::tie(links[a][b], links[b][a]) =
+                transport::socketChannelPair();
+    PeerGroup peers(k);
+    for (std::size_t w = 1; w < k; ++w) {
         const pid_t pid = ::fork();
         if (pid < 0)
             fatal("fork: %s", std::strerror(errno));
         if (pid == 0) {
-            // Worker: drop every inherited channel end except our
-            // own, so a dead sibling's socket actually reads EOF.
-            for (std::size_t u = 0; u < num_peers; ++u) {
-                peers.channels[u].reset();
+            // Peer: drop every end but its own, so a dead process's
+            // socket actually reads EOF.
+            for (std::size_t u = 0; u < k; ++u)
                 if (u != w)
-                    child_ends[u].reset();
-            }
+                    links[u].clear();
             PeerSetup setup;
             setup.index = w;
-            setup.numPeers = num_peers;
             setup.cluster = &cluster;
             setup.options = &options_;
-            setup.channel = child_ends[w].get();
+            setup.drills = &drills;
+            setup.links = &links[w];
             ::_exit(peerProcess(setup));
         }
         peers.pids[w] = pid;
     }
-    for (std::size_t w = 0; w < num_peers; ++w)
-        child_ends[w].reset();
+    peers.channels = std::move(links[0]);
+    links.clear();
 
     Coordinator coord(cluster, driver, options_, peers);
     // The driver starts the run's watchdog thread, after every fork.
     return driver.run(coord);
-    // `peers` is destroyed on return: any worker stopAll failed to
-    // reap is SIGKILLed and reaped before the replica goes away.
+    // `peers` is destroyed on return: any peer stopAll failed to reap
+    // is SIGKILLed and reaped before the replica goes away.
 }
 
 } // namespace aqsim::engine

@@ -1,32 +1,37 @@
 /**
  * @file
- * Fault-tolerant multi-process engine: forked workers, a quantum
- * barrier over sockets, and structured peer-failure detection.
+ * Fault-tolerant multi-process engine: forked peers, a socket mesh
+ * between every pair of processes, and structured peer-failure
+ * detection.
  *
  * The paper's deployment shape is N node simulators as separate host
  * processes synchronized by a central controller. DistributedEngine
- * reproduces that shape: the coordinator forks K worker processes,
- * each owning a contiguous shard of ceil(N/K) nodes, and runs as one
- * more executor under the QuantumDriver the in-process engines use —
- * its barrier goes over one transport::SocketChannel per worker
- * (transport/socket.hh) instead of thread barriers.
+ * reproduces that shape with K processes, each owning a contiguous
+ * shard of ceil(N/K) nodes. Process 0 is the run's own process: it
+ * runs shard 0 and the QuantumDriver the in-process engines use, and
+ * forks K-1 peers. A socketpair joins every pair of processes before
+ * the fork (transport/socket.hh), so each staged delivery row goes
+ * from its source process straight to the process that owns its
+ * destination; process 0 sees only its own rows, the peers' counter
+ * deltas and progress flags, and decides the next quantum.
  *
  * Conservative runs only (quantum <= minimum network latency): every
  * cross-partition delivery then lands at or beyond the next quantum
  * boundary, so a packet can be executed on a peer that never sees the
  * receiver's mid-quantum state, and the merged per-destination
  * delivery order — hence the full RunResult and finalStateHash — is
- * bit-identical to the SequentialEngine. The coordinator enforces the
- * condition up front and each worker re-checks it per delivery.
+ * bit-identical to the SequentialEngine. Process 0 enforces the
+ * condition up front and every process re-checks it per delivery.
  *
- * Robustness is the point of the multi-process shape: a worker can
+ * Robustness is the point of the multi-process shape: a peer can
  * crash (SIGKILL), wedge (SIGSTOP, scheduler hang), or half-open its
- * socket. Every coordinator wait is deadline-bounded and every worker
+ * socket. Every wait in process 0 is deadline-bounded and every peer
  * runs a heartbeat beacon, so each of those outcomes maps to a
  * structured PeerFailure — never a stuck barrier — which surfaces as
  * base::RunAbort{cause "peer-failure"} that supervise::RunSupervisor
  * catches, logs as an incident, and recovers from by checkpoint
- * replay with a fresh set of workers (docs/distributed.md).
+ * replay with a fresh set of peers (docs/distributed.md). A fault in
+ * shard 0 ends the run the way a threaded worker's fault does.
  */
 
 #ifndef AQSIM_ENGINE_DISTRIBUTED_ENGINE_HH
@@ -44,7 +49,7 @@
 namespace aqsim::engine
 {
 
-/** How a worker process was observed to fail. */
+/** How a forked peer was observed to fail. */
 enum class PeerFailureKind
 {
     /** Socket closed (EOF/ECONNRESET): the process died or closed
@@ -64,19 +69,19 @@ enum class PeerFailureKind
 const char *peerFailureKindName(PeerFailureKind kind);
 
 /**
- * Structured description of one failed worker, captured by the
- * coordinator at the barrier wait that detected it. Rendered into the
+ * Structured description of one failed peer, captured by process 0
+ * at the wait that detected it. Rendered into the
  * RunAbort detail (cause "peer-failure") so the supervisor's incident
  * log names the peer, not just the quantum.
  */
 struct PeerFailure
 {
     PeerFailureKind kind = PeerFailureKind::Disconnect;
-    /** Worker index (shard owner). */
+    /** Process index of the peer (shard owner), 1..K-1. */
     std::size_t peer = 0;
-    /** Host pid of the worker process. */
+    /** Host pid of the peer process. */
     long pid = 0;
-    /** Barrier phase the coordinator was waiting in. */
+    /** Protocol phase process 0 was waiting in. */
     std::string phase;
     /** Host seconds since the peer's last frame of any kind. */
     double frameAge = 0.0;
@@ -88,14 +93,14 @@ struct PeerFailure
 };
 
 /**
- * Multi-process distributed engine (coordinator side).
+ * Multi-process distributed engine (process 0's side).
  *
  * Unlike the in-process engines there is no run(Cluster&) overload:
- * every worker process inherits the coordinator's replica through
- * fork and needs it pristine, so externally pre-built (possibly
- * already executed) clusters cannot be partitioned. The replica
- * serves configuration, absorbed global counters, and checkpoint
- * assembly — its own nodes never execute.
+ * every peer inherits process 0's replica through fork and needs it
+ * pristine, so externally pre-built (possibly already executed)
+ * clusters cannot be partitioned. Process 0 runs shard 0 on the
+ * replica, which also holds the absorbed global counters and
+ * assembles checkpoints; its other shards' nodes never execute.
  */
 class DistributedEngine
 {
@@ -104,11 +109,12 @@ class DistributedEngine
 
     /**
      * Run @p workload on a cluster built from @p params under
-     * @p policy, partitioned across forked worker processes.
+     * @p policy, partitioned across this process and K-1 forked
+     * peers.
      *
-     * @throw base::RunAbort cause "peer-failure" when a worker
+     * @throw base::RunAbort cause "peer-failure" when a peer
      *        crashes, hangs, or corrupts the protocol mid-run (the
-     *        surviving workers are torn down first).
+     *        surviving peers are torn down first).
      */
     RunResult run(const ClusterParams &params,
                   workloads::Workload &workload,

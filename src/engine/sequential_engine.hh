@@ -76,11 +76,12 @@ struct EngineOptions
      */
     StragglerPolicy stragglerPolicy = StragglerPolicy::DeliverNow;
     /**
-     * ThreadedEngine shard count K (ignored by SequentialEngine;
-     * DistributedEngine forks K worker processes). 0 = hardware
-     * concurrency; always clamped to the node count. Each worker runs
-     * a contiguous shard of ceil(N/K) nodes per quantum: the run's own
-     * thread runs shard 0 and K-1 spawned threads run the rest.
+     * Shard count K of the ThreadedEngine and the DistributedEngine
+     * (ignored by SequentialEngine). 0 = hardware concurrency; always
+     * clamped to the node count. Each worker runs a contiguous shard
+     * of ceil(N/K) nodes per quantum: the run's own thread runs shard
+     * 0 and K-1 spawned threads run the rest; the DistributedEngine
+     * runs shard 0 in the run's own process and forks K-1 peers.
      * Conservative runs are bit-identical for any value.
      */
     std::size_t numWorkers = 0;
@@ -148,10 +149,10 @@ struct EngineOptions
     bool injectWatchdogPanic = false;
 
     /**
-     * DistributedEngine only: how long the coordinator waits on any
-     * one peer frame before declaring the peer failed (and how long a
-     * peer waits on the coordinator, doubled so healthy peers outlive
-     * coordinator-side detection). Every distributed barrier wait is
+     * DistributedEngine only: how long process 0 waits on any one
+     * peer frame before declaring the peer failed (and how long a
+     * peer waits on any other process, doubled so healthy peers
+     * outlive detection in process 0). Every distributed barrier wait is
      * bounded by this deadline — a dead, hung, or half-open peer
      * becomes a structured PeerFailure, never a stuck barrier.
      */
@@ -166,8 +167,8 @@ struct EngineOptions
     /**
      * DistributedEngine only: peer fault drill spec, e.g.
      * "kill:peer=1,quantum=3,phase=exchange" (see
-     * fault::parsePeerDrills). Drills fire inside the named worker
-     * process at an exact, reproducible protocol point; the
+     * fault::parsePeerDrills). Drills fire inside the named forked
+     * peer, 1..K-1, at an exact, reproducible protocol point; the
      * supervisor clears the spec on respawn so the recovery attempt
      * runs clean.
      */

@@ -1,7 +1,7 @@
 /**
  * @file
  * The shard-execution seam: the one shard loop, which the threaded
- * engine's pool workers and the distributed engine's peers both call,
+ * engine's pool workers and every distributed-engine process call,
  * and the only engine-layer code allowed to mutate a node's
  * sim::EventQueue directly. (The exchange half of the sharded kernel
  * is engine/delivery_batch.hh.)
@@ -62,7 +62,7 @@ class ShardLoop
 {
   public:
     /** @param mailboxes urgent mailboxes by node id, or nullptr
-     * when every quantum is conservative (a distributed peer). The
+     * when every quantum is conservative (a distributed shard). The
      * controller must fold by lane (NetworkController::setFoldLanes). */
     ShardLoop(Cluster &cluster, NodeMailbox *mailboxes);
 

@@ -57,8 +57,8 @@ struct PanicInfo
     /** Per-node progress dump (engine::Cluster::progressReport()). */
     std::string progress;
     /**
-     * Per-peer liveness when running distributed (one line per worker
-     * process: pid, barrier phase, last-heartbeat age), so a hung-peer
+     * Per-peer liveness when running distributed (one line per forked
+     * peer: pid, protocol phase, last-frame age), so a hung-peer
      * panic names the peer instead of just the quantum. Empty for
      * single-process engines.
      */

@@ -48,10 +48,9 @@ enum class PeerDrillPhase
     /** After running the quantum, before sending Exchange. */
     Exchange,
     /**
-     * After merging a quantum's inbound runs: at the head of the next
-     * Quantum frame, or of a StateReq frame before a state gather.
-     * The name predates the one-round-trip protocol, which has no Ack
-     * frame; `phase=ack` keeps its spelling.
+     * After merging a quantum's inbound rows, at the end of its
+     * exchange. The protocol has no Ack frame; `phase=ack` keeps
+     * its spelling.
      */
     Ack,
 };
@@ -60,7 +59,8 @@ enum class PeerDrillPhase
 struct PeerDrill
 {
     PeerDrillOp op = PeerDrillOp::Kill;
-    /** Worker index the drill fires in. */
+    /** Forked peer the drill fires in, 1..K-1 (process 0 runs
+     * shard 0 and takes no drills). */
     std::size_t peer = 0;
     /** 1-based quantum at which it fires (ignored for phase=hello). */
     std::uint64_t quantum = 1;

@@ -2,8 +2,8 @@
  * @file
  * Wire codec for net::Packet (distributed-engine exchange frames).
  *
- * Cross-partition deliveries travel between worker processes as
- * ordered packet runs inside Exchange, Quantum and StateReq frames. This codec
+ * Cross-partition deliveries travel between distributed-engine
+ * processes as ordered packet runs inside Exchange frames. This codec
  * round-trips every field the simulation reads — timing, identity,
  * corruption flag, and the mpi payload held in the frame's inline
  * area — through the ckpt::Writer/Reader encoding, field by field,

@@ -3,63 +3,8 @@
 #include <bit>
 #include <cstdio>
 
-#include "base/logging.hh"
-
 namespace aqsim::stats
 {
-
-Histogram::Histogram(const char *name, const char *desc, double lo,
-                     double hi, std::size_t buckets)
-    : Stat(name, desc), lo_(lo), hi_(hi),
-      width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0)
-{
-    AQSIM_ASSERT(hi > lo && buckets > 0);
-}
-
-void
-Histogram::sample(double v)
-{
-    ++total_;
-    sum_ += v;
-    if (v < lo_) {
-        ++underflow_;
-    } else if (v >= hi_) {
-        ++overflow_;
-    } else {
-        auto idx = static_cast<std::size_t>((v - lo_) / width_);
-        if (idx >= counts_.size())
-            idx = counts_.size() - 1; // guards fp rounding at hi_
-        ++counts_[idx];
-    }
-}
-
-std::vector<std::pair<std::string, double>>
-Histogram::rows() const
-{
-    std::vector<std::pair<std::string, double>> out;
-    out.emplace_back("samples", static_cast<double>(total_));
-    out.emplace_back("mean", mean());
-    out.emplace_back("underflow", static_cast<double>(underflow_));
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        char label[64];
-        std::snprintf(label, sizeof(label), "[%g,%g)",
-                      lo_ + width_ * static_cast<double>(i),
-                      lo_ + width_ * static_cast<double>(i + 1));
-        out.emplace_back(label, static_cast<double>(counts_[i]));
-    }
-    out.emplace_back("overflow", static_cast<double>(overflow_));
-    return out;
-}
-
-void
-Histogram::reset()
-{
-    for (auto &c : counts_)
-        c = 0;
-    underflow_ = overflow_ = total_ = 0;
-    sum_ = 0.0;
-}
 
 Log2Distribution::Log2Distribution(const char *name, const char *desc)
     : Stat(name, desc)

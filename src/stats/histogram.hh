@@ -1,6 +1,6 @@
 /**
  * @file
- * Bucketed statistics: linear histogram and log2 distribution.
+ * Bucketed statistics: the log2 distribution.
  */
 
 #ifndef AQSIM_STATS_HISTOGRAM_HH
@@ -13,41 +13,6 @@
 
 namespace aqsim::stats
 {
-
-/**
- * Fixed-width linear histogram over [lo, hi); samples outside the range
- * land in underflow/overflow buckets.
- */
-class Histogram : public Stat
-{
-  public:
-    Histogram(const char *name, const char *desc, double lo, double hi,
-              std::size_t buckets);
-
-    void sample(double v);
-
-    double lo() const { return lo_; }
-    double hi() const { return hi_; }
-    std::size_t numBuckets() const { return counts_.size(); }
-    std::uint64_t bucketCount(std::size_t i) const { return counts_[i]; }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t totalSamples() const { return total_; }
-    double mean() const { return total_ ? sum_ / total_ : 0.0; }
-
-    std::vector<std::pair<std::string, double>> rows() const override;
-    void reset() override;
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t total_ = 0;
-    double sum_ = 0.0;
-};
 
 /**
  * Power-of-two bucketed distribution for wide-dynamic-range values

@@ -8,8 +8,8 @@
  *
  * Only the statistic kinds the simulator actually needs are provided:
  * Scalar (a counter/accumulator), Value (a scalar read from its
- * owner's counters), Average (mean of samples), and the bucketed types
- * in stats/histogram.hh.
+ * owner's counters), Average (mean of samples), and the bucketed
+ * Log2Distribution in stats/histogram.hh.
  */
 
 #ifndef AQSIM_STATS_STATS_HH

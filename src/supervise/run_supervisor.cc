@@ -80,8 +80,8 @@ RunSupervisor::runAttempt(const RunRequest &request,
                           core::QuantumPolicy &policy, bool arm_trap)
 {
     if (request.engineKind == EngineKind::Distributed) {
-        // The engine builds its own coordinator replica, which the
-        // worker processes inherit pristine through fork, so there is
+        // The engine builds its own replica, which the forked peers
+        // inherit pristine through fork, so there is
         // no in-process cluster to build or expose — and a stale one
         // would alias the workload binding.
         cluster_.reset();

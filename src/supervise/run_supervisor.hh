@@ -55,7 +55,7 @@ enum class EngineKind
     Sequential,
     Threaded,
     /** Multi-process (engine/distributed_engine.hh): attempts fork
-     * fresh worker processes; peer failures are recoverable. */
+     * fresh peer processes; peer failures are recoverable. */
     Distributed,
 };
 
@@ -146,8 +146,8 @@ class RunSupervisor
     engine::PanicInfo lastPanic() const;
 
     /** Cluster of the most recent attempt (stats/trace readout).
-     * Null for distributed runs: the state lives in the forked
-     * worker processes, not in any in-process cluster. */
+     * Null for distributed runs: the state lives in the engine's
+     * processes, not in any cluster the supervisor owns. */
     engine::Cluster *cluster() { return cluster_.get(); }
     std::unique_ptr<engine::Cluster> takeCluster()
     {

@@ -1,5 +1,8 @@
 #include "trace/packet_trace.hh"
 
+#include <algorithm>
+#include <tuple>
+
 #include "base/csv.hh"
 
 namespace aqsim::trace
@@ -27,9 +30,18 @@ PacketTrace::endTime() const
 void
 PacketTrace::dumpCsv(std::ostream &out) const
 {
+    // Observers run in the order workers route packets, which varies
+    // run to run at K >= 2; the full-row order makes the file a pure
+    // function of the run's contents.
+    std::vector<TraceRecord> rows = records_;
+    std::sort(rows.begin(), rows.end(),
+              [](const TraceRecord &a, const TraceRecord &b) {
+                  return std::tie(a.time, a.src, a.dst, a.bytes) <
+                         std::tie(b.time, b.src, b.dst, b.bytes);
+              });
     CsvWriter csv(out);
     csv.header({"time", "src", "dst", "bytes"});
-    for (const auto &r : records_) {
+    for (const auto &r : rows) {
         csv.row()
             .field(static_cast<std::uint64_t>(r.time))
             .field(static_cast<std::uint64_t>(r.src))

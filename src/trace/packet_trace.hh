@@ -46,7 +46,9 @@ class PacketTrace
     /** Last delivery tick seen (0 if empty). */
     Tick endTime() const;
 
-    /** Dump as CSV: time,src,dst,bytes. */
+    /** Dump as CSV: time,src,dst,bytes, rows sorted by all four
+     * fields, so equal record sets write equal files at any worker
+     * count. */
     void dumpCsv(std::ostream &out) const;
 
     /**

@@ -1,9 +1,9 @@
 /**
  * @file
- * Wire frames for the distributed-engine control channel.
+ * Wire frames for the distributed engine's socket mesh.
  *
- * Every message between the DistributedEngine coordinator and its
- * worker processes is one length-prefixed, CRC-guarded frame:
+ * Every message between two DistributedEngine processes is one
+ * length-prefixed, CRC-guarded frame:
  *
  *   frame := bodyLen(u32) type(u32) bodyCrc(u32) body
  *
@@ -25,28 +25,33 @@
 namespace aqsim::transport
 {
 
-/** Distributed barrier-protocol message types (see docs/distributed.md). */
+/**
+ * Distributed mesh-protocol message types (see docs/distributed.md).
+ * Process 0 runs the quantum driver and shard 0; processes 1..K-1 are
+ * its forked peers. Only Exchange frames travel between two peers.
+ */
 enum class FrameType : std::uint32_t
 {
-    /** Peer -> coordinator: worker is alive and speaks the protocol. */
+    /** Peer -> process 0: the peer is alive and speaks the protocol. */
     Hello = 1,
-    /** Coordinator -> peer: merge the previous quantum's inbound
-     * delivery runs (carried at the head), then run one quantum up to
-     * its end qe. */
+    /** Process 0 -> peer: run one quantum up to its end qe, then
+     * exchange and merge. */
     Quantum,
-    /** Peer -> coordinator: counter deltas, local progress and the
-     * outbound delivery runs. */
+    /** Any process -> any other: the delivery rows it staged for the
+     * receiver's shard this quantum; toward process 0 also the
+     * counter deltas and the done/pending flags. */
     Exchange,
-    /** Coordinator -> peer: merge the pending inbound delivery runs
-     * (carried at the head), then serialize your state slice. */
+    /** Process 0 -> peer: serialize your state slice (every column is
+     * already merged, so the frame carries no rows). */
     StateReq,
-    /** Peer -> coordinator: the requested state slice. */
+    /** Peer -> process 0: the requested state slice. */
     State,
-    /** Peer -> coordinator: liveness beacon between protocol frames. */
+    /** Peer -> process 0: liveness beacon between protocol frames. */
     Heartbeat,
-    /** Coordinator -> peer: run complete, exit cleanly. */
+    /** Process 0 -> peer: run complete, exit cleanly. */
     Stop,
-    /** Either direction: sender is failing; body carries the reason. */
+    /** Between process 0 and a peer, either way: the sender is
+     * failing; the body carries the reason. */
     Abort,
 };
 

@@ -2,12 +2,12 @@
  * @file
  * Peer liveness beacon for the distributed barrier protocol.
  *
- * A worker that is merely *slow* (a long quantum, a large state
- * gather) must stay distinguishable from one that is *hung* — and the
- * coordinator must learn the difference without inflating its frame
- * deadlines to cover the worst honest case. Each worker therefore
+ * A peer that is merely *slow* (a long quantum, a large state
+ * gather) must stay distinguishable from one that is *hung* — and
+ * process 0 must learn the difference without inflating its frame
+ * deadlines to cover the worst honest case. Each peer therefore
  * runs one HeartbeatSender thread that emits a small Heartbeat frame
- * at a fixed period; the coordinator's receive loop absorbs
+ * to process 0 at a fixed period; process 0's receive loop absorbs
  * heartbeats while waiting for the frame it actually expects and
  * resets the peer's liveness clock on every frame of any type. A peer
  * whose heartbeats stop (SIGSTOP, scheduler wedge) ages past the

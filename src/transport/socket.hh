@@ -3,8 +3,8 @@
  * The distributed engine's transport: frames over a Unix stream.
  *
  * One SocketChannel is one bidirectional, ordered, reliable frame
- * pipe between the coordinator and a single worker; it wraps one
- * connected stream fd and moves the wire encoding from frame.hh.
+ * pipe between two processes of a run; it wraps one connected stream
+ * fd and moves the wire encoding from frame.hh.
  * Failure semantics are the whole point:
  *
  *  - recv() first retries a non-blocking read for a short, fixed
@@ -19,8 +19,8 @@
  *    returns false instead of raising SIGPIPE.
  *
  * socketChannelPair() (socketpair(2)) is the fork-model transport:
- * the coordinator creates one pair per worker before forking, each
- * side keeps one end.
+ * process 0 creates one pair per pair of processes before forking,
+ * and each process keeps its own ends.
  *
  * Thread safety: send() is serialized, so one thread may send (the
  * heartbeat thread) while another sends or receives. Multiple
@@ -92,7 +92,7 @@ class SocketChannel
 
 /**
  * Connected AF_UNIX stream pair (socketpair(2)). First is
- * conventionally the coordinator end, second the worker end.
+ * conventionally the lower-indexed process's end.
  */
 std::pair<std::unique_ptr<SocketChannel>, std::unique_ptr<SocketChannel>>
 socketChannelPair();

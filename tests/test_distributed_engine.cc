@@ -1,28 +1,36 @@
 /**
  * Multi-process DistributedEngine tests: the cross-engine determinism
- * contract ({2,4} worker processes x {clean, 5% loss + reliable}
+ * contract ({2,4} processes x {clean, 5% loss + reliable}
  * bit-identical to the SequentialEngine, including finalStateHash),
  * the peer-failure matrix (SIGKILL at first/mid/last-1 quantum,
  * SIGSTOP heartbeat loss, exit-before-hello) as structured
- * deadline-bounded failures, supervisor-driven recovery with
+ * deadline-bounded failures, drills outside the forked peers
+ * rejected, supervisor-driven recovery with
  * peer-failure/peer-recovery incidents, checkpoint-restore recovery
- * (also from a peer killed inside a checkpoint gather's merge),
+ * (also from a peer killed just before a checkpoint gather),
  * checkpoint images byte-equal to the threaded engine's, cross-shard
- * pingpong, and the watchdog's per-peer liveness dump.
+ * pingpong, Exchange frames larger than the socket send buffer, and
+ * the watchdog's per-peer liveness dump.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+
+#include <sys/socket.h>
 
 #include "ckpt/checkpoint.hh"
 #include "ckpt/ckpt_io.hh"
 #include "engine/distributed_engine.hh"
 #include "engine/threaded_engine.hh"
+#include "mpi/collectives.hh"
+#include "mpi/packet_codec.hh"
 #include "supervise/run_supervisor.hh"
 #include "test_util.hh"
+#include "transport/socket.hh"
 
 using namespace aqsim;
 
@@ -193,6 +201,26 @@ TEST(DistributedEngine, SinglePeerDegenerateCaseWorks)
     expectMatchesSequential(dist, seq, "1w");
 }
 
+TEST(DistributedEngineDeathTest, RejectsDrillOutsideTheForkedPeers)
+{
+    // Process 0 runs shard 0 and K workers fork peers 1..K-1 only: a
+    // drill naming any other index could never fire.
+    const auto params = configParams("clean");
+    auto workload = workloads::makeWorkload("burst", params.numNodes,
+                                            0.05);
+    auto policy = core::parsePolicy("fixed:1us");
+    for (const char *spec : {"kill:peer=7,quantum=3,phase=exchange",
+                             "kill:peer=2,quantum=3,phase=exchange",
+                             "exit:peer=0,phase=hello"}) {
+        auto options = distOptions(2);
+        options.peerDrillSpec = spec;
+        engine::DistributedEngine engine(options);
+        EXPECT_DEATH(engine.run(params, *workload, *policy),
+                     "not one of the 1 forked peers")
+            << spec;
+    }
+}
+
 TEST(DistributedEngineDeathTest, RejectsNonConservativePolicy)
 {
     const auto params = configParams("clean");
@@ -253,9 +281,9 @@ TEST(DistributedEngine, StoppedPeerIsDeadlineBoundedHang)
 
 TEST(DistributedEngine, PeerExitBeforeHelloIsDisconnect)
 {
-    // The half-open case: a worker vanishes before it ever speaks.
+    // The half-open case: a peer vanishes before it ever speaks.
     auto options = distOptions(2);
-    options.peerDrillSpec = "exit:peer=0,phase=hello";
+    options.peerDrillSpec = "exit:peer=1,phase=hello";
     const auto params = configParams("clean");
     try {
         runDistributed(params, options);
@@ -315,7 +343,7 @@ TEST(DistributedEngine, SupervisorRecoversHungPeerViaCheckpoint)
     options.checkpointDir = scratchDir("ckpt_recover");
     const std::uint64_t mid = golden.quanta / 2;
     options.peerDrillSpec =
-        "stop:peer=0,quantum=" + std::to_string(mid) + ",phase=ack";
+        "stop:peer=1,quantum=" + std::to_string(mid) + ",phase=ack";
     supervise::RunSupervisor supervisor(testSupervision());
     const auto result = runSupervised(params, options, supervisor);
     expectMatchesSequential(result, golden, "ckpt-recovery");
@@ -326,9 +354,10 @@ TEST(DistributedEngine, SupervisorRecoversHungPeerViaCheckpoint)
 
 TEST(DistributedEngine, PeerKilledInGatherMergeRecovers)
 {
-    // phase=ack on a checkpoint quantum fires inside the merge that
-    // the gather's StateReq frame carries: the image at that quantum
-    // is never written, and the retry restores the one before it.
+    // phase=ack on a checkpoint quantum fires right after the peer
+    // merges that quantum, before the gather's StateReq reaches it:
+    // the image at that quantum is never written, and the retry
+    // restores the one before it.
     const auto params = configParams("lossy");
     const auto golden = runSequential(params);
     ASSERT_GT(golden.quanta, 200u);
@@ -427,11 +456,55 @@ TEST(DistributedEngine, CrossShardPingpongMatchesSequential)
     }
 }
 
+TEST(DistributedEngine, RowFrameLargerThanSendBufferCompletes)
+{
+    // Every rank swaps one message with the rank half the cluster
+    // away, one node pair per shard pair in both directions. A single
+    // window sends each message's fragments in one quantum, so one
+    // quantum's Exchange frame between a pair carries at least twice
+    // the socket send buffer: blocking sends in both directions must
+    // still complete.
+    auto [probe, unused] = transport::socketChannelPair();
+    int sndbuf = 0;
+    socklen_t len = sizeof(sndbuf);
+    ASSERT_EQ(::getsockopt(probe->fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf,
+                           &len),
+              0);
+    ckpt::Writer one;
+    mpi::putPacket(one, net::Packet{});
+    const std::uint64_t fragments =
+        2 * static_cast<std::uint64_t>(sndbuf) / one.size() + 1;
+
+    for (std::size_t workers : {3u, 4u}) {
+        const std::size_t nodes = 2 * workers;
+        auto params = harness::defaultCluster(nodes, 7);
+        params.network.nic.mtu = 256;
+        const std::uint64_t bytes =
+            fragments * (params.network.nic.mtu -
+                         params.mpiParams.frameOverhead);
+        params.mpiParams.ackWindowBytes = bytes;
+        test::LambdaWorkload workload(
+            [nodes, bytes](workloads::AppContext &ctx) -> sim::Process {
+                const Rank partner = (ctx.rank() + nodes / 2) % nodes;
+                co_await mpi::sendrecv(ctx.comm(), partner, partner, 0,
+                                       bytes);
+            });
+        const auto seq = engine::SequentialEngine().run(
+            params, workload, *core::parsePolicy("fixed:1us"));
+        ASSERT_GE(seq.packets, nodes * fragments);
+        const auto dist =
+            engine::DistributedEngine(distOptions(workers))
+                .run(params, workload, *core::parsePolicy("fixed:1us"));
+        expectMatchesSequential(dist, seq,
+                                std::to_string(workers) + "w");
+    }
+}
+
 TEST(DistributedEngine, WatchdogDumpCarriesPeerLiveness)
 {
     // The injected watchdog-panic drill exercises the distributed
-    // panic path: the dump must carry per-peer liveness (the replica
-    // has no meaningful per-node progress to report).
+    // panic path: the dump must carry the liveness of each forked
+    // peer, 1..K-1, and of nothing else (process 0 runs shard 0).
     const auto params = configParams("clean");
     const auto golden = runSequential(params);
     auto sup_options = testSupervision();
@@ -441,13 +514,19 @@ TEST(DistributedEngine, WatchdogDumpCarriesPeerLiveness)
     inject.watchdog = true;
     sup_options.injectFailures.push_back(inject);
     supervise::RunSupervisor supervisor(sup_options);
-    auto options = distOptions(2);
+    auto options = distOptions(3);
     options.watchdogSeconds = 30.0;
     const auto result = runSupervised(params, options, supervisor);
     expectMatchesSequential(result, golden, "watchdog");
     ASSERT_TRUE(supervisor.sawPanic());
     const auto info = supervisor.lastPanic();
-    EXPECT_NE(info.peers.find("peer 0"), std::string::npos)
+    EXPECT_EQ(info.peers.find("peer 0"), std::string::npos)
+        << info.peers;
+    EXPECT_NE(info.peers.find("peer 1"), std::string::npos)
+        << info.peers;
+    EXPECT_NE(info.peers.find("peer 2"), std::string::npos)
+        << info.peers;
+    EXPECT_EQ(std::count(info.peers.begin(), info.peers.end(), '\n'), 2)
         << info.peers;
     EXPECT_NE(info.peers.find("phase="), std::string::npos)
         << info.peers;

@@ -59,32 +59,6 @@ TEST(Average, EmptyIsZero)
     EXPECT_DOUBLE_EQ(a.min(), 0.0);
 }
 
-TEST(Histogram, BucketsSamplesCorrectly)
-{
-    Group g("root");
-    auto &h = g.add<Histogram>("h", "", 0.0, 100.0, 10);
-    h.sample(5.0);   // bucket 0
-    h.sample(15.0);  // bucket 1
-    h.sample(95.0);  // bucket 9
-    h.sample(-1.0);  // underflow
-    h.sample(100.0); // overflow (hi is exclusive)
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.totalSamples(), 5u);
-}
-
-TEST(Histogram, MeanIncludesOutOfRange)
-{
-    Group g("root");
-    auto &h = g.add<Histogram>("h", "", 0.0, 10.0, 2);
-    h.sample(2.0);
-    h.sample(4.0);
-    EXPECT_DOUBLE_EQ(h.mean(), 3.0);
-}
-
 TEST(Log2Distribution, PowerOfTwoBuckets)
 {
     Group g("root");

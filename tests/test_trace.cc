@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "engine/threaded_engine.hh"
 #include "harness/experiment.hh"
 #include "trace/ascii_plot.hh"
 #include "trace/packet_trace.hh"
@@ -26,6 +27,27 @@ tracedRun(const std::string &workload, std::size_t nodes)
     config.recordTrace = true;
     config.engine.recordTimeline = true;
     return harness::runExperiment(config);
+}
+
+/** CSV trace of a conservative 16-node nas.is run with 5% drop
+ * faults and reliable MPI on @p eng. */
+template <typename Engine>
+std::string
+lossyTraceCsv(Engine &&eng)
+{
+    auto params = harness::defaultCluster(16, 7);
+    params.faults.dropRate = 0.05;
+    params.mpiParams.reliable = true;
+    auto workload = workloads::makeWorkload("nas.is", 16, 0.25);
+    engine::Cluster cluster(params, *workload);
+    PacketTrace trace;
+    trace.attach(cluster.controller());
+    auto policy = core::parsePolicy("fixed:1us");
+    const auto result = eng.run(cluster, *policy);
+    EXPECT_GT(result.droppedFrames, 0u);
+    std::ostringstream csv;
+    trace.dumpCsv(csv);
+    return csv.str();
 }
 
 } // namespace
@@ -67,6 +89,18 @@ TEST(PacketTrace, CsvDumpHasHeaderAndRows)
         if (c == '\n')
             ++lines;
     EXPECT_EQ(lines, out.trace.size() + 1);
+}
+
+TEST(PacketTrace, CsvIsByteIdenticalAcrossEnginesAndWorkerCounts)
+{
+    const std::string seq = lossyTraceCsv(engine::SequentialEngine());
+    ASSERT_GT(seq.size(), 1000u);
+    for (std::size_t workers : {1u, 2u, 4u}) {
+        engine::EngineOptions options;
+        options.numWorkers = workers;
+        EXPECT_EQ(lossyTraceCsv(engine::ThreadedEngine(options)), seq)
+            << workers << " workers";
+    }
 }
 
 TEST(PacketTrace, DensityBinsSumToTotal)

@@ -275,7 +275,7 @@ runOne(const Args &args, workloads::Workload &workload,
         fatal("--peer-drill requires --engine distributed");
     // Distributed runs leave no in-process cluster behind: the stats
     // trees, the packet trace, the phase timings and the invariant
-    // checker's audit live and die in the worker processes.
+    // checker's audit live and die in the engine's processes.
     if (request.engineKind == supervise::EngineKind::Distributed)
         for (const char *flag :
              {"stats", "stats-csv", "trace", "phase-stats", "check"})
