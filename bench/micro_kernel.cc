@@ -12,7 +12,7 @@
 #include "harness/experiment.hh"
 #include "sim/event_queue.hh"
 #include "sim/process.hh"
-#include "stats/histogram.hh"
+#include "stats/stats.hh"
 #include "workloads/workload.hh"
 
 using namespace aqsim;

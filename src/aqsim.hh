@@ -30,7 +30,6 @@
 #include "sim/process.hh"
 
 // Statistics
-#include "stats/histogram.hh"
 #include "stats/output.hh"
 #include "stats/stats.hh"
 

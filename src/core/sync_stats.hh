@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "base/types.hh"
-#include "stats/histogram.hh"
 #include "stats/stats.hh"
 
 namespace aqsim::core

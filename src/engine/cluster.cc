@@ -1,6 +1,7 @@
 #include "engine/cluster.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 
 #include "base/logging.hh"
@@ -9,9 +10,30 @@
 namespace aqsim::engine
 {
 
+namespace
+{
+
+/** Counter @p name of @p owner as a stats::Value reading it live;
+ * nullptr if @p table has no counter of that name. */
+template <typename Owner>
+std::unique_ptr<stats::Stat>
+counterView(const Owner &owner, stats::Descriptors<Owner> table,
+            std::string_view name)
+{
+    for (const stats::Descriptor<Owner> &d : table)
+        if (d.counter && name == d.name)
+            return std::make_unique<stats::Value>(
+                d.name, d.desc, [&owner, counter = d.counter] {
+                    return static_cast<double>(owner.*counter);
+                });
+    return nullptr;
+}
+
+} // namespace
+
 Cluster::Cluster(const ClusterParams &params,
                  workloads::Workload &workload)
-    : params_(params), workload_(workload), statsRoot_("cluster")
+    : params_(params), workload_(workload), statsRoot_(*this)
 {
     AQSIM_ASSERT(params.numNodes >= 1);
 
@@ -35,6 +57,9 @@ Cluster::Cluster(const ClusterParams &params,
               params.cpuSpeedFactors.size(), params.numNodes);
 
     Rng master(params.seed);
+    nodes_.reserve(params.numNodes);
+    endpoints_.reserve(params.numNodes);
+    contexts_.reserve(params.numNodes);
     for (NodeId id = 0; id < params.numNodes; ++id) {
         node::CpuParams cpu_params = params.cpu;
         if (!params.cpuSpeedFactors.empty()) {
@@ -51,9 +76,9 @@ Cluster::Cluster(const ClusterParams &params,
             cpu = std::make_unique<node::SimpleCpuModel>(cpu_params);
         }
         nodes_.push_back(std::make_unique<node::NodeSimulator>(
-            id, std::move(cpu), *controller_, statsRoot_));
+            id, std::move(cpu), *controller_));
         endpoints_.push_back(std::make_unique<mpi::Endpoint>(
-            id, params.numNodes, *nodes_.back(), params.mpiParams));
+            id, params.numNodes, *nodes_.back(), params_.mpiParams));
         contexts_.push_back(std::make_unique<workloads::AppContext>(
             *nodes_.back(), *endpoints_.back(),
             master.fork(0xa110 + id)));
@@ -63,6 +88,36 @@ Cluster::Cluster(const ClusterParams &params,
     // talk to rank N-1 from its very first event.
     for (NodeId id = 0; id < params.numNodes; ++id)
         nodes_[id]->setProgram(workload_.program(*contexts_[id]));
+    nodeStatsAt_ = statsRoot_.children().size();
+}
+
+const stats::Stat *
+Cluster::StatsRoot::find(const std::string &path) const
+{
+    if (const stats::Stat *stat = Group::find(path))
+        return stat;
+    // "node<i>.<component>.<name>"
+    const std::size_t dot = path.find('.');
+    const std::size_t dot2 =
+        dot == std::string::npos ? dot : path.find('.', dot + 1);
+    if (dot2 == std::string::npos || path.compare(0, 4, "node") != 0)
+        return nullptr;
+    NodeId id = 0;
+    const char *digits_end = path.data() + dot;
+    const auto [ptr, ec] =
+        std::from_chars(path.data() + 4, digits_end, id);
+    if (ec != std::errc() || ptr != digits_end || id >= cluster_.numNodes())
+        return nullptr;
+    const std::string component = path.substr(dot + 1, dot2 - dot - 1);
+    const std::string name = path.substr(dot2 + 1);
+    auto &view = views_[path];
+    if (!view && component == "nic")
+        view = counterView(cluster_.nodes_[id]->nic(),
+                           node::NicModel::statDescriptors(), name);
+    else if (!view && component == "mpi")
+        view = counterView(*cluster_.endpoints_[id],
+                           mpi::Endpoint::statDescriptors(), name);
+    return view.get();
 }
 
 bool
@@ -204,6 +259,58 @@ Cluster::serializeWorkloadRange(ckpt::Writer &w, NodeId begin,
     AQSIM_ASSERT(begin <= end && end <= contexts_.size());
     for (NodeId id = begin; id < end; ++id)
         ckpt::putRng(w, contexts_[id]->rng());
+}
+
+void
+Cluster::appendNodeStats(NodeId begin, NodeId end,
+                         std::vector<std::uint64_t> &out) const
+{
+    AQSIM_ASSERT(begin <= end && end <= nodes_.size());
+    for (NodeId id = begin; id < end; ++id) {
+        stats::appendValues(nodes_[id]->nic(),
+                            node::NicModel::statDescriptors(), out);
+        stats::appendValues(*endpoints_[id],
+                            mpi::Endpoint::statDescriptors(), out);
+    }
+}
+
+void
+Cluster::adoptNodeStats(std::vector<std::uint64_t> values)
+{
+    adoptedNodeStats_ = std::move(values);
+}
+
+void
+Cluster::dumpStats(std::ostream &out, stats::Format format) const
+{
+    std::vector<std::uint64_t> own;
+    if (adoptedNodeStats_.empty())
+        appendNodeStats(0, static_cast<NodeId>(nodes_.size()), own);
+    const std::vector<std::uint64_t> &values =
+        adoptedNodeStats_.empty() ? own : adoptedNodeStats_;
+    const std::uint64_t *at = values.data();
+    const std::uint64_t *end = at + values.size();
+
+    // The root holds groups only; the nodes come between the groups
+    // built with the cluster and the ones added later, the order a
+    // tree with per-node groups used to dump in.
+    stats::Dump dump(out, format);
+    AQSIM_ASSERT(statsRoot_.statList().empty());
+    const auto &groups = statsRoot_.children();
+    for (std::size_t i = 0; i <= groups.size(); ++i) {
+        if (i == nodeStatsAt_) {
+            for (NodeId id = 0; id < nodes_.size(); ++id) {
+                const std::string node = "cluster.node" + std::to_string(id);
+                at = dump.values(node + ".nic",
+                                 node::NicModel::statDescriptors(), at, end);
+                at = dump.values(node + ".mpi",
+                                 mpi::Endpoint::statDescriptors(), at, end);
+            }
+            AQSIM_ASSERT(at == end);
+        }
+        if (i < groups.size())
+            dump.group(*groups[i], "cluster");
+    }
 }
 
 std::uint64_t

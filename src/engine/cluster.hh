@@ -11,7 +11,9 @@
 #ifndef AQSIM_ENGINE_CLUSTER_HH
 #define AQSIM_ENGINE_CLUSTER_HH
 
+#include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "net/network_controller.hh"
 #include "node/cpu_model.hh"
 #include "node/node_simulator.hh"
+#include "stats/output.hh"
 #include "stats/stats.hh"
 #include "workloads/workload.hh"
 
@@ -75,7 +78,14 @@ class Cluster
     net::NetworkController &controller() { return *controller_; }
     /** @return the fault injector, or nullptr on a perfect network. */
     fault::FaultInjector *faultInjector() { return faults_.get(); }
+    /**
+     * The stats root: the cluster-wide groups (network, faults, sync).
+     * Per-node stats are not registered here; find() still resolves
+     * "node<i>.<nic|mpi>.<counter>" through a view made on the first
+     * lookup of that path and kept for the cluster's lifetime.
+     */
     stats::Group &statsRoot() { return statsRoot_; }
+    const stats::Group &statsRoot() const { return statsRoot_; }
     workloads::Workload &workload() { return workload_; }
     const ClusterParams &params() const { return params_; }
 
@@ -128,10 +138,50 @@ class Cluster
     /** FNV-1a fingerprint over every serialized section. */
     std::uint64_t stateHash() const;
 
+    /**
+     * Append the per-node stat values (stats::appendValues of every
+     * node's nic then mpi descriptors) of nodes [begin, end) to
+     * @p out, in node order.
+     */
+    void appendNodeStats(NodeId begin, NodeId end,
+                         std::vector<std::uint64_t> &out) const;
+
+    /**
+     * Dump with these node stat values (appendNodeStats over every
+     * node) in place of the nodes' own: a distributed run's nodes ran
+     * in other processes.
+     */
+    void adoptNodeStats(std::vector<std::uint64_t> values);
+
+    /** Dump every stat: the cluster-wide groups and every node's. */
+    void dumpStats(std::ostream &out, stats::Format format) const;
+
   private:
+    /** The stats root's lookup of node counters. */
+    class StatsRoot : public stats::Group
+    {
+      public:
+        explicit StatsRoot(const Cluster &cluster)
+            : Group("cluster"), cluster_(cluster)
+        {}
+
+        /** Single-threaded: a node path's first lookup makes its view. */
+        const stats::Stat *find(const std::string &path) const override;
+
+      private:
+        const Cluster &cluster_;
+        mutable std::map<std::string, std::unique_ptr<stats::Stat>>
+            views_;
+    };
+
     ClusterParams params_;
     workloads::Workload &workload_;
-    stats::Group statsRoot_;
+    StatsRoot statsRoot_;
+    /** Where the nodes come in the dump: after the groups built with
+     * the cluster (network, faults), before later ones (sync). */
+    std::size_t nodeStatsAt_ = 0;
+    /** Values adopted from other processes (adoptNodeStats). */
+    std::vector<std::uint64_t> adoptedNodeStats_;
     std::unique_ptr<net::NetworkController> controller_;
     std::unique_ptr<fault::FaultInjector> faults_;
     std::vector<std::unique_ptr<node::NodeSimulator>> nodes_;

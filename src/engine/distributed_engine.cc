@@ -201,7 +201,6 @@ class MeshShard
     void
     run(Tick qe, const base::CancelToken *cancel)
     {
-        prev_ = cluster_.controller().snapshotCounters();
         for (std::size_t s = 0; s < k_; ++s)
             batch_.beginQuantum(s);
         scheduler_.setQuantumEnd(qe);
@@ -239,15 +238,18 @@ class MeshShard
         w.u32(static_cast<std::uint32_t>(index_));
         w.u64(qi);
         if (to == 0) {
-            const auto cur = cluster_.controller().snapshotCounters();
-            w.u64(cur.idsAssigned - prev_.idsAssigned);
-            w.u64(cur.packetsThisQuantum - prev_.packetsThisQuantum);
-            w.u64(cur.totalPackets - prev_.totalPackets);
-            w.u64(cur.totalStragglers - prev_.totalStragglers);
-            w.u64(cur.totalNextQuantum - prev_.totalNextQuantum);
-            w.u64(cur.totalLatenessTicks - prev_.totalLatenessTicks);
-            w.u64(cur.totalDropped - prev_.totalDropped);
-            w.u64(cur.bytes - prev_.bytes);
+            // A peer's quantum starts at beginQuantum(), which empties
+            // the fold lanes, and the shard loop folds every node it
+            // ran into this shard's lane: the lane is the delta.
+            const auto &d = cluster_.controller().foldLane(index_);
+            w.u64(d.idsAssigned);
+            w.u64(d.packetsThisQuantum);
+            w.u64(d.totalPackets);
+            w.u64(d.totalStragglers);
+            w.u64(d.totalNextQuantum);
+            w.u64(d.totalLatenessTicks);
+            w.u64(d.totalDropped);
+            w.u64(d.bytes);
             const Report p = progress();
             w.boolean(p.done);
             w.boolean(p.pending);
@@ -337,12 +339,14 @@ class MeshShard
      * State := index(u32) q(u64) nodes mpi workload (u64-length
      * slices) hasFault [linkRows totals(4 x u64)] owned(u32)
      * finishTick*owned retransmits merged staged
+     * [count(u64) nodeStat(u64)*count]
      *
      * This shard's slice of every cluster section at boundary @p q,
-     * nodes caught up first.
+     * nodes caught up first. With @p node_stats the shard's per-node
+     * stat values (Cluster::appendNodeStats) follow as one flat array.
      */
     std::vector<std::uint8_t>
-    stateSlice(std::uint64_t q)
+    stateSlice(std::uint64_t q, bool node_stats)
     {
         const auto [begin, end] = range_;
         loop_.catchUp(begin, end, boundary_);
@@ -381,6 +385,13 @@ class MeshShard
         w.u64(cluster_.totalRetransmits());
         w.u64(batch_.totalMerged());
         w.u64(batch_.totalStaged());
+        if (node_stats) {
+            std::vector<std::uint64_t> values;
+            cluster_.appendNodeStats(begin, end, values);
+            w.u64(values.size());
+            w.bytes(reinterpret_cast<const std::uint8_t *>(values.data()),
+                    values.size() * sizeof(std::uint64_t));
+        }
         return w.buffer();
     }
 
@@ -394,8 +405,6 @@ class MeshShard
     ShardLoop loop_;
     /** End of the last quantum run (the next one's start). */
     Tick boundary_ = 0;
-    /** Controller counters when the open quantum began. */
-    net::NetworkController::Counters prev_;
 };
 
 /** Everything one forked peer needs (set up before fork). */
@@ -449,7 +458,12 @@ peerMain(const PeerSetup &p)
 
     std::uint64_t last_quantum = 0;
     const auto send = [&](std::size_t q, const transport::Frame &f) {
-        return links[q]->send(f);
+        if (!links[q]->send(f))
+            return false;
+        if (q == 0)
+            fireDrills(drills, p.index, fault::PeerDrillPhase::Sent,
+                       last_quantum);
+        return true;
     };
     const auto recv = [&](std::size_t q) {
         transport::Frame f;
@@ -480,10 +494,14 @@ peerMain(const PeerSetup &p)
             break;
         }
         case transport::FrameType::StateReq: {
+            ckpt::Reader r(f.body, "state request");
+            const bool node_stats = !f.body.empty() && r.boolean();
+            if (!r.ok() || r.remaining() != 0)
+                return 1;
             transport::Frame st;
             st.type = transport::FrameType::State;
-            st.body = shard.stateSlice(last_quantum);
-            if (!f.body.empty() || !control.send(st))
+            st.body = shard.stateSlice(last_quantum, node_stats);
+            if (!control.send(st))
                 return 1;
             break;
         }
@@ -621,7 +639,7 @@ class PeerGroup
         stop.type = transport::FrameType::Stop;
         for (std::size_t w = 0; w < size(); ++w)
             if (pids[w] > 0 && !failed(w) && !reaped(w))
-                channels[w]->send(stop);
+                channels[w]->sendWithin(stop, deadline_seconds);
         const auto start = SteadyClock::now();
         for (std::size_t w = 0; w < size(); ++w) {
             while (pids[w] > 0 && !reaped(w)) {
@@ -658,7 +676,7 @@ class PeerGroup
                 wr.str("process 0");
                 wr.str("run torn down");
                 f.body = wr.buffer();
-                channels[w]->send(f);
+                channels[w]->sendWithin(f, 0.0); // never wait on it
             }
             ::kill(pids[w], SIGKILL);
             ::waitpid(pids[w], nullptr, 0);
@@ -711,6 +729,8 @@ struct PeerState
     /** The shard's DeliveryBatch lifetime totals (boundary merged). */
     std::uint64_t merged = 0;
     std::uint64_t staged = 0;
+    /** The shard's per-node stat values, when requested. */
+    std::vector<std::uint64_t> nodeStats;
 };
 
 /** Copy the next @p len raw bytes out of @p body via @p r. */
@@ -738,6 +758,10 @@ struct GatheredState
     std::vector<std::uint8_t> engineBody;
     std::vector<Tick> finishTicks;
     std::uint64_t retransmits = 0;
+    /** The fault counters summed over the shards. */
+    std::uint64_t faultTotals[4] = {0, 0, 0, 0};
+    /** Every node's stat values in node order, when requested. */
+    std::vector<std::uint64_t> nodeStats;
 };
 
 /**
@@ -781,10 +805,9 @@ assembleState(Cluster &cluster, const std::vector<PeerState> &states,
             for (const PeerState &st : states)
                 w.bytes(st.faultRows.data(), st.faultRows.size());
             for (std::size_t i = 0; i < 4; ++i) {
-                std::uint64_t total = 0;
                 for (const PeerState &st : states)
-                    total += st.faultTotals[i];
-                w.u64(total);
+                    g.faultTotals[i] += st.faultTotals[i];
+                w.u64(g.faultTotals[i]);
             }
         }
         g.faultBody = w.buffer();
@@ -814,6 +837,8 @@ assembleState(Cluster &cluster, const std::vector<PeerState> &states,
         g.finishTicks.insert(g.finishTicks.end(), st.finish.begin(),
                              st.finish.end());
         g.retransmits += st.retransmits;
+        g.nodeStats.insert(g.nodeStats.end(), st.nodeStats.begin(),
+                           st.nodeStats.end());
     }
     return g;
 }
@@ -872,9 +897,11 @@ class Coordinator : public QuantumExecutor
 {
   public:
     Coordinator(Cluster &cluster, QuantumDriver &driver,
-                const EngineOptions &options, PeerGroup &peers)
+                const EngineOptions &options, PeerGroup &peers,
+                bool node_stats)
         : cluster_(cluster), driver_(driver), options_(options),
-          peers_(peers), k_(peers.size()), shard_(cluster, 0, k_),
+          peers_(peers), k_(peers.size()), nodeStats_(node_stats),
+          shard_(cluster, 0, k_),
           // At quantum 0 the pristine replica *is* every shard's
           // state; afterwards the flags aggregate over the shards.
           allDone_(cluster.allDone()),
@@ -961,7 +988,8 @@ class Coordinator : public QuantumExecutor
     ckpt::CheckpointImage
     boundaryImage(std::uint64_t config_hash) override
     {
-        return spliceImage(gather(), driver_.sync(), config_hash, name());
+        return spliceImage(gather(false), driver_.sync(), config_hash,
+                           name());
     }
 
     /**
@@ -975,27 +1003,42 @@ class Coordinator : public QuantumExecutor
     }
 
     /**
-     * Final gather — finish ticks, retransmit totals, and the spliced
+     * Final gather — finish ticks, retransmit totals, the spliced
      * state fingerprint that must equal the sequential engine's
-     * Cluster::stateHash bit for bit — then a clean peer shutdown.
+     * Cluster::stateHash bit for bit and, for a stats dump, every
+     * node's stat values — then a clean peer shutdown.
      */
     void
     finish(RunResult &result) override
     {
-        const GatheredState g = gather();
+        GatheredState g = gather(nodeStats_);
         peers_.stopAll(options_.peerDeadlineSeconds);
         result.finishTicks = g.finishTicks;
         result.retransmits = g.retransmits;
         result.finalStateHash = splicedStateHash(g);
+        if (!nodeStats_)
+            return;
+        cluster_.adoptNodeStats(std::move(g.nodeStats));
+        if (fault::FaultInjector *inj = cluster_.faultInjector())
+            inj->adoptTotals(g.faultTotals);
     }
 
   private:
+    /** Send @p frame to peer @p w within the peer deadline: a peer
+     * that stopped reading is a Hang, as it is to await(). */
     void
     sendFrame(std::size_t w, const transport::Frame &frame,
               const char *phase)
     {
-        if (!peers_.channels[w]->send(frame))
+        switch (peers_.channels[w]->sendWithin(
+            frame, options_.peerDeadlineSeconds)) {
+        case transport::RecvStatus::Ok:
+            return;
+        case transport::RecvStatus::Timeout:
+            fail(w, PeerFailureKind::Hang, phase);
+        default:
             fail(w, PeerFailureKind::Disconnect, phase);
+        }
     }
 
     /**
@@ -1070,23 +1113,31 @@ class Coordinator : public QuantumExecutor
     /**
      * Every StateReq goes out before shard 0's own slice is taken and
      * any State is awaited, so all shards serialize in parallel. Each
-     * column is already merged, so a StateReq carries nothing.
+     * column is already merged, so a StateReq carries nothing but,
+     * when @p node_stats, a request for the shard's node stat values
+     * (StateReq := [nodeStats(bool)]; a checkpoint's is empty).
      */
     GatheredState
-    gather()
+    gather(bool node_stats)
     {
         transport::Frame req;
         req.type = transport::FrameType::StateReq;
+        if (node_stats) {
+            ckpt::Writer w;
+            w.boolean(true);
+            req.body = w.buffer();
+        }
         for (std::size_t w = 1; w < k_; ++w)
             sendFrame(w, req, "state gather");
         const std::uint64_t q = driver_.sync().numQuanta();
         std::vector<PeerState> states(k_);
-        if (!readSlice(shard_.stateSlice(q), 0, q, states[0]))
+        if (!readSlice(shard_.stateSlice(q, node_stats), 0, q, node_stats,
+                       states[0]))
             panic("shard 0 wrote a malformed state slice");
         for (std::size_t w = 1; w < k_; ++w) {
             const transport::Frame f =
                 await(w, transport::FrameType::State, "state gather");
-            if (!readSlice(f.body, w, q, states[w]))
+            if (!readSlice(f.body, w, q, node_stats, states[w]))
                 fail(w, PeerFailureKind::Protocol, "state gather",
                      "malformed state slice");
         }
@@ -1096,11 +1147,12 @@ class Coordinator : public QuantumExecutor
         return assembleState(cluster_, states, staged_total);
     }
 
-    /** Decode shard @p w's State slice at boundary @p q into @p st.
+    /** Decode shard @p w's State slice at boundary @p q (with node
+     * stat values if @p node_stats) into @p st.
      * @return false if it is malformed or off this run's geometry. */
     bool
     readSlice(const std::vector<std::uint8_t> &body, std::size_t w,
-              std::uint64_t q, PeerState &st) const
+              std::uint64_t q, bool node_stats, PeerState &st) const
     {
         const auto [sb, se] =
             WorkerPool::shardRange(w, k_, cluster_.numNodes());
@@ -1126,6 +1178,16 @@ class Coordinator : public QuantumExecutor
             st.merged = r.u64();
             st.staged = r.u64();
         }
+        if (ok && node_stats) {
+            const std::uint64_t count = r.u64();
+            std::vector<std::uint8_t> raw;
+            ok = count <= r.remaining() / sizeof(std::uint64_t) &&
+                 takeRaw(r, body, count * sizeof(std::uint64_t), raw);
+            if (ok) {
+                st.nodeStats.resize(count);
+                std::memcpy(st.nodeStats.data(), raw.data(), raw.size());
+            }
+        }
         return ok && r.ok() && r.remaining() == 0;
     }
 
@@ -1134,12 +1196,29 @@ class Coordinator : public QuantumExecutor
     const EngineOptions &options_;
     PeerGroup &peers_;
     const std::size_t k_;
+    /** The final gather collects every node's stat values. */
+    const bool nodeStats_;
     MeshShard shard_;
     bool allDone_;
     bool anyPending_;
 };
 
 } // namespace
+
+std::vector<fault::PeerDrill>
+checkedPeerDrills(const EngineOptions &options, std::size_t num_nodes)
+{
+    const std::size_t k =
+        WorkerPool::resolveWorkerCount(options.numWorkers, num_nodes);
+    auto drills = fault::parsePeerDrills(options.peerDrillSpec);
+    for (const fault::PeerDrill &d : drills)
+        if (d.peer == 0 || d.peer >= k)
+            fatal("peer drill names peer %zu, which is not one of "
+                  "the %zu forked peers 1..K-1 (process 0 runs shard "
+                  "0)",
+                  d.peer, k - 1);
+    return drills;
+}
 
 DistributedEngine::DistributedEngine(EngineOptions options)
     : options_(options)
@@ -1148,7 +1227,8 @@ DistributedEngine::DistributedEngine(EngineOptions options)
 RunResult
 DistributedEngine::run(const ClusterParams &params,
                        workloads::Workload &workload,
-                       core::QuantumPolicy &policy)
+                       core::QuantumPolicy &policy,
+                       std::unique_ptr<Cluster> *replica)
 {
     if (params.network.switchModel)
         fatal("distributed engine requires the default PerfectSwitch: "
@@ -1159,7 +1239,8 @@ DistributedEngine::run(const ClusterParams &params,
     // globally absorbed controller counters and assembles checkpoints.
     // Nothing has executed on it before the forks, so each peer
     // inherits it pristine and runs its own shard on that copy.
-    Cluster cluster(params, workload);
+    auto owned = std::make_unique<Cluster>(params, workload);
+    Cluster &cluster = *owned;
     const std::size_t n = cluster.numNodes();
     QuantumDriver driver(options_, cluster, policy);
     if (!driver.sync().conservative())
@@ -1171,13 +1252,7 @@ DistributedEngine::run(const ClusterParams &params,
 
     const std::size_t k =
         WorkerPool::resolveWorkerCount(options_.numWorkers, n);
-    const auto drills = fault::parsePeerDrills(options_.peerDrillSpec);
-    for (const fault::PeerDrill &d : drills)
-        if (d.peer == 0 || d.peer >= k)
-            fatal("peer drill names peer %zu, which is not one of "
-                  "the %zu forked peers 1..K-1 (process 0 runs shard "
-                  "0)",
-                  d.peer, k - 1);
+    const auto drills = checkedPeerDrills(options_, n);
 
     // The mesh: links[a][b] is process a's end of the socketpair it
     // shares with process b. Every pair exists before any fork, and
@@ -1216,11 +1291,15 @@ DistributedEngine::run(const ClusterParams &params,
     peers.channels = std::move(links[0]);
     links.clear();
 
-    Coordinator coord(cluster, driver, options_, peers);
+    Coordinator coord(cluster, driver, options_, peers,
+                      replica != nullptr);
     // The driver starts the run's watchdog thread, after every fork.
-    return driver.run(coord);
+    RunResult result = driver.run(coord);
+    if (replica)
+        *replica = std::move(owned);
+    return result;
     // `peers` is destroyed on return: any peer stopAll failed to reap
-    // is SIGKILLed and reaped before the replica goes away.
+    // is SIGKILLed and reaped before an unclaimed replica goes away.
 }
 
 } // namespace aqsim::engine

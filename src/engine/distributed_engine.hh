@@ -38,12 +38,15 @@
 #define AQSIM_ENGINE_DISTRIBUTED_ENGINE_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/quantum_policy.hh"
 #include "engine/cluster.hh"
 #include "engine/run_result.hh"
 #include "engine/sequential_engine.hh"
+#include "fault/peer_drill.hh"
 #include "workloads/workload.hh"
 
 namespace aqsim::engine
@@ -93,6 +96,16 @@ struct PeerFailure
 };
 
 /**
+ * Parse @p options' peer drill spec and check that every drill names
+ * one of the forked peers 1..K-1 of a run on @p num_nodes nodes;
+ * fatal()s otherwise. The supervisor calls it before its first
+ * attempt, so a drill that could never fire is refused, not retried
+ * away.
+ */
+std::vector<fault::PeerDrill> checkedPeerDrills(const EngineOptions &options,
+                                                std::size_t num_nodes);
+
+/**
  * Multi-process distributed engine (process 0's side).
  *
  * Unlike the in-process engines there is no run(Cluster&) overload:
@@ -112,13 +125,20 @@ class DistributedEngine
      * @p policy, partitioned across this process and K-1 forked
      * peers.
      *
+     * @param replica if non-null, receives process 0's replica after
+     *        a completed run, for a stats dump: its cluster-wide
+     *        groups are the run's, and every node's stat values,
+     *        gathered from the shards in the final State frames, are
+     *        adopted into it (Cluster::adoptNodeStats). Null (the
+     *        default) gathers no stats and changes no frame.
      * @throw base::RunAbort cause "peer-failure" when a peer
      *        crashes, hangs, or corrupts the protocol mid-run (the
      *        surviving peers are torn down first).
      */
     RunResult run(const ClusterParams &params,
                   workloads::Workload &workload,
-                  core::QuantumPolicy &policy);
+                  core::QuantumPolicy &policy,
+                  std::unique_ptr<Cluster> *replica = nullptr);
 
     const EngineOptions &options() const { return options_; }
 

@@ -29,18 +29,23 @@ FaultParams::anyEnabled() const
 
 FaultInjector::FaultInjector(std::size_t num_nodes, FaultParams params,
                              Rng rng, stats::Group &stats_parent)
-    : numNodes_(num_nodes), params_(std::move(params)), parentRng_(rng),
-      statsGroup_(stats_parent.addGroup("faults")),
-      statDropped_(statsGroup_.add<stats::Scalar>(
-          "dropped", "frames dropped by the fault model")),
-      statDuplicated_(statsGroup_.add<stats::Scalar>(
-          "duplicated", "frames delivered twice by the fault model")),
-      statCorrupted_(statsGroup_.add<stats::Scalar>(
-          "corrupted", "frames delivered with the corrupted flag set")),
-      statDelayed_(statsGroup_.add<stats::Scalar>(
-          "delayed", "frames delayed by jitter or a pause window"))
+    : numNodes_(num_nodes), params_(std::move(params)), parentRng_(rng)
 {
     AQSIM_ASSERT(num_nodes >= 1);
+    stats::Group &group = stats_parent.addGroup("faults");
+    const auto view = [&group](const char *name, const char *desc,
+                               const std::uint64_t &total) {
+        group.add<stats::Value>(name, desc, [&total] {
+            return static_cast<double>(total);
+        });
+    };
+    view("dropped", "frames dropped by the fault model", totalDropped_);
+    view("duplicated", "frames delivered twice by the fault model",
+         totalDuplicated_);
+    view("corrupted", "frames delivered with the corrupted flag set",
+         totalCorrupted_);
+    view("delayed", "frames delayed by jitter or a pause window",
+         totalDelayed_);
     validateRate(params_.dropRate, "drop");
     validateRate(params_.duplicateRate, "duplicate");
     validateRate(params_.corruptRate, "corrupt");
@@ -93,7 +98,15 @@ FaultInjector::reset()
     forkStreams();
     totalDropped_ = totalDuplicated_ = 0;
     totalCorrupted_ = totalDelayed_ = 0;
-    statsGroup_.resetAll();
+}
+
+void
+FaultInjector::adoptTotals(const std::uint64_t (&totals)[4])
+{
+    totalDropped_ = totals[0];
+    totalDuplicated_ = totals[1];
+    totalCorrupted_ = totals[2];
+    totalDelayed_ = totals[3];
 }
 
 bool
@@ -122,7 +135,6 @@ FaultInjector::decide(NodeId src, NodeId dst, Tick depart_tick)
     if (outage(src, dst, depart_tick)) {
         d.drop = true;
         ++totalDropped_;
-        ++statDropped_;
         return d;
     }
 
@@ -136,33 +148,28 @@ FaultInjector::decide(NodeId src, NodeId dst, Tick depart_tick)
             rng.bernoulli(b.rate)) {
             d.drop = true;
             ++totalDropped_;
-            ++statDropped_;
             return d;
         }
     }
     if (params_.dropRate > 0.0 && rng.bernoulli(params_.dropRate)) {
         d.drop = true;
         ++totalDropped_;
-        ++statDropped_;
         return d;
     }
     if (params_.corruptRate > 0.0 &&
         rng.bernoulli(params_.corruptRate)) {
         d.corrupt = true;
         ++totalCorrupted_;
-        ++statCorrupted_;
     }
     if (params_.jitterRate > 0.0 && rng.bernoulli(params_.jitterRate)) {
         d.jitter = static_cast<Tick>(
             rng.uniformInt(params_.maxJitterTicks) + 1);
         ++totalDelayed_;
-        ++statDelayed_;
     }
     if (params_.duplicateRate > 0.0 &&
         rng.bernoulli(params_.duplicateRate)) {
         d.duplicate = true;
         ++totalDuplicated_;
-        ++statDuplicated_;
         if (params_.jitterRate > 0.0 &&
             rng.bernoulli(params_.jitterRate)) {
             d.duplicateJitter = static_cast<Tick>(
@@ -176,7 +183,6 @@ FaultInjector::decide(NodeId src, NodeId dst, Tick depart_tick)
             w.to > d.notBefore) {
             d.notBefore = w.to;
             ++totalDelayed_;
-            ++statDelayed_;
         }
     }
     return d;

@@ -165,7 +165,13 @@ class FaultInjector
 
     const FaultParams &params() const { return params_; }
 
-    /** Lifetime counters. */
+    /**
+     * Take the four lifetime counters (serialize() order) summed over
+     * a distributed run's shards, for its stats dump.
+     */
+    void adoptTotals(const std::uint64_t (&totals)[4]);
+
+    /** Lifetime counters; the faults.* stats are views of them. */
     std::uint64_t totalDropped() const { return totalDropped_; }
     std::uint64_t totalDuplicated() const { return totalDuplicated_; }
     std::uint64_t totalCorrupted() const { return totalCorrupted_; }
@@ -195,12 +201,6 @@ class FaultInjector
     std::uint64_t totalDuplicated_ = 0;
     std::uint64_t totalCorrupted_ = 0;
     std::uint64_t totalDelayed_ = 0;
-
-    stats::Group &statsGroup_;
-    stats::Scalar &statDropped_;
-    stats::Scalar &statDuplicated_;
-    stats::Scalar &statCorrupted_;
-    stats::Scalar &statDelayed_;
 };
 
 } // namespace aqsim::fault

@@ -65,11 +65,13 @@ parseOne(const std::string &item)
                 drill.phase = PeerDrillPhase::Hello;
             else if (val == "exchange")
                 drill.phase = PeerDrillPhase::Exchange;
+            else if (val == "sent")
+                drill.phase = PeerDrillPhase::Sent;
             else if (val == "ack")
                 drill.phase = PeerDrillPhase::Ack;
             else
                 fatal("peer-drill \"%s\": unknown phase \"%s\" "
-                      "(hello, exchange, ack)",
+                      "(hello, exchange, sent, ack)",
                       item.c_str(), val.c_str());
         } else {
             fatal("peer-drill \"%s\": unknown key \"%s\"",

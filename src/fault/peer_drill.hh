@@ -48,6 +48,12 @@ enum class PeerDrillPhase
     /** After running the quantum, before sending Exchange. */
     Exchange,
     /**
+     * Inside the exchange, right after the Exchange frame to process
+     * 0 has gone and before any row is read: process 0 then sends its
+     * rows to a peer that no longer reads.
+     */
+    Sent,
+    /**
      * After merging a quantum's inbound rows, at the end of its
      * exchange. The protocol has no Ack frame; `phase=ack` keeps
      * its spelling.
@@ -69,7 +75,7 @@ struct PeerDrill
 
 /**
  * Parse a ';'-separated drill spec
- * ("op:peer=P[,quantum=Q][,phase=hello|exchange|ack]").
+ * ("op:peer=P[,quantum=Q][,phase=hello|exchange|sent|ack]").
  * fatal()s on syntax errors or unknown ops/phases. "" parses to {}.
  */
 std::vector<PeerDrill> parsePeerDrills(const std::string &text);

@@ -45,23 +45,6 @@ findMatch(Queue &queue, int src, int tag)
     return best;
 }
 
-/**
- * The endpoint's stats group, opened with its views of the message
- * counters the endpoint keeps (registered first: the dump order).
- */
-stats::Group &
-mpiGroup(stats::Group &node_stats, const std::uint64_t &sent,
-         const std::uint64_t &bytes_sent, const std::uint64_t &received)
-{
-    stats::Group &group = node_stats.addGroup("mpi");
-    group.add<stats::Value>("msgsSent", "messages sent", sent);
-    group.add<stats::Value>("bytesSent", "message payload bytes sent",
-                            bytes_sent);
-    group.add<stats::Value>("msgsRecvd", "messages received and matched",
-                            received);
-    return group;
-}
-
 } // namespace
 
 void
@@ -90,21 +73,9 @@ RecvRequest::await_suspend(std::coroutine_handle<> h)
 }
 
 Endpoint::Endpoint(Rank rank, std::size_t num_ranks,
-                   node::NodeSimulator &node, EndpointParams params)
+                   node::NodeSimulator &node, const EndpointParams &params)
     : rank_(rank), numRanks_(num_ranks), node_(node),
-      queue_(node.queue()), params_(params),
-      mpiStats_(mpiGroup(node.statsGroup(), messagesSent_, bytesSent_,
-                         messagesReceived_)),
-      statRendezvous_(mpiStats_.add<stats::Scalar>(
-          "rendezvous", "messages using the RTS/CTS protocol")),
-      statUnexpected_(mpiStats_.add<stats::Scalar>(
-          "unexpectedHits", "receives satisfied from the unexpected "
-                            "queue")),
-      statRetransmits_(mpiStats_.add<stats::Scalar>(
-          "retransmits", "reliable-mode retransmission timeouts")),
-      statLatency_(mpiStats_.add<stats::Log2Distribution>(
-          "messageLatency",
-          "ticks from application send to full arrival"))
+      queue_(node.queue()), params_(params)
 {
     AQSIM_ASSERT(rank < num_ranks);
     if (params_.reliable) {
@@ -120,6 +91,26 @@ Endpoint::Endpoint(Rank rank, std::size_t num_ranks,
         [this](const net::Packet &pkt) { handleRx(pkt); });
 }
 
+
+stats::Descriptors<Endpoint>
+Endpoint::statDescriptors()
+{
+    static constexpr stats::Descriptor<Endpoint> table[] = {
+        {"msgsSent", "messages sent", &Endpoint::messagesSent_},
+        {"bytesSent", "message payload bytes sent", &Endpoint::bytesSent_},
+        {"msgsRecvd", "messages received and matched",
+         &Endpoint::messagesReceived_},
+        {"rendezvous", "messages using the RTS/CTS protocol",
+         &Endpoint::rendezvousCount_},
+        {"unexpectedHits", "receives satisfied from the unexpected queue",
+         &Endpoint::unexpectedHits_},
+        {"retransmits", "reliable-mode retransmission timeouts",
+         &Endpoint::retransmits_},
+        {"messageLatency", "ticks from application send to full arrival",
+         nullptr, &Endpoint::latency_},
+    };
+    return table;
+}
 
 std::uint32_t
 Endpoint::framePayload() const
@@ -182,7 +173,6 @@ Endpoint::send(Rank dst, int tag, std::uint64_t bytes)
     // receiver's flow-control ACK between windows) and block until it
     // has drained onto the wire (MPI_Send completion semantics).
     ++rendezvousCount_;
-    ++statRendezvous_;
     auto trigger = std::make_unique<sim::Trigger>(queue_);
     sim::Trigger *cts = trigger.get();
     ctsWaiters_.emplace(hdr.msgId, std::move(trigger));
@@ -317,7 +307,6 @@ Endpoint::onRetryTimeout(std::uint64_t msg_id)
               rank_, static_cast<unsigned long long>(msg_id),
               st.header.dst, params_.maxRetries);
     ++retransmits_;
-    ++statRetransmits_;
     AQSIM_DPRINTF(Mpi, queue_.now(), "mpi",
                   "rank %u retry %u for msg %llu (%s)", rank_,
                   st.retries, static_cast<unsigned long long>(msg_id),
@@ -501,7 +490,7 @@ Endpoint::messageComplete(const MsgHeader &header)
     msg.completedAt = queue_.now();
     msg.sentAt = header.sendTick;
     AQSIM_ASSERT(msg.completedAt >= header.sendTick);
-    statLatency_.sample(msg.completedAt - header.sendTick);
+    latency_.sample(msg.completedAt - header.sendTick);
 
     // Pass 1: a recv bound to exactly this rendezvous message.
     for (std::size_t i = 0; i < posted_.size(); ++i) {
@@ -667,7 +656,7 @@ Endpoint::postCommon(PostedRecv rec)
     if (unexp != unexpected_.end()) {
         const Message msg = *unexp;
         unexpected_.erase(unexp);
-        ++statUnexpected_;
+        ++unexpectedHits_;
         finishRecv(rec, msg);
         return;
     }

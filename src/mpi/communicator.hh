@@ -33,7 +33,6 @@
 #include "mpi/message.hh"
 #include "node/node_simulator.hh"
 #include "sim/process.hh"
-#include "stats/histogram.hh"
 #include "stats/stats.hh"
 
 namespace aqsim::ckpt
@@ -159,8 +158,10 @@ struct EndpointParams
 class Endpoint
 {
   public:
+    /** @param params shared by every endpoint of a cluster (the
+     *        cluster's copy); must outlive the endpoint. */
     Endpoint(Rank rank, std::size_t num_ranks,
-             node::NodeSimulator &node, EndpointParams params);
+             node::NodeSimulator &node, const EndpointParams &params);
 
     Rank rank() const { return rank_; }
     std::size_t numRanks() const { return numRanks_; }
@@ -210,6 +211,9 @@ class Endpoint
     /** Diagnostics for deadlock reports. */
     std::size_t postedRecvCount() const { return posted_.size(); }
     std::size_t unexpectedCount() const { return unexpected_.size(); }
+
+    /** Every endpoint's stats (a node's mpi.*), over its counters. */
+    static stats::Descriptors<Endpoint> statDescriptors();
 
     /** Lifetime message counters. */
     std::uint64_t messagesSent() const { return messagesSent_; }
@@ -335,7 +339,7 @@ class Endpoint
     std::size_t numRanks_;
     node::NodeSimulator &node_;
     sim::EventQueue &queue_;
-    EndpointParams params_;
+    const EndpointParams &params_;
 
     /** Low bits of the next msgId; rises in this rank's send order. */
     std::uint64_t nextMsgId_ = 1;
@@ -386,20 +390,16 @@ class Endpoint
     /** Reliable mode: fully delivered inbound msgIds (dup filter). */
     std::set<std::uint64_t> deliveredMsgIds_;
 
-    /** Message counters; the mpi.msgsSent, bytesSent and msgsRecvd
-     * stats are views of them. */
+    /** Message counters, read by the mpi.* stat descriptors. */
     std::uint64_t messagesSent_ = 0;
     std::uint64_t bytesSent_ = 0;
     std::uint64_t messagesReceived_ = 0;
     std::uint64_t rendezvousCount_ = 0;
+    std::uint64_t unexpectedHits_ = 0;
     std::uint64_t retransmits_ = 0;
     std::uint64_t corruptDropped_ = 0;
-
-    stats::Group &mpiStats_;
-    stats::Scalar &statRendezvous_;
-    stats::Scalar &statUnexpected_;
-    stats::Scalar &statRetransmits_;
-    stats::Log2Distribution &statLatency_;
+    /** Send-to-arrival ticks of every fully arrived message. */
+    stats::Log2Counts latency_;
 };
 
 } // namespace aqsim::mpi

@@ -27,7 +27,6 @@
 #include "base/types.hh"
 #include "net/packet.hh"
 #include "net/switch_model.hh"
-#include "stats/histogram.hh"
 #include "stats/stats.hh"
 
 namespace aqsim::ckpt
@@ -186,10 +185,10 @@ class NetworkController
      * Routing counters. Each source node owns one slot of them; the
      * controller's totals are the folded slots plus anything absorbed
      * from remote peers. The same struct carries one peer's counter
-     * values across processes (DistributedEngine): a peer snapshots
-     * them at two quantum edges and ships the difference, which the
-     * coordinator absorbs into its replica controller so the adaptive
-     * policy and checkpoint images see the global counts.
+     * values across processes (DistributedEngine): a peer ships its
+     * shard's fold lane, the quantum's advance, which process 0
+     * absorbs into its replica controller so the adaptive policy and
+     * checkpoint images see the global counts.
      * idsAssigned counts the packet ids handed out. Straggler fields
      * are zero in any conservative run but carried so the mapping is
      * total. alignas keeps two workers' slots off one cache line.
@@ -225,6 +224,14 @@ class NetworkController
         Counters &slot = slots_[src];
         lanes_[lane] += slot;
         slot = Counters{};
+    }
+
+    /** Lane @p lane's partial: what its sources routed since the
+     * last beginQuantum(). */
+    const Counters &
+    foldLane(std::size_t lane) const
+    {
+        return lanes_[lane];
     }
 
     /**

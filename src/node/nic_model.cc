@@ -9,15 +9,20 @@ namespace aqsim::node
 {
 
 NicModel::NicModel(NodeId id, sim::EventQueue &queue,
-                   net::NetworkController &controller,
-                   stats::Group &stats_parent)
+                   net::NetworkController &controller)
     : id_(id), queue_(queue), controller_(controller)
+{}
+
+stats::Descriptors<NicModel>
+NicModel::statDescriptors()
 {
-    stats::Group &group = stats_parent.addGroup("nic");
-    group.add<stats::Value>("txFrames", "frames transmitted", txFrames_);
-    group.add<stats::Value>("txBytes", "bytes transmitted", txBytes_);
-    group.add<stats::Value>("rxFrames", "frames received", rxFrames_);
-    group.add<stats::Value>("rxBytes", "bytes received", rxBytes_);
+    static constexpr stats::Descriptor<NicModel> table[] = {
+        {"txFrames", "frames transmitted", &NicModel::txFrames_},
+        {"txBytes", "bytes transmitted", &NicModel::txBytes_},
+        {"rxFrames", "frames received", &NicModel::rxFrames_},
+        {"rxBytes", "bytes received", &NicModel::rxBytes_},
+    };
+    return table;
 }
 
 void

@@ -47,11 +47,12 @@ class NicModel
      * @param id owning node
      * @param queue the node's event queue
      * @param controller the cluster's network controller
-     * @param stats_parent node stats group
      */
     NicModel(NodeId id, sim::EventQueue &queue,
-             net::NetworkController &controller,
-             stats::Group &stats_parent);
+             net::NetworkController &controller);
+
+    /** Every NIC's stats (a node's nic.*), over its frame counters. */
+    static stats::Descriptors<NicModel> statDescriptors();
 
     /**
      * Transmit one frame of @p bytes (<= MTU) to @p dst carrying
@@ -119,7 +120,7 @@ class NicModel
     static constexpr std::uint32_t noFreeSlot = ~std::uint32_t{0};
     std::uint32_t rxFreeHead_ = noFreeSlot;
 
-    /** Frame counters, read by the nic.* stats (stats::Value views). */
+    /** Frame counters, read by the nic.* stat descriptors. */
     std::uint64_t txFrames_ = 0;
     std::uint64_t txBytes_ = 0;
     std::uint64_t rxFrames_ = 0;

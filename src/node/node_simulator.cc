@@ -1,7 +1,5 @@
 #include "node/node_simulator.hh"
 
-#include <string>
-
 #include "base/logging.hh"
 #include "ckpt/ckpt_io.hh"
 
@@ -9,11 +7,8 @@ namespace aqsim::node
 {
 
 NodeSimulator::NodeSimulator(NodeId id, std::unique_ptr<CpuModel> cpu,
-                             net::NetworkController &controller,
-                             stats::Group &stats_parent)
-    : id_(id),
-      statsGroup_(stats_parent.addGroup("node" + std::to_string(id))),
-      cpu_(std::move(cpu)), nic_(id, queue_, controller, statsGroup_)
+                             net::NetworkController &controller)
+    : id_(id), cpu_(std::move(cpu)), nic_(id, queue_, controller)
 {
     AQSIM_ASSERT(cpu_ != nullptr);
 }

@@ -19,7 +19,6 @@
 #include "node/nic_model.hh"
 #include "sim/event_queue.hh"
 #include "sim/process.hh"
-#include "stats/stats.hh"
 
 namespace aqsim::ckpt
 {
@@ -37,18 +36,15 @@ class NodeSimulator
      * @param id dense node id
      * @param cpu CPU timing model (ownership transferred)
      * @param controller the cluster network controller
-     * @param stats_parent cluster stats root; a "nodeN" group is added
      */
     NodeSimulator(NodeId id, std::unique_ptr<CpuModel> cpu,
-                  net::NetworkController &controller,
-                  stats::Group &stats_parent);
+                  net::NetworkController &controller);
 
     NodeId id() const { return id_; }
     sim::EventQueue &queue() { return queue_; }
     const sim::EventQueue &queue() const { return queue_; }
     CpuModel &cpu() { return *cpu_; }
     NicModel &nic() { return nic_; }
-    stats::Group &statsGroup() { return statsGroup_; }
 
     /**
      * Install the guest program. The process is started through an
@@ -74,7 +70,6 @@ class NodeSimulator
 
   private:
     NodeId id_;
-    stats::Group &statsGroup_;
     sim::EventQueue queue_;
     std::unique_ptr<CpuModel> cpu_;
     NicModel nic_;

@@ -1,69 +1,44 @@
 #include "stats/output.hh"
 
 #include <iomanip>
-#include <string>
-
-#include "base/csv.hh"
 
 namespace aqsim::stats
 {
 
-namespace
+Dump::Dump(std::ostream &out, Format format) : out_(out)
 {
+    if (format == Format::Csv) {
+        csv_.emplace(out);
+        csv_->header({"path", "label", "value", "description"});
+    }
+}
 
 void
-walkText(const Group &group, const std::string &prefix, std::ostream &out)
+Dump::stat(const std::string &path, const Rows &rows, const char *desc)
+{
+    for (const auto &[label, value] : rows) {
+        if (csv_) {
+            csv_->row().field(path).field(label).field(value).field(desc);
+            continue;
+        }
+        const std::string full = label.empty() ? path : path + "::" + label;
+        out_ << std::left << std::setw(52) << full << ' ' << std::setw(16)
+             << std::setprecision(9) << value;
+        if (*desc != '\0')
+            out_ << " # " << desc;
+        out_ << '\n';
+    }
+}
+
+void
+Dump::group(const Group &group, const std::string &prefix)
 {
     const std::string path =
         prefix.empty() ? group.name() : prefix + "." + group.name();
-    for (const auto &stat : group.statList()) {
-        for (const auto &[label, value] : stat->rows()) {
-            std::string full = path + "." + std::string(stat->name());
-            if (!label.empty())
-                full += "::" + label;
-            out << std::left << std::setw(52) << full << ' '
-                << std::setw(16) << std::setprecision(9) << value;
-            if (*stat->desc() != '\0')
-                out << " # " << stat->desc();
-            out << '\n';
-        }
-    }
+    for (const auto &s : group.statList())
+        stat(path + "." + std::string(s->name()), s->rows(), s->desc());
     for (const auto &child : group.children())
-        walkText(*child, path, out);
-}
-
-void
-walkCsv(const Group &group, const std::string &prefix, CsvWriter &csv)
-{
-    const std::string path =
-        prefix.empty() ? group.name() : prefix + "." + group.name();
-    for (const auto &stat : group.statList()) {
-        for (const auto &[label, value] : stat->rows()) {
-            csv.row()
-                .field(path + "." + std::string(stat->name()))
-                .field(label)
-                .field(value)
-                .field(stat->desc());
-        }
-    }
-    for (const auto &child : group.children())
-        walkCsv(*child, path, csv);
-}
-
-} // namespace
-
-void
-dumpText(const Group &root, std::ostream &out)
-{
-    walkText(root, "", out);
-}
-
-void
-dumpCsv(const Group &root, std::ostream &out)
-{
-    CsvWriter csv(out);
-    csv.header({"path", "label", "value", "description"});
-    walkCsv(root, "", csv);
+        this->group(*child, path);
 }
 
 } // namespace aqsim::stats

@@ -3,22 +3,6 @@
 namespace aqsim::stats
 {
 
-const char *
-enginePhaseName(EnginePhase phase)
-{
-    switch (phase) {
-      case EnginePhase::Sort:
-        return "sort";
-      case EnginePhase::Exchange:
-        return "exchange";
-      case EnginePhase::Merge:
-        return "merge";
-      case EnginePhase::Dispatch:
-        return "dispatch";
-    }
-    return "?";
-}
-
 PhaseTimes::PhaseTimes(std::size_t workers, bool enabled)
     : slots_(workers), enabled_(enabled)
 {}

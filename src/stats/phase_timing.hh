@@ -49,9 +49,6 @@ enum class EnginePhase : unsigned
 /** Number of distinct phases (array sizing). */
 constexpr std::size_t numEnginePhases = 4;
 
-/** Short stable identifier, e.g. "sort". */
-const char *enginePhaseName(EnginePhase phase);
-
 /**
  * One nanosecond accumulator per (worker, phase), padded so concurrent
  * workers never share a cache line. add() is called by the slot's

@@ -1,6 +1,8 @@
 #include "stats/stats.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstdio>
 
 namespace aqsim::stats
 {
@@ -18,7 +20,7 @@ Average::sample(double v)
     ++count_;
 }
 
-std::vector<std::pair<std::string, double>>
+Rows
 Average::rows() const
 {
     return {
@@ -34,6 +36,39 @@ Average::reset()
 {
     sum_ = min_ = max_ = 0.0;
     count_ = 0;
+}
+
+void
+Log2Counts::sample(std::uint64_t v)
+{
+    ++samples;
+    sum += v;
+    if (v > max)
+        max = v;
+    const std::size_t i =
+        v < 2 ? 0 : static_cast<std::size_t>(std::bit_width(v) - 1);
+    if (i >= buckets.size())
+        buckets.resize(i + 1, 0);
+    ++buckets[i];
+}
+
+Rows
+Log2Counts::rows() const
+{
+    const double mean =
+        samples ? static_cast<double>(sum) / static_cast<double>(samples)
+                : 0.0;
+    Rows out{{"samples", static_cast<double>(samples)},
+             {"mean", mean},
+             {"max", static_cast<double>(max)}};
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
+        if (buckets[i] == 0)
+            continue;
+        char label[64];
+        std::snprintf(label, sizeof(label), "[2^%zu,2^%zu)", i, i + 1);
+        out.emplace_back(label, static_cast<double>(buckets[i]));
+    }
+    return out;
 }
 
 Group &
@@ -53,11 +88,10 @@ Group::find(const std::string &path) const
                 return stat.get();
         return nullptr;
     }
-    const std::string head = path.substr(0, dot);
-    const std::string tail = path.substr(dot + 1);
+    const std::string_view head(path.data(), dot);
     for (const auto &child : children_)
         if (child->name() == head)
-            return child->find(tail);
+            return child->find(path.substr(dot + 1));
     return nullptr;
 }
 

@@ -2,14 +2,17 @@
  * @file
  * gem5-flavoured statistics package.
  *
- * Components register named statistics inside a Group; groups nest to
- * form a tree (cluster -> node3 -> nic -> txBytes). The tree can be
- * dumped as aligned text or CSV (see stats/output.hh).
+ * Cluster-wide components register named statistics inside a Group;
+ * groups nest to form a tree (cluster -> network -> packets). Stats
+ * that every node has are not objects at all: each component type
+ * describes them once (Descriptor) over members of its own, so
+ * building a node allocates nothing here. Both are dumped as aligned
+ * text or CSV (stats/output.hh).
  *
  * Only the statistic kinds the simulator actually needs are provided:
  * Scalar (a counter/accumulator), Value (a scalar read from its
- * owner's counters), Average (mean of samples), and the bucketed
- * Log2Distribution in stats/histogram.hh.
+ * owner's counters), Average (mean of samples) and Log2Distribution
+ * (power-of-two buckets, over a plain Log2Counts an owner can keep).
  */
 
 #ifndef AQSIM_STATS_STATS_HH
@@ -18,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,13 +29,13 @@
 namespace aqsim::stats
 {
 
-class Group;
+/** A stat's dump rows: (label, value), label "" for a plain scalar. */
+using Rows = std::vector<std::pair<std::string, double>>;
 
 /**
  * Base class for a named, documented statistic. The name and the
- * description are kept by pointer, not copied: every node registers
- * the same stats, so both must be static text (string literals) that
- * outlive the stat.
+ * description are kept by pointer, not copied, so both must be static
+ * text (string literals) that outlive the stat.
  */
 class Stat
 {
@@ -44,7 +48,7 @@ class Stat
     const char *desc() const { return desc_; }
 
     /** Render the value(s) as "label value" rows for text output. */
-    virtual std::vector<std::pair<std::string, double>> rows() const = 0;
+    virtual Rows rows() const = 0;
 
     /** Reset to the initial state. */
     virtual void reset() = 0;
@@ -73,14 +77,9 @@ class Scalar : public Stat
         return *this;
     }
 
-    void set(double v) { value_ = v; }
     virtual double value() const { return value_; }
 
-    std::vector<std::pair<std::string, double>>
-    rows() const override
-    {
-        return {{"", value()}};
-    }
+    Rows rows() const override { return {{"", value()}}; }
 
     void reset() override { value_ = 0.0; }
 
@@ -103,16 +102,8 @@ class Value : public Scalar
         : Scalar(name, desc), source_(std::move(source))
     {}
 
-    /** A view of one of the owner's counters, @p counter. */
-    Value(const char *name, const char *desc,
-          const std::uint64_t &counter)
-        : Value(name, desc,
-                [&counter] { return static_cast<double>(counter); })
-    {}
-
     Value &operator++() = delete;
     Value &operator+=(double) = delete;
-    void set(double) = delete;
 
     double value() const override { return source_(); }
 
@@ -132,9 +123,8 @@ class Average : public Stat
     double mean() const { return count_ ? sum_ / count_ : 0.0; }
     double min() const { return count_ ? min_ : 0.0; }
     double max() const { return count_ ? max_ : 0.0; }
-    double sum() const { return sum_; }
 
-    std::vector<std::pair<std::string, double>> rows() const override;
+    Rows rows() const override;
     void reset() override;
 
   private:
@@ -145,6 +135,41 @@ class Average : public Stat
 };
 
 /**
+ * Power-of-two bucketed sample counts for wide-dynamic-range values
+ * (message latencies, straggler lateness in ticks). Bucket i counts
+ * samples in [2^i, 2^(i+1)); bucket 0 additionally holds [0, 2). The
+ * buckets grow with the first sample that needs them.
+ */
+struct Log2Counts
+{
+    std::vector<std::uint64_t> buckets;
+    std::uint64_t samples = 0;
+    std::uint64_t sum = 0;
+    std::uint64_t max = 0;
+
+    void sample(std::uint64_t v);
+
+    std::uint64_t
+    bucketCount(std::size_t i) const
+    {
+        return i < buckets.size() ? buckets[i] : 0;
+    }
+
+    /** samples, mean and max, then each non-empty bucket. */
+    Rows rows() const;
+};
+
+/** A Log2Counts registered as a named stat of a group. */
+class Log2Distribution : public Stat, public Log2Counts
+{
+  public:
+    using Stat::Stat;
+
+    Rows rows() const override { return Log2Counts::rows(); }
+    void reset() override { static_cast<Log2Counts &>(*this) = {}; }
+};
+
+/**
  * A named container of statistics and child groups. Groups own their
  * stats; components hold references.
  */
@@ -152,6 +177,7 @@ class Group
 {
   public:
     explicit Group(std::string name) : name_(std::move(name)) {}
+    virtual ~Group() = default;
 
     Group(const Group &) = delete;
     Group &operator=(const Group &) = delete;
@@ -185,7 +211,7 @@ class Group
     }
 
     /** Find a stat by dotted path ("nic.txBytes"); nullptr if absent. */
-    const Stat *find(const std::string &path) const;
+    virtual const Stat *find(const std::string &path) const;
 
     /** Reset this group's stats and all children recursively. */
     void resetAll();
@@ -195,6 +221,38 @@ class Group
     std::vector<std::unique_ptr<Stat>> stats_;
     std::vector<std::unique_ptr<Group>> children_;
 };
+
+/** A statistic every @p Owner has, described once per type: the owner
+ * member it reads, a counter or (counter null) a distribution. */
+template <typename Owner>
+struct Descriptor
+{
+    const char *name;
+    const char *desc;
+    std::uint64_t Owner::*counter = nullptr;
+    Log2Counts Owner::*dist = nullptr;
+};
+
+template <typename Owner>
+using Descriptors = std::span<const Descriptor<Owner>>;
+
+/** Append @p owner's values of @p table to the flat array @p out: a
+ * word per counter, [samples sum max n bucket*n] per distribution. */
+template <typename Owner>
+void
+appendValues(const Owner &owner, Descriptors<Owner> table,
+             std::vector<std::uint64_t> &out)
+{
+    for (const Descriptor<Owner> &d : table) {
+        if (d.counter) {
+            out.push_back(owner.*d.counter);
+            continue;
+        }
+        const Log2Counts &c = owner.*d.dist;
+        out.insert(out.end(), {c.samples, c.sum, c.max, c.buckets.size()});
+        out.insert(out.end(), c.buckets.begin(), c.buckets.end());
+    }
+}
 
 } // namespace aqsim::stats
 

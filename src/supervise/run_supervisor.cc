@@ -81,15 +81,16 @@ RunSupervisor::runAttempt(const RunRequest &request,
 {
     if (request.engineKind == EngineKind::Distributed) {
         // The engine builds its own replica, which the forked peers
-        // inherit pristine through fork, so there is
-        // no in-process cluster to build or expose — and a stale one
-        // would alias the workload binding.
+        // inherit pristine through fork, so there is no in-process
+        // cluster to build — and a stale one would alias the workload
+        // binding. The replica comes back only for a stats dump.
         cluster_.reset();
         std::optional<base::FailureTrap> trap;
         if (arm_trap)
             trap.emplace();
         engine::DistributedEngine engine(options);
-        return engine.run(request.cluster, *request.workload, policy);
+        return engine.run(request.cluster, *request.workload, policy,
+                          request.distributedStats ? &cluster_ : nullptr);
     }
 
     // A fresh cluster per attempt: a failed run's half-mutated state
@@ -121,6 +122,11 @@ RunSupervisor::run(const RunRequest &request)
 {
     AQSIM_ASSERT(request.workload != nullptr);
     AQSIM_ASSERT(request.policy != nullptr);
+    // Outside any attempt's failure trap: a drill that names no forked
+    // peer is a usage error, not a failure to recover from.
+    if (request.engineKind == EngineKind::Distributed)
+        engine::checkedPeerDrills(request.engine,
+                                  request.cluster.numNodes);
 
     if (!options_.enabled)
         return runAttempt(request, request.engine, *request.policy,

@@ -109,6 +109,9 @@ struct RunRequest
     /** Called on each freshly built cluster before the engine runs —
      * the seam for attaching tracers/observers to the controller. */
     std::function<void(engine::Cluster &)> onClusterBuilt;
+    /** Distributed runs: gather every node's stat values into process
+     * 0's replica and keep it as cluster(), for a stats dump. */
+    bool distributedStats = false;
 };
 
 /** Terminal supervisor failure, carrying the structured report. */
@@ -146,8 +149,9 @@ class RunSupervisor
     engine::PanicInfo lastPanic() const;
 
     /** Cluster of the most recent attempt (stats/trace readout).
-     * Null for distributed runs: the state lives in the engine's
-     * processes, not in any cluster the supervisor owns. */
+     * For a distributed run, process 0's replica when
+     * RunRequest::distributedStats asked for it, else null: the
+     * nodes ran in the engine's processes. */
     engine::Cluster *cluster() { return cluster_.get(); }
     std::unique_ptr<engine::Cluster> takeCluster()
     {

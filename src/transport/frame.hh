@@ -66,7 +66,8 @@ struct Frame
     std::vector<std::uint8_t> body;
 };
 
-/** Outcome of one bounded receive attempt. */
+/** Outcome of one bounded receive (or sendWithin) attempt; a send is
+ * never Corrupt. */
 enum class RecvStatus
 {
     /** A well-formed frame was decoded into the out-param. */

@@ -40,6 +40,14 @@ remainingMs(std::chrono::steady_clock::time_point deadline)
         std::min<long long>(left.count(), pollSliceMs));
 }
 
+std::chrono::steady_clock::time_point
+deadlineAfter(double seconds)
+{
+    return std::chrono::steady_clock::now() +
+           std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+               std::chrono::duration<double>(seconds));
+}
+
 } // namespace
 
 SocketChannel::SocketChannel(int fd) : fd_(fd)
@@ -55,27 +63,66 @@ SocketChannel::~SocketChannel()
 bool
 SocketChannel::send(const Frame &frame)
 {
+    return write(frame, Deadline::max()) == RecvStatus::Ok;
+}
+
+RecvStatus
+SocketChannel::sendWithin(const Frame &frame, double deadline_seconds)
+{
+    return write(frame, deadlineAfter(deadline_seconds));
+}
+
+RecvStatus
+SocketChannel::write(const Frame &frame, Deadline deadline)
+{
     const std::vector<std::uint8_t> wire = encodeFrame(frame);
     base::MutexLock lock(sendMutex_);
     std::size_t sent = 0;
     while (sent < wire.size()) {
-        const ssize_t n = ::send(fd_, wire.data() + sent,
-                                 wire.size() - sent, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            // EPIPE/ECONNRESET: peer is gone. The caller maps this
-            // to a structured disconnect failure.
-            return false;
+        const ssize_t n =
+            ::send(fd_, wire.data() + sent, wire.size() - sent,
+                   MSG_NOSIGNAL | MSG_DONTWAIT);
+        if (n >= 0) {
+            sent += static_cast<std::size_t>(n);
+            continue;
         }
-        sent += static_cast<std::size_t>(n);
+        if (errno == EINTR)
+            continue;
+        // EPIPE/ECONNRESET: peer is gone. The caller maps this
+        // to a structured disconnect failure.
+        if (errno != EAGAIN && errno != EWOULDBLOCK)
+            return RecvStatus::Closed;
+        // The socket buffer is full: wait for the peer to drain it.
+        const RecvStatus ready = waitReady(POLLOUT, deadline);
+        if (ready != RecvStatus::Ok)
+            return ready;
     }
-    return true;
+    return RecvStatus::Ok;
+}
+
+RecvStatus
+SocketChannel::waitReady(short events, Deadline deadline) const
+{
+    for (;;) {
+        struct pollfd pfd;
+        pfd.fd = fd_;
+        pfd.events = events;
+        pfd.revents = 0;
+        const int ms = remainingMs(deadline);
+        if (ms == 0 && std::chrono::steady_clock::now() >= deadline)
+            return RecvStatus::Timeout;
+        const int pr = ::poll(&pfd, 1, ms);
+        if (pr > 0)
+            return RecvStatus::Ok;
+        if (pr < 0 && errno != EINTR)
+            return RecvStatus::Closed;
+        // Slice elapsed (or EINTR): loop re-checks the deadline.
+    }
 }
 
 RecvStatus
 SocketChannel::readFully(std::uint8_t *data, std::size_t size,
-                         std::chrono::steady_clock::time_point deadline)
+                         Deadline deadline)
 {
     std::size_t got = 0;
     const auto spin_end = std::min(
@@ -98,22 +145,9 @@ SocketChannel::readFully(std::uint8_t *data, std::size_t size,
         ::sched_yield();
     }
     while (got < size) {
-        struct pollfd pfd;
-        pfd.fd = fd_;
-        pfd.events = POLLIN;
-        pfd.revents = 0;
-        const int ms = remainingMs(deadline);
-        if (ms == 0 &&
-            std::chrono::steady_clock::now() >= deadline)
-            return RecvStatus::Timeout;
-        const int pr = ::poll(&pfd, 1, ms);
-        if (pr < 0) {
-            if (errno == EINTR)
-                continue;
-            return RecvStatus::Closed;
-        }
-        if (pr == 0)
-            continue; // slice elapsed; loop re-checks the deadline
+        const RecvStatus ready = waitReady(POLLIN, deadline);
+        if (ready != RecvStatus::Ok)
+            return ready;
         const ssize_t n = ::recv(fd_, data + got, size - got, 0);
         if (n == 0)
             return RecvStatus::Closed; // orderly EOF (peer dead)
@@ -131,10 +165,7 @@ SocketChannel::readFully(std::uint8_t *data, std::size_t size,
 RecvStatus
 SocketChannel::recv(Frame &frame, double deadline_seconds)
 {
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(deadline_seconds));
+    const auto deadline = deadlineAfter(deadline_seconds);
 
     std::uint8_t header[frameHeaderBytes];
     RecvStatus status = readFully(header, sizeof(header), deadline);

@@ -15,7 +15,10 @@
  *  - EOF and ECONNRESET surface as Closed (a SIGKILLed peer's kernel
  *    closes its fds, so a dead peer is detected without any timeout);
  *  - a CRC mismatch or an absurd length prefix surfaces as Corrupt;
- *  - send() uses MSG_NOSIGNAL, so writing into a half-open pipe
+ *  - sendWithin() waits for socket buffer space in the same poll
+ *    slices, so a reader that stopped reading surfaces as Timeout,
+ *    never a writer blocked forever;
+ *  - sends use MSG_NOSIGNAL, so writing into a half-open pipe
  *    returns false instead of raising SIGPIPE.
  *
  * socketChannelPair() (socketpair(2)) is the fork-model transport:
@@ -53,12 +56,24 @@ class SocketChannel
     SocketChannel &operator=(const SocketChannel &) = delete;
 
     /**
-     * Write @p frame toward the peer.
+     * Write @p frame toward the peer, however long it takes the peer
+     * to make room for it.
      *
      * @return false if the pipe is closed (peer gone); the caller maps
      *         this to a Disconnect-kind peer failure.
      */
     bool send(const Frame &frame) AQSIM_EXCLUDES(sendMutex_);
+
+    /**
+     * Write @p frame toward the peer within @p deadline_seconds.
+     *
+     * @return Ok; Closed if the pipe is closed (peer gone); Timeout if
+     *         the peer did not drain the socket in time (stopped or
+     *         wedged). After a Timeout part of the frame may be on
+     *         the wire: the channel is fit only for close().
+     */
+    RecvStatus sendWithin(const Frame &frame, double deadline_seconds)
+        AQSIM_EXCLUDES(sendMutex_);
 
     /**
      * Wait up to @p deadline_seconds for one complete frame. A frame
@@ -77,13 +92,26 @@ class SocketChannel
     int fd() const { return fd_; }
 
   private:
+    using Deadline = std::chrono::steady_clock::time_point;
+
+    /** Write @p frame before @p deadline (send/sendWithin). */
+    RecvStatus write(const Frame &frame, Deadline deadline)
+        AQSIM_EXCLUDES(sendMutex_);
+
+    /**
+     * Sleep in poll slices until the socket is ready for @p events
+     * (or has failed: the next call reports how) or @p deadline
+     * passes (Timeout).
+     */
+    RecvStatus waitReady(short events, Deadline deadline) const;
+
     /**
      * Read exactly @p size bytes before @p deadline. Partial data at
      * the deadline is Timeout (a wedged sender mid-frame must not
      * hang the reader); EOF mid-buffer is Closed.
      */
     RecvStatus readFully(std::uint8_t *data, std::size_t size,
-                         std::chrono::steady_clock::time_point deadline);
+                         Deadline deadline);
 
     const int fd_;
     /** Serializes writers (protocol thread + heartbeat thread). */

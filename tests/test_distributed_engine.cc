@@ -221,6 +221,20 @@ TEST(DistributedEngineDeathTest, RejectsDrillOutsideTheForkedPeers)
     }
 }
 
+TEST(DistributedEngineDeathTest, SupervisorRefusesDrillBeforeItsFirstAttempt)
+{
+    // aqsim_cli ... --engine distributed --workers 2
+    //     --peer-drill kill:peer=7,quantum=3,phase=exchange
+    //     --supervise --backoff 0
+    // Inside an attempt the refusal would be a failure to recover
+    // from, and the retry (which clears drills) would pass.
+    auto options = distOptions(2);
+    options.peerDrillSpec = "kill:peer=7,quantum=3,phase=exchange";
+    supervise::RunSupervisor supervisor(testSupervision());
+    EXPECT_EXIT(runSupervised(configParams("clean"), options, supervisor),
+                testing::ExitedWithCode(1), "peer drill names peer 7");
+}
+
 TEST(DistributedEngineDeathTest, RejectsNonConservativePolicy)
 {
     const auto params = configParams("clean");
@@ -498,6 +512,66 @@ TEST(DistributedEngine, RowFrameLargerThanSendBufferCompletes)
         expectMatchesSequential(dist, seq,
                                 std::to_string(workers) + "w");
     }
+}
+
+TEST(DistributedEngine, PeerStoppedMidExchangeIsHangWithinTheDeadline)
+{
+    // Shard 0's ranks each send shard 1 one eager message at tick 0,
+    // so quantum 1's Exchange frame from process 0 to the peer is
+    // several times the socket send buffer. The peer stops right after
+    // its own frame to process 0 has gone, so process 0's send finds a
+    // reader that never drains: it must fail as a Hang at the peer
+    // deadline, in quantum 1, not block until the test times out.
+    auto [probe, unused] = transport::socketChannelPair();
+    int sndbuf = 0;
+    socklen_t len = sizeof(sndbuf);
+    ASSERT_EQ(::getsockopt(probe->fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf,
+                           &len),
+              0);
+    ckpt::Writer one;
+    mpi::putPacket(one, net::Packet{});
+    const std::uint64_t fragments =
+        4 * static_cast<std::uint64_t>(sndbuf) / one.size() + 1;
+
+    const std::size_t nodes = 4;
+    auto params = harness::defaultCluster(nodes, 7);
+    params.network.nic.mtu = 256;
+    const std::uint64_t bytes =
+        fragments *
+        (params.network.nic.mtu - params.mpiParams.frameOverhead) / 2;
+    params.mpiParams.eagerThreshold = bytes;
+    params.mpiParams.copyBytesPerNs = 1e12;
+    test::LambdaWorkload workload(
+        [nodes, bytes](workloads::AppContext &ctx) -> sim::Process {
+            const Rank partner = (ctx.rank() + nodes / 2) % nodes;
+            if (ctx.rank() < nodes / 2)
+                co_await ctx.comm().send(partner, 0, bytes);
+            else
+                co_await ctx.comm().recv(partner, 0);
+        });
+    auto options = distOptions(2);
+    options.peerDeadlineSeconds = 1.0;
+    options.peerDrillSpec = "stop:peer=1,quantum=1,phase=sent";
+    const auto start = std::chrono::steady_clock::now();
+    try {
+        engine::DistributedEngine(options).run(
+            params, workload, *core::parsePolicy("fixed:1us"));
+        FAIL() << "expected RunAbort";
+    } catch (const base::RunAbort &abort) {
+        EXPECT_EQ(abort.cause(), "peer-failure");
+        EXPECT_NE(abort.detail().find("peer 1"), std::string::npos)
+            << abort.detail();
+        EXPECT_NE(abort.detail().find("hung at exchange barrier"),
+                  std::string::npos)
+            << abort.detail();
+        EXPECT_EQ(abort.quantum(), 0u) << "detected by a later wait";
+    }
+    const double waited =
+        std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    EXPECT_GE(waited, 1.0);
+    EXPECT_LT(waited, 10.0);
 }
 
 TEST(DistributedEngine, WatchdogDumpCarriesPeerLiveness)

@@ -298,3 +298,31 @@ TEST(Integration, StatsTreeExposesFullHierarchy)
     ASSERT_NE(sent, nullptr);
     EXPECT_GT(sent->rows()[0].second, 0.0);
 }
+
+TEST(Integration, NodeStatLookupsAreCachedLiveViews)
+{
+    // Node stats are no tree: a lookup makes a view of the owner's
+    // counter (perfbench's readCluster path) and keeps it.
+    auto workload = workloads::makeWorkload("burst", 4, 0.05);
+    engine::Cluster cluster(defaultCluster(4, 1), *workload);
+    const stats::Group &root = cluster.statsRoot();
+    const auto *sent = dynamic_cast<const stats::Scalar *>(
+        root.find("node3.mpi.msgsSent"));
+    ASSERT_NE(sent, nullptr);
+    EXPECT_EQ(sent->name(), "msgsSent");
+    EXPECT_DOUBLE_EQ(sent->value(), 0.0);
+    EXPECT_EQ(root.find("node3.mpi.msgsSent"), sent);
+
+    engine::SequentialEngine engine;
+    engine.run(cluster, *core::parsePolicy("fixed:1us"));
+    EXPECT_DOUBLE_EQ(sent->value(), static_cast<double>(
+                                        cluster.endpoint(3).messagesSent()));
+    EXPECT_GT(sent->value(), 0.0);
+
+    for (const char *missing :
+         {"node4.mpi.msgsSent", "node.mpi.msgsSent", "nodeX.nic.txBytes",
+          "node0.nic.missing", "node0.disk.txBytes", "node0.nic",
+          "node99999999999999999999.nic.txBytes",
+          "node0.mpi.messageLatency"})
+        EXPECT_EQ(root.find(missing), nullptr) << missing;
+}

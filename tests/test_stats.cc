@@ -4,7 +4,6 @@
 
 #include <sstream>
 
-#include "stats/histogram.hh"
 #include "stats/output.hh"
 #include "stats/stats.hh"
 
@@ -73,8 +72,8 @@ TEST(Log2Distribution, PowerOfTwoBuckets)
     EXPECT_EQ(d.bucketCount(1), 2u);
     EXPECT_EQ(d.bucketCount(2), 1u);
     EXPECT_EQ(d.bucketCount(10), 1u);
-    EXPECT_EQ(d.maxValue(), 1024u);
-    EXPECT_EQ(d.totalSamples(), 6u);
+    EXPECT_EQ(d.max, 1024u);
+    EXPECT_EQ(d.samples, 6u);
 }
 
 TEST(Group, FindByDottedPath)
@@ -110,7 +109,7 @@ TEST(Output, TextDumpContainsPathsValuesAndDescriptions)
     auto &tx = nic.add<Scalar>("txBytes", "bytes transmitted");
     tx += 128.0;
     std::ostringstream out;
-    dumpText(root, out);
+    Dump(out, Format::Text).group(root, "");
     const std::string text = out.str();
     EXPECT_NE(text.find("cluster.nic.txBytes"), std::string::npos);
     EXPECT_NE(text.find("128"), std::string::npos);
@@ -122,7 +121,7 @@ TEST(Output, CsvDumpHasHeaderAndRows)
     Group root("cluster");
     root.add<Scalar>("x", "desc");
     std::ostringstream out;
-    dumpCsv(root, out);
+    Dump(out, Format::Csv).group(root, "");
     const std::string text = out.str();
     EXPECT_NE(text.find("path,label,value,description"),
               std::string::npos);

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <thread>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "ckpt/ckpt_io.hh"
@@ -167,6 +168,33 @@ TEST(SocketChannel, RecvIsDeadlineBounded)
     EXPECT_LT(waited, 5.0);
 }
 
+TEST(SocketChannel, SendIsDeadlineBoundedWhenTheReaderStops)
+{
+    // A frame larger than the socket buffer, to a reader that never
+    // reads: the write waits for room in poll slices and gives up at
+    // the deadline, instead of blocking forever.
+    auto [a, b] = socketChannelPair();
+    int sndbuf = 0;
+    socklen_t len = sizeof(sndbuf);
+    ASSERT_EQ(::getsockopt(a->fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf, &len),
+              0);
+    Frame big;
+    big.type = FrameType::Exchange;
+    big.body.assign(4 * static_cast<std::size_t>(sndbuf), 0x5a);
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(a->sendWithin(big, 0.2), RecvStatus::Timeout);
+    const double waited = secondsSince(start);
+    EXPECT_GE(waited, 0.19);
+    EXPECT_LT(waited, 5.0);
+    // A frame that fits goes out at once, deadline or not.
+    auto [c, d] = socketChannelPair();
+    EXPECT_EQ(c->sendWithin(makeFrame(FrameType::Quantum, 3), 0.0),
+              RecvStatus::Ok);
+    d->close();
+    EXPECT_EQ(c->sendWithin(makeFrame(FrameType::Quantum, 4), 1.0),
+              RecvStatus::Closed);
+}
+
 TEST(SocketChannel, FrameAfterSpinBudgetArrivesOk)
 {
     // The sender is 5 ms late — far past the receive spin — so the
@@ -303,6 +331,16 @@ TEST(PeerDrill, ParsesFullSpec)
     EXPECT_EQ(drills[1].phase, fault::PeerDrillPhase::Ack);
     EXPECT_EQ(drills[2].op, fault::PeerDrillOp::Exit);
     EXPECT_EQ(drills[2].phase, fault::PeerDrillPhase::Hello);
+}
+
+TEST(PeerDrill, ParsesSentPhase)
+{
+    const auto drills =
+        fault::parsePeerDrills("stop:peer=1,quantum=2,phase=sent");
+    ASSERT_EQ(drills.size(), 1u);
+    EXPECT_EQ(drills[0].op, fault::PeerDrillOp::Stop);
+    EXPECT_EQ(drills[0].quantum, 2u);
+    EXPECT_EQ(drills[0].phase, fault::PeerDrillPhase::Sent);
 }
 
 TEST(PeerDrill, DefaultsAndEmpty)

@@ -273,15 +273,16 @@ runOne(const Args &args, workloads::Workload &workload,
     if (!options.peerDrillSpec.empty() &&
         request.engineKind != supervise::EngineKind::Distributed)
         fatal("--peer-drill requires --engine distributed");
-    // Distributed runs leave no in-process cluster behind: the stats
-    // trees, the packet trace, the phase timings and the invariant
-    // checker's audit live and die in the engine's processes.
+    // The packet trace, the phase timings and the invariant checker's
+    // audit of a distributed run live and die in the engine's
+    // processes; its stats are gathered into process 0.
     if (request.engineKind == supervise::EngineKind::Distributed)
-        for (const char *flag :
-             {"stats", "stats-csv", "trace", "phase-stats", "check"})
+        for (const char *flag : {"trace", "phase-stats", "check"})
             if (args.has(flag))
                 fatal("--%s is not supported with --engine distributed",
                       flag);
+    request.distributedStats =
+        args.getBool("stats", false) || args.getBool("stats-csv", false);
     request.engine = options;
     request.cluster = cluster_params;
     request.workload = &workload;
@@ -424,9 +425,9 @@ main(int argc, char **argv)
     }
 
     if (args.getBool("stats", false) && cluster_ptr)
-        stats::dumpText(cluster_ptr->statsRoot(), std::cout);
+        cluster_ptr->dumpStats(std::cout, stats::Format::Text);
     if (args.getBool("stats-csv", false) && cluster_ptr)
-        stats::dumpCsv(cluster_ptr->statsRoot(), std::cout);
+        cluster_ptr->dumpStats(std::cout, stats::Format::Csv);
 
     if (!timeline_path.empty()) {
         std::ofstream file(timeline_path);
