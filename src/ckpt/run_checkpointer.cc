@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <system_error>
 
 #include "base/logging.hh"
@@ -37,45 +38,52 @@ RunCheckpointer::begin()
 
     CkptError error;
     std::error_code ec;
-    if (std::filesystem::is_directory(options_.restorePath, ec)) {
+    if (options_.restoreImage) {
+        golden_ = options_.restoreImage;
+        goldenPath_ = options_.restorePath;
+    } else if (std::filesystem::is_directory(options_.restorePath, ec)) {
         // Point --restore at a checkpoint directory and the newest
         // decodable file wins; torn/corrupt candidates are skipped.
         CheckpointManager scan(options_.restorePath, 0, 0);
-        if (!scan.loadBest(golden_, goldenPath_, error)) {
+        auto image = std::make_shared<CheckpointImage>();
+        if (!scan.loadBest(*image, goldenPath_, error)) {
             for (const std::string &reason : scan.skipped())
                 warn("restore: skipped %s", reason.c_str());
             fatal("restore failed: %s", error.str().c_str());
         }
         for (const std::string &reason : scan.skipped())
             warn("restore: fell back past %s", reason.c_str());
+        golden_ = std::move(image);
     } else {
         std::vector<std::uint8_t> raw;
+        auto image = std::make_shared<CheckpointImage>();
         if (!readFile(options_.restorePath, raw, error) ||
-            !decodeImage(raw, golden_, error))
+            !decodeImage(raw, *image, error))
             fatal("restore failed for %s: %s",
                   options_.restorePath.c_str(), error.str().c_str());
         goldenPath_ = options_.restorePath;
+        golden_ = std::move(image);
     }
 
-    if (golden_.engine != engineName_)
+    if (golden_->engine != engineName_)
         fatal("restore rejected: %s was produced by the %s engine; "
               "restore with the same engine (this run is %s) — the "
               "engine-private state section is not portable",
-              goldenPath_.c_str(), golden_.engine.c_str(),
+              goldenPath_.c_str(), golden_->engine.c_str(),
               engineName_.c_str());
-    if (golden_.configHash != configHash_)
+    if (golden_->configHash != configHash_)
         fatal("restore rejected: %s was taken under a different "
               "configuration (fingerprint %016llx, this run is "
               "%016llx)",
               goldenPath_.c_str(),
-              static_cast<unsigned long long>(golden_.configHash),
+              static_cast<unsigned long long>(golden_->configHash),
               static_cast<unsigned long long>(configHash_));
     restoring_ = true;
     inform("restoring from %s (quantum %llu, engine %s): replaying "
            "with per-section divergence checking",
            goldenPath_.c_str(),
-           static_cast<unsigned long long>(golden_.quantumIndex),
-           golden_.engine.c_str());
+           static_cast<unsigned long long>(golden_->quantumIndex),
+           golden_->engine.c_str());
 }
 
 RunCheckpointer::Due
@@ -83,11 +91,11 @@ RunCheckpointer::dueAt(std::uint64_t q) const
 {
     Due due;
     due.verify = restoring_ && restoredFrom_ == 0 &&
-                 q == golden_.quantumIndex;
+                 q == golden_->quantumIndex;
     // During replay the quanta up to the golden snapshot would produce
     // the files already on disk; only new ground is checkpointed.
     due.write = manager_ && manager_->due(q) &&
-                (!restoring_ || q > golden_.quantumIndex);
+                (!restoring_ || q > golden_->quantumIndex);
     due.stash = options_.stashForPanic && manager_ != nullptr;
     return due;
 }
@@ -107,7 +115,7 @@ RunCheckpointer::onQuantumCompleted(const CheckpointImage &image)
 
     if (due.verify) {
         CkptError error;
-        if (!compareImages(golden_, image, error))
+        if (!compareImages(*golden_, image, error))
             fatal("restore divergence at quantum %llu: %s",
                   static_cast<unsigned long long>(q),
                   error.str().c_str());
@@ -141,7 +149,7 @@ RunCheckpointer::finish(engine::RunResult &result) const
     if (restoring_ && restoredFrom_ == 0)
         fatal("restore never reached quantum %llu (run ended after "
               "%llu quanta) — the checkpoint belongs to a longer run",
-              static_cast<unsigned long long>(golden_.quantumIndex),
+              static_cast<unsigned long long>(golden_->quantumIndex),
               static_cast<unsigned long long>(sync_.numQuanta()));
 }
 

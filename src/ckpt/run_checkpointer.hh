@@ -49,6 +49,8 @@ struct RunCkptOptions
     std::string dir;
     /** Checkpoint file (or directory to auto-pick) to restore from. */
     std::string restorePath;
+    /** The image at restorePath, already loaded (null: load it). */
+    std::shared_ptr<const CheckpointImage> restoreImage;
     /** Files kept after rotation (0 = unlimited). */
     std::size_t keepLast = 2;
     /** Stash each boundary snapshot for the watchdog panic dump. */
@@ -124,8 +126,8 @@ class RunCheckpointer
     std::string engineName_;
 
     std::unique_ptr<CheckpointManager> manager_;
-    /** Golden image loaded by begin() in restore mode. */
-    CheckpointImage golden_;
+    /** Golden image loaded (or adopted) by begin() in restore mode. */
+    std::shared_ptr<const CheckpointImage> golden_;
     std::string goldenPath_;
     bool restoring_ = false;
     std::uint64_t restoredFrom_ = 0;

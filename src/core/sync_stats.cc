@@ -8,7 +8,8 @@ SyncStats::SyncStats(stats::Group &parent)
       statQuanta_(group_.add<stats::Scalar>(
           "quanta", "synchronization quanta executed")),
       statHostNs_(group_.add<stats::Scalar>(
-          "hostNs", "modeled host nanoseconds consumed")),
+          "hostNs", "host ns: modeled (sequential engine) or measured "
+                    "wall-clock (threaded and distributed engines)")),
       statQuantumLength_(group_.add<stats::Average>(
           "quantumLength", "quantum length in ticks")),
       statQuantumDist_(group_.add<stats::Log2Distribution>(

@@ -1,5 +1,7 @@
 #include "engine/delivery_batch.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 #include "check/invariants.hh"
 #include "ckpt/ckpt_io.hh"
@@ -48,6 +50,7 @@ DeliveryBatch::beginQuantum(std::size_t s)
     // clear() keeps capacity: the steady state reuses the same
     // payload storage every quantum.
     rows_[s].payload.clear();
+    rows_[s].earliest = maxTick;
 }
 
 void
@@ -69,7 +72,9 @@ DeliveryBatch::stage(const net::Packet &pkt, Tick when,
                      net::DeliveryKind kind)
 {
     append(pkt, when, kind);
-    ++rows_[shardOf(pkt.src)].staged;
+    Row &row = rows_[shardOf(pkt.src)];
+    ++row.staged;
+    row.earliest = std::min(row.earliest, when);
 }
 
 std::size_t

@@ -187,6 +187,10 @@ class DeliveryBatch
     void injectRemote(std::size_t s, std::size_t d,
                       const net::Packet &pkt);
 
+    /** Earliest delivery tick staged from shard @p s since its
+     * beginQuantum (maxTick if none); read by the row's writer. */
+    Tick earliestStaged(std::size_t s) const { return rows_[s].earliest; }
+
     /** Deliveries staged but not yet merged (0 at every boundary). */
     std::size_t pending() const;
 
@@ -243,6 +247,8 @@ class DeliveryBatch
         std::vector<Staged> payload;
         /** Lifetime stage count (this shard's slot of totalStaged). */
         std::uint64_t staged = 0;
+        /** Earliest tick staged since beginQuantum. */
+        Tick earliest = maxTick;
     };
 
     /** One destination shard's sort scratch (single writer per

@@ -3,17 +3,19 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include <poll.h>
+#include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -161,14 +163,21 @@ fireDrills(const std::vector<fault::PeerDrill> &drills, std::size_t peer,
 }
 
 /** What a peer's Exchange frame tells process 0 besides its rows: its
- * counter advance this quantum and its progress as it will stand once
- * the quantum is merged. */
+ * counter advance this quantum, its progress as it will stand once
+ * the quantum is merged, and a lower bound on its next event. */
 struct Report
 {
     net::NetworkController::Counters deltas;
     bool done = true;
     bool pending = false;
+    /** The least of the shard's wake ticks and of the deliveries it
+     * staged: every event of the merged cluster is at or after the
+     * least over the shards. */
+    Tick next = maxTick;
 };
+
+/** One process's end of each mesh link, by partner; own slot empty. */
+using Links = std::vector<std::unique_ptr<transport::SocketChannel>>;
 
 /**
  * One process's shard and its half of the socket mesh. Process 0 and
@@ -176,8 +185,8 @@ struct Report
  * DeliveryBatch that only stages (DistScheduler), and the one Exchange
  * and State encoding.
  *
- * Exchange := from(u32) qi(u64) [deltas(8 x u64) done pending]
- *             count(u32) packet*count
+ * Exchange := from(u32) qi(u64) [deltas(8 x u64) done pending
+ *             next(u64)] count(u32) packet*count
  *
  * The bracketed part rides only the frame to process 0; the packets
  * are sub-run (from, to) in staging order (DeliveryBatch::takeRun).
@@ -197,16 +206,16 @@ class MeshShard
         cluster.controller().setFoldLanes(k);
     }
 
-    /** Run the shard's nodes from the last boundary to @p qe. */
+    /** Run the shard's nodes through quantum [@p qs, @p qe). */
     void
-    run(Tick qe, const base::CancelToken *cancel)
+    run(Tick qs, Tick qe, const base::CancelToken *cancel)
     {
         for (std::size_t s = 0; s < k_; ++s)
             batch_.beginQuantum(s);
         scheduler_.setQuantumEnd(qe);
-        loop_.runQuantum(range_.first, range_.second, boundary_, qe,
-                         index_, cancel);
-        boundary_ = qe;
+        const Tick ran = loop_.runQuantum(range_.first, range_.second,
+                                          qs, qe, index_, cancel);
+        next_ = std::min(ran, batch_.earliestStaged(index_));
     }
 
     /**
@@ -227,6 +236,7 @@ class MeshShard
         }
         for (std::size_t d = 0; d < k_; ++d)
             p.pending = p.pending || batch_.stagedBetween(index_, d) > 0;
+        p.next = next_;
         return p;
     }
 
@@ -253,6 +263,7 @@ class MeshShard
             const Report p = progress();
             w.boolean(p.done);
             w.boolean(p.pending);
+            w.u64(p.next);
         }
         const std::size_t count = batch_.stagedBetween(index_, to);
         w.u32(static_cast<std::uint32_t>(count));
@@ -292,6 +303,7 @@ class MeshShard
             d.bytes = r.u64();
             report.done = r.boolean();
             report.pending = r.boolean();
+            report.next = r.u64();
         }
         const std::uint32_t count = r.u32();
         for (std::uint32_t j = 0; r.ok() && j < count; ++j) {
@@ -304,32 +316,55 @@ class MeshShard
     }
 
     /**
-     * The exchange half of quantum @p qi: visit every other process in
-     * ascending index, sending before receiving to a lower one and
-     * receiving before sending to a higher one, then merge this
-     * shard's column. Every process thus works through the pairs in
-     * one global order, ascending (higher index, lower index), so the
-     * least unfinished pair always has both ends at it: a frame larger
-     * than the socket buffer blocks its sender only until the partner
-     * reads it. A peer's frame to process 0 leaves first.
+     * The exchange half of quantum @p qi, as one full-duplex round:
+     * this shard's frame to every other process is queued before any
+     * receive waits, and one poll(2) writes and reads them all as the
+     * sockets allow, so no frame size and no order in which the other
+     * processes get to the round can deadlock it. Then merge this
+     * shard's column.
      *
-     * @param send send(q, frame) -> bool
-     * @param recv recv(q) -> bool, receiving and adopting q's frame
-     * @return false as soon as a send or receive fails.
+     * @param links this process's end of each mesh link
+     * @param io this process's side of the round:
+     *        io.next(round, event) -> bool waits for the round's next
+     *        event (false: give up); io.sent(q) follows this shard's
+     *        frame to q leaving; io.adopted(q, report) follows q's
+     *        frame being staged; io.failed(q, event) reports a failed
+     *        link or a frame that is not q's Exchange of quantum qi.
+     *        Heartbeats are absorbed.
+     * @return false as soon as the round fails.
      */
-    template <typename Send, typename Recv>
+    template <typename Io>
     bool
-    exchange(std::uint64_t qi, Send &&send, Recv &&recv)
+    exchange(std::uint64_t qi, Links &links, Io &io)
     {
+        using Kind = transport::DuplexRound::EventKind;
+        transport::DuplexRound round(k_);
         for (std::size_t q = 0; q < k_; ++q) {
             if (q == index_)
                 continue;
-            if (q < index_) {
-                if (!send(q, exchangeFrame(qi, q)) || !recv(q))
-                    return false;
-            } else if (!recv(q) || !send(q, exchangeFrame(qi, q))) {
+            round.send(q, *links[q], exchangeFrame(qi, q));
+            round.receive(q, *links[q]);
+        }
+        transport::DuplexRound::Event e;
+        while (round.busy()) {
+            if (!io.next(round, e))
+                return false;
+            if (e.kind == Kind::Sent) {
+                io.sent(e.link);
+                continue;
+            }
+            if (e.kind == Kind::Received &&
+                e.frame.type == transport::FrameType::Heartbeat) {
+                round.receive(e.link, *links[e.link]);
+                continue;
+            }
+            Report report;
+            if (e.kind == Kind::Failed ||
+                !adopt(e.frame, qi, e.link, report)) {
+                io.failed(e.link, e);
                 return false;
             }
+            io.adopted(e.link, report);
         }
         batch_.mergeShard(index_, cluster_, loop_.wake());
         return true;
@@ -341,15 +376,18 @@ class MeshShard
      * finishTick*owned retransmits merged staged
      * [count(u64) nodeStat(u64)*count]
      *
-     * This shard's slice of every cluster section at boundary @p q,
-     * nodes caught up first. With @p node_stats the shard's per-node
-     * stat values (Cluster::appendNodeStats) follow as one flat array.
+     * This shard's slice of every cluster section after quantum @p q,
+     * nodes caught up to its end tick @p boundary first (quanta
+     * without work ran nowhere, so clocks may lag further than the
+     * last quantum this shard ran). With @p node_stats the shard's
+     * per-node stat values (Cluster::appendNodeStats) follow as one
+     * flat array.
      */
     std::vector<std::uint8_t>
-    stateSlice(std::uint64_t q, bool node_stats)
+    stateSlice(std::uint64_t q, Tick boundary, bool node_stats)
     {
         const auto [begin, end] = range_;
-        loop_.catchUp(begin, end, boundary_);
+        loop_.catchUp(begin, end, boundary);
         ckpt::Writer w;
         w.u32(static_cast<std::uint32_t>(index_));
         w.u64(q);
@@ -403,8 +441,8 @@ class MeshShard
     DeliveryBatch batch_;
     DistScheduler scheduler_;
     ShardLoop loop_;
-    /** End of the last quantum run (the next one's start). */
-    Tick boundary_ = 0;
+    /** Report::next as of the last quantum run. */
+    Tick next_ = maxTick;
 };
 
 /** Everything one forked peer needs (set up before fork). */
@@ -415,18 +453,21 @@ struct PeerSetup
     Cluster *cluster = nullptr;
     const EngineOptions *options = nullptr;
     const std::vector<fault::PeerDrill> *drills = nullptr;
-    /** This process's end of each mesh pair, by partner; own slot
-     * empty. Link 0 carries the control frames and heartbeats. */
-    std::vector<std::unique_ptr<transport::SocketChannel>> *links =
-        nullptr;
+    /** This process's end of each mesh link. Link 0 carries the
+     * control frames and heartbeats. */
+    Links *links = nullptr;
 };
 
 /**
  * Peer protocol loop, on the peer's own copy of process 0's pristine
  * replica (built before the fork and untouched until then). A Quantum
- * frame runs the shard to the new boundary, exchanges rows with every
+ * frame runs the shard through its quantum, exchanges rows with every
  * other process and merges this shard's column. A StateReq frame
  * answers with the shard's State slice.
+ *
+ * Quantum := qs(u64) qe(u64) qi(u64), with qi above the last one
+ * (quanta without work are never sent). StateReq := q(u64)
+ * boundary(u64) nodeStats(bool).
  *
  * @return process exit code (0 = clean Stop).
  */
@@ -456,21 +497,34 @@ peerMain(const PeerSetup &p)
             return 1;
     }
 
-    std::uint64_t last_quantum = 0;
-    const auto send = [&](std::size_t q, const transport::Frame &f) {
-        if (!links[q]->send(f))
-            return false;
-        if (q == 0)
-            fireDrills(drills, p.index, fault::PeerDrillPhase::Sent,
-                       last_quantum);
-        return true;
+    /** The peer's side of an exchange round: any failure ends the
+     * peer (process 0 attributes it), and the round gives up once no
+     * event came for the deadline. */
+    struct RoundIo
+    {
+        const PeerSetup &p;
+        const double deadline;
+        std::uint64_t quantum = 0;
+
+        bool
+        next(transport::DuplexRound &round,
+             transport::DuplexRound::Event &e) const
+        {
+            return round.advance(e, deadline);
+        }
+        void
+        sent(std::size_t q) const
+        {
+            if (q == 0)
+                fireDrills(*p.drills, p.index,
+                           fault::PeerDrillPhase::Sent, quantum);
+        }
+        void adopted(std::size_t, const Report &) const {}
+        void failed(std::size_t, const transport::DuplexRound::Event &)
+            const
+        {}
     };
-    const auto recv = [&](std::size_t q) {
-        transport::Frame f;
-        Report unused;
-        return links[q]->recv(f, deadline) == transport::RecvStatus::Ok &&
-               shard.adopt(f, last_quantum, q, unused);
-    };
+    RoundIo io{p, deadline};
 
     for (;;) {
         transport::Frame f;
@@ -479,28 +533,32 @@ peerMain(const PeerSetup &p)
         switch (f.type) {
         case transport::FrameType::Quantum: {
             ckpt::Reader r(f.body, "quantum");
+            const Tick qs = r.u64();
             const Tick qe = r.u64();
             const std::uint64_t qi = r.u64();
-            if (!r.ok() || r.remaining() != 0 || qi != last_quantum + 1)
+            if (!r.ok() || r.remaining() != 0 || qi <= io.quantum ||
+                qe <= qs)
                 return 1;
             p.cluster->controller().beginQuantum();
-            shard.run(qe, nullptr);
-            last_quantum = qi;
+            shard.run(qs, qe, nullptr);
+            io.quantum = qi;
             fireDrills(drills, p.index,
                        fault::PeerDrillPhase::Exchange, qi);
-            if (!shard.exchange(qi, send, recv))
+            if (!shard.exchange(qi, links, io))
                 return 1; // a sibling gone: process 0 attributes it
             fireDrills(drills, p.index, fault::PeerDrillPhase::Ack, qi);
             break;
         }
         case transport::FrameType::StateReq: {
             ckpt::Reader r(f.body, "state request");
-            const bool node_stats = !f.body.empty() && r.boolean();
+            const std::uint64_t q = r.u64();
+            const Tick boundary = r.u64();
+            const bool node_stats = r.boolean();
             if (!r.ok() || r.remaining() != 0)
                 return 1;
             transport::Frame st;
             st.type = transport::FrameType::State;
-            st.body = shard.stateSlice(last_quantum, node_stats);
+            st.body = shard.stateSlice(q, boundary, node_stats);
             if (!control.send(st))
                 return 1;
             break;
@@ -628,9 +686,9 @@ class PeerGroup
     }
 
     /**
-     * Clean shutdown: Stop frame to every healthy peer, then a
-     * bounded reap; whoever fails to exit in time meets teardown()'s
-     * SIGKILL.
+     * Clean shutdown: Stop frame to every healthy peer, then a reap
+     * bounded by the deadline; whoever fails to exit in time meets
+     * teardown()'s SIGKILL.
      */
     void
     stopAll(double deadline_seconds) AQSIM_EXCLUDES(mutex_)
@@ -641,20 +699,11 @@ class PeerGroup
             if (pids[w] > 0 && !failed(w) && !reaped(w))
                 channels[w]->sendWithin(stop, deadline_seconds);
         const auto start = SteadyClock::now();
-        for (std::size_t w = 0; w < size(); ++w) {
-            while (pids[w] > 0 && !reaped(w)) {
-                int status = 0;
-                const pid_t got = ::waitpid(pids[w], &status, WNOHANG);
-                if (got == pids[w] || (got < 0 && errno == ECHILD)) {
-                    markReaped(w);
-                    break;
-                }
-                if (secondsSince(start) >= deadline_seconds)
-                    break;
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(5));
-            }
-        }
+        for (std::size_t w = 0; w < size(); ++w)
+            if (pids[w] > 0 && !reaped(w) &&
+                reapChild(pids[w], std::max(0.0, deadline_seconds -
+                                                     secondsSince(start))))
+                markReaped(w);
     }
 
     /**
@@ -684,7 +733,7 @@ class PeerGroup
         }
     }
 
-    std::vector<std::unique_ptr<transport::SocketChannel>> channels;
+    Links channels;
     std::vector<pid_t> pids;
 
   private:
@@ -887,9 +936,9 @@ splicedStateHash(const GatheredState &g)
 /**
  * Process 0's side of a run, as a QuantumExecutor: it runs shard 0
  * itself and drives the forked peers, one Quantum frame each per
- * quantum, then the same mesh exchange every peer runs. Every wait on
- * a peer is deadline-bounded, absorbs heartbeats, polls supervised
- * cancellation, and converts every failure mode into a
+ * quantum with work, then the same mesh exchange every peer runs.
+ * Every wait on a peer is deadline-bounded, absorbs heartbeats, polls
+ * supervised cancellation, and converts every failure mode into a
  * PeerFailure-carrying RunAbort stamped with the completed-quanta
  * count.
  */
@@ -898,10 +947,11 @@ class Coordinator : public QuantumExecutor
   public:
     Coordinator(Cluster &cluster, QuantumDriver &driver,
                 const EngineOptions &options, PeerGroup &peers,
+                const std::vector<fault::PeerDrill> &drills,
                 bool node_stats)
         : cluster_(cluster), driver_(driver), options_(options),
-          peers_(peers), k_(peers.size()), nodeStats_(node_stats),
-          shard_(cluster, 0, k_),
+          peers_(peers), drills_(drills), k_(peers.size()),
+          nodeStats_(node_stats), shard_(cluster, 0, k_),
           // At quantum 0 the pristine replica *is* every shard's
           // state; afterwards the flags aggregate over the shards.
           allDone_(cluster.allDone()),
@@ -919,6 +969,20 @@ class Coordinator : public QuantumExecutor
 
     bool done() const override { return allDone_; }
     bool pending() const override { return anyPending_; }
+
+    /** The least Report::next over the shards, except that a quantum
+     * a peer drill names always runs, so the drill fires whether or
+     * not the quantum has work. */
+    Tick
+    nextEventTick() const override
+    {
+        const std::uint64_t qi = driver_.sync().numQuanta() + 1;
+        for (const fault::PeerDrill &d : drills_)
+            if (d.phase != fault::PeerDrillPhase::Hello &&
+                d.quantum == qi)
+                return 0;
+        return next_;
+    }
 
     /**
      * Handshake: every peer announces itself with a geometry echo,
@@ -949,12 +1013,14 @@ class Coordinator : public QuantumExecutor
         transport::Frame quantum;
         quantum.type = transport::FrameType::Quantum;
         ckpt::Writer wr;
+        wr.u64(sync.quantumStart());
         wr.u64(sync.quantumEnd());
         wr.u64(qi);
         quantum.body = wr.buffer();
         for (std::size_t w = 1; w < k_; ++w)
             sendFrame(w, quantum, "quantum dispatch");
-        shard_.run(sync.quantumEnd(), options_.cancelToken);
+        shard_.run(sync.quantumStart(), sync.quantumEnd(),
+                   options_.cancelToken);
         driver_.pollCancel();
 
         // Each peer's deltas are absorbed into this controller
@@ -963,24 +1029,9 @@ class Coordinator : public QuantumExecutor
         const Report own = shard_.progress();
         allDone_ = own.done;
         anyPending_ = own.pending;
-        shard_.exchange(
-            qi,
-            [this](std::size_t w, const transport::Frame &f) {
-                sendFrame(w, f, "exchange barrier");
-                return true;
-            },
-            [this, qi](std::size_t w) {
-                const transport::Frame f = await(
-                    w, transport::FrameType::Exchange, "exchange barrier");
-                Report report;
-                if (!shard_.adopt(f, qi, w, report))
-                    fail(w, PeerFailureKind::Protocol, "exchange barrier",
-                         "malformed exchange body");
-                cluster_.controller().absorbRemoteDeltas(report.deltas);
-                allDone_ = allDone_ && report.done;
-                anyPending_ = anyPending_ || report.pending;
-                return true;
-            });
+        next_ = own.next;
+        RoundIo io{*this};
+        shard_.exchange(qi, peers_.channels, io);
         return std::nullopt; // measured by the driver
     }
 
@@ -1042,6 +1093,73 @@ class Coordinator : public QuantumExecutor
     }
 
     /**
+     * Process 0's side of an exchange round. A peer is Hung once its
+     * frame has not left within the deadline of the round's start,
+     * or once it sent no frame for the deadline while one is due;
+     * any frame it sends, heartbeats included, keeps it alive.
+     */
+    struct RoundIo
+    {
+        Coordinator &c;
+        const SteadyClock::time_point start = SteadyClock::now();
+        std::vector<SteadyClock::time_point> lastFrame =
+            std::vector<SteadyClock::time_point>(c.k_, start);
+
+        bool
+        next(transport::DuplexRound &round,
+             transport::DuplexRound::Event &e)
+        {
+            const double deadline = c.options_.peerDeadlineSeconds;
+            for (;;) {
+                c.driver_.pollCancel();
+                // Short slices keep the cancellation poll responsive
+                // without giving up any of a peer's deadline.
+                double slice = 0.25;
+                for (std::size_t w = 1; w < c.k_; ++w) {
+                    double left = deadline;
+                    if (round.sending(w))
+                        left = deadline - secondsSince(start);
+                    if (round.receiving(w))
+                        left = std::min(
+                            left, deadline - secondsSince(lastFrame[w]));
+                    if (left <= 0.0)
+                        c.fail(w, PeerFailureKind::Hang, phase);
+                    slice = std::min(slice, left);
+                }
+                if (round.advance(e, std::max(slice, 0.01))) {
+                    if (e.kind == transport::DuplexRound::EventKind::
+                                      Received) {
+                        c.peers_.touch(e.link);
+                        lastFrame[e.link] = SteadyClock::now();
+                    }
+                    return true;
+                }
+            }
+        }
+        void sent(std::size_t) const {}
+        void
+        adopted(std::size_t, const Report &report) const
+        {
+            c.cluster_.controller().absorbRemoteDeltas(report.deltas);
+            c.allDone_ = c.allDone_ && report.done;
+            c.anyPending_ = c.anyPending_ || report.pending;
+            c.next_ = std::min(c.next_, report.next);
+        }
+        [[noreturn]] void
+        failed(std::size_t w, const transport::DuplexRound::Event &e) const
+        {
+            if (e.kind == transport::DuplexRound::EventKind::Failed)
+                c.failStatus(w, e.status, phase);
+            if (e.frame.type == transport::FrameType::Exchange)
+                c.fail(w, PeerFailureKind::Protocol, phase,
+                       "malformed exchange body");
+            c.failFrame(w, e.frame, phase);
+        }
+
+        static constexpr const char *phase = "exchange barrier";
+    };
+
+    /**
      * Wait for one @p want frame from peer @p w. Any frame resets
      * the liveness window (heartbeats keep a slow peer alive); the
      * deadline elapsing, a closed pipe, wire damage, an unexpected
@@ -1063,7 +1181,9 @@ class Coordinator : public QuantumExecutor
             const double slice = std::min(
                 0.25, options_.peerDeadlineSeconds - elapsed);
             transport::Frame f;
-            switch (ch.recv(f, std::max(slice, 0.01))) {
+            const transport::RecvStatus status =
+                ch.recv(f, std::max(slice, 0.01));
+            switch (status) {
             case transport::RecvStatus::Ok:
                 peers_.touch(w);
                 window_start = SteadyClock::now();
@@ -1071,25 +1191,43 @@ class Coordinator : public QuantumExecutor
                     continue;
                 if (f.type == want)
                     return f;
-                if (f.type == transport::FrameType::Abort) {
-                    ckpt::Reader r(f.body, "abort");
-                    const std::string cause = r.str();
-                    const std::string detail = r.str();
-                    fail(w, PeerFailureKind::Protocol, phase,
-                         "peer aborted itself: " + cause + ": " +
-                             detail);
-                }
-                fail(w, PeerFailureKind::Protocol, phase,
-                     std::string("unexpected ") +
-                         transport::frameTypeName(f.type) + " frame");
+                failFrame(w, f, phase);
             case transport::RecvStatus::Timeout:
                 continue;
             case transport::RecvStatus::Closed:
-                fail(w, PeerFailureKind::Disconnect, phase);
             case transport::RecvStatus::Corrupt:
-                fail(w, PeerFailureKind::Corrupt, phase);
+                failStatus(w, status, phase);
             }
         }
+    }
+
+    /** Fail peer @p w for frame @p f, which is not the one due: a
+     * peer-reported Abort or an unexpected type. */
+    [[noreturn]] void
+    failFrame(std::size_t w, const transport::Frame &f, const char *phase)
+    {
+        if (f.type == transport::FrameType::Abort) {
+            ckpt::Reader r(f.body, "abort");
+            const std::string cause = r.str();
+            const std::string detail = r.str();
+            fail(w, PeerFailureKind::Protocol, phase,
+                 "peer aborted itself: " + cause + ": " + detail);
+        }
+        fail(w, PeerFailureKind::Protocol, phase,
+             std::string("unexpected ") +
+                 transport::frameTypeName(f.type) + " frame");
+    }
+
+    /** Fail peer @p w for a Closed or Corrupt channel. */
+    [[noreturn]] void
+    failStatus(std::size_t w, transport::RecvStatus status,
+               const char *phase)
+    {
+        fail(w,
+             status == transport::RecvStatus::Corrupt
+                 ? PeerFailureKind::Corrupt
+                 : PeerFailureKind::Disconnect,
+             phase);
     }
 
     /** Quarantine peer @p w and abort the run with its failure. */
@@ -1113,26 +1251,28 @@ class Coordinator : public QuantumExecutor
     /**
      * Every StateReq goes out before shard 0's own slice is taken and
      * any State is awaited, so all shards serialize in parallel. Each
-     * column is already merged, so a StateReq carries nothing but,
-     * when @p node_stats, a request for the shard's node stat values
-     * (StateReq := [nodeStats(bool)]; a checkpoint's is empty).
+     * column is already merged, so a StateReq carries no rows: only
+     * the completed quanta, the boundary every shard catches its
+     * clocks up to, and whether to append the node stat values
+     * (@p node_stats).
      */
     GatheredState
     gather(bool node_stats)
     {
+        const std::uint64_t q = driver_.sync().numQuanta();
+        const Tick boundary = driver_.sync().quantumStart();
         transport::Frame req;
         req.type = transport::FrameType::StateReq;
-        if (node_stats) {
-            ckpt::Writer w;
-            w.boolean(true);
-            req.body = w.buffer();
-        }
+        ckpt::Writer wr;
+        wr.u64(q);
+        wr.u64(boundary);
+        wr.boolean(node_stats);
+        req.body = wr.buffer();
         for (std::size_t w = 1; w < k_; ++w)
             sendFrame(w, req, "state gather");
-        const std::uint64_t q = driver_.sync().numQuanta();
         std::vector<PeerState> states(k_);
-        if (!readSlice(shard_.stateSlice(q, node_stats), 0, q, node_stats,
-                       states[0]))
+        if (!readSlice(shard_.stateSlice(q, boundary, node_stats), 0, q,
+                       node_stats, states[0]))
             panic("shard 0 wrote a malformed state slice");
         for (std::size_t w = 1; w < k_; ++w) {
             const transport::Frame f =
@@ -1195,12 +1335,16 @@ class Coordinator : public QuantumExecutor
     QuantumDriver &driver_;
     const EngineOptions &options_;
     PeerGroup &peers_;
+    const std::vector<fault::PeerDrill> &drills_;
     const std::size_t k_;
     /** The final gather collects every node's stat values. */
     const bool nodeStats_;
     MeshShard shard_;
     bool allDone_;
     bool anyPending_;
+    /** The least Report::next of the last quantum run (0: run the
+     * first). */
+    Tick next_ = 0;
 };
 
 } // namespace
@@ -1218,6 +1362,40 @@ checkedPeerDrills(const EngineOptions &options, std::size_t num_nodes)
                   "0)",
                   d.peer, k - 1);
     return drills;
+}
+
+bool
+reapChild(long pid, double seconds)
+{
+    const auto start = SteadyClock::now();
+#ifdef SYS_pidfd_open
+    const int pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+#else
+    const int pidfd = -1;
+#endif
+    bool reaped = false;
+    for (;;) {
+        const pid_t got =
+            ::waitpid(static_cast<pid_t>(pid), nullptr, WNOHANG);
+        if (got == static_cast<pid_t>(pid) || (got < 0 && errno == ECHILD)) {
+            reaped = true;
+            break;
+        }
+        const double left = seconds - secondsSince(start);
+        if (left <= 0.0)
+            break;
+        // The pidfd reads ready once the child has exited. Without
+        // one (a kernel before 5.3), poll in 1 ms slices.
+        struct pollfd pfd;
+        pfd.fd = pidfd;
+        pfd.events = POLLIN;
+        pfd.revents = 0;
+        ::poll(&pfd, pidfd >= 0 ? 1 : 0,
+               pidfd >= 0 ? static_cast<int>(std::ceil(left * 1e3)) : 1);
+    }
+    if (pidfd >= 0)
+        ::close(pidfd);
+    return reaped;
 }
 
 DistributedEngine::DistributedEngine(EngineOptions options)
@@ -1291,7 +1469,7 @@ DistributedEngine::run(const ClusterParams &params,
     peers.channels = std::move(links[0]);
     links.clear();
 
-    Coordinator coord(cluster, driver, options_, peers,
+    Coordinator coord(cluster, driver, options_, peers, drills,
                       replica != nullptr);
     // The driver starts the run's watchdog thread, after every fork.
     RunResult result = driver.run(coord);

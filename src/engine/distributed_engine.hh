@@ -106,6 +106,15 @@ std::vector<fault::PeerDrill> checkedPeerDrills(const EngineOptions &options,
                                                 std::size_t num_nodes);
 
 /**
+ * Wait up to @p seconds for child process @p pid to exit, and reap
+ * it. The wait sleeps on a pidfd (pidfd_open(2)), so it ends as soon
+ * as the child exits, not at the next tick of a polling sleep.
+ *
+ * @return true once the child is reaped (or was no child of ours).
+ */
+bool reapChild(long pid, double seconds);
+
+/**
  * Multi-process distributed engine (process 0's side).
  *
  * Unlike the in-process engines there is no run(Cluster&) overload:
@@ -130,7 +139,7 @@ class DistributedEngine
      *        groups are the run's, and every node's stat values,
      *        gathered from the shards in the final State frames, are
      *        adopted into it (Cluster::adoptNodeStats). Null (the
-     *        default) gathers no stats and changes no frame.
+     *        default) gathers no stats.
      * @throw base::RunAbort cause "peer-failure" when a peer
      *        crashes, hangs, or corrupts the protocol mid-run (the
      *        surviving peers are torn down first).

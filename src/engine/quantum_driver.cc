@@ -86,6 +86,7 @@ QuantumDriver::run(QuantumExecutor &exec)
     ck.every = options_.checkpointEvery;
     ck.dir = options_.checkpointDir;
     ck.restorePath = options_.restorePath;
+    ck.restoreImage = options_.restoreImage;
     ck.keepLast = options_.checkpointKeepLast;
     ck.stashForPanic = options_.watchdogSeconds > 0.0 &&
                        !ck.dir.empty() && exec.stashesPanicImage();
@@ -141,7 +142,13 @@ QuantumDriver::run(QuantumExecutor &exec)
                   "applications incomplete\n%s%s",
                   info.progress.c_str(), info.peers.c_str());
         }
-        const std::optional<HostNs> modeled = exec.runQuantum();
+        // An empty quantum changes nothing the executor holds: only
+        // the counters completeQuantum keeps below.
+        std::optional<HostNs> modeled;
+        if (exec.nextEventTick() < sync_.quantumEnd()) {
+            modeled = exec.runQuantum();
+            ++result.executedQuanta;
+        }
         HostNs quantum_ns;
         if (modeled) {
             quantum_ns = *modeled;

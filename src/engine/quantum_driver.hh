@@ -14,6 +14,12 @@
  * Per-quantum order: executor barrier, cancellation poll, watchdog
  * kick, Synchronizer::completeQuantum, checkpoint (the executor is
  * asked for an image only when one is due), recovery drill, guards.
+ *
+ * An empty quantum costs no barrier: when the executor's bound on the
+ * cluster's earliest pending event lies at or past the quantum's end,
+ * no node has anything to run in it, so the driver completes it
+ * without runQuantum(). Everything else in the order above still
+ * happens, so results, stats, timelines and images are unchanged.
  */
 
 #ifndef AQSIM_ENGINE_QUANTUM_DRIVER_HH
@@ -64,6 +70,15 @@ class QuantumExecutor
      * the quantum's wall-clock lap instead.
      */
     virtual std::optional<HostNs> runQuantum() = 0;
+
+    /**
+     * A lower bound on the earliest pending event of the whole
+     * cluster, as of the last runQuantum(). The driver skips the open
+     * quantum when the bound is at or past its end. The default, 0,
+     * runs every quantum: the sequential engine models each quantum's
+     * host time, so an empty one still costs modeled time.
+     */
+    virtual Tick nextEventTick() const { return 0; }
 
     /** @return true once every application has finished. */
     virtual bool done() const = 0;

@@ -34,6 +34,9 @@ struct RunResult
     double metric = 0.0;
 
     std::uint64_t quanta = 0;
+    /** Quanta the executor ran; the rest had no event before their
+     * end and were completed without a barrier. Not in summary(). */
+    std::uint64_t executedQuanta = 0;
     std::uint64_t packets = 0;
     std::uint64_t stragglers = 0;
     std::uint64_t nextQuantumDeliveries = 0;

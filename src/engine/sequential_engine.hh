@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "base/failure.hh"
@@ -30,6 +31,11 @@
 #include "engine/watchdog.hh"
 #include "net/network_controller.hh"
 #include "node/host_cost_model.hh"
+
+namespace aqsim::ckpt
+{
+struct CheckpointImage;
+} // namespace aqsim::ckpt
 
 namespace aqsim::engine
 {
@@ -128,6 +134,12 @@ struct EngineOptions
      * instead of killing the process.
      */
     base::CancelToken *cancelToken = nullptr;
+    /**
+     * Supervision seam: the image at restorePath, already read and
+     * decoded by the supervisor's probe. The run adopts it instead of
+     * reading and decoding the file a second time.
+     */
+    std::shared_ptr<const ckpt::CheckpointImage> restoreImage;
     /**
      * Supervision seam: called (from the watchdog thread) with the
      * structured hang dump on first watchdog expiry instead of

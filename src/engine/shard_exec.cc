@@ -18,16 +18,20 @@ ShardLoop::ShardLoop(Cluster &cluster, NodeMailbox *mailboxes)
       wake_(cluster.numNodes(), 0)
 {}
 
-void
+Tick
 ShardLoop::runQuantum(std::size_t begin, std::size_t end, Tick qs,
                       Tick qe, std::size_t lane,
                       const base::CancelToken *cancel)
 {
     const bool conservative = qe - qs <= minLatency_;
     AQSIM_ASSERT(conservative || mailboxes_ != nullptr);
+    Tick earliest = maxTick;
     for (auto id = static_cast<NodeId>(begin); id < end; ++id) {
-        if (conservative && wake_[id] >= qe)
-            continue; // nothing before qe, and nothing can arrive
+        if (conservative && wake_[id] >= qe) {
+            // Nothing before qe, and nothing can arrive.
+            earliest = std::min(earliest, wake_[id]);
+            continue;
+        }
         node::NodeSimulator &node = cluster_.node(id);
         auto &queue = node.queue();
         try {
@@ -47,7 +51,9 @@ ShardLoop::runQuantum(std::size_t begin, std::size_t end, Tick qs,
         }
         controller_.foldSource(id, lane);
         wake_[id] = queue.nextTick();
+        earliest = std::min(earliest, wake_[id]);
     }
+    return earliest;
 }
 
 void

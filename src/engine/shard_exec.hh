@@ -72,8 +72,11 @@ class ShardLoop
      * every exit path. Abandons the quantum, nodes mid-quantum, once
      * @p cancel (the supervised-run unwedge seam) is set: the run and
      * its cluster are being discarded.
+     *
+     * @return the least wake tick of the range afterwards: a lower
+     * bound on its next event, deliveries staged this quantum aside.
      */
-    void runQuantum(std::size_t begin, std::size_t end, Tick qs,
+    Tick runQuantum(std::size_t begin, std::size_t end, Tick qs,
                     Tick qe, std::size_t lane,
                     const base::CancelToken *cancel = nullptr);
 

@@ -1,5 +1,6 @@
 #include "engine/threaded_engine.hh"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -83,7 +84,7 @@ class PoolExecutor : public QuantumExecutor
           workers_(WorkerPool::resolveWorkerCount(options.numWorkers, n_)),
           mailboxes_(n_), batch_(n_, workers_, options.phaseStats),
           scheduler_(mailboxes_, batch_, driver.sync()),
-          loop_(cluster, mailboxes_.data()),
+          loop_(cluster, mailboxes_.data()), earliest_(workers_, 0),
           pool_(workers_,
                 [this](std::size_t w, Tick qe) { runShard(w, qe); })
     {
@@ -95,6 +96,14 @@ class PoolExecutor : public QuantumExecutor
     const char *name() const override { return "threaded"; }
     bool done() const override { return cluster_.allDone(); }
     bool pending() const override { return cluster_.anyEventPending(); }
+
+    /** Every worker's bound, folded: a delivery merged into one shard
+     * was staged, and so counted, by another. */
+    Tick
+    nextEventTick() const override
+    {
+        return *std::min_element(earliest_.begin(), earliest_.end());
+    }
 
     std::optional<HostNs>
     runQuantum() override
@@ -178,8 +187,9 @@ class PoolExecutor : public QuantumExecutor
             if (!cancel || !cancel->cancelled()) {
                 const auto [begin, end] =
                     WorkerPool::shardRange(w, workers_, n_);
-                loop_.runQuantum(begin, end, quantumStart_, qe, w,
-                                 cancel);
+                const Tick ran = loop_.runQuantum(
+                    begin, end, quantumStart_, qe, w, cancel);
+                earliest_[w] = std::min(ran, batch_.earliestStaged(w));
             }
         } catch (const base::RunAbort &abort) {
             latchFailure(abort);
@@ -220,6 +230,10 @@ class PoolExecutor : public QuantumExecutor
     ShardLoop loop_;
     /** Written by worker 0 before the quantum-start crossing. */
     Tick quantumStart_ = 0;
+    /** By worker: the least of its nodes' wake ticks and of the
+     * deliveries it staged, as of its last quantum (0: run the
+     * first). */
+    std::vector<Tick> earliest_;
     base::Mutex failMutex_;
     std::unique_ptr<base::RunAbort>
         firstFailure_ AQSIM_GUARDED_BY(failMutex_);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <thread>
 
@@ -199,12 +200,15 @@ RunSupervisor::run(const RunRequest &request)
         } else if (attempt > 1 && !options.checkpointDir.empty()) {
             // Probe before committing to a restore: a crash before
             // the first checkpoint write simply replays from scratch.
+            // The attempt adopts the probed image, so it is read and
+            // decoded once.
             ckpt::CheckpointManager probe(options.checkpointDir, 0, 0);
-            ckpt::CheckpointImage image;
+            auto image = std::make_shared<ckpt::CheckpointImage>();
             std::string path;
             ckpt::CkptError error;
-            if (probe.loadBest(image, path, error)) {
-                options.restorePath = options.checkpointDir;
+            if (probe.loadBest(*image, path, error)) {
+                options.restorePath = path;
+                options.restoreImage = std::move(image);
                 restore_source = path;
             }
         }

@@ -34,15 +34,17 @@ enum class FrameType : std::uint32_t
 {
     /** Peer -> process 0: the peer is alive and speaks the protocol. */
     Hello = 1,
-    /** Process 0 -> peer: run one quantum up to its end qe, then
-     * exchange and merge. */
+    /** Process 0 -> peer: run quantum [qs, qe), then exchange and
+     * merge. Sent only for quanta in which some node has work. */
     Quantum,
     /** Any process -> any other: the delivery rows it staged for the
      * receiver's shard this quantum; toward process 0 also the
-     * counter deltas and the done/pending flags. */
+     * counter deltas, the done/pending flags and a lower bound on the
+     * shard's next event. */
     Exchange,
-    /** Process 0 -> peer: serialize your state slice (every column is
-     * already merged, so the frame carries no rows). */
+    /** Process 0 -> peer: serialize your state slice, clocks caught
+     * up to the boundary the frame names (every column is already
+     * merged, so the frame carries no rows). */
     StateReq,
     /** Peer -> process 0: the requested state slice. */
     State,

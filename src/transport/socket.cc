@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "base/logging.hh"
 
@@ -75,27 +77,50 @@ SocketChannel::sendWithin(const Frame &frame, double deadline_seconds)
 RecvStatus
 SocketChannel::write(const Frame &frame, Deadline deadline)
 {
-    const std::vector<std::uint8_t> wire = encodeFrame(frame);
-    base::MutexLock lock(sendMutex_);
-    std::size_t sent = 0;
-    while (sent < wire.size()) {
-        const ssize_t n =
-            ::send(fd_, wire.data() + sent, wire.size() - sent,
-                   MSG_NOSIGNAL | MSG_DONTWAIT);
-        if (n >= 0) {
-            sent += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (errno == EINTR)
-            continue;
-        // EPIPE/ECONNRESET: peer is gone. The caller maps this
-        // to a structured disconnect failure.
-        if (errno != EAGAIN && errno != EWOULDBLOCK)
-            return RecvStatus::Closed;
+    post(frame);
+    for (;;) {
+        const RecvStatus status = flush();
+        if (status != RecvStatus::Timeout)
+            return status;
         // The socket buffer is full: wait for the peer to drain it.
         const RecvStatus ready = waitReady(POLLOUT, deadline);
         if (ready != RecvStatus::Ok)
             return ready;
+    }
+}
+
+void
+SocketChannel::post(const Frame &frame)
+{
+    std::vector<std::uint8_t> wire = encodeFrame(frame);
+    base::MutexLock lock(sendMutex_);
+    if (outHead_ == out_.size()) {
+        out_ = std::move(wire);
+        outHead_ = 0;
+    } else {
+        out_.insert(out_.end(), wire.begin(), wire.end());
+    }
+}
+
+RecvStatus
+SocketChannel::flush()
+{
+    base::MutexLock lock(sendMutex_);
+    while (outHead_ < out_.size()) {
+        const ssize_t n =
+            ::send(fd_, out_.data() + outHead_, out_.size() - outHead_,
+                   MSG_NOSIGNAL | MSG_DONTWAIT);
+        if (n >= 0) {
+            outHead_ += static_cast<std::size_t>(n);
+            continue;
+        }
+        if (errno == EINTR)
+            continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK)
+            return RecvStatus::Timeout;
+        // EPIPE/ECONNRESET: peer is gone. The caller maps this to a
+        // structured disconnect failure.
+        return RecvStatus::Closed;
     }
     return RecvStatus::Ok;
 }
@@ -121,77 +146,174 @@ SocketChannel::waitReady(short events, Deadline deadline) const
 }
 
 RecvStatus
-SocketChannel::readFully(std::uint8_t *data, std::size_t size,
-                         Deadline deadline)
+SocketChannel::tryRecv(Frame &frame)
 {
-    std::size_t got = 0;
-    const auto spin_end = std::min(
-        deadline, std::chrono::steady_clock::now() + spinBudget);
-    while (got < size) {
-        const ssize_t n =
-            ::recv(fd_, data + got, size - got, MSG_DONTWAIT);
+    for (;;) {
+        std::uint8_t *dst;
+        std::size_t want;
+        if (inGot_ < frameHeaderBytes) {
+            dst = inHeader_ + inGot_;
+            want = frameHeaderBytes - inGot_;
+        } else {
+            const std::size_t body_got = inGot_ - frameHeaderBytes;
+            if (body_got == inBody_.size()) {
+                std::uint32_t body_len = 0, type = 0, body_crc = 0;
+                std::memcpy(&body_len, inHeader_, 4);
+                std::memcpy(&type, inHeader_ + 4, 4);
+                std::memcpy(&body_crc, inHeader_ + 8, 4);
+                inGot_ = 0;
+                return decodeFrame(body_len, type, body_crc,
+                                   std::move(inBody_), frame);
+            }
+            dst = inBody_.data() + body_got;
+            want = inBody_.size() - body_got;
+        }
+        const ssize_t n = ::recv(fd_, dst, want, MSG_DONTWAIT);
         if (n > 0) {
-            got += static_cast<std::size_t>(n);
+            inGot_ += static_cast<std::size_t>(n);
+            if (inGot_ == frameHeaderBytes) {
+                std::uint32_t body_len = 0;
+                std::memcpy(&body_len, inHeader_, 4);
+                if (body_len > maxFrameBody)
+                    return RecvStatus::Corrupt;
+                inBody_ = std::vector<std::uint8_t>(body_len);
+            }
             continue;
         }
         if (n == 0)
             return RecvStatus::Closed; // orderly EOF (peer dead)
         if (errno == EINTR)
             continue;
-        if (errno != EAGAIN && errno != EWOULDBLOCK)
-            return RecvStatus::Closed; // ECONNRESET and friends
-        if (std::chrono::steady_clock::now() >= spin_end)
-            break;
-        ::sched_yield();
+        if (errno == EAGAIN || errno == EWOULDBLOCK)
+            return RecvStatus::Timeout;
+        return RecvStatus::Closed; // ECONNRESET and friends
     }
-    while (got < size) {
-        const RecvStatus ready = waitReady(POLLIN, deadline);
-        if (ready != RecvStatus::Ok)
-            return ready;
-        const ssize_t n = ::recv(fd_, data + got, size - got, 0);
-        if (n == 0)
-            return RecvStatus::Closed; // orderly EOF (peer dead)
-        if (n < 0) {
-            if (errno == EINTR || errno == EAGAIN ||
-                errno == EWOULDBLOCK)
-                continue;
-            return RecvStatus::Closed; // ECONNRESET and friends
-        }
-        got += static_cast<std::size_t>(n);
-    }
-    return RecvStatus::Ok;
 }
 
 RecvStatus
 SocketChannel::recv(Frame &frame, double deadline_seconds)
 {
     const auto deadline = deadlineAfter(deadline_seconds);
-
-    std::uint8_t header[frameHeaderBytes];
-    RecvStatus status = readFully(header, sizeof(header), deadline);
-    if (status != RecvStatus::Ok)
-        return status;
-
-    std::uint32_t body_len = 0, type = 0, body_crc = 0;
-    std::memcpy(&body_len, header, 4);
-    std::memcpy(&type, header + 4, 4);
-    std::memcpy(&body_crc, header + 8, 4);
-    if (body_len > maxFrameBody)
-        return RecvStatus::Corrupt;
-
-    std::vector<std::uint8_t> body(body_len);
-    if (body_len > 0) {
-        status = readFully(body.data(), body.size(), deadline);
-        if (status != RecvStatus::Ok)
+    const auto spin_end = std::min(
+        deadline, std::chrono::steady_clock::now() + spinBudget);
+    for (;;) {
+        const RecvStatus status = tryRecv(frame);
+        if (status != RecvStatus::Timeout)
             return status;
+        if (std::chrono::steady_clock::now() < spin_end) {
+            ::sched_yield();
+            continue;
+        }
+        // Partial data at the deadline is Timeout: a sender wedged
+        // mid-frame must not hang the reader.
+        const RecvStatus ready = waitReady(POLLIN, deadline);
+        if (ready != RecvStatus::Ok)
+            return ready;
     }
-    return decodeFrame(body_len, type, body_crc, std::move(body), frame);
 }
 
 void
 SocketChannel::close()
 {
     ::shutdown(fd_, SHUT_RDWR);
+}
+
+void
+DuplexRound::send(std::size_t link, SocketChannel &channel,
+                  const Frame &frame)
+{
+    channel.post(frame);
+    legs_[link].channel = &channel;
+    legs_[link].sending = true;
+}
+
+void
+DuplexRound::receive(std::size_t link, SocketChannel &channel)
+{
+    legs_[link].channel = &channel;
+    legs_[link].receiving = true;
+}
+
+bool
+DuplexRound::busy() const
+{
+    for (const Leg &leg : legs_)
+        if (leg.sending || leg.receiving)
+            return true;
+    return false;
+}
+
+bool
+DuplexRound::step(Event &event)
+{
+    for (std::size_t link = 0; link < legs_.size(); ++link) {
+        Leg &leg = legs_[link];
+        event.link = link;
+        // Receive first: a frame the other end wrote before it went
+        // away (its Abort, say) explains more than the failed write.
+        if (leg.receiving) {
+            event.status = leg.channel->tryRecv(event.frame);
+            if (event.status == RecvStatus::Ok) {
+                leg.receiving = false;
+                event.kind = EventKind::Received;
+                return true;
+            }
+            if (event.status != RecvStatus::Timeout) {
+                leg.sending = leg.receiving = false;
+                event.kind = EventKind::Failed;
+                return true;
+            }
+        }
+        if (leg.sending) {
+            event.status = leg.channel->flush();
+            if (event.status == RecvStatus::Ok) {
+                leg.sending = false;
+                event.kind = EventKind::Sent;
+                return true;
+            }
+            if (event.status != RecvStatus::Timeout) {
+                leg.sending = leg.receiving = false;
+                event.kind = EventKind::Failed;
+                return true;
+            }
+        }
+    }
+    return false;
+}
+
+bool
+DuplexRound::advance(Event &event, double seconds)
+{
+    const auto deadline = deadlineAfter(seconds);
+    const auto spin_end = std::min(
+        deadline, std::chrono::steady_clock::now() + spinBudget);
+    std::vector<struct pollfd> fds;
+    for (;;) {
+        if (step(event))
+            return true;
+        const auto now = std::chrono::steady_clock::now();
+        if (now >= deadline)
+            return false;
+        if (now < spin_end) {
+            ::sched_yield();
+            continue;
+        }
+        fds.clear();
+        for (const Leg &leg : legs_) {
+            if (!leg.sending && !leg.receiving)
+                continue;
+            struct pollfd pfd;
+            pfd.fd = leg.channel->fd();
+            pfd.events = static_cast<short>((leg.sending ? POLLOUT : 0) |
+                                            (leg.receiving ? POLLIN : 0));
+            pfd.revents = 0;
+            fds.push_back(pfd);
+        }
+        if (fds.empty())
+            return false;
+        // Readiness, a slice's end or EINTR: the next pass finds out.
+        ::poll(fds.data(), fds.size(), remainingMs(deadline));
+    }
 }
 
 std::pair<std::unique_ptr<SocketChannel>, std::unique_ptr<SocketChannel>>

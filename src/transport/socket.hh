@@ -21,13 +21,19 @@
  *  - sends use MSG_NOSIGNAL, so writing into a half-open pipe
  *    returns false instead of raising SIGPIPE.
  *
+ * Both directions are buffered in the channel: a send queues its
+ * frame whole and writes what the socket takes, and a receive keeps
+ * the bytes of a partly read frame. post()/flush()/tryRecv() are the
+ * non-blocking halves, with which DuplexRound serves the writes and
+ * reads of several channels from one poll(2).
+ *
  * socketChannelPair() (socketpair(2)) is the fork-model transport:
  * process 0 creates one pair per pair of processes before forking,
  * and each process keeps its own ends.
  *
- * Thread safety: send() is serialized, so one thread may send (the
- * heartbeat thread) while another sends or receives. Multiple
- * concurrent receivers are not supported.
+ * Thread safety: sends are serialized and queue whole frames, so one
+ * thread may send (the heartbeat thread) while another sends or
+ * receives. Multiple concurrent receivers are not supported.
  */
 
 #ifndef AQSIM_TRANSPORT_SOCKET_HH
@@ -37,6 +43,7 @@
 #include <cstdint>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "base/mutex.hh"
 #include "transport/frame.hh"
@@ -82,6 +89,28 @@ class SocketChannel
      */
     RecvStatus recv(Frame &frame, double deadline_seconds);
 
+    /** Queue @p frame, whole, behind any frame still queued; writes
+     * nothing (flush() does). */
+    void post(const Frame &frame) AQSIM_EXCLUDES(sendMutex_);
+
+    /**
+     * Write as much of the queue as the socket takes now.
+     *
+     * @return Ok once nothing is queued; Timeout while bytes remain
+     *         (wait for POLLOUT); Closed if the peer is gone.
+     */
+    RecvStatus flush() AQSIM_EXCLUDES(sendMutex_);
+
+    /**
+     * Read what the socket holds now, without waiting. Bytes of a
+     * frame not yet complete stay in the channel for the next call.
+     *
+     * @return Ok with @p frame once a whole frame is in; Timeout
+     *         while none is (wait for POLLIN); Closed or Corrupt as
+     *         recv().
+     */
+    RecvStatus tryRecv(Frame &frame);
+
     /**
      * shutdown(2) both directions; the fd itself is closed by the
      * destructor. A peer blocked in recv() observes Closed.
@@ -105,17 +134,88 @@ class SocketChannel
      */
     RecvStatus waitReady(short events, Deadline deadline) const;
 
-    /**
-     * Read exactly @p size bytes before @p deadline. Partial data at
-     * the deadline is Timeout (a wedged sender mid-frame must not
-     * hang the reader); EOF mid-buffer is Closed.
-     */
-    RecvStatus readFully(std::uint8_t *data, std::size_t size,
-                         Deadline deadline);
-
     const int fd_;
     /** Serializes writers (protocol thread + heartbeat thread). */
     base::Mutex sendMutex_;
+    /** Encoded frames not yet written, from outHead_ on. Frames are
+     * queued whole, so two writers never interleave their bytes. */
+    std::vector<std::uint8_t> out_ AQSIM_GUARDED_BY(sendMutex_);
+    std::size_t outHead_ AQSIM_GUARDED_BY(sendMutex_) = 0;
+    /** The frame being read (receiving thread only): its header,
+     * then its body, inGot_ bytes of them so far. */
+    std::uint8_t inHeader_[frameHeaderBytes] = {};
+    std::vector<std::uint8_t> inBody_;
+    std::size_t inGot_ = 0;
+};
+
+/**
+ * One full-duplex round over several channels (the mesh exchange):
+ * every frame is queued before anything waits, and one poll(2) serves
+ * all outstanding writes and reads, so the round completes whatever
+ * the frame sizes and whatever order the other ends work in.
+ */
+class DuplexRound
+{
+  public:
+    enum class EventKind
+    {
+        /** The link's frame is written. */
+        Sent,
+        /** A frame arrived on the link (its receive is now done). */
+        Received,
+        /** The link failed (status Closed or Corrupt). */
+        Failed,
+    };
+
+    struct Event
+    {
+        EventKind kind = EventKind::Failed;
+        std::size_t link = 0;
+        RecvStatus status = RecvStatus::Ok;
+        /** The frame of a Received event. */
+        Frame frame;
+    };
+
+    /** @param links number of links, indexed 0..links-1. */
+    explicit DuplexRound(std::size_t links) : legs_(links) {}
+
+    /** Queue @p frame on @p channel as link @p link's send. */
+    void send(std::size_t link, SocketChannel &channel,
+              const Frame &frame);
+
+    /** Expect one frame from @p channel as link @p link's receive. */
+    void receive(std::size_t link, SocketChannel &channel);
+
+    bool sending(std::size_t link) const { return legs_[link].sending; }
+    bool
+    receiving(std::size_t link) const
+    {
+        return legs_[link].receiving;
+    }
+
+    /** @return true while a send or receive is outstanding. */
+    bool busy() const;
+
+    /**
+     * Progress every outstanding send and receive until one completes
+     * or fails, for at most @p seconds.
+     *
+     * @return false if none did in time.
+     */
+    bool advance(Event &event, double seconds);
+
+  private:
+    struct Leg
+    {
+        SocketChannel *channel = nullptr;
+        bool sending = false;
+        bool receiving = false;
+    };
+
+    /** One non-blocking pass. @return true with the first event. */
+    bool step(Event &event);
+
+    std::vector<Leg> legs_;
 };
 
 /**

@@ -13,10 +13,12 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "ckpt/checkpoint.hh"
+#include "ckpt/ckpt_io.hh"
 #include "ckpt/manager.hh"
 #include "engine/threaded_engine.hh"
 #include "net/network_controller.hh"
@@ -168,6 +170,35 @@ TEST(Checkpoint, RestoreFromDirectoryPicksNewest)
     EXPECT_EQ(restored.restoredFromQuantum,
               (golden.quanta / 100) * 100);
     std::filesystem::remove_all(dir);
+}
+
+TEST(Checkpoint, RestoreAdoptsAnImageAlreadyLoaded)
+{
+    // The supervisor's probe hands its decoded image to the retry:
+    // the run verifies against it and never reads restorePath again,
+    // which here names no file at all.
+    const MatrixCell cell{true, 2, false};
+    const auto golden = runCell(cell);
+
+    const std::string dir = scratchDir("adopt");
+    engine::EngineOptions ck;
+    ck.checkpointEvery = 100;
+    ck.checkpointDir = dir;
+    ck.checkpointKeepLast = 0;
+    runCell(cell, ck);
+    auto image = std::make_shared<ckpt::CheckpointImage>();
+    std::vector<std::uint8_t> raw;
+    ckpt::CkptError error;
+    ASSERT_TRUE(ckpt::readFile(checkpointFile(dir, 100), raw, error));
+    ASSERT_TRUE(ckpt::decodeImage(raw, *image, error)) << error.str();
+    std::filesystem::remove_all(dir);
+
+    engine::EngineOptions restore;
+    restore.restorePath = dir + "/gone.aqc";
+    restore.restoreImage = image;
+    const auto restored = runCell(cell, restore);
+    expectSameRun(golden, restored, "adopted image");
+    EXPECT_EQ(restored.restoredFromQuantum, 100u);
 }
 
 TEST(Checkpoint, RotationKeepsLastN)

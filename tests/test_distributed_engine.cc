@@ -9,18 +9,23 @@
  * peer-failure/peer-recovery incidents, checkpoint-restore recovery
  * (also from a peer killed just before a checkpoint gather),
  * checkpoint images byte-equal to the threaded engine's, cross-shard
- * pingpong, Exchange frames larger than the socket send buffer, and
- * the watchdog's per-peer liveness dump.
+ * pingpong, Exchange frames larger than the socket send buffer, the
+ * watchdog's per-peer liveness dump, and reaping a peer as soon as it
+ * exits.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <string>
 
 #include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "ckpt/checkpoint.hh"
 #include "ckpt/ckpt_io.hh"
@@ -618,4 +623,63 @@ TEST(DistributedEngine, HarnessRoutesDistributedRuns)
     const auto out = harness::runExperiment(config);
     EXPECT_EQ(out.result.engine, "distributed");
     EXPECT_GT(out.result.simTicks, 0u);
+}
+
+TEST(DistributedEngine, PeerExitingAfterStopIsReapedWithoutAFixedSleep)
+{
+    // A child that exits as soon as it reads its stop byte, as a peer
+    // exits on its Stop frame. The reap sleeps on the child itself, so
+    // it ends about when a blocking waitpid would, not at the next
+    // tick of a 5 ms polling sleep. The fastest of five tries on each
+    // side, so one slow fork or schedule on a shared host does not
+    // decide it; the blocking wait is the baseline because the
+    // child's own exit is slower in a large (sanitized) process.
+    const auto fastestReap = [](const auto &reap) {
+        double fastest = 1.0;
+        for (int trial = 0; trial < 5; ++trial) {
+            int fds[2];
+            EXPECT_EQ(::pipe(fds), 0);
+            const pid_t pid = ::fork();
+            EXPECT_GE(pid, 0);
+            if (pid == 0) {
+                char stop = 0;
+                const ssize_t n = ::read(fds[0], &stop, 1);
+                ::_exit(n == 1 ? 0 : 1);
+            }
+            ::close(fds[0]);
+            const auto start = std::chrono::steady_clock::now();
+            EXPECT_EQ(::write(fds[1], "s", 1), 1);
+            EXPECT_TRUE(reap(pid));
+            fastest = std::min(
+                fastest, std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count());
+            ::close(fds[1]);
+        }
+        return fastest;
+    };
+    const double blocking = fastestReap(
+        [](pid_t pid) { return ::waitpid(pid, nullptr, 0) == pid; });
+    const double reaped = fastestReap(
+        [](pid_t pid) { return engine::reapChild(pid, 10.0); });
+    EXPECT_LT(reaped, blocking + 0.0025)
+        << "blocking waitpid " << blocking << " s";
+
+    // A child that never exits is given up at the deadline and left
+    // to the caller's SIGKILL.
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        ::pause();
+        ::_exit(0);
+    }
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(engine::reapChild(pid, 0.2));
+    const double waited = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+    EXPECT_GE(waited, 0.19);
+    EXPECT_LT(waited, 5.0);
+    ::kill(pid, SIGKILL);
+    EXPECT_TRUE(engine::reapChild(pid, 10.0));
 }

@@ -1,9 +1,10 @@
 /**
  * Transport-layer tests: frame encode/decode self-checking (CRC,
  * length, type validation), socket channel semantics (ordering,
- * drain-after-close) and failure mapping (deadline-bounded recv, EOF
- * on close, torn writes), the heartbeat beacon, and the peer-drill
- * spec parser.
+ * drain-after-close, a partial frame kept across a timed-out read)
+ * and failure mapping (deadline-bounded recv, EOF on close, torn
+ * writes), the full-duplex round, the heartbeat beacon, and the
+ * peer-drill spec parser.
  */
 
 #include <gtest/gtest.h>
@@ -288,6 +289,85 @@ TEST(SocketChannel, CorruptBytesOnWireAreCorrupt)
               static_cast<ssize_t>(wire.size()));
     Frame f;
     EXPECT_EQ(b->recv(f, 2.0), RecvStatus::Corrupt);
+}
+
+TEST(SocketChannel, PartialFrameSurvivesATimedOutRecv)
+{
+    // A receive that times out mid-frame keeps the bytes it read: the
+    // next receive completes the same frame instead of reading its
+    // tail as a new header.
+    auto [a, b] = socketChannelPair();
+    const auto wire = encodeFrame(makeFrame(FrameType::Exchange, 77));
+    ASSERT_EQ(::write(a->fd(), wire.data(), 6), 6);
+    Frame f;
+    EXPECT_EQ(b->recv(f, 0.05), RecvStatus::Timeout);
+    EXPECT_EQ(b->tryRecv(f), RecvStatus::Timeout);
+    const auto rest = static_cast<ssize_t>(wire.size() - 6);
+    ASSERT_EQ(::write(a->fd(), wire.data() + 6, rest), rest);
+    ASSERT_EQ(b->recv(f, 1.0), RecvStatus::Ok);
+    EXPECT_EQ(f.type, FrameType::Exchange);
+    ckpt::Reader r(f.body, "test");
+    EXPECT_EQ(r.u64(), 77u);
+}
+
+TEST(DuplexRound, FramesLargerThanTheBufferCrossBothWays)
+{
+    // Both ends send a frame four times the socket buffer before
+    // either reads: a blocking send on each side would deadlock, the
+    // round interleaves writes and reads and completes.
+    auto [a, b] = socketChannelPair();
+    int sndbuf = 0;
+    socklen_t len = sizeof(sndbuf);
+    ASSERT_EQ(::getsockopt(a->fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf, &len),
+              0);
+    Frame big;
+    big.type = FrameType::Exchange;
+    big.body.assign(4 * static_cast<std::size_t>(sndbuf), 0x5a);
+    const auto exchange = [&big](SocketChannel &ch, Frame &got) {
+        DuplexRound round(1);
+        round.send(0, ch, big);
+        round.receive(0, ch);
+        int sent = 0;
+        int received = 0;
+        DuplexRound::Event e;
+        while (round.busy()) {
+            if (!round.advance(e, 5.0))
+                return false;
+            if (e.kind == DuplexRound::EventKind::Failed)
+                return false;
+            if (e.kind == DuplexRound::EventKind::Sent)
+                ++sent;
+            if (e.kind == DuplexRound::EventKind::Received) {
+                ++received;
+                got = std::move(e.frame);
+            }
+        }
+        return sent == 1 && received == 1;
+    };
+    Frame got_a;
+    Frame got_b;
+    bool ok_b = false;
+    std::thread other([&] { ok_b = exchange(*b, got_b); });
+    const bool ok_a = exchange(*a, got_a);
+    other.join();
+    EXPECT_TRUE(ok_a);
+    EXPECT_TRUE(ok_b);
+    EXPECT_EQ(got_a.body, big.body);
+    EXPECT_EQ(got_b.body, big.body);
+}
+
+TEST(DuplexRound, ClosedPeerIsAFailedLink)
+{
+    auto [a, b] = socketChannelPair();
+    b.reset();
+    DuplexRound round(2);
+    round.receive(1, *a);
+    DuplexRound::Event e;
+    ASSERT_TRUE(round.advance(e, 2.0));
+    EXPECT_EQ(e.kind, DuplexRound::EventKind::Failed);
+    EXPECT_EQ(e.link, 1u);
+    EXPECT_EQ(e.status, RecvStatus::Closed);
+    EXPECT_FALSE(round.busy());
 }
 
 TEST(Heartbeat, BeaconsArriveAndCarrySequence)
