@@ -135,10 +135,17 @@ switchModels(double scale, std::uint64_t seed, bool csv)
             auto policy =
                 core::parsePolicy("dyn:1.03:0.02:1us:1000us");
             auto params = defaultCluster(8, seed);
-            if (store_and_forward)
+            if (store_and_forward) {
+                // A star with output-port contention: each frame is
+                // serialized onto its destination port after one hop.
+                net::TopologyParams star;
+                star.kind = net::TopologyKind::Star;
+                star.hopLatency = 500;
+                star.bytesPerNs = 10.0;
+                star.contention = true;
                 params.network.switchModel =
-                    std::make_shared<net::StoreAndForwardSwitch>(
-                        8, 10.0, 500);
+                    std::make_shared<net::TopologySwitch>(8, star);
+            }
             engine::SequentialEngine engine;
             auto run = engine.run(params, *wl, *policy);
             table.addRow(

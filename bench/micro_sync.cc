@@ -139,38 +139,54 @@ BENCHMARK(BM_WorkerPoolQuantumGate)->Arg(1)->Arg(2)->Arg(4);
 
 /**
  * One framed request/reply over a socketChannelPair, the far end
- * echoing on a second thread: the distributed engine's per-quantum
- * Quantum -> Exchange round trip with no simulation work between.
- * Arg = body bytes (64 B is a control frame; 4 KB a frame with
- * delivery runs).
+ * echoing on a second thread, each frame moved by a one-link
+ * DuplexRound as the distributed engine moves every frame: its
+ * per-quantum Quantum -> Exchange round trip with no simulation work
+ * between. Arg = body bytes (64 B is a control frame; 4 KB a frame
+ * with delivery runs).
  */
 void
 BM_FrameRoundTrip(benchmark::State &state)
 {
     auto [near, far] = transport::socketChannelPair();
+    // Send @p frame on @p ch, or receive into it; false on failure.
+    const auto move = [](transport::SocketChannel &ch,
+                         transport::Frame &frame, bool send) {
+        transport::DuplexRound round(1);
+        if (send)
+            round.send(0, ch, frame);
+        else
+            round.receive(0, ch);
+        transport::DuplexRound::Event e;
+        if (!round.advance(e, 10.0) ||
+            e.kind == transport::DuplexRound::EventKind::Failed)
+            return false;
+        if (!send)
+            frame = std::move(e.frame);
+        return true;
+    };
     transport::Frame request;
     request.type = transport::FrameType::Quantum;
     request.body.assign(static_cast<std::size_t>(state.range(0)), 0x5a);
-    std::thread echo([&far] {
+    std::thread echo([&far, &move] {
         transport::Frame f;
-        while (far->recv(f, 10.0) == transport::RecvStatus::Ok &&
+        while (move(*far, f, false) &&
                f.type == transport::FrameType::Quantum) {
             f.type = transport::FrameType::Exchange;
-            if (!far->send(f))
+            if (!move(*far, f, true))
                 break;
         }
     });
     transport::Frame reply;
     for (auto _ : state) {
-        if (!near->send(request) ||
-            near->recv(reply, 10.0) != transport::RecvStatus::Ok) {
+        if (!move(*near, request, true) || !move(*near, reply, false)) {
             state.SkipWithError("echo failed");
             break;
         }
     }
     transport::Frame stop;
     stop.type = transport::FrameType::Stop;
-    near->send(stop);
+    move(*near, stop, true);
     echo.join();
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()));

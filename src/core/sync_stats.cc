@@ -6,7 +6,7 @@ namespace aqsim::core
 SyncStats::SyncStats(stats::Group &parent)
     : group_(parent.addGroup("sync")),
       statQuanta_(group_.add<stats::Scalar>(
-          "quanta", "synchronization quanta executed")),
+          "quanta", "synchronization quanta completed")),
       statHostNs_(group_.add<stats::Scalar>(
           "hostNs", "host ns: modeled (sequential engine) or measured "
                     "wall-clock (threaded and distributed engines)")),

@@ -325,19 +325,18 @@ class MeshShard
      *
      * @param links this process's end of each mesh link
      * @param io this process's side of the round:
-     *        io.next(round, event) -> bool waits for the round's next
-     *        event (false: give up); io.sent(q) follows this shard's
-     *        frame to q leaving; io.adopted(q, report) follows q's
-     *        frame being staged; io.failed(q, event) reports a failed
-     *        link or a frame that is not q's Exchange of quantum qi.
-     *        Heartbeats are absorbed.
+     *        io.next(round, event) -> bool is the process's one wait:
+     *        the round's next sent frame or received Exchange frame
+     *        (false: give up); io.sent(q) follows this shard's frame
+     *        to q leaving; io.adopted(q, report) follows q's frame
+     *        being staged; io.malformed(q) reports a frame from q that
+     *        is not its Exchange of quantum qi.
      * @return false as soon as the round fails.
      */
     template <typename Io>
     bool
     exchange(std::uint64_t qi, Links &links, Io &io)
     {
-        using Kind = transport::DuplexRound::EventKind;
         transport::DuplexRound round(k_);
         for (std::size_t q = 0; q < k_; ++q) {
             if (q == index_)
@@ -349,19 +348,13 @@ class MeshShard
         while (round.busy()) {
             if (!io.next(round, e))
                 return false;
-            if (e.kind == Kind::Sent) {
+            if (e.kind == transport::DuplexRound::EventKind::Sent) {
                 io.sent(e.link);
                 continue;
             }
-            if (e.kind == Kind::Received &&
-                e.frame.type == transport::FrameType::Heartbeat) {
-                round.receive(e.link, *links[e.link]);
-                continue;
-            }
             Report report;
-            if (e.kind == Kind::Failed ||
-                !adopt(e.frame, qi, e.link, report)) {
-                io.failed(e.link, e);
+            if (!adopt(e.frame, qi, e.link, report)) {
+                io.malformed(e.link);
                 return false;
             }
             io.adopted(e.link, report);
@@ -463,7 +456,8 @@ struct PeerSetup
  * replica (built before the fork and untouched until then). A Quantum
  * frame runs the shard through its quantum, exchanges rows with every
  * other process and merges this shard's column. A StateReq frame
- * answers with the shard's State slice.
+ * answers with the shard's State slice. Every frame moves through
+ * one wait, RoundIo::next.
  *
  * Quantum := qs(u64) qe(u64) qi(u64), with qi above the last one
  * (quanta without work are never sent). StateReq := q(u64)
@@ -477,12 +471,47 @@ peerMain(const PeerSetup &p)
     auto &links = *p.links;
     MeshShard shard(*p.cluster, p.index, links.size());
     const auto &drills = *p.drills;
-    // Healthy peers must outlive failure detection in process 0: a
-    // peer that gave up first would turn one failed peer into K-1.
-    const double deadline = p.options->peerDeadlineSeconds * 2.0 + 1.0;
     transport::SocketChannel &control = *links[0];
     transport::HeartbeatSender heartbeat(control,
                                          p.options->heartbeatSeconds);
+
+    /** The peer's side of every round: any failure ends the peer
+     * (process 0 attributes it), and a round gives up once no event
+     * came for the deadline. */
+    struct RoundIo
+    {
+        const PeerSetup &p;
+        // Healthy peers must outlive failure detection in process 0:
+        // a peer that gave up first would turn one failed peer into
+        // K-1.
+        const double deadline = p.options->peerDeadlineSeconds * 2.0 + 1.0;
+        std::uint64_t quantum = 0;
+
+        bool
+        next(transport::DuplexRound &round,
+             transport::DuplexRound::Event &e) const
+        {
+            return round.advance(e, deadline) &&
+                   e.kind != transport::DuplexRound::EventKind::Failed;
+        }
+        void
+        sent(std::size_t q) const
+        {
+            if (q == 0)
+                fireDrills(*p.drills, p.index,
+                           fault::PeerDrillPhase::Sent, quantum);
+        }
+        void adopted(std::size_t, const Report &) const {}
+        void malformed(std::size_t) const {}
+    };
+    RoundIo io{p};
+    transport::DuplexRound::Event e;
+    /** Write @p f to process 0. */
+    const auto send = [&](const transport::Frame &f) {
+        transport::DuplexRound round(1);
+        round.send(0, control, f);
+        return io.next(round, e);
+    };
 
     fireDrills(drills, p.index, fault::PeerDrillPhase::Hello, 0);
     {
@@ -493,43 +522,16 @@ peerMain(const PeerSetup &p)
         w.u32(static_cast<std::uint32_t>(links.size()));
         w.u32(static_cast<std::uint32_t>(p.cluster->numNodes()));
         hello.body = w.buffer();
-        if (!control.send(hello))
+        if (!send(hello))
             return 1;
     }
 
-    /** The peer's side of an exchange round: any failure ends the
-     * peer (process 0 attributes it), and the round gives up once no
-     * event came for the deadline. */
-    struct RoundIo
-    {
-        const PeerSetup &p;
-        const double deadline;
-        std::uint64_t quantum = 0;
-
-        bool
-        next(transport::DuplexRound &round,
-             transport::DuplexRound::Event &e) const
-        {
-            return round.advance(e, deadline);
-        }
-        void
-        sent(std::size_t q) const
-        {
-            if (q == 0)
-                fireDrills(*p.drills, p.index,
-                           fault::PeerDrillPhase::Sent, quantum);
-        }
-        void adopted(std::size_t, const Report &) const {}
-        void failed(std::size_t, const transport::DuplexRound::Event &)
-            const
-        {}
-    };
-    RoundIo io{p, deadline};
-
     for (;;) {
-        transport::Frame f;
-        if (control.recv(f, deadline) != transport::RecvStatus::Ok)
+        transport::DuplexRound round(1);
+        round.receive(0, control);
+        if (!io.next(round, e))
             return 1; // process 0 gone or wedged: nothing to save
+        const transport::Frame f = std::move(e.frame);
         switch (f.type) {
         case transport::FrameType::Quantum: {
             ckpt::Reader r(f.body, "quantum");
@@ -559,14 +561,14 @@ peerMain(const PeerSetup &p)
             transport::Frame st;
             st.type = transport::FrameType::State;
             st.body = shard.stateSlice(q, boundary, node_stats);
-            if (!control.send(st))
+            if (!send(st))
                 return 1;
             break;
         }
         case transport::FrameType::Stop:
             return 0;
         default:
-            return 1; // Abort, or a frame no peer expects
+            return 1; // a frame no peer expects
         }
     }
 }
@@ -589,7 +591,10 @@ peerProcess(const PeerSetup &p)
         w.str(abort.cause());
         w.str(abort.detail());
         f.body = w.buffer();
-        (*p.links)[0]->send(f); // best effort; the pipe may be gone
+        // Best effort, never waited on: the pipe may be gone or full.
+        transport::SocketChannel &control = *(*p.links)[0];
+        control.post(f);
+        control.flush();
         return 1;
     }
 }
@@ -679,25 +684,28 @@ class PeerGroup
                           "  peer %zu: pid %ld phase=%s last-frame "
                           "%.2fs ago\n",
                           w, static_cast<long>(pids[w]),
-                          live_[w].phase.c_str(), age);
+                          live_[w].phase, age);
             out += line;
         }
         return out;
     }
 
     /**
-     * Clean shutdown: Stop frame to every healthy peer, then a reap
-     * bounded by the deadline; whoever fails to exit in time meets
-     * teardown()'s SIGKILL.
+     * Clean shutdown: a Stop frame to every healthy peer, posted and
+     * flushed without waiting, then a reap bounded by the deadline;
+     * whoever fails to exit in time meets teardown()'s SIGKILL.
      */
     void
     stopAll(double deadline_seconds) AQSIM_EXCLUDES(mutex_)
     {
         transport::Frame stop;
         stop.type = transport::FrameType::Stop;
-        for (std::size_t w = 0; w < size(); ++w)
-            if (pids[w] > 0 && !failed(w) && !reaped(w))
-                channels[w]->sendWithin(stop, deadline_seconds);
+        for (std::size_t w = 0; w < size(); ++w) {
+            if (pids[w] > 0 && !failed(w) && !reaped(w)) {
+                channels[w]->post(stop);
+                channels[w]->flush();
+            }
+        }
         const auto start = SteadyClock::now();
         for (std::size_t w = 0; w < size(); ++w)
             if (pids[w] > 0 && !reaped(w) &&
@@ -707,10 +715,8 @@ class PeerGroup
     }
 
     /**
-     * Last-resort teardown (every exit path): best-effort Abort frame
-     * so a healthy peer can exit on its own terms, then SIGKILL —
-     * which also terminates SIGSTOPped peers — and a blocking reap.
-     * Idempotent.
+     * Last-resort teardown (every exit path): SIGKILL — which also
+     * terminates SIGSTOPped peers — and a blocking reap. Idempotent.
      */
     void
     teardown() AQSIM_EXCLUDES(mutex_)
@@ -718,15 +724,6 @@ class PeerGroup
         for (std::size_t w = 0; w < size(); ++w) {
             if (pids[w] <= 0 || reaped(w))
                 continue;
-            if (!failed(w) && channels[w]) {
-                transport::Frame f;
-                f.type = transport::FrameType::Abort;
-                ckpt::Writer wr;
-                wr.str("process 0");
-                wr.str("run torn down");
-                f.body = wr.buffer();
-                channels[w]->sendWithin(f, 0.0); // never wait on it
-            }
             ::kill(pids[w], SIGKILL);
             ::waitpid(pids[w], nullptr, 0);
             markReaped(w);
@@ -739,7 +736,9 @@ class PeerGroup
   private:
     struct Liveness
     {
-        std::string phase = "spawn";
+        /** The phase of process 0's last wait on the peer (a
+         * literal). */
+        const char *phase = "spawn";
         SteadyClock::time_point lastFrame;
         bool failed = false;
         bool reaped = false;
@@ -937,10 +936,10 @@ splicedStateHash(const GatheredState &g)
  * Process 0's side of a run, as a QuantumExecutor: it runs shard 0
  * itself and drives the forked peers, one Quantum frame each per
  * quantum with work, then the same mesh exchange every peer runs.
- * Every wait on a peer is deadline-bounded, absorbs heartbeats, polls
- * supervised cancellation, and converts every failure mode into a
- * PeerFailure-carrying RunAbort stamped with the completed-quanta
- * count.
+ * Every wait on a peer is one function, wait(): deadline-bounded, it
+ * absorbs heartbeats, polls supervised cancellation, and converts
+ * every failure mode into a PeerFailure-carrying RunAbort stamped
+ * with the completed-quanta count.
  */
 class Coordinator : public QuantumExecutor
 {
@@ -992,15 +991,18 @@ class Coordinator : public QuantumExecutor
     begin() override
     {
         const std::size_t n = cluster_.numNodes();
-        for (std::size_t w = 1; w < k_; ++w) {
-            const transport::Frame hello =
-                await(w, transport::FrameType::Hello, "hello");
-            ckpt::Reader r(hello.body, "hello");
+        transport::DuplexRound round(k_);
+        for (std::size_t w = 1; w < k_; ++w)
+            round.receive(w, *peers_.channels[w]);
+        transport::DuplexRound::Event e;
+        while (round.busy()) {
+            wait(round, transport::FrameType::Hello, "hello", e);
+            ckpt::Reader r(e.frame.body, "hello");
             const std::uint32_t index = r.u32();
             const std::uint32_t k = r.u32();
             const std::uint32_t nodes = r.u32();
-            if (!r.ok() || index != w || k != k_ || nodes != n)
-                fail(w, PeerFailureKind::Protocol, "hello",
+            if (!r.ok() || index != e.link || k != k_ || nodes != n)
+                fail(e.link, PeerFailureKind::Protocol, "hello",
                      "geometry mismatch in hello");
         }
     }
@@ -1017,8 +1019,9 @@ class Coordinator : public QuantumExecutor
         wr.u64(sync.quantumEnd());
         wr.u64(qi);
         quantum.body = wr.buffer();
-        for (std::size_t w = 1; w < k_; ++w)
-            sendFrame(w, quantum, "quantum dispatch");
+        // What a socket does not take now goes out with the exchange
+        // round's send on that link, under its deadline.
+        dispatch(quantum, "quantum dispatch");
         shard_.run(sync.quantumStart(), sync.quantumEnd(),
                    options_.cancelToken);
         driver_.pollCancel();
@@ -1075,66 +1078,86 @@ class Coordinator : public QuantumExecutor
     }
 
   private:
-    /** Send @p frame to peer @p w within the peer deadline: a peer
-     * that stopped reading is a Hang, as it is to await(). */
+    /**
+     * Process 0's one wait on its peers: progress @p round to its next
+     * sent frame or received @p want frame, every peer in the round
+     * being in @p phase. Heartbeats are absorbed and their receive
+     * re-armed, and any frame keeps its peer alive (PeerGroup's
+     * liveness clock). A peer is Hung once a frame due from it has
+     * not come within the deadline of its last one (or of the round's
+     * start, if later), or once this process's frame to it has not
+     * left within the deadline of the round's start. A closed pipe, wire damage, a peer-reported
+     * Abort or any other frame fails the peer; cancellation is polled
+     * throughout. Call only while the round is busy.
+     */
     void
-    sendFrame(std::size_t w, const transport::Frame &frame,
-              const char *phase)
+    wait(transport::DuplexRound &round, transport::FrameType want,
+         const char *phase, transport::DuplexRound::Event &e)
     {
-        switch (peers_.channels[w]->sendWithin(
-            frame, options_.peerDeadlineSeconds)) {
-        case transport::RecvStatus::Ok:
-            return;
-        case transport::RecvStatus::Timeout:
-            fail(w, PeerFailureKind::Hang, phase);
-        default:
-            fail(w, PeerFailureKind::Disconnect, phase);
+        for (std::size_t w = 1; w < k_; ++w)
+            if (round.sending(w) || round.receiving(w))
+                peers_.setPhase(w, phase);
+        for (;;) {
+            driver_.pollCancel();
+            // Short slices keep the cancellation poll responsive
+            // without giving up any of a peer's deadline.
+            double slice = 0.25;
+            const double age = round.age();
+            for (std::size_t w = 1; w < k_; ++w) {
+                // How long the peer has kept the round waiting; its
+                // silence counts from the round's start at the
+                // earliest.
+                double late = round.sending(w) ? age : 0.0;
+                if (round.receiving(w))
+                    late = std::max(late,
+                                    std::min(age, peers_.frameAge(w)));
+                const double left = options_.peerDeadlineSeconds - late;
+                if (left <= 0.0)
+                    fail(w, PeerFailureKind::Hang, phase);
+                slice = std::min(slice, left);
+            }
+            if (!round.advance(e, std::max(slice, 0.01)))
+                continue;
+            if (e.kind == transport::DuplexRound::EventKind::Failed)
+                failStatus(e.link, e.status, phase);
+            if (e.kind == transport::DuplexRound::EventKind::Sent)
+                return;
+            peers_.touch(e.link);
+            if (e.frame.type == want)
+                return;
+            if (e.frame.type != transport::FrameType::Heartbeat)
+                failFrame(e.link, e.frame, phase);
+            round.receive(e.link, *peers_.channels[e.link]);
         }
     }
 
     /**
-     * Process 0's side of an exchange round. A peer is Hung once its
-     * frame has not left within the deadline of the round's start,
-     * or once it sent no frame for the deadline while one is due;
-     * any frame it sends, heartbeats included, keeps it alive.
+     * Post @p frame to every peer and write what each socket takes
+     * now, without waiting; the next round's send on the link writes
+     * the rest. A closed pipe fails its peer at once.
      */
+    void
+    dispatch(const transport::Frame &frame, const char *phase)
+    {
+        for (std::size_t w = 1; w < k_; ++w) {
+            transport::SocketChannel &ch = *peers_.channels[w];
+            ch.post(frame);
+            if (ch.flush() == transport::RecvStatus::Closed)
+                failStatus(w, transport::RecvStatus::Closed, phase);
+        }
+    }
+
+    /** Process 0's side of an exchange round (MeshShard::exchange). */
     struct RoundIo
     {
         Coordinator &c;
-        const SteadyClock::time_point start = SteadyClock::now();
-        std::vector<SteadyClock::time_point> lastFrame =
-            std::vector<SteadyClock::time_point>(c.k_, start);
 
         bool
         next(transport::DuplexRound &round,
-             transport::DuplexRound::Event &e)
+             transport::DuplexRound::Event &e) const
         {
-            const double deadline = c.options_.peerDeadlineSeconds;
-            for (;;) {
-                c.driver_.pollCancel();
-                // Short slices keep the cancellation poll responsive
-                // without giving up any of a peer's deadline.
-                double slice = 0.25;
-                for (std::size_t w = 1; w < c.k_; ++w) {
-                    double left = deadline;
-                    if (round.sending(w))
-                        left = deadline - secondsSince(start);
-                    if (round.receiving(w))
-                        left = std::min(
-                            left, deadline - secondsSince(lastFrame[w]));
-                    if (left <= 0.0)
-                        c.fail(w, PeerFailureKind::Hang, phase);
-                    slice = std::min(slice, left);
-                }
-                if (round.advance(e, std::max(slice, 0.01))) {
-                    if (e.kind == transport::DuplexRound::EventKind::
-                                      Received) {
-                        c.peers_.touch(e.link);
-                        lastFrame[e.link] = SteadyClock::now();
-                    }
-                    return true;
-                }
-            }
+            c.wait(round, transport::FrameType::Exchange, phase, e);
+            return true;
         }
         void sent(std::size_t) const {}
         void
@@ -1146,60 +1169,14 @@ class Coordinator : public QuantumExecutor
             c.next_ = std::min(c.next_, report.next);
         }
         [[noreturn]] void
-        failed(std::size_t w, const transport::DuplexRound::Event &e) const
+        malformed(std::size_t w) const
         {
-            if (e.kind == transport::DuplexRound::EventKind::Failed)
-                c.failStatus(w, e.status, phase);
-            if (e.frame.type == transport::FrameType::Exchange)
-                c.fail(w, PeerFailureKind::Protocol, phase,
-                       "malformed exchange body");
-            c.failFrame(w, e.frame, phase);
+            c.fail(w, PeerFailureKind::Protocol, phase,
+                   "malformed exchange body");
         }
 
         static constexpr const char *phase = "exchange barrier";
     };
-
-    /**
-     * Wait for one @p want frame from peer @p w. Any frame resets
-     * the liveness window (heartbeats keep a slow peer alive); the
-     * deadline elapsing, a closed pipe, wire damage, an unexpected
-     * type, or a peer-reported Abort all throw.
-     */
-    transport::Frame
-    await(std::size_t w, transport::FrameType want, const char *phase)
-    {
-        peers_.setPhase(w, phase);
-        transport::SocketChannel &ch = *peers_.channels[w];
-        auto window_start = SteadyClock::now();
-        for (;;) {
-            driver_.pollCancel();
-            const double elapsed = secondsSince(window_start);
-            if (elapsed >= options_.peerDeadlineSeconds)
-                fail(w, PeerFailureKind::Hang, phase);
-            // Short slices keep the cancellation poll responsive
-            // without giving up any of the peer's deadline.
-            const double slice = std::min(
-                0.25, options_.peerDeadlineSeconds - elapsed);
-            transport::Frame f;
-            const transport::RecvStatus status =
-                ch.recv(f, std::max(slice, 0.01));
-            switch (status) {
-            case transport::RecvStatus::Ok:
-                peers_.touch(w);
-                window_start = SteadyClock::now();
-                if (f.type == transport::FrameType::Heartbeat)
-                    continue;
-                if (f.type == want)
-                    return f;
-                failFrame(w, f, phase);
-            case transport::RecvStatus::Timeout:
-                continue;
-            case transport::RecvStatus::Closed:
-            case transport::RecvStatus::Corrupt:
-                failStatus(w, status, phase);
-            }
-        }
-    }
 
     /** Fail peer @p w for frame @p f, which is not the one due: a
      * peer-reported Abort or an unexpected type. */
@@ -1249,8 +1226,9 @@ class Coordinator : public QuantumExecutor
     }
 
     /**
-     * Every StateReq goes out before shard 0's own slice is taken and
-     * any State is awaited, so all shards serialize in parallel. Each
+     * Every StateReq goes out before shard 0's own slice is taken, so
+     * all shards serialize in parallel, and then one round reads the
+     * State frames in whatever order they arrive. Each
      * column is already merged, so a StateReq carries no rows: only
      * the completed quanta, the boundary every shard catches its
      * clocks up to, and whether to append the node stat values
@@ -1268,17 +1246,23 @@ class Coordinator : public QuantumExecutor
         wr.u64(boundary);
         wr.boolean(node_stats);
         req.body = wr.buffer();
-        for (std::size_t w = 1; w < k_; ++w)
-            sendFrame(w, req, "state gather");
+        dispatch(req, "state gather");
         std::vector<PeerState> states(k_);
         if (!readSlice(shard_.stateSlice(q, boundary, node_stats), 0, q,
                        node_stats, states[0]))
             panic("shard 0 wrote a malformed state slice");
+        transport::DuplexRound round(k_);
         for (std::size_t w = 1; w < k_; ++w) {
-            const transport::Frame f =
-                await(w, transport::FrameType::State, "state gather");
-            if (!readSlice(f.body, w, q, node_stats, states[w]))
-                fail(w, PeerFailureKind::Protocol, "state gather",
+            round.drain(w, *peers_.channels[w]);
+            round.receive(w, *peers_.channels[w]);
+        }
+        transport::DuplexRound::Event e;
+        while (round.busy()) {
+            wait(round, transport::FrameType::State, "state gather", e);
+            if (e.kind == transport::DuplexRound::EventKind::Received &&
+                !readSlice(e.frame.body, e.link, q, node_stats,
+                           states[e.link]))
+                fail(e.link, PeerFailureKind::Protocol, "state gather",
                      "malformed state slice");
         }
         std::uint64_t staged_total = 0;

@@ -9,17 +9,16 @@
  *
  * PerfectSwitch reproduces the paper's evaluation configuration:
  * infinite bandwidth, zero latency — the most aggressive (straggler-
- * heavy) case. StoreAndForwardSwitch adds per-output-port serialization
- * and a fixed traversal latency for ablation studies.
+ * heavy) case. TopologySwitch (topology.hh) prices hops, per-port
+ * serialization and output-port contention; its Star kind is the
+ * store-and-forward switch of the ablation studies.
  */
 
 #ifndef AQSIM_NET_SWITCH_MODEL_HH
 #define AQSIM_NET_SWITCH_MODEL_HH
 
 #include <cstdint>
-#include <vector>
 
-#include "base/mutex.hh"
 #include "base/types.hh"
 
 namespace aqsim::ckpt
@@ -81,41 +80,6 @@ class PerfectSwitch : public SwitchModel
     }
 
     Tick minTraversal() const override { return 0; }
-};
-
-/**
- * Output-queued store-and-forward switch: a frame is fully received,
- * then serialized onto the destination port at the port bandwidth after
- * a fixed traversal latency; frames to the same destination queue up.
- * Sources on different threads share the output ports, so the port
- * state has its own mutex.
- */
-class StoreAndForwardSwitch : public SwitchModel
-{
-  public:
-    /**
-     * @param num_ports number of nodes attached
-     * @param bytes_per_ns port bandwidth (e.g. 10.0 for 10 GB/s)
-     * @param traversal fixed switching latency per frame
-     */
-    StoreAndForwardSwitch(std::size_t num_ports, double bytes_per_ns,
-                          Tick traversal);
-
-    Tick egress(NodeId src, NodeId dst, std::uint32_t bytes,
-                Tick ingress) override;
-
-    Tick minTraversal() const override { return traversal_; }
-
-    void reset() override;
-
-    void serialize(ckpt::Writer &w) const override;
-
-  private:
-    double bytesPerNs_;
-    Tick traversal_;
-    mutable base::Mutex mutex_;
-    /** Tick until which each output port is busy serializing. */
-    std::vector<Tick> portBusyUntil_ AQSIM_GUARDED_BY(mutex_);
 };
 
 } // namespace aqsim::net

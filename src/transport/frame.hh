@@ -52,8 +52,8 @@ enum class FrameType : std::uint32_t
     Heartbeat,
     /** Process 0 -> peer: run complete, exit cleanly. */
     Stop,
-    /** Between process 0 and a peer, either way: the sender is
-     * failing; the body carries the reason. */
+    /** Peer -> process 0: the peer is failing; the body carries the
+     * reason. */
     Abort,
 };
 
@@ -68,13 +68,15 @@ struct Frame
     std::vector<std::uint8_t> body;
 };
 
-/** Outcome of one bounded receive (or sendWithin) attempt; a send is
- * never Corrupt. */
+/** Outcome of one non-blocking write or read of a channel (flush(),
+ * tryRecv()) and of a failed DuplexRound link; a write is never
+ * Corrupt. */
 enum class RecvStatus
 {
     /** A well-formed frame was decoded into the out-param. */
     Ok,
-    /** Deadline elapsed with no complete frame (peer hung or slow). */
+    /** Not done yet: bytes are left to write, or no complete frame
+     * has arrived (wait, or give up at a deadline). */
     Timeout,
     /** Orderly or abortive close (EOF / ECONNRESET): peer is gone. */
     Closed,

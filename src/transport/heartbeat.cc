@@ -53,7 +53,11 @@ HeartbeatSender::loop()
         ckpt::Writer w;
         w.u64(seq++);
         beat.body = w.buffer();
-        if (!channel_.send(beat))
+        // Never wait for the reader: what the socket does not take
+        // now goes out with the next flush of the channel, this
+        // thread's or the protocol thread's.
+        channel_.post(beat);
+        if (channel_.flush() == RecvStatus::Closed)
             return; // pipe is gone; the protocol thread will notice
     }
 }

@@ -7,7 +7,7 @@
  * process 0 must learn the difference without inflating its frame
  * deadlines to cover the worst honest case. Each peer therefore
  * runs one HeartbeatSender thread that emits a small Heartbeat frame
- * to process 0 at a fixed period; process 0's receive loop absorbs
+ * to process 0 at a fixed period; process 0's one wait loop absorbs
  * heartbeats while waiting for the frame it actually expects and
  * resets the peer's liveness clock on every frame of any type. A peer
  * whose heartbeats stop (SIGSTOP, scheduler wedge) ages past the
@@ -29,16 +29,19 @@ namespace aqsim::transport
 
 /**
  * Emits Heartbeat frames on a channel at a fixed period from a
- * dedicated thread. Construction starts the beacon; stop() (or the
- * destructor) ends it. The beacon also stops on its own when a send
- * fails — a dead pipe needs no further beacons.
+ * dedicated thread: each is posted and flushed, never waited on, so a
+ * reader that stopped reading cannot wedge the beacon. Construction
+ * starts the beacon; stop() (or the destructor) ends it. The beacon
+ * also stops on its own once the pipe reads Closed — a dead pipe
+ * needs no further beacons.
  */
 class HeartbeatSender
 {
   public:
     /**
      * @param channel outbound pipe (must outlive this object; its
-     *        send() is thread-safe against the protocol thread)
+     *        post() and flush() are thread-safe against the protocol
+     *        thread)
      * @param period_seconds beacon period in host seconds
      */
     HeartbeatSender(SocketChannel &channel, double period_seconds);

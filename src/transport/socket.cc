@@ -19,15 +19,15 @@ namespace aqsim::transport
 namespace
 {
 
-/** Poll slice: every blocking wait re-checks its deadline this often. */
+/** Poll slice: a wait re-checks its deadline this often. */
 constexpr int pollSliceMs = 100;
 
 /**
- * How long a read retries a non-blocking recv, yielding the CPU
- * between tries, before it sleeps in poll. A protocol reply usually
- * lands within this window, which saves the sleep/wake per frame. The
- * yield matters: with more processes than CPUs, a busy spin would
- * keep the very peer being waited on off the CPU.
+ * How long a wait retries its non-blocking writes and reads, yielding
+ * the CPU between tries, before it sleeps in poll. A protocol reply
+ * usually lands within this window, which saves the sleep/wake per
+ * frame. The yield matters: with more processes than CPUs, a busy
+ * spin would keep the very peer being waited on off the CPU.
  */
 constexpr auto spinBudget = std::chrono::microseconds(50);
 
@@ -60,33 +60,6 @@ SocketChannel::SocketChannel(int fd) : fd_(fd)
 SocketChannel::~SocketChannel()
 {
     ::close(fd_);
-}
-
-bool
-SocketChannel::send(const Frame &frame)
-{
-    return write(frame, Deadline::max()) == RecvStatus::Ok;
-}
-
-RecvStatus
-SocketChannel::sendWithin(const Frame &frame, double deadline_seconds)
-{
-    return write(frame, deadlineAfter(deadline_seconds));
-}
-
-RecvStatus
-SocketChannel::write(const Frame &frame, Deadline deadline)
-{
-    post(frame);
-    for (;;) {
-        const RecvStatus status = flush();
-        if (status != RecvStatus::Timeout)
-            return status;
-        // The socket buffer is full: wait for the peer to drain it.
-        const RecvStatus ready = waitReady(POLLOUT, deadline);
-        if (ready != RecvStatus::Ok)
-            return ready;
-    }
 }
 
 void
@@ -123,26 +96,6 @@ SocketChannel::flush()
         return RecvStatus::Closed;
     }
     return RecvStatus::Ok;
-}
-
-RecvStatus
-SocketChannel::waitReady(short events, Deadline deadline) const
-{
-    for (;;) {
-        struct pollfd pfd;
-        pfd.fd = fd_;
-        pfd.events = events;
-        pfd.revents = 0;
-        const int ms = remainingMs(deadline);
-        if (ms == 0 && std::chrono::steady_clock::now() >= deadline)
-            return RecvStatus::Timeout;
-        const int pr = ::poll(&pfd, 1, ms);
-        if (pr > 0)
-            return RecvStatus::Ok;
-        if (pr < 0 && errno != EINTR)
-            return RecvStatus::Closed;
-        // Slice elapsed (or EINTR): loop re-checks the deadline.
-    }
 }
 
 RecvStatus
@@ -190,28 +143,6 @@ SocketChannel::tryRecv(Frame &frame)
     }
 }
 
-RecvStatus
-SocketChannel::recv(Frame &frame, double deadline_seconds)
-{
-    const auto deadline = deadlineAfter(deadline_seconds);
-    const auto spin_end = std::min(
-        deadline, std::chrono::steady_clock::now() + spinBudget);
-    for (;;) {
-        const RecvStatus status = tryRecv(frame);
-        if (status != RecvStatus::Timeout)
-            return status;
-        if (std::chrono::steady_clock::now() < spin_end) {
-            ::sched_yield();
-            continue;
-        }
-        // Partial data at the deadline is Timeout: a sender wedged
-        // mid-frame must not hang the reader.
-        const RecvStatus ready = waitReady(POLLIN, deadline);
-        if (ready != RecvStatus::Ok)
-            return ready;
-    }
-}
-
 void
 SocketChannel::close()
 {
@@ -223,6 +154,12 @@ DuplexRound::send(std::size_t link, SocketChannel &channel,
                   const Frame &frame)
 {
     channel.post(frame);
+    drain(link, channel);
+}
+
+void
+DuplexRound::drain(std::size_t link, SocketChannel &channel)
+{
     legs_[link].channel = &channel;
     legs_[link].sending = true;
 }
@@ -241,6 +178,14 @@ DuplexRound::busy() const
         if (leg.sending || leg.receiving)
             return true;
     return false;
+}
+
+double
+DuplexRound::age() const
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start_)
+        .count();
 }
 
 bool

@@ -4,36 +4,34 @@
  *
  * One SocketChannel is one bidirectional, ordered, reliable frame
  * pipe between two processes of a run; it wraps one connected stream
- * fd and moves the wire encoding from frame.hh.
+ * fd and moves the wire encoding from frame.hh. It never waits:
+ * post() queues a frame whole, flush() writes what the socket takes
+ * and tryRecv() reads what the socket holds, keeping the bytes of a
+ * partly read frame for the next call.
+ *
+ * Every wait is a DuplexRound::advance, which serves the outstanding
+ * writes and reads of any number of channels from one poll(2).
  * Failure semantics are the whole point:
  *
- *  - recv() first retries a non-blocking read for a short, fixed
+ *  - a wait first retries the non-blocking calls for a short, fixed
  *    spin budget (yielding between tries), then sleeps in short
- *    poll(2) slices, so every wait is deadline-bounded and a
- *    SIGSTOPped or wedged peer surfaces as RecvStatus::Timeout,
+ *    poll(2) slices, and it ends at its deadline: a SIGSTOPped or
+ *    wedged peer, reading or writing, surfaces as a timed-out wait,
  *    never a hang;
  *  - EOF and ECONNRESET surface as Closed (a SIGKILLed peer's kernel
  *    closes its fds, so a dead peer is detected without any timeout);
  *  - a CRC mismatch or an absurd length prefix surfaces as Corrupt;
- *  - sendWithin() waits for socket buffer space in the same poll
- *    slices, so a reader that stopped reading surfaces as Timeout,
- *    never a writer blocked forever;
- *  - sends use MSG_NOSIGNAL, so writing into a half-open pipe
- *    returns false instead of raising SIGPIPE.
- *
- * Both directions are buffered in the channel: a send queues its
- * frame whole and writes what the socket takes, and a receive keeps
- * the bytes of a partly read frame. post()/flush()/tryRecv() are the
- * non-blocking halves, with which DuplexRound serves the writes and
- * reads of several channels from one poll(2).
+ *  - writes use MSG_NOSIGNAL, so writing into a half-open pipe
+ *    reads Closed instead of raising SIGPIPE.
  *
  * socketChannelPair() (socketpair(2)) is the fork-model transport:
  * process 0 creates one pair per pair of processes before forking,
  * and each process keeps its own ends.
  *
- * Thread safety: sends are serialized and queue whole frames, so one
- * thread may send (the heartbeat thread) while another sends or
- * receives. Multiple concurrent receivers are not supported.
+ * Thread safety: post() and flush() are serialized and frames are
+ * queued whole, so one thread may post (the heartbeat thread) while
+ * another posts or receives. Multiple concurrent receivers are not
+ * supported.
  */
 
 #ifndef AQSIM_TRANSPORT_SOCKET_HH
@@ -62,33 +60,6 @@ class SocketChannel
     SocketChannel(const SocketChannel &) = delete;
     SocketChannel &operator=(const SocketChannel &) = delete;
 
-    /**
-     * Write @p frame toward the peer, however long it takes the peer
-     * to make room for it.
-     *
-     * @return false if the pipe is closed (peer gone); the caller maps
-     *         this to a Disconnect-kind peer failure.
-     */
-    bool send(const Frame &frame) AQSIM_EXCLUDES(sendMutex_);
-
-    /**
-     * Write @p frame toward the peer within @p deadline_seconds.
-     *
-     * @return Ok; Closed if the pipe is closed (peer gone); Timeout if
-     *         the peer did not drain the socket in time (stopped or
-     *         wedged). After a Timeout part of the frame may be on
-     *         the wire: the channel is fit only for close().
-     */
-    RecvStatus sendWithin(const Frame &frame, double deadline_seconds)
-        AQSIM_EXCLUDES(sendMutex_);
-
-    /**
-     * Wait up to @p deadline_seconds for one complete frame. A frame
-     * written before the peer closed stays readable; after it the
-     * read is Closed.
-     */
-    RecvStatus recv(Frame &frame, double deadline_seconds);
-
     /** Queue @p frame, whole, behind any frame still queued; writes
      * nothing (flush() does). */
     void post(const Frame &frame) AQSIM_EXCLUDES(sendMutex_);
@@ -106,14 +77,15 @@ class SocketChannel
      * frame not yet complete stay in the channel for the next call.
      *
      * @return Ok with @p frame once a whole frame is in; Timeout
-     *         while none is (wait for POLLIN); Closed or Corrupt as
-     *         recv().
+     *         while none is (wait for POLLIN); Closed once the peer
+     *         is gone and every frame it wrote before is read;
+     *         Corrupt on wire damage.
      */
     RecvStatus tryRecv(Frame &frame);
 
     /**
      * shutdown(2) both directions; the fd itself is closed by the
-     * destructor. A peer blocked in recv() observes Closed.
+     * destructor. A peer waiting on this link observes Closed.
      */
     void close();
 
@@ -121,19 +93,6 @@ class SocketChannel
     int fd() const { return fd_; }
 
   private:
-    using Deadline = std::chrono::steady_clock::time_point;
-
-    /** Write @p frame before @p deadline (send/sendWithin). */
-    RecvStatus write(const Frame &frame, Deadline deadline)
-        AQSIM_EXCLUDES(sendMutex_);
-
-    /**
-     * Sleep in poll slices until the socket is ready for @p events
-     * (or has failed: the next call reports how) or @p deadline
-     * passes (Timeout).
-     */
-    RecvStatus waitReady(short events, Deadline deadline) const;
-
     const int fd_;
     /** Serializes writers (protocol thread + heartbeat thread). */
     base::Mutex sendMutex_;
@@ -149,17 +108,19 @@ class SocketChannel
 };
 
 /**
- * One full-duplex round over several channels (the mesh exchange):
- * every frame is queued before anything waits, and one poll(2) serves
- * all outstanding writes and reads, so the round completes whatever
- * the frame sizes and whatever order the other ends work in.
+ * One round of sends and receives over several channels, and the
+ * only way to wait on one: every frame is queued before anything
+ * waits, and one poll(2) serves all outstanding writes and reads, so
+ * the round completes whatever the frame sizes and whatever order the
+ * other ends work in. A round of one link is a single send or
+ * receive.
  */
 class DuplexRound
 {
   public:
     enum class EventKind
     {
-        /** The link's frame is written. */
+        /** The link's send is done: its channel's queue is written. */
         Sent,
         /** A frame arrived on the link (its receive is now done). */
         Received,
@@ -177,11 +138,20 @@ class DuplexRound
     };
 
     /** @param links number of links, indexed 0..links-1. */
-    explicit DuplexRound(std::size_t links) : legs_(links) {}
+    explicit DuplexRound(std::size_t links)
+        : legs_(links), start_(std::chrono::steady_clock::now())
+    {}
 
     /** Queue @p frame on @p channel as link @p link's send. */
     void send(std::size_t link, SocketChannel &channel,
               const Frame &frame);
+
+    /**
+     * Make link @p link's send the write of whatever @p channel still
+     * has queued. A send is done once the channel's whole queue is
+     * written, frames posted before it included.
+     */
+    void drain(std::size_t link, SocketChannel &channel);
 
     /** Expect one frame from @p channel as link @p link's receive. */
     void receive(std::size_t link, SocketChannel &channel);
@@ -195,6 +165,9 @@ class DuplexRound
 
     /** @return true while a send or receive is outstanding. */
     bool busy() const;
+
+    /** @return host seconds since the round was made. */
+    double age() const;
 
     /**
      * Progress every outstanding send and receive until one completes
@@ -216,6 +189,7 @@ class DuplexRound
     bool step(Event &event);
 
     std::vector<Leg> legs_;
+    const std::chrono::steady_clock::time_point start_;
 };
 
 /**

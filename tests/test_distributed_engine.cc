@@ -609,6 +609,13 @@ TEST(DistributedEngine, WatchdogDumpCarriesPeerLiveness)
         << info.peers;
     EXPECT_NE(info.peers.find("phase="), std::string::npos)
         << info.peers;
+    // Each peer line names the wait process 0 last made on it.
+    std::size_t in_exchange = 0;
+    for (std::size_t at = info.peers.find("phase=exchange barrier ");
+         at != std::string::npos;
+         at = info.peers.find("phase=exchange barrier ", at + 1))
+        ++in_exchange;
+    EXPECT_EQ(in_exchange, 2u) << info.peers;
 }
 
 TEST(DistributedEngine, HarnessRoutesDistributedRuns)

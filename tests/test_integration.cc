@@ -199,9 +199,13 @@ TEST(Integration, StoreAndForwardSwitchIncreasesLatencyNotCorrectness)
     auto workload = workloads::makeWorkload("pingpong", 2, 0.2);
     auto policy = core::parsePolicy("fixed:1us");
     auto params = defaultCluster(2, 1);
+    // A star with output-port contention is a store-and-forward
+    // switch: one hop, then serialization onto the destination port.
+    net::TopologyParams star;
+    star.hopLatency = microseconds(2);
+    star.bytesPerNs = 10.0;
     params.network.switchModel =
-        std::make_shared<net::StoreAndForwardSwitch>(2, 10.0,
-                                                     microseconds(2));
+        std::make_shared<net::TopologySwitch>(2, star);
     engine::SequentialEngine engine;
     auto result = engine.run(params, *workload, *policy);
     EXPECT_EQ(result.stragglers, 0u);

@@ -10,6 +10,7 @@
 #include "base/random.hh"
 #include "fault/fault_injector.hh"
 #include "net/network_controller.hh"
+#include "net/topology.hh"
 #include "stats/stats.hh"
 #include "test_util.hh"
 
@@ -205,9 +206,13 @@ TEST_F(ControllerFixture, ResetRestoresTheFaultLayerToo)
 
 TEST_F(ControllerFixture, StoreAndForwardSwitchDelaysThroughPorts)
 {
+    // A star with output-port contention is a store-and-forward
+    // switch: one hop, then serialization onto the destination port.
+    TopologyParams star;
+    star.hopLatency = 200;
+    star.bytesPerNs = 10.0;
     NetworkParams params;
-    params.switchModel =
-        std::make_shared<StoreAndForwardSwitch>(4, 10.0, 200);
+    params.switchModel = std::make_shared<TopologySwitch>(4, star);
     stats::Group root2("cluster");
     NetworkController ctrl(4, params, root2);
     RecordingScheduler sched;

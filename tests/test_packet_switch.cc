@@ -34,38 +34,25 @@ TEST(PerfectSwitch, ZeroLatencyInfiniteBandwidth)
     EXPECT_EQ(sw.minTraversal(), 0u);
 }
 
-TEST(StoreAndForwardSwitch, AddsTraversalAndSerialization)
+TEST(TopologySwitch, ResetClearsPortState)
 {
-    // 1 byte/ns, 100 ns traversal.
-    StoreAndForwardSwitch sw(4, 1.0, 100);
-    // 1000B frame entering at t=0: exits at 100 + 1000.
-    EXPECT_EQ(sw.egress(0, 1, 1000, 0), 1100u);
-    EXPECT_EQ(sw.minTraversal(), 100u);
-}
-
-TEST(StoreAndForwardSwitch, OutputPortContentionQueues)
-{
-    StoreAndForwardSwitch sw(4, 1.0, 100);
-    EXPECT_EQ(sw.egress(0, 1, 1000, 0), 1100u);
-    // Second frame to the same port at the same time queues behind.
-    EXPECT_EQ(sw.egress(2, 1, 1000, 0), 2100u);
-    // A frame to a different port does not queue.
-    EXPECT_EQ(sw.egress(2, 3, 1000, 0), 1100u);
-}
-
-TEST(StoreAndForwardSwitch, ResetClearsPortState)
-{
-    StoreAndForwardSwitch sw(2, 1.0, 10);
+    TopologyParams star;
+    star.hopLatency = 10;
+    star.bytesPerNs = 1.0;
+    TopologySwitch sw(2, star);
     sw.egress(0, 1, 5000, 0);
     sw.reset();
     EXPECT_EQ(sw.egress(0, 1, 1000, 0), 1010u);
 }
 
-TEST(StoreAndForwardSwitch, FractionalBandwidthRoundsUp)
+TEST(TopologySwitch, FractionalBandwidthRoundsUp)
 {
-    StoreAndForwardSwitch sw(2, 3.0, 0); // 3 bytes/ns
-    // 10 bytes at 3 B/ns = 3.33 ns -> ceil 4.
-    EXPECT_EQ(sw.egress(0, 1, 10, 0), 4u);
+    TopologyParams star;
+    star.hopLatency = 1;
+    star.bytesPerNs = 3.0;
+    TopologySwitch sw(2, star);
+    // 10 bytes at 3 B/ns = 3.33 ns -> ceil 4, after the 1 ns hop.
+    EXPECT_EQ(sw.egress(0, 1, 10, 0), 5u);
 }
 
 namespace
@@ -116,12 +103,6 @@ expectConcurrentEgressQueues(SwitchModel &sw)
 }
 
 } // namespace
-
-TEST(StoreAndForwardSwitch, ConcurrentEgressQueuesEveryFrame)
-{
-    StoreAndForwardSwitch sw(5, 1.0, 100);
-    expectConcurrentEgressQueues(sw);
-}
 
 TEST(TopologySwitch, ConcurrentEgressQueuesEveryFrame)
 {

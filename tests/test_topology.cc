@@ -98,6 +98,7 @@ TEST(Topology, ContentionQueuesOnDestinationPort)
     TopologySwitch sw(4, params);
     EXPECT_EQ(sw.egress(0, 1, 1000, 0), 1100u);
     EXPECT_EQ(sw.egress(2, 1, 1000, 0), 2100u); // queues
+    EXPECT_EQ(sw.egress(2, 3, 1000, 0), 1100u); // another port does not
     sw.reset();
     EXPECT_EQ(sw.egress(2, 1, 1000, 0), 1100u);
 }

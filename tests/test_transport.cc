@@ -2,15 +2,18 @@
  * Transport-layer tests: frame encode/decode self-checking (CRC,
  * length, type validation), socket channel semantics (ordering,
  * drain-after-close, a partial frame kept across a timed-out read)
- * and failure mapping (deadline-bounded recv, EOF on close, torn
- * writes), the full-duplex round, the heartbeat beacon, and the
+ * and failure mapping (deadline-bounded waits, EOF on close, torn
+ * writes), all through DuplexRound, the only way to wait on a
+ * channel; the full-duplex round, the heartbeat beacon, and the
  * peer-drill spec parser.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <thread>
+#include <vector>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -49,6 +52,47 @@ redecode(std::vector<std::uint8_t> wire, Frame &out)
                                    wire.end());
     return decodeFrame(header[0], header[1], header[2],
                        std::move(body), out);
+}
+
+/**
+ * Write @p frame on @p ch through a one-link round, waiting at most
+ * @p seconds. @return Ok, Timeout if the round gave up, or the failed
+ * link's status.
+ */
+RecvStatus
+roundSend(SocketChannel &ch, const Frame &frame, double seconds)
+{
+    DuplexRound round(1);
+    round.send(0, ch, frame);
+    DuplexRound::Event e;
+    if (!round.advance(e, seconds))
+        return RecvStatus::Timeout;
+    return e.status;
+}
+
+/** Read one frame from @p ch into @p frame as roundSend() writes. */
+RecvStatus
+roundRecv(SocketChannel &ch, Frame &frame, double seconds)
+{
+    DuplexRound round(1);
+    round.receive(0, ch);
+    DuplexRound::Event e;
+    if (!round.advance(e, seconds))
+        return RecvStatus::Timeout;
+    if (e.status == RecvStatus::Ok)
+        frame = std::move(e.frame);
+    return e.status;
+}
+
+/** SO_SNDBUF of @p ch's socket. */
+std::size_t
+sendBuffer(const SocketChannel &ch)
+{
+    int sndbuf = 0;
+    socklen_t len = sizeof(sndbuf);
+    EXPECT_EQ(::getsockopt(ch.fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf, &len),
+              0);
+    return static_cast<std::size_t>(sndbuf);
 }
 
 /** Seconds elapsed since @p start. */
@@ -117,9 +161,10 @@ TEST(Frame, TypeNamesAreStable)
 TEST(SocketChannel, RoundTripOverSocketpair)
 {
     auto [a, b] = socketChannelPair();
-    ASSERT_TRUE(a->send(makeFrame(FrameType::StateReq, 99)));
+    ASSERT_EQ(roundSend(*a, makeFrame(FrameType::StateReq, 99), 2.0),
+              RecvStatus::Ok);
     Frame f;
-    ASSERT_EQ(b->recv(f, 2.0), RecvStatus::Ok);
+    ASSERT_EQ(roundRecv(*b, f, 2.0), RecvStatus::Ok);
     EXPECT_EQ(f.type, FrameType::StateReq);
     ckpt::Reader r(f.body, "test");
     EXPECT_EQ(r.u64(), 99u);
@@ -129,10 +174,11 @@ TEST(SocketChannel, OrderedDelivery)
 {
     auto [a, b] = socketChannelPair();
     for (std::uint64_t i = 0; i < 10; ++i)
-        ASSERT_TRUE(a->send(makeFrame(FrameType::Quantum, i)));
+        ASSERT_EQ(roundSend(*a, makeFrame(FrameType::Quantum, i), 1.0),
+                  RecvStatus::Ok);
     for (std::uint64_t i = 0; i < 10; ++i) {
         Frame f;
-        ASSERT_EQ(b->recv(f, 1.0), RecvStatus::Ok);
+        ASSERT_EQ(roundRecv(*b, f, 1.0), RecvStatus::Ok);
         EXPECT_EQ(f.type, FrameType::Quantum);
         ckpt::Reader r(f.body, "test");
         EXPECT_EQ(r.u64(), i);
@@ -144,15 +190,17 @@ TEST(SocketChannel, QueuedFramesDrainAfterClose)
     // A worker that sent its Exchange and then closed must still have
     // that frame readable: close is not data loss.
     auto [a, b] = socketChannelPair();
-    ASSERT_TRUE(a->send(makeFrame(FrameType::Exchange, 42)));
+    ASSERT_EQ(roundSend(*a, makeFrame(FrameType::Exchange, 42), 1.0),
+              RecvStatus::Ok);
     a->close();
     Frame f;
-    ASSERT_EQ(b->recv(f, 1.0), RecvStatus::Ok);
+    ASSERT_EQ(roundRecv(*b, f, 1.0), RecvStatus::Ok);
     EXPECT_EQ(f.type, FrameType::Exchange);
     ckpt::Reader r(f.body, "test");
     EXPECT_EQ(r.u64(), 42u);
-    EXPECT_EQ(b->recv(f, 1.0), RecvStatus::Closed);
-    EXPECT_FALSE(a->send(makeFrame(FrameType::Exchange, 0)));
+    EXPECT_EQ(roundRecv(*b, f, 1.0), RecvStatus::Closed);
+    EXPECT_EQ(roundSend(*a, makeFrame(FrameType::Exchange, 0), 1.0),
+              RecvStatus::Closed);
 }
 
 TEST(SocketChannel, RecvIsDeadlineBounded)
@@ -160,7 +208,7 @@ TEST(SocketChannel, RecvIsDeadlineBounded)
     auto [a, b] = socketChannelPair();
     const auto start = std::chrono::steady_clock::now();
     Frame f;
-    EXPECT_EQ(b->recv(f, 0.1), RecvStatus::Timeout);
+    EXPECT_EQ(roundRecv(*b, f, 0.1), RecvStatus::Timeout);
     const double waited =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - start)
@@ -175,24 +223,20 @@ TEST(SocketChannel, SendIsDeadlineBoundedWhenTheReaderStops)
     // reads: the write waits for room in poll slices and gives up at
     // the deadline, instead of blocking forever.
     auto [a, b] = socketChannelPair();
-    int sndbuf = 0;
-    socklen_t len = sizeof(sndbuf);
-    ASSERT_EQ(::getsockopt(a->fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf, &len),
-              0);
     Frame big;
     big.type = FrameType::Exchange;
-    big.body.assign(4 * static_cast<std::size_t>(sndbuf), 0x5a);
+    big.body.assign(4 * sendBuffer(*a), 0x5a);
     const auto start = std::chrono::steady_clock::now();
-    EXPECT_EQ(a->sendWithin(big, 0.2), RecvStatus::Timeout);
+    EXPECT_EQ(roundSend(*a, big, 0.2), RecvStatus::Timeout);
     const double waited = secondsSince(start);
     EXPECT_GE(waited, 0.19);
     EXPECT_LT(waited, 5.0);
     // A frame that fits goes out at once, deadline or not.
     auto [c, d] = socketChannelPair();
-    EXPECT_EQ(c->sendWithin(makeFrame(FrameType::Quantum, 3), 0.0),
+    EXPECT_EQ(roundSend(*c, makeFrame(FrameType::Quantum, 3), 0.0),
               RecvStatus::Ok);
     d->close();
-    EXPECT_EQ(c->sendWithin(makeFrame(FrameType::Quantum, 4), 1.0),
+    EXPECT_EQ(roundSend(*c, makeFrame(FrameType::Quantum, 4), 1.0),
               RecvStatus::Closed);
 }
 
@@ -203,10 +247,10 @@ TEST(SocketChannel, FrameAfterSpinBudgetArrivesOk)
     auto [a, b] = socketChannelPair();
     std::thread sender([&a] {
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        a->send(makeFrame(FrameType::Quantum, 17));
+        roundSend(*a, makeFrame(FrameType::Quantum, 17), 5.0);
     });
     Frame f;
-    const RecvStatus status = b->recv(f, 5.0);
+    const RecvStatus status = roundRecv(*b, f, 5.0);
     sender.join();
     ASSERT_EQ(status, RecvStatus::Ok);
     EXPECT_EQ(f.type, FrameType::Quantum);
@@ -227,7 +271,7 @@ TEST(SocketChannel, PeerClosingDuringSpinReadsClosedAtOnce)
             a.reset();
         });
         Frame f;
-        const RecvStatus status = b->recv(f, 10.0);
+        const RecvStatus status = roundRecv(*b, f, 10.0);
         closer.join();
         EXPECT_EQ(status, RecvStatus::Closed) << delay_us;
         EXPECT_LT(secondsSince(start), 2.0) << delay_us;
@@ -241,7 +285,7 @@ TEST(SocketChannel, SilentPeerTimesOutAtDeadline)
     auto [a, b] = socketChannelPair();
     const auto start = std::chrono::steady_clock::now();
     Frame f;
-    EXPECT_EQ(b->recv(f, 0.25), RecvStatus::Timeout);
+    EXPECT_EQ(roundRecv(*b, f, 0.25), RecvStatus::Timeout);
     const double waited = secondsSince(start);
     EXPECT_GE(waited, 0.24);
     EXPECT_LT(waited, 5.0);
@@ -252,7 +296,7 @@ TEST(SocketChannel, PeerDestructionReadsClosed)
     auto [a, b] = socketChannelPair();
     a.reset(); // peer process died: kernel closes its fds
     Frame f;
-    EXPECT_EQ(b->recv(f, 1.0), RecvStatus::Closed);
+    EXPECT_EQ(roundRecv(*b, f, 1.0), RecvStatus::Closed);
 }
 
 TEST(SocketChannel, SendIntoClosedPipeFailsWithoutSignal)
@@ -264,7 +308,8 @@ TEST(SocketChannel, SendIntoClosedPipeFailsWithoutSignal)
     // (and none may raise SIGPIPE, which would kill the test).
     bool failed = false;
     for (int i = 0; i < 64 && !failed; ++i)
-        failed = !a->send(makeFrame(FrameType::Quantum, 1));
+        failed = roundSend(*a, makeFrame(FrameType::Quantum, 1), 1.0) ==
+                 RecvStatus::Closed;
     EXPECT_TRUE(failed);
 }
 
@@ -276,7 +321,7 @@ TEST(SocketChannel, TornFrameIsTimeoutNotHang)
     const auto wire = encodeFrame(makeFrame(FrameType::Exchange, 5));
     ASSERT_EQ(::write(a->fd(), wire.data(), 6), 6);
     Frame f;
-    EXPECT_EQ(b->recv(f, 0.2), RecvStatus::Timeout);
+    EXPECT_EQ(roundRecv(*b, f, 0.2), RecvStatus::Timeout);
 }
 
 TEST(SocketChannel, CorruptBytesOnWireAreCorrupt)
@@ -288,7 +333,7 @@ TEST(SocketChannel, CorruptBytesOnWireAreCorrupt)
                       static_cast<ssize_t>(wire.size())),
               static_cast<ssize_t>(wire.size()));
     Frame f;
-    EXPECT_EQ(b->recv(f, 2.0), RecvStatus::Corrupt);
+    EXPECT_EQ(roundRecv(*b, f, 2.0), RecvStatus::Corrupt);
 }
 
 TEST(SocketChannel, PartialFrameSurvivesATimedOutRecv)
@@ -300,11 +345,11 @@ TEST(SocketChannel, PartialFrameSurvivesATimedOutRecv)
     const auto wire = encodeFrame(makeFrame(FrameType::Exchange, 77));
     ASSERT_EQ(::write(a->fd(), wire.data(), 6), 6);
     Frame f;
-    EXPECT_EQ(b->recv(f, 0.05), RecvStatus::Timeout);
+    EXPECT_EQ(roundRecv(*b, f, 0.05), RecvStatus::Timeout);
     EXPECT_EQ(b->tryRecv(f), RecvStatus::Timeout);
     const auto rest = static_cast<ssize_t>(wire.size() - 6);
     ASSERT_EQ(::write(a->fd(), wire.data() + 6, rest), rest);
-    ASSERT_EQ(b->recv(f, 1.0), RecvStatus::Ok);
+    ASSERT_EQ(roundRecv(*b, f, 1.0), RecvStatus::Ok);
     EXPECT_EQ(f.type, FrameType::Exchange);
     ckpt::Reader r(f.body, "test");
     EXPECT_EQ(r.u64(), 77u);
@@ -316,13 +361,9 @@ TEST(DuplexRound, FramesLargerThanTheBufferCrossBothWays)
     // either reads: a blocking send on each side would deadlock, the
     // round interleaves writes and reads and completes.
     auto [a, b] = socketChannelPair();
-    int sndbuf = 0;
-    socklen_t len = sizeof(sndbuf);
-    ASSERT_EQ(::getsockopt(a->fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf, &len),
-              0);
     Frame big;
     big.type = FrameType::Exchange;
-    big.body.assign(4 * static_cast<std::size_t>(sndbuf), 0x5a);
+    big.body.assign(4 * sendBuffer(*a), 0x5a);
     const auto exchange = [&big](SocketChannel &ch, Frame &got) {
         DuplexRound round(1);
         round.send(0, ch, big);
@@ -356,6 +397,33 @@ TEST(DuplexRound, FramesLargerThanTheBufferCrossBothWays)
     EXPECT_EQ(got_b.body, big.body);
 }
 
+TEST(DuplexRound, DrainWritesWhatEarlierPostsLeft)
+{
+    // A frame posted and flushed without waiting (process 0's
+    // dispatch) leaves what the socket did not take in the channel; a
+    // later round's drain writes it, and the reader gets it whole.
+    auto [a, b] = socketChannelPair();
+    Frame big;
+    big.type = FrameType::StateReq;
+    big.body.assign(4 * sendBuffer(*a), 0x5a);
+    a->post(big);
+    ASSERT_EQ(a->flush(), RecvStatus::Timeout);
+    Frame got;
+    RecvStatus read = RecvStatus::Timeout;
+    std::thread reader([&] { read = roundRecv(*b, got, 5.0); });
+    DuplexRound round(2);
+    round.drain(1, *a);
+    DuplexRound::Event e;
+    const bool done = round.advance(e, 5.0);
+    reader.join();
+    ASSERT_TRUE(done);
+    EXPECT_EQ(e.kind, DuplexRound::EventKind::Sent);
+    EXPECT_EQ(e.link, 1u);
+    EXPECT_FALSE(round.busy());
+    EXPECT_EQ(read, RecvStatus::Ok);
+    EXPECT_EQ(got.body, big.body);
+}
+
 TEST(DuplexRound, ClosedPeerIsAFailedLink)
 {
     auto [a, b] = socketChannelPair();
@@ -377,7 +445,7 @@ TEST(Heartbeat, BeaconsArriveAndCarrySequence)
     std::uint64_t last_seq = 0;
     for (int i = 0; i < 3; ++i) {
         Frame f;
-        ASSERT_EQ(a->recv(f, 2.0), RecvStatus::Ok);
+        ASSERT_EQ(roundRecv(*a, f, 2.0), RecvStatus::Ok);
         ASSERT_EQ(f.type, FrameType::Heartbeat);
         ckpt::Reader r(f.body, "test");
         const std::uint64_t seq = r.u64();
@@ -395,6 +463,52 @@ TEST(Heartbeat, StopsCleanlyOnDeadPipe)
     // The beacon must notice the dead pipe on its own and stop
     // without wedging the destructor.
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
+}
+
+TEST(Heartbeat, PostsWholeFramesDuringALargeRoundSend)
+{
+    // The protocol thread writes a frame four times the socket buffer
+    // while the beacon keeps posting on the same channel from its own
+    // thread, and the reader holds off at first, so the round has to
+    // wait for room. Every frame must arrive whole, the heartbeats in
+    // sequence order on both sides of the large frame.
+    auto [a, b] = socketChannelPair();
+    Frame big;
+    big.type = FrameType::State;
+    big.body.assign(4 * sendBuffer(*a), 0x5a);
+    HeartbeatSender beacon(*a, 0.001);
+    bool sent = false;
+    std::thread writer(
+        [&] { sent = roundSend(*a, big, 10.0) == RecvStatus::Ok; });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::vector<Frame> frames;
+    std::size_t bigs = 0;
+    std::size_t beats_after = 0;
+    while (frames.size() < 100000 && (bigs == 0 || beats_after < 3)) {
+        Frame f;
+        if (roundRecv(*b, f, 5.0) != RecvStatus::Ok)
+            break;
+        if (f.type != FrameType::Heartbeat)
+            ++bigs;
+        else if (bigs > 0)
+            ++beats_after;
+        frames.push_back(std::move(f));
+    }
+    writer.join();
+    beacon.stop();
+    EXPECT_TRUE(sent);
+    EXPECT_EQ(bigs, 1u);
+    EXPECT_GE(beats_after, 3u);
+    std::uint64_t seq = 0;
+    for (const Frame &f : frames) {
+        if (f.type == FrameType::Heartbeat) {
+            ckpt::Reader r(f.body, "test");
+            EXPECT_EQ(r.u64(), seq++);
+        } else {
+            EXPECT_EQ(f.type, FrameType::State);
+            EXPECT_EQ(f.body, big.body);
+        }
+    }
 }
 
 TEST(PeerDrill, ParsesFullSpec)
