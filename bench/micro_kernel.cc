@@ -7,6 +7,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "base/random.hh"
 #include "engine/cluster.hh"
 #include "harness/experiment.hh"
@@ -76,6 +79,41 @@ BM_EventQueueCancelChurn(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) * window);
 }
 BENCHMARK(BM_EventQueueCancelChurn);
+
+/**
+ * The engines' access pattern: many small queues, each visited once
+ * per quantum to schedule and fire a few events, round-robin. Unlike
+ * one big queue (BM_EventQueueScheduleRun), whose state stays hot,
+ * each visit here moves to another queue, so the cost follows how
+ * many memory blocks a queue's hot state spans. Each queue is its own
+ * heap object, as in a cluster, where it lives inside its node.
+ */
+void
+BM_EventQueueManyQueues(benchmark::State &state)
+{
+    constexpr int eventsPerVisit = 3;
+    constexpr Tick quantum = 1000;
+    const auto n = static_cast<std::size_t>(state.range(0));
+    std::vector<std::unique_ptr<sim::EventQueue>> queues;
+    queues.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+        queues.push_back(std::make_unique<sim::EventQueue>());
+    std::uint64_t sink = 0;
+    Tick boundary = 0;
+    for (auto _ : state) {
+        boundary += quantum;
+        for (auto &q : queues) {
+            for (int e = 0; e < eventsPerVisit; ++e)
+                q->schedule(q->now() + 1 + static_cast<Tick>(e) * 300,
+                            [&sink] { ++sink; });
+            q->runUntil(boundary);
+        }
+    }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * n * eventsPerVisit));
+}
+BENCHMARK(BM_EventQueueManyQueues)->Arg(256)->Arg(2048);
 
 sim::Process
 delayLoop(sim::EventQueue &q, std::size_t hops)

@@ -299,20 +299,22 @@ reduceScatter(Endpoint &ep, std::uint64_t bytes_per_rank)
     }
 }
 
-sim::Process
-alltoall(Endpoint &ep, std::uint64_t bytes_per_pair)
+namespace
 {
-    std::vector<std::uint64_t> sizes(ep.numRanks(), bytes_per_pair);
-    co_await alltoallv(ep, std::move(sizes));
-}
 
+/**
+ * The pairwise exchange of alltoall and alltoallv: at each step a rank
+ * sends to one partner and receives from another (one XOR partner for
+ * a power-of-two rank count). It sends @p per_peer[peer] bytes, or
+ * @p uniform bytes to every peer when @p per_peer is empty.
+ */
 sim::Process
-alltoallv(Endpoint &ep, std::vector<std::uint64_t> bytes_to_peer)
+pairwiseExchange(Endpoint &ep, std::uint64_t uniform,
+                 std::vector<std::uint64_t> per_peer)
 {
     const std::size_t n = ep.numRanks();
     if (n <= 1)
         co_return;
-    AQSIM_ASSERT(bytes_to_peer.size() == n);
     const int tag = ep.nextCollectiveTag();
     const Rank r = ep.rank();
     const bool pow2 = (n & (n - 1)) == 0;
@@ -325,11 +327,28 @@ alltoallv(Endpoint &ep, std::vector<std::uint64_t> bytes_to_peer)
             send_to = static_cast<Rank>((r + step) % n);
             recv_from = static_cast<Rank>((r + n - step) % n);
         }
-        auto s = ep.send(send_to, tag, bytes_to_peer[send_to]);
+        auto s = ep.send(send_to, tag,
+                         per_peer.empty() ? uniform : per_peer[send_to]);
         s.start();
         co_await ep.recv(static_cast<int>(recv_from), tag);
         co_await std::move(s);
     }
+}
+
+} // namespace
+
+sim::Process
+alltoall(Endpoint &ep, std::uint64_t bytes_per_pair)
+{
+    return pairwiseExchange(ep, bytes_per_pair, {});
+}
+
+sim::Process
+alltoallv(Endpoint &ep, std::vector<std::uint64_t> bytes_to_peer)
+{
+    AQSIM_ASSERT(ep.numRanks() <= 1 ||
+                 bytes_to_peer.size() == ep.numRanks());
+    return pairwiseExchange(ep, 0, std::move(bytes_to_peer));
 }
 
 } // namespace aqsim::mpi

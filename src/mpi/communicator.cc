@@ -162,7 +162,7 @@ Endpoint::send(Rank dst, int tag, std::uint64_t bytes)
         // Eager: fire and forget; local completion semantics. In
         // reliable mode the retransmit timer keeps running in the
         // background until the receiver's Rack arrives.
-        transmitData(hdr);
+        transmitFragments(hdr, 0, num_frags, num_frags);
         if (params_.reliable)
             armRetry(trackRetry(hdr, num_frags, false));
         co_return;
@@ -229,14 +229,6 @@ Endpoint::windowFragments() const
     return std::max<std::uint32_t>(
         1, static_cast<std::uint32_t>(params_.ackWindowBytes /
                                       framePayload()));
-}
-
-void
-Endpoint::transmitData(const MsgHeader &header)
-{
-    const std::uint32_t num_frags =
-        fragmentCount(header.bytes, framePayload());
-    transmitFragments(header, 0, num_frags, num_frags);
 }
 
 void

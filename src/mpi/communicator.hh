@@ -322,9 +322,6 @@ class Endpoint
     void sendControl(ControlPayload::Kind kind, const MsgHeader &header,
                      Rank to, std::uint32_t progress = 0);
 
-    /** Enqueue all data fragments of a message on the NIC. */
-    void transmitData(const MsgHeader &header);
-
     /** Enqueue fragments [first, last) of a message on the NIC. */
     void transmitFragments(const MsgHeader &header, std::uint32_t first,
                            std::uint32_t last, std::uint32_t num_frags);

@@ -64,7 +64,7 @@ NicModel::deliverAt(const net::Packet &pkt, Tick when)
     AQSIM_ASSERT(pkt.dst == id_);
     std::uint32_t slot = rxFreeHead_;
     if (slot == noFreeSlot) {
-        slot = static_cast<std::uint32_t>(rxSlots_.size());
+        slot = rxSlots_.size();
         rxSlots_.push_back(pkt);
     } else {
         rxFreeHead_ = static_cast<std::uint32_t>(rxSlots_[slot].id);

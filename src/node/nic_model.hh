@@ -20,8 +20,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
+#include "base/inline_vec.hh"
 #include "base/types.hh"
 #include "net/network_controller.hh"
 #include "net/packet.hh"
@@ -111,12 +111,14 @@ class NicModel
     /**
      * Receive pool: frames scheduled for delivery, by slot. It grows
      * on demand to the most frames this node ever has in flight
-     * towards it, and freed slots are reused; nothing is reserved up
-     * front. A free slot holds the index of the next free slot in its
-     * frame's id field, so the free list costs no storage of its own.
-     * Written only by the thread that owns this node.
+     * towards it, and freed slots are reused. The first 2 slots live
+     * in the NIC itself (real runs keep 1–4 frames in flight per
+     * node); more spill to one heap block. A free slot holds the
+     * index of the next free slot in its frame's id field, so the
+     * free list costs no storage of its own. Written only by the
+     * thread that owns this node.
      */
-    std::vector<net::Packet> rxSlots_;
+    base::InlineVec<net::Packet, 2> rxSlots_;
     static constexpr std::uint32_t noFreeSlot = ~std::uint32_t{0};
     std::uint32_t rxFreeHead_ = noFreeSlot;
 

@@ -9,6 +9,14 @@
 namespace aqsim::sim
 {
 
+EventQueue::EventQueue()
+{
+    // Thread the inline records onto the free list low-slot-first.
+    for (std::uint32_t i = 0; i + 1 < inlineRecords; ++i)
+        firstRecords_[i].nextFree = i + 1;
+    firstRecords_[inlineRecords - 1].nextFree = noFreeSlot;
+}
+
 void
 EventQueue::scheduleChecks(Tick when)
 {
@@ -47,7 +55,7 @@ EventQueue::freeSlot(std::uint32_t slot)
     // so no live generation ever equals the invalidEvent encoding.
     if (++rec.gen == 0)
         rec.gen = 1;
-    recordAt(slot)->nextFree = freeHead_;
+    rec.nextFree = freeHead_;
     freeHead_ = slot;
 }
 
@@ -65,6 +73,7 @@ EventQueue::deschedule(EventId id)
     // reaches the head (its generation no longer matches).
     rec.cb.reset();
     freeSlot(slot);
+    ++stale_;
     --numLive_;
     ++numCancelled_;
     return true;
@@ -123,11 +132,14 @@ EventQueue::popHeapTop() const
 }
 
 void
-EventQueue::pruneStale() const
+EventQueue::dropStaleHeads() const
 {
-    while (!refs_.empty() &&
+    // stale_ > 0 means the heap holds a cancelled entry, so it is
+    // not empty.
+    while (stale_ != 0 &&
            recordAt(refs_.front().slot)->gen != refs_.front().gen) {
         popHeapTop();
+        --stale_;
     }
 }
 
@@ -165,7 +177,7 @@ EventQueue::fireTop()
         rec.gen = 1;
     rec.cb();
     rec.cb.reset();
-    recordAt(top_ref.slot)->nextFree = freeHead_;
+    rec.nextFree = freeHead_;
     freeHead_ = top_ref.slot;
 }
 

@@ -15,7 +15,13 @@
  * Internals are built for throughput (this is the hottest loop in the
  * simulator — see docs/performance.md):
  *
- *  - event records live in a chunked slab with a free list, so
+ *  - a node's hot event state lives in the queue object itself: the
+ *    first 4 heap entries and the first 4 event records, sized from
+ *    the high-water marks of real runs (at most 2–5 pending events
+ *    per node), so scheduling and firing an event touch no other
+ *    heap block; a busier queue spills the heap to one growing block
+ *    and adds 8-record slab chunks,
+ *  - event records live in that slab with a free list, so
  *    steady-state scheduling performs no allocations; callbacks are
  *    stored in the record via SmallCallback (small-buffer optimized),
  *  - EventId handles carry a slot index plus a generation counter, so
@@ -24,7 +30,8 @@
  *    sift comparisons touch only a contiguous array of 24-byte
  *    (tick, priority, seq) keys, while the slab slot/generation pair —
  *    needed only on dispatch and stale-pruning — lives in a parallel
- *    array; cancelled entries are skipped lazily at the head.
+ *    array; cancelled entries are skipped lazily at the head, and a
+ *    count of them lets a queue with none skip the record probe.
  */
 
 #ifndef AQSIM_SIM_EVENT_QUEUE_HH
@@ -36,6 +43,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/inline_vec.hh"
 #include "base/types.hh"
 #include "sim/small_callback.hh"
 
@@ -74,7 +82,9 @@ class EventQueue
     /** Sentinel returned when no event is scheduled. */
     static constexpr EventId invalidEvent = 0;
 
-    EventQueue() = default;
+    /** Empty, at tick 0; out of line, so value-initialization never
+     * zero-fills the inline heap and records. */
+    EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -234,18 +244,24 @@ class EventQueue
     };
 
     /**
-     * Records per slab chunk. Most nodes hold a handful of live
-     * events, so a chunk is small (8 records) and a busy queue just
-     * grows more of them; chunks are stable in memory.
+     * Slots 0..inlineRecords-1 live in the queue object; slots beyond
+     * live in 8-record chunks, each allocated when the free list runs
+     * dry. Every record is stable in memory.
      */
+    static constexpr std::uint32_t inlineRecords = 4;
     static constexpr std::uint32_t chunkShift = 3;
     static constexpr std::uint32_t chunkSize = 1u << chunkShift;
     static constexpr std::uint32_t noFreeSlot = 0xffffffffu;
+    /** Heap entries held inside the object before keys_/refs_ spill. */
+    static constexpr std::uint32_t inlineHeap = 4;
 
     Record *
     recordAt(std::uint32_t slot) const
     {
-        return &chunks_[slot >> chunkShift][slot & (chunkSize - 1)];
+        if (slot < inlineRecords)
+            return &firstRecords_[slot];
+        const std::uint32_t i = slot - inlineRecords;
+        return &chunks_[i >> chunkShift][i & (chunkSize - 1)];
     }
 
     /** Invariant hook + past-scheduling assert (out of line). */
@@ -259,16 +275,23 @@ class EventQueue
     /** Remove the head entry, restoring the 4-ary heap order. */
     void popHeapTop() const;
     /** Drop cancelled (stale-generation) entries from the head. */
-    void pruneStale() const;
+    void
+    pruneStale() const
+    {
+        if (stale_ != 0)
+            dropStaleHeads();
+    }
+    void dropStaleHeads() const;
     /** Pop the (live) head entry and execute its callback. */
     void fireTop();
 
     /** Heap storage (SoA); mutable so const peeks can prune lazily. */
-    mutable std::vector<HeapKey> keys_;
-    mutable std::vector<HeapRef> refs_;
-    std::vector<std::unique_ptr<Record[]>> chunks_;
-    std::uint32_t capacity_ = 0;
-    std::uint32_t freeHead_ = noFreeSlot;
+    mutable base::InlineVec<HeapKey, inlineHeap> keys_;
+    mutable base::InlineVec<HeapRef, inlineHeap> refs_;
+    /** Cancelled entries still in the heap; 0 skips the prune probe. */
+    mutable std::uint32_t stale_ = 0;
+    std::uint32_t freeHead_ = 0;
+    std::uint32_t capacity_ = inlineRecords;
 
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
@@ -276,6 +299,11 @@ class EventQueue
     std::uint64_t numScheduled_ = 0;
     std::uint64_t numExecuted_ = 0;
     std::uint64_t numCancelled_ = 0;
+
+    /** Overflow slab chunks, beyond the inline records. */
+    std::vector<std::unique_ptr<Record[]>> chunks_;
+    /** The first slab records; mutable like the heap, for recordAt. */
+    mutable Record firstRecords_[inlineRecords];
 };
 
 } // namespace aqsim::sim

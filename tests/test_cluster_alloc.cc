@@ -14,8 +14,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "engine/cluster.hh"
 #include "harness/experiment.hh"
@@ -101,7 +103,7 @@ buildAllocations(std::size_t nodes)
     return allocations.load() - before;
 }
 
-TEST(ClusterAlloc, PerNodeBuildAllocationsStayAtTenOrFewer)
+TEST(ClusterAlloc, PerNodeBuildAllocationsStayAtFiveOrFewer)
 {
     // The difference of two sizes cancels the per-cluster allocations
     // (controller, vectors' first blocks), leaving the per-node ones.
@@ -109,7 +111,12 @@ TEST(ClusterAlloc, PerNodeBuildAllocationsStayAtTenOrFewer)
     const std::uint64_t large = buildAllocations(1024);
     ASSERT_GT(large, small);
     const double per_node = static_cast<double>(large - small) / 512.0;
-    EXPECT_LE(per_node, 10.0) << "per-node allocations: " << per_node;
+    RecordProperty("per_node_build_allocations", std::to_string(per_node));
+    std::printf("per-node build allocations: %.2f\n", per_node);
+    // Five: the node, its CPU model, its MPI endpoint, its app
+    // context and the guest coroutine frame. The event queue and the
+    // NIC receive pool hold their first entries inline.
+    EXPECT_LE(per_node, 5.0) << "per-node allocations: " << per_node;
     EXPECT_GE(per_node, 1.0) << "the counter is not counting";
 }
 

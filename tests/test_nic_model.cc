@@ -122,8 +122,8 @@ TEST_F(NicFixture, OversizedFramePanics)
 
 TEST_F(NicFixture, ReceivePoolGrowsToInFlightFramesAndReusesSlots)
 {
-    // Nothing is reserved up front: a NIC that never receives holds
-    // no pool at all.
+    // Slots are allocated on demand: a NIC that never receives has
+    // allocated none.
     EXPECT_EQ(nic.rxPoolSlots(), 0u);
     std::vector<std::uint32_t> received;
     nic.setRxHandler(
@@ -160,4 +160,34 @@ TEST_F(NicFixture, HandlerMayDeliverIntoItsOwnPool)
     EXPECT_EQ(received,
               (std::vector<std::uint32_t>{100, 101, 102, 103, 104, 105,
                                           106, 107, 108}));
+}
+
+TEST_F(NicFixture, FramesPastTheInlineSlotsSpillWhileAHandlerFillsItsPool)
+{
+    // The first receive slots live in the NIC itself; five frames in
+    // flight spill the pool to the heap. The first handler call then
+    // delivers five more frames into the pool it is being served from
+    // (reusing its own freed slot, then growing the spilled block).
+    // Every frame must arrive intact and in tick order.
+    std::vector<std::uint32_t> received;
+    bool refilled = false;
+    nic.setRxHandler([&](const Packet &pkt) {
+        if (!refilled) {
+            refilled = true;
+            for (std::uint32_t i = 0; i < 5; ++i)
+                nic.deliverAt(test::frame(1, 0, 300 + i, 0),
+                              queue.now() + 100 + i);
+        }
+        EXPECT_EQ(pkt.src, 1u);
+        EXPECT_EQ(pkt.dst, 0u);
+        received.push_back(pkt.bytes);
+    });
+    for (std::uint32_t i = 0; i < 5; ++i)
+        nic.deliverAt(test::frame(1, 0, 200 + i, 0), 10 + i);
+    EXPECT_EQ(nic.rxPoolSlots(), 5u);
+    queue.runUntil(1000);
+    EXPECT_EQ(nic.rxPoolSlots(), 9u);
+    EXPECT_EQ(received,
+              (std::vector<std::uint32_t>{200, 201, 202, 203, 204, 300,
+                                          301, 302, 303, 304}));
 }
