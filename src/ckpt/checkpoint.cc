@@ -1,5 +1,7 @@
 #include "ckpt/checkpoint.hh"
 
+#include <utility>
+
 #include "core/synchronizer.hh"
 #include "engine/cluster.hh"
 
@@ -121,8 +123,9 @@ configFingerprint(const engine::ClusterParams &params,
 }
 
 CheckpointImage
-buildImage(const engine::Cluster &cluster, const core::Synchronizer &sync,
-           std::uint64_t config_hash, const std::string &engine_name,
+buildImage(const core::Synchronizer &sync, std::uint64_t config_hash,
+           const std::string &engine_name,
+           std::vector<Section> state_sections,
            const std::vector<std::uint8_t> &engine_state)
 {
     CheckpointImage image;
@@ -132,18 +135,12 @@ buildImage(const engine::Cluster &cluster, const core::Synchronizer &sync,
     image.configHash = config_hash;
     image.engine = engine_name;
 
-    auto add = [&image](const char *name, auto &&fill) {
-        Writer w;
-        fill(w);
-        image.sections.push_back(Section{name, w.buffer()});
-    };
-    add(sectionSync, [&](Writer &w) { sync.serialize(w); });
-    add(sectionNodes, [&](Writer &w) { cluster.serializeNodes(w); });
-    add(sectionMpi, [&](Writer &w) { cluster.serializeMpi(w); });
-    add(sectionNet, [&](Writer &w) { cluster.serializeNet(w); });
-    add(sectionFault, [&](Writer &w) { cluster.serializeFault(w); });
-    add(sectionWorkload,
-        [&](Writer &w) { cluster.serializeWorkload(w); });
+    Writer w;
+    sync.serialize(w);
+    image.sections.reserve(state_sections.size() + 2);
+    image.sections.push_back(Section{sectionSync, w.buffer()});
+    for (Section &s : state_sections)
+        image.sections.push_back(std::move(s));
     if (!engine_state.empty())
         image.sections.push_back(Section{sectionEngine, engine_state});
 

@@ -38,7 +38,6 @@ class Synchronizer;
 
 namespace aqsim::engine
 {
-class Cluster;
 struct ClusterParams;
 } // namespace aqsim::engine
 
@@ -78,10 +77,8 @@ struct CheckpointImage
 };
 
 /**
- * Chain-hash every state-section body in order — the meta stateHash.
- * Public so an engine assembling an image from gathered section
- * bodies (DistributedEngine splices per-peer ranges) produces the
- * same fingerprint buildImage would.
+ * Chain-hash every state-section body in order — the meta stateHash,
+ * and over the cluster's sections alone, Cluster::stateHash.
  */
 std::uint64_t sectionsHash(const std::vector<Section> &sections);
 
@@ -95,16 +92,19 @@ std::uint64_t configFingerprint(const engine::ClusterParams &params,
                                 const std::string &workload_name);
 
 /**
- * Snapshot the live cluster + synchronizer into an image. Must be
- * called at a quantum boundary, after Synchronizer::completeQuantum().
+ * Frame a snapshot taken at a quantum boundary, after
+ * Synchronizer::completeQuantum(): the sync section, then
+ * @p state_sections (the cluster's, Cluster::state or
+ * Cluster::splice), then the engine section. Every engine's images
+ * come from here.
  *
  * @param engine_state optional extra section body with engine-private
  *        deterministic state (empty = section omitted)
  */
-CheckpointImage buildImage(const engine::Cluster &cluster,
-                           const core::Synchronizer &sync,
+CheckpointImage buildImage(const core::Synchronizer &sync,
                            std::uint64_t config_hash,
                            const std::string &engine_name,
+                           std::vector<Section> state_sections,
                            const std::vector<std::uint8_t> &engine_state);
 
 /** Frame an image into a complete checkpoint file byte image. */

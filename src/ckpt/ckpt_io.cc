@@ -104,6 +104,22 @@ Reader::str()
     return s;
 }
 
+std::vector<std::uint8_t>
+Reader::blob()
+{
+    const std::uint64_t len = u64();
+    if (failed_)
+        return {};
+    if (size_ - pos_ < len) {
+        fail("truncated (need blob of " + std::to_string(len) +
+             " bytes)");
+        return {};
+    }
+    std::vector<std::uint8_t> b(data_ + pos_, data_ + pos_ + len);
+    pos_ += len;
+    return b;
+}
+
 void
 Reader::fail(const std::string &message)
 {

@@ -93,6 +93,14 @@ class Writer
         raw(data, size);
     }
 
+    /** A u64 byte count, then the bytes (Reader::blob). */
+    void
+    blob(const std::vector<std::uint8_t> &data)
+    {
+        u64(data.size());
+        raw(data.data(), data.size());
+    }
+
     const std::vector<std::uint8_t> &buffer() const { return buf_; }
     std::size_t size() const { return buf_.size(); }
 
@@ -140,6 +148,7 @@ class Reader
     bool boolean() { return u8() != 0; }
 
     std::string str();
+    std::vector<std::uint8_t> blob();
 
     /** @return true if all reads so far decoded cleanly. */
     bool ok() const { return !failed_; }

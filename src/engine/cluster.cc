@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "base/logging.hh"
-#include "ckpt/ckpt_io.hh"
+#include "ckpt/checkpoint.hh"
 
 namespace aqsim::engine
 {
@@ -121,41 +121,21 @@ Cluster::StatsRoot::find(const std::string &path) const
 }
 
 bool
-Cluster::allDone() const
+Cluster::allDone(NodeId begin, NodeId end) const
 {
-    for (const auto &n : nodes_)
-        if (!n->appDone())
+    for (NodeId id = begin; id < end; ++id)
+        if (!nodes_[id]->appDone())
             return false;
     return true;
 }
 
-
-std::vector<Tick>
-Cluster::finishTicks() const
-{
-    std::vector<Tick> out;
-    out.reserve(nodes_.size());
-    for (const auto &n : nodes_)
-        out.push_back(n->appFinishTick());
-    return out;
-}
-
 bool
-Cluster::anyEventPending() const
+Cluster::anyEventPending(NodeId begin, NodeId end) const
 {
-    for (const auto &n : nodes_)
-        if (!n->queue().empty())
+    for (NodeId id = begin; id < end; ++id)
+        if (!nodes_[id]->queue().empty())
             return true;
     return false;
-}
-
-std::uint64_t
-Cluster::totalRetransmits() const
-{
-    std::uint64_t total = 0;
-    for (const auto &ep : endpoints_)
-        total += ep->retransmits();
-    return total;
 }
 
 std::string
@@ -222,8 +202,12 @@ void
 Cluster::serializeFault(ckpt::Writer &w) const
 {
     w.boolean(faults_ != nullptr);
-    if (faults_)
-        faults_->serialize(w);
+    if (!faults_)
+        return;
+    w.u32(static_cast<std::uint32_t>(nodes_.size() * nodes_.size()));
+    faults_->serializeLinkRange(w, 0, nodeCount());
+    for (std::uint64_t total : faults_->totals())
+        w.u64(total);
 }
 
 void
@@ -234,31 +218,136 @@ Cluster::serializeWorkload(ckpt::Writer &w) const
         ckpt::putRng(w, ctx->rng());
 }
 
-void
-Cluster::serializeNodeRange(ckpt::Writer &w, NodeId begin,
-                            NodeId end) const
+std::uint64_t
+ClusterState::hash() const
+{
+    return ckpt::sectionsHash(sections);
+}
+
+ClusterState
+Cluster::state() const
+{
+    ClusterState st;
+    const auto add = [&](const char *name,
+                         void (Cluster::*fill)(ckpt::Writer &) const) {
+        ckpt::Writer w;
+        (this->*fill)(w);
+        st.sections.push_back(ckpt::Section{name, w.buffer()});
+    };
+    add(ckpt::sectionNodes, &Cluster::serializeNodes);
+    add(ckpt::sectionMpi, &Cluster::serializeMpi);
+    add(ckpt::sectionNet, &Cluster::serializeNet);
+    add(ckpt::sectionFault, &Cluster::serializeFault);
+    add(ckpt::sectionWorkload, &Cluster::serializeWorkload);
+    for (NodeId id = 0; id < nodes_.size(); ++id) {
+        st.finishTicks.push_back(nodes_[id]->appFinishTick());
+        st.retransmits += endpoints_[id]->retransmits();
+    }
+    if (faults_)
+        st.faultTotals = faults_->totals();
+    return st;
+}
+
+std::uint64_t
+Cluster::stateHash() const
+{
+    return state().hash();
+}
+
+ClusterSlice
+Cluster::slice(NodeId begin, NodeId end) const
 {
     AQSIM_ASSERT(begin <= end && end <= nodes_.size());
-    for (NodeId id = begin; id < end; ++id)
-        nodes_[id]->serialize(w);
+    ClusterSlice s;
+    ckpt::Writer nodes, mpi, workload, links;
+    for (NodeId id = begin; id < end; ++id) {
+        nodes_[id]->serialize(nodes);
+        endpoints_[id]->serialize(mpi);
+        ckpt::putRng(workload, contexts_[id]->rng());
+        s.finishTicks.push_back(nodes_[id]->appFinishTick());
+        s.retransmits += endpoints_[id]->retransmits();
+    }
+    s.nodes = nodes.buffer();
+    s.mpi = mpi.buffer();
+    s.workload = workload.buffer();
+    if (faults_) {
+        faults_->serializeLinkRange(links, begin, end);
+        s.faultLinks = links.buffer();
+        s.faultTotals = faults_->totals();
+    }
+    return s;
+}
+
+ClusterState
+Cluster::splice(const std::vector<ClusterSlice> &slices) const
+{
+    const auto n = static_cast<std::uint32_t>(nodes_.size());
+    ClusterState st;
+    ckpt::Writer nodes, mpi, net, fault, workload;
+    nodes.u32(n);
+    mpi.u32(n);
+    workload.u32(n);
+    fault.boolean(faults_ != nullptr);
+    if (faults_)
+        fault.u32(n * n);
+    for (const ClusterSlice &s : slices) {
+        nodes.bytes(s.nodes.data(), s.nodes.size());
+        mpi.bytes(s.mpi.data(), s.mpi.size());
+        workload.bytes(s.workload.data(), s.workload.size());
+        fault.bytes(s.faultLinks.data(), s.faultLinks.size());
+        for (std::size_t i = 0; i < st.faultTotals.size(); ++i)
+            st.faultTotals[i] += s.faultTotals[i];
+        st.finishTicks.insert(st.finishTicks.end(), s.finishTicks.begin(),
+                              s.finishTicks.end());
+        st.retransmits += s.retransmits;
+    }
+    AQSIM_ASSERT(st.finishTicks.size() == n);
+    if (faults_)
+        for (std::uint64_t total : st.faultTotals)
+            fault.u64(total);
+    serializeNet(net);
+    st.sections = {{ckpt::sectionNodes, nodes.buffer()},
+                   {ckpt::sectionMpi, mpi.buffer()},
+                   {ckpt::sectionNet, net.buffer()},
+                   {ckpt::sectionFault, fault.buffer()},
+                   {ckpt::sectionWorkload, workload.buffer()}};
+    return st;
 }
 
 void
-Cluster::serializeMpiRange(ckpt::Writer &w, NodeId begin,
-                           NodeId end) const
+Cluster::writeSlice(ckpt::Writer &w, const ClusterSlice &slice)
 {
-    AQSIM_ASSERT(begin <= end && end <= endpoints_.size());
-    for (NodeId id = begin; id < end; ++id)
-        endpoints_[id]->serialize(w);
+    w.blob(slice.nodes);
+    w.blob(slice.mpi);
+    w.blob(slice.workload);
+    w.blob(slice.faultLinks);
+    for (std::uint64_t total : slice.faultTotals)
+        w.u64(total);
+    w.u32(static_cast<std::uint32_t>(slice.finishTicks.size()));
+    for (Tick t : slice.finishTicks)
+        w.u64(t);
+    w.u64(slice.retransmits);
 }
 
-void
-Cluster::serializeWorkloadRange(ckpt::Writer &w, NodeId begin,
-                                NodeId end) const
+bool
+Cluster::readSlice(ckpt::Reader &r, NodeId begin, NodeId end,
+                   ClusterSlice &slice) const
 {
-    AQSIM_ASSERT(begin <= end && end <= contexts_.size());
-    for (NodeId id = begin; id < end; ++id)
-        ckpt::putRng(w, contexts_[id]->rng());
+    slice.nodes = r.blob();
+    slice.mpi = r.blob();
+    slice.workload = r.blob();
+    slice.faultLinks = r.blob();
+    for (std::uint64_t &total : slice.faultTotals)
+        total = r.u64();
+    const std::uint32_t owned = r.u32();
+    if (!r.ok() || owned != end - begin ||
+        slice.faultLinks.empty() == (faults_ && begin < end))
+        return false;
+    slice.finishTicks.resize(owned);
+    for (Tick &t : slice.finishTicks)
+        t = r.u64();
+    slice.retransmits = r.u64();
+    return r.ok();
 }
 
 void
@@ -311,18 +400,6 @@ Cluster::dumpStats(std::ostream &out, stats::Format format) const
         if (i < groups.size())
             dump.group(*groups[i], "cluster");
     }
-}
-
-std::uint64_t
-Cluster::stateHash() const
-{
-    ckpt::Writer w;
-    serializeNodes(w);
-    serializeMpi(w);
-    serializeNet(w);
-    serializeFault(w);
-    serializeWorkload(w);
-    return w.hash();
 }
 
 } // namespace aqsim::engine

@@ -6,6 +6,11 @@
  * paper's Figure 1: N full-system node simulators, each bridged through
  * its NIC to the central network controller, each running one rank of
  * the distributed application.
+ *
+ * The Cluster also owns the cluster-state layout of a checkpoint
+ * image: it writes the nodes, mpi, net, fault and workload sections,
+ * from the live cluster or spliced from the node-range slices a
+ * distributed run gathers (docs/checkpoint-restore.md).
  */
 
 #ifndef AQSIM_ENGINE_CLUSTER_HH
@@ -19,6 +24,7 @@
 
 #include "base/random.hh"
 #include "base/types.hh"
+#include "ckpt/ckpt_io.hh"
 #include "fault/fault_injector.hh"
 #include "mpi/communicator.hh"
 #include "net/network_controller.hh"
@@ -27,11 +33,6 @@
 #include "stats/output.hh"
 #include "stats/stats.hh"
 #include "workloads/workload.hh"
-
-namespace aqsim::ckpt
-{
-class Writer;
-} // namespace aqsim::ckpt
 
 namespace aqsim::engine
 {
@@ -62,6 +63,44 @@ struct ClusterParams
     std::uint64_t seed = 1;
 };
 
+/**
+ * One process's share of the cluster state at a quantum boundary
+ * (Cluster::slice): what a distributed gather ships to process 0.
+ */
+struct ClusterSlice
+{
+    /** The range's bytes of the nodes, mpi and workload sections,
+     * without their count prefixes. */
+    std::vector<std::uint8_t> nodes;
+    std::vector<std::uint8_t> mpi;
+    std::vector<std::uint8_t> workload;
+    /** The fault-link streams whose source lies in the range (empty
+     * on a perfect network). */
+    std::vector<std::uint8_t> faultLinks;
+    /** This process's fault-injector totals (dropped, duplicated,
+     * corrupted, delayed): only its own nodes sent through it. */
+    fault::FaultInjector::Totals faultTotals{};
+    /** The range's completion ticks, one per node. */
+    std::vector<Tick> finishTicks;
+    /** The range's reliable-mode retransmissions. */
+    std::uint64_t retransmits = 0;
+};
+
+/** A whole cluster's state: its checkpoint sections and the outcome a
+ * RunResult reports (Cluster::state, Cluster::splice). */
+struct ClusterState
+{
+    /** The nodes, mpi, net, fault and workload sections, in file
+     * order. */
+    std::vector<ckpt::Section> sections;
+    std::vector<Tick> finishTicks;
+    std::uint64_t retransmits = 0;
+    fault::FaultInjector::Totals faultTotals{};
+
+    /** The fingerprint of the sections (Cluster::stateHash). */
+    std::uint64_t hash() const;
+};
+
 /** A fully wired simulated cluster ready to be driven by an engine. */
 class Cluster
 {
@@ -89,17 +128,15 @@ class Cluster
     workloads::Workload &workload() { return workload_; }
     const ClusterParams &params() const { return params_; }
 
-    /** @return true once every rank's program has completed. */
-    bool allDone() const;
+    /** @return true once every rank in [@p begin, @p end) has
+     * completed its program. */
+    bool allDone(NodeId begin, NodeId end) const;
+    bool allDone() const { return allDone(0, nodeCount()); }
 
-    /** @return per-rank completion ticks. */
-    std::vector<Tick> finishTicks() const;
-
-    /** @return true if any node has a pending event. */
-    bool anyEventPending() const;
-
-    /** @return reliable-mode retransmissions summed over endpoints. */
-    std::uint64_t totalRetransmits() const;
+    /** @return true if any node in [@p begin, @p end) has a pending
+     * event. */
+    bool anyEventPending(NodeId begin, NodeId end) const;
+    bool anyEventPending() const { return anyEventPending(0, nodeCount()); }
 
     /**
      * Describe per-node progress for deadlock diagnostics (posted
@@ -121,22 +158,45 @@ class Cluster
     void serializeFault(ckpt::Writer &w) const;
     void serializeWorkload(ckpt::Writer &w) const;
 
-    /**
-     * Partition-range serialization (DistributedEngine state gather):
-     * the body bytes of nodes [begin, end) for each per-node section,
-     * *without* the count prefix — the coordinator splices the peers'
-     * ranges back together in node order under one u32(numNodes)
-     * prefix, reproducing the whole-cluster encodings byte for byte.
-     */
-    void serializeNodeRange(ckpt::Writer &w, NodeId begin,
-                            NodeId end) const;
-    void serializeMpiRange(ckpt::Writer &w, NodeId begin,
-                           NodeId end) const;
-    void serializeWorkloadRange(ckpt::Writer &w, NodeId begin,
-                                NodeId end) const;
+    /** Every state section plus the run's outcome, from this live
+     * cluster. */
+    ClusterState state() const;
 
     /** FNV-1a fingerprint over every serialized section. */
     std::uint64_t stateHash() const;
+
+    /**
+     * The share of state() that nodes [@p begin, @p end) own, plus
+     * this process's fault totals: a distributed process ran only
+     * those nodes, so only their bytes are its to report.
+     */
+    ClusterSlice slice(NodeId begin, NodeId end) const;
+
+    /**
+     * Rebuild state() from @p slices, which cover every node in
+     * order, byte for byte: per-node bytes are concatenated under one
+     * count, fault totals are summed, and the net section comes from
+     * this cluster (process 0's replica, whose controller holds the
+     * absorbed global counters; the default PerfectSwitch keeps no
+     * state).
+     */
+    ClusterState splice(const std::vector<ClusterSlice> &slices) const;
+
+    /**
+     * A slice's wire encoding: the nodes, mpi, workload and fault-link
+     * blobs (Writer::blob), the four fault totals, the finish-tick
+     * count and ticks, and the retransmits.
+     */
+    static void writeSlice(ckpt::Writer &w, const ClusterSlice &slice);
+
+    /**
+     * Decode a writeSlice() of nodes [@p begin, @p end) of this
+     * cluster. @return false if it is truncated, holds another node
+     * count, or holds fault-link streams exactly when this cluster
+     * has no fault injector.
+     */
+    bool readSlice(ckpt::Reader &r, NodeId begin, NodeId end,
+                   ClusterSlice &slice) const;
 
     /**
      * Append the per-node stat values (stats::appendValues of every
@@ -157,6 +217,8 @@ class Cluster
     void dumpStats(std::ostream &out, stats::Format format) const;
 
   private:
+    NodeId nodeCount() const { return static_cast<NodeId>(nodes_.size()); }
+
     /** The stats root's lookup of node counters. */
     class StatsRoot : public stats::Group
     {

@@ -221,11 +221,11 @@ DeliveryBatch::totalMerged() const
 }
 
 void
-DeliveryBatch::serialize(ckpt::Writer &w) const
+DeliveryBatch::serialize(ckpt::Writer &w, const Counts &counts)
 {
-    w.u32(static_cast<std::uint32_t>(pending()));
-    w.u64(totalStaged());
-    w.u64(totalMerged());
+    w.u32(static_cast<std::uint32_t>(counts.pending));
+    w.u64(counts.staged);
+    w.u64(counts.merged);
 }
 
 } // namespace aqsim::engine

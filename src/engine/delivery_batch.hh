@@ -219,9 +219,24 @@ class DeliveryBatch
         return subs_[s * shards_ + d].keys.capacity();
     }
 
-    /** Checkpoint section payload: pending count (must be 0 at a
-     * boundary) plus the lifetime counters. */
-    void serialize(ckpt::Writer &w) const;
+    /** What a checkpoint image records of a batch; a distributed run
+     * sums it over its shards' batches. */
+    struct Counts
+    {
+        /** pending() (0 at every boundary). */
+        std::uint64_t pending = 0;
+        std::uint64_t staged = 0;
+        std::uint64_t merged = 0;
+    };
+    Counts
+    counts() const
+    {
+        return {pending(), totalStaged(), totalMerged()};
+    }
+
+    /** Checkpoint section payload: the pending count, then the
+     * lifetime counters. */
+    static void serialize(ckpt::Writer &w, const Counts &counts);
 
     /** Accumulated per-phase wall-clock (all-zero unless enabled). */
     const stats::PhaseTimes &phases() const { return phases_; }

@@ -229,11 +229,8 @@ class MeshShard
     progress() const
     {
         Report p;
-        for (NodeId id = range_.first; id < range_.second; ++id) {
-            const node::NodeSimulator &node = cluster_.node(id);
-            p.done = p.done && node.appDone();
-            p.pending = p.pending || !node.queue().empty();
-        }
+        p.done = cluster_.allDone(range_.first, range_.second);
+        p.pending = cluster_.anyEventPending(range_.first, range_.second);
         for (std::size_t d = 0; d < k_; ++d)
             p.pending = p.pending || batch_.stagedBetween(index_, d) > 0;
         p.next = next_;
@@ -364,17 +361,15 @@ class MeshShard
     }
 
     /**
-     * State := index(u32) q(u64) nodes mpi workload (u64-length
-     * slices) hasFault [linkRows totals(4 x u64)] owned(u32)
-     * finishTick*owned retransmits merged staged
-     * [count(u64) nodeStat(u64)*count]
+     * State := slice index(u32) q(u64) pending(u64) staged(u64)
+     * merged(u64) [count(u64) nodeStat(u64)*count]
      *
-     * This shard's slice of every cluster section after quantum @p q,
-     * nodes caught up to its end tick @p boundary first (quanta
-     * without work ran nowhere, so clocks may lag further than the
-     * last quantum this shard ran). With @p node_stats the shard's
-     * per-node stat values (Cluster::appendNodeStats) follow as one
-     * flat array.
+     * This shard's Cluster::slice after quantum @p q, nodes caught up
+     * to its end tick @p boundary first (quanta without work ran
+     * nowhere, so clocks may lag further than the last quantum this
+     * shard ran), then its batch counts. With @p node_stats the
+     * shard's per-node stat values (Cluster::appendNodeStats) follow
+     * as one flat array.
      */
     std::vector<std::uint8_t>
     stateSlice(std::uint64_t q, Tick boundary, bool node_stats)
@@ -382,46 +377,19 @@ class MeshShard
         const auto [begin, end] = range_;
         loop_.catchUp(begin, end, boundary);
         ckpt::Writer w;
+        Cluster::writeSlice(w, cluster_.slice(begin, end));
         w.u32(static_cast<std::uint32_t>(index_));
         w.u64(q);
-        const auto slice = [&](auto &&serialize) {
-            ckpt::Writer b;
-            serialize(b);
-            w.u64(b.size());
-            w.bytes(b.buffer().data(), b.size());
-        };
-        slice([&](ckpt::Writer &b) {
-            cluster_.serializeNodeRange(b, begin, end);
-        });
-        slice([&](ckpt::Writer &b) {
-            cluster_.serializeMpiRange(b, begin, end);
-        });
-        slice([&](ckpt::Writer &b) {
-            cluster_.serializeWorkloadRange(b, begin, end);
-        });
-        const fault::FaultInjector *inj = cluster_.faultInjector();
-        w.boolean(inj != nullptr);
-        if (inj) {
-            slice([&](ckpt::Writer &b) {
-                inj->serializeLinkRange(b, begin, end);
-            });
-            w.u64(inj->totalDropped());
-            w.u64(inj->totalDuplicated());
-            w.u64(inj->totalCorrupted());
-            w.u64(inj->totalDelayed());
-        }
-        w.u32(static_cast<std::uint32_t>(end - begin));
-        for (NodeId id = begin; id < end; ++id)
-            w.u64(cluster_.node(id).appFinishTick());
-        w.u64(cluster_.totalRetransmits());
-        w.u64(batch_.totalMerged());
-        w.u64(batch_.totalStaged());
+        const DeliveryBatch::Counts counts = batch_.counts();
+        w.u64(counts.pending);
+        w.u64(counts.staged);
+        w.u64(counts.merged);
         if (node_stats) {
             std::vector<std::uint64_t> values;
             cluster_.appendNodeStats(begin, end, values);
             w.u64(values.size());
-            w.bytes(reinterpret_cast<const std::uint8_t *>(values.data()),
-                    values.size() * sizeof(std::uint64_t));
+            for (std::uint64_t v : values)
+                w.u64(v);
         }
         return w.buffer();
     }
@@ -472,8 +440,10 @@ peerMain(const PeerSetup &p)
     MeshShard shard(*p.cluster, p.index, links.size());
     const auto &drills = *p.drills;
     transport::SocketChannel &control = *links[0];
-    transport::HeartbeatSender heartbeat(control,
-                                         p.options->heartbeatSeconds);
+    // Beats well inside the deadline keep a slow peer from reading
+    // as a hung one.
+    transport::HeartbeatSender heartbeat(
+        control, p.options->peerDeadlineSeconds / 10.0);
 
     /** The peer's side of every round: any failure ends the peer
      * (process 0 attributes it), and a round gives up once no event
@@ -762,176 +732,6 @@ class PeerGroup
     std::vector<Liveness> live_ AQSIM_GUARDED_BY(mutex_);
 };
 
-/** One shard's serialized state slice (MeshShard::stateSlice,
- * decoded). */
-struct PeerState
-{
-    std::vector<std::uint8_t> nodes;
-    std::vector<std::uint8_t> mpi;
-    std::vector<std::uint8_t> workload;
-    std::vector<std::uint8_t> faultRows;
-    std::uint64_t faultTotals[4] = {0, 0, 0, 0};
-    bool hasFault = false;
-    std::vector<Tick> finish;
-    std::uint64_t retransmits = 0;
-    /** The shard's DeliveryBatch lifetime totals (boundary merged). */
-    std::uint64_t merged = 0;
-    std::uint64_t staged = 0;
-    /** The shard's per-node stat values, when requested. */
-    std::vector<std::uint64_t> nodeStats;
-};
-
-/** Copy the next @p len raw bytes out of @p body via @p r. */
-bool
-takeRaw(ckpt::Reader &r, const std::vector<std::uint8_t> &body,
-        std::uint64_t len, std::vector<std::uint8_t> &out)
-{
-    if (!r.ok() || r.remaining() < len)
-        return false;
-    const std::size_t offset = body.size() - r.remaining();
-    out.assign(body.begin() + static_cast<std::ptrdiff_t>(offset),
-               body.begin() + static_cast<std::ptrdiff_t>(offset + len));
-    r.skip(len);
-    return true;
-}
-
-/** All peer slices spliced into whole-cluster section bodies. */
-struct GatheredState
-{
-    std::vector<std::uint8_t> nodesBody;
-    std::vector<std::uint8_t> mpiBody;
-    std::vector<std::uint8_t> netBody;
-    std::vector<std::uint8_t> faultBody;
-    std::vector<std::uint8_t> workloadBody;
-    std::vector<std::uint8_t> engineBody;
-    std::vector<Tick> finishTicks;
-    std::uint64_t retransmits = 0;
-    /** The fault counters summed over the shards. */
-    std::uint64_t faultTotals[4] = {0, 0, 0, 0};
-    /** Every node's stat values in node order, when requested. */
-    std::vector<std::uint64_t> nodeStats;
-};
-
-/**
- * Splice the shards' contiguous, node-ordered slices back into the
- * exact whole-cluster section encodings Cluster::serialize* would
- * produce — process 0's replica contributes the net section
- * (its controller holds the absorbed global counters; the default
- * PerfectSwitch is stateless, which run() enforced up front).
- */
-GatheredState
-assembleState(Cluster &cluster, const std::vector<PeerState> &states,
-              std::uint64_t staged_total)
-{
-    const std::size_t n = cluster.numNodes();
-    GatheredState g;
-    {
-        ckpt::Writer w;
-        w.u32(static_cast<std::uint32_t>(n));
-        for (const PeerState &st : states)
-            w.bytes(st.nodes.data(), st.nodes.size());
-        g.nodesBody = w.buffer();
-    }
-    {
-        ckpt::Writer w;
-        w.u32(static_cast<std::uint32_t>(n));
-        for (const PeerState &st : states)
-            w.bytes(st.mpi.data(), st.mpi.size());
-        g.mpiBody = w.buffer();
-    }
-    {
-        ckpt::Writer w;
-        cluster.serializeNet(w);
-        g.netBody = w.buffer();
-    }
-    {
-        ckpt::Writer w;
-        const bool has = cluster.faultInjector() != nullptr;
-        w.boolean(has);
-        if (has) {
-            w.u32(static_cast<std::uint32_t>(n * n));
-            for (const PeerState &st : states)
-                w.bytes(st.faultRows.data(), st.faultRows.size());
-            for (std::size_t i = 0; i < 4; ++i) {
-                for (const PeerState &st : states)
-                    g.faultTotals[i] += st.faultTotals[i];
-                w.u64(g.faultTotals[i]);
-            }
-        }
-        g.faultBody = w.buffer();
-    }
-    {
-        ckpt::Writer w;
-        w.u32(static_cast<std::uint32_t>(n));
-        for (const PeerState &st : states)
-            w.bytes(st.workload.data(), st.workload.size());
-        g.workloadBody = w.buffer();
-    }
-    {
-        // Matches DeliveryBatch::serialize at a boundary: pending is
-        // always 0 and the lifetime counters sum over the peers
-        // (stage and merge each happen exactly once per delivery,
-        // just in different processes).
-        std::uint64_t merged_total = 0;
-        for (const PeerState &st : states)
-            merged_total += st.merged;
-        ckpt::Writer w;
-        w.u32(0);
-        w.u64(staged_total);
-        w.u64(merged_total);
-        g.engineBody = w.buffer();
-    }
-    for (const PeerState &st : states) {
-        g.finishTicks.insert(g.finishTicks.end(), st.finish.begin(),
-                             st.finish.end());
-        g.retransmits += st.retransmits;
-        g.nodeStats.insert(g.nodeStats.end(), st.nodeStats.begin(),
-                           st.nodeStats.end());
-    }
-    return g;
-}
-
-/** Frame the gathered bodies as a checkpoint image (buildImage's
- * section order, with the spliced bodies standing in for the live
- * cluster's). */
-ckpt::CheckpointImage
-spliceImage(const GatheredState &g, const core::Synchronizer &sync,
-            std::uint64_t config_hash, const char *engine_name)
-{
-    ckpt::CheckpointImage image;
-    image.quantumIndex = sync.numQuanta();
-    image.quantumStart = sync.quantumStart();
-    image.quantumEnd = sync.quantumEnd();
-    image.configHash = config_hash;
-    image.engine = engine_name;
-    {
-        ckpt::Writer w;
-        sync.serialize(w);
-        image.sections.push_back({ckpt::sectionSync, w.buffer()});
-    }
-    image.sections.push_back({ckpt::sectionNodes, g.nodesBody});
-    image.sections.push_back({ckpt::sectionMpi, g.mpiBody});
-    image.sections.push_back({ckpt::sectionNet, g.netBody});
-    image.sections.push_back({ckpt::sectionFault, g.faultBody});
-    image.sections.push_back({ckpt::sectionWorkload, g.workloadBody});
-    image.sections.push_back({ckpt::sectionEngine, g.engineBody});
-    image.stateHash = ckpt::sectionsHash(image.sections);
-    return image;
-}
-
-/** Cluster::stateHash over the spliced section bodies. */
-std::uint64_t
-splicedStateHash(const GatheredState &g)
-{
-    ckpt::Writer w;
-    w.bytes(g.nodesBody.data(), g.nodesBody.size());
-    w.bytes(g.mpiBody.data(), g.mpiBody.size());
-    w.bytes(g.netBody.data(), g.netBody.size());
-    w.bytes(g.faultBody.data(), g.faultBody.size());
-    w.bytes(g.workloadBody.data(), g.workloadBody.size());
-    return w.hash();
-}
-
 /**
  * Process 0's side of a run, as a QuantumExecutor: it runs shard 0
  * itself and drives the forked peers, one Quantum frame each per
@@ -1042,8 +842,12 @@ class Coordinator : public QuantumExecutor
     ckpt::CheckpointImage
     boundaryImage(std::uint64_t config_hash) override
     {
-        return spliceImage(gather(false), driver_.sync(), config_hash,
-                           name());
+        DeliveryBatch::Counts counts;
+        ClusterState state = gather(false, counts);
+        ckpt::Writer w;
+        DeliveryBatch::serialize(w, counts);
+        return ckpt::buildImage(driver_.sync(), config_hash, name(),
+                                std::move(state.sections), w.buffer());
     }
 
     /**
@@ -1065,16 +869,10 @@ class Coordinator : public QuantumExecutor
     void
     finish(RunResult &result) override
     {
-        GatheredState g = gather(nodeStats_);
+        DeliveryBatch::Counts counts;
+        const ClusterState state = gather(nodeStats_, counts);
         peers_.stopAll(options_.peerDeadlineSeconds);
-        result.finishTicks = g.finishTicks;
-        result.retransmits = g.retransmits;
-        result.finalStateHash = splicedStateHash(g);
-        if (!nodeStats_)
-            return;
-        cluster_.adoptNodeStats(std::move(g.nodeStats));
-        if (fault::FaultInjector *inj = cluster_.faultInjector())
-            inj->adoptTotals(g.faultTotals);
+        fillResult(result, state, nullptr);
     }
 
   private:
@@ -1233,9 +1031,16 @@ class Coordinator : public QuantumExecutor
      * the completed quanta, the boundary every shard catches its
      * clocks up to, and whether to append the node stat values
      * (@p node_stats).
+     *
+     * @return the shards' slices spliced into the cluster state;
+     *         @p counts receives their batch counts, summed (stage and
+     *         merge each happen once per delivery, in some process).
+     *         With @p node_stats, every node's stat values and the
+     *         summed fault totals are adopted into the replica for
+     *         its stats dump.
      */
-    GatheredState
-    gather(bool node_stats)
+    ClusterState
+    gather(bool node_stats, DeliveryBatch::Counts &counts)
     {
         const std::uint64_t q = driver_.sync().numQuanta();
         const Tick boundary = driver_.sync().quantumStart();
@@ -1247,9 +1052,10 @@ class Coordinator : public QuantumExecutor
         wr.boolean(node_stats);
         req.body = wr.buffer();
         dispatch(req, "state gather");
-        std::vector<PeerState> states(k_);
+        std::vector<ClusterSlice> slices(k_);
+        std::vector<std::vector<std::uint64_t>> stats(k_);
         if (!readSlice(shard_.stateSlice(q, boundary, node_stats), 0, q,
-                       node_stats, states[0]))
+                       node_stats, slices[0], counts, stats[0]))
             panic("shard 0 wrote a malformed state slice");
         transport::DuplexRound round(k_);
         for (std::size_t w = 1; w < k_; ++w) {
@@ -1261,58 +1067,51 @@ class Coordinator : public QuantumExecutor
             wait(round, transport::FrameType::State, "state gather", e);
             if (e.kind == transport::DuplexRound::EventKind::Received &&
                 !readSlice(e.frame.body, e.link, q, node_stats,
-                           states[e.link]))
+                           slices[e.link], counts, stats[e.link]))
                 fail(e.link, PeerFailureKind::Protocol, "state gather",
                      "malformed state slice");
         }
-        std::uint64_t staged_total = 0;
-        for (const PeerState &st : states)
-            staged_total += st.staged;
-        return assembleState(cluster_, states, staged_total);
+        ClusterState state = cluster_.splice(slices);
+        if (node_stats) {
+            std::vector<std::uint64_t> all;
+            for (const std::vector<std::uint64_t> &values : stats)
+                all.insert(all.end(), values.begin(), values.end());
+            cluster_.adoptNodeStats(std::move(all));
+            if (fault::FaultInjector *inj = cluster_.faultInjector())
+                inj->adoptTotals(state.faultTotals);
+        }
+        return state;
     }
 
-    /** Decode shard @p w's State slice at boundary @p q (with node
-     * stat values if @p node_stats) into @p st.
+    /** Decode shard @p w's State frame at boundary @p q into
+     * @p slice, adding its batch counts to @p counts and (if
+     * @p node_stats) reading its node stat values into @p stats.
      * @return false if it is malformed or off this run's geometry. */
     bool
     readSlice(const std::vector<std::uint8_t> &body, std::size_t w,
-              std::uint64_t q, bool node_stats, PeerState &st) const
+              std::uint64_t q, bool node_stats, ClusterSlice &slice,
+              DeliveryBatch::Counts &counts,
+              std::vector<std::uint64_t> &stats) const
     {
-        const auto [sb, se] =
+        const auto [begin, end] =
             WorkerPool::shardRange(w, k_, cluster_.numNodes());
         ckpt::Reader r(body, "state");
-        bool ok = r.u32() == w && r.u64() == q;
-        ok = ok && takeRaw(r, body, r.u64(), st.nodes);
-        ok = ok && takeRaw(r, body, r.u64(), st.mpi);
-        ok = ok && takeRaw(r, body, r.u64(), st.workload);
-        st.hasFault = r.boolean();
-        ok = ok && st.hasFault == (cluster_.faultInjector() != nullptr);
-        if (ok && st.hasFault) {
-            ok = takeRaw(r, body, r.u64(), st.faultRows);
-            for (std::uint64_t &total : st.faultTotals)
-                total = r.u64();
-        }
-        const std::uint32_t owned = r.u32();
-        ok = ok && r.ok() && owned == se - sb;
-        if (ok) {
-            st.finish.reserve(owned);
-            for (std::uint32_t i = 0; i < owned; ++i)
-                st.finish.push_back(r.u64());
-            st.retransmits = r.u64();
-            st.merged = r.u64();
-            st.staged = r.u64();
-        }
-        if (ok && node_stats) {
+        if (!cluster_.readSlice(r, static_cast<NodeId>(begin),
+                                static_cast<NodeId>(end), slice) ||
+            r.u32() != w || r.u64() != q)
+            return false;
+        counts.pending += r.u64();
+        counts.staged += r.u64();
+        counts.merged += r.u64();
+        if (node_stats) {
             const std::uint64_t count = r.u64();
-            std::vector<std::uint8_t> raw;
-            ok = count <= r.remaining() / sizeof(std::uint64_t) &&
-                 takeRaw(r, body, count * sizeof(std::uint64_t), raw);
-            if (ok) {
-                st.nodeStats.resize(count);
-                std::memcpy(st.nodeStats.data(), raw.data(), raw.size());
-            }
+            if (count > r.remaining() / sizeof(std::uint64_t))
+                return false;
+            stats.resize(count);
+            for (std::uint64_t &v : stats)
+                v = r.u64();
         }
-        return ok && r.ok() && r.remaining() == 0;
+        return r.ok() && r.remaining() == 0;
     }
 
     Cluster &cluster_;

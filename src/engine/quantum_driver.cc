@@ -9,7 +9,6 @@
 #include "base/failure.hh"
 #include "base/logging.hh"
 #include "ckpt/run_checkpointer.hh"
-#include "engine/delivery_batch.hh"
 #include "stats/phase_timing.hh"
 
 namespace aqsim::engine
@@ -211,18 +210,19 @@ QuantumDriver::run(QuantumExecutor &exec)
 }
 
 void
-fillLocalResult(RunResult &result, const Cluster &cluster,
-                const DeliveryBatch &batch, bool phase_stats)
+fillResult(RunResult &result, const ClusterState &state,
+           const stats::PhaseTimes *phases)
 {
-    result.finishTicks = cluster.finishTicks();
-    result.retransmits = cluster.totalRetransmits();
-    result.finalStateHash = cluster.stateHash();
-    result.showPhaseStats = phase_stats;
-    const stats::PhaseTimes &phases = batch.phases();
-    result.phaseSortNs = phases.total(stats::EnginePhase::Sort);
-    result.phaseExchangeNs = phases.total(stats::EnginePhase::Exchange);
-    result.phaseMergeNs = phases.total(stats::EnginePhase::Merge);
-    result.phaseDispatchNs = phases.total(stats::EnginePhase::Dispatch);
+    result.finishTicks = state.finishTicks;
+    result.retransmits = state.retransmits;
+    result.finalStateHash = state.hash();
+    if (!phases)
+        return;
+    result.showPhaseStats = true;
+    result.phaseSortNs = phases->total(stats::EnginePhase::Sort);
+    result.phaseExchangeNs = phases->total(stats::EnginePhase::Exchange);
+    result.phaseMergeNs = phases->total(stats::EnginePhase::Merge);
+    result.phaseDispatchNs = phases->total(stats::EnginePhase::Dispatch);
 }
 
 } // namespace aqsim::engine

@@ -36,10 +36,13 @@
 #include "engine/sequential_engine.hh"
 #include "engine/watchdog.hh"
 
+namespace aqsim::stats
+{
+class PhaseTimes;
+} // namespace aqsim::stats
+
 namespace aqsim::engine
 {
-
-class DeliveryBatch;
 
 /** The engine-specific half of a run, driven by QuantumDriver. */
 class QuantumExecutor
@@ -148,11 +151,12 @@ class QuantumDriver
 };
 
 /**
- * QuantumExecutor::finish for the in-process engines, host time aside:
- * the live cluster's outcome plus @p batch's exchange-phase timings.
+ * QuantumExecutor::finish's shared half, host time aside: the run's
+ * outcome and final state hash from its final @p state, plus the
+ * exchange-phase timings @p phases (null: none shown).
  */
-void fillLocalResult(RunResult &result, const Cluster &cluster,
-                     const DeliveryBatch &batch, bool phase_stats);
+void fillResult(RunResult &result, const ClusterState &state,
+                const stats::PhaseTimes *phases);
 
 } // namespace aqsim::engine
 

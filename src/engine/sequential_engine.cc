@@ -62,8 +62,8 @@ class CoSim : public net::DeliveryScheduler, public QuantumExecutor
     ckpt::CheckpointImage
     boundaryImage(std::uint64_t config_hash) override
     {
-        return ckpt::buildImage(cluster_, sync_, config_hash, name(),
-                                engineState());
+        return ckpt::buildImage(sync_, config_hash, name(),
+                                cluster_.state().sections, engineState());
     }
 
     void
@@ -72,7 +72,8 @@ class CoSim : public net::DeliveryScheduler, public QuantumExecutor
         // The modeled host total (this executor's own accumulator)
         // replaces the driver's wall-clock measure.
         result.hostNs = globalHost_;
-        fillLocalResult(result, cluster_, batch_, options_.phaseStats);
+        fillResult(result, cluster_.state(),
+                   options_.phaseStats ? &batch_.phases() : nullptr);
     }
 
     /** DeliveryScheduler: place a packet into its destination node. */
@@ -406,7 +407,7 @@ class CoSim : public net::DeliveryScheduler, public QuantumExecutor
         }
         // Delivery-layer quiescence proof + deterministic counters
         // (same section layout as the ThreadedEngine's).
-        batch_.serialize(w);
+        DeliveryBatch::serialize(w, batch_.counts());
         return w.buffer();
     }
 

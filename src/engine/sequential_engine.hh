@@ -166,16 +166,12 @@ struct EngineOptions
      * peer waits on any other process, doubled so healthy peers
      * outlive detection in process 0). Every distributed barrier wait is
      * bounded by this deadline — a dead, hung, or half-open peer
-     * becomes a structured PeerFailure, never a stuck barrier.
+     * becomes a structured PeerFailure, never a stuck barrier. Peers
+     * send a heartbeat every tenth of it, so a *slow* peer (long
+     * quantum, big state gather) stays distinguishable from a *hung*
+     * one.
      */
     double peerDeadlineSeconds = 30.0;
-    /**
-     * DistributedEngine only: peer heartbeat period in host seconds.
-     * Heartbeats keep a *slow* peer (long quantum, big state gather)
-     * distinguishable from a *hung* one without inflating the
-     * failure-detection latency.
-     */
-    double heartbeatSeconds = 0.2;
     /**
      * DistributedEngine only: peer fault drill spec, e.g.
      * "kill:peer=1,quantum=3,phase=exchange" (see

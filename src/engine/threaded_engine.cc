@@ -138,9 +138,9 @@ class PoolExecutor : public QuantumExecutor
     {
         loop_.catchUp(0, n_, driver_.sync().quantumStart());
         ckpt::Writer w;
-        batch_.serialize(w);
-        return ckpt::buildImage(cluster_, driver_.sync(), config_hash,
-                                name(), w.buffer());
+        DeliveryBatch::serialize(w, batch_.counts());
+        return ckpt::buildImage(driver_.sync(), config_hash, name(),
+                                cluster_.state().sections, w.buffer());
     }
 
     void
@@ -155,7 +155,8 @@ class PoolExecutor : public QuantumExecutor
     finish(RunResult &result) override
     {
         loop_.catchUp(0, n_, driver_.sync().quantumStart());
-        fillLocalResult(result, cluster_, batch_, options_.phaseStats);
+        fillResult(result, cluster_.state(),
+                   options_.phaseStats ? &batch_.phases() : nullptr);
     }
 
   private:

@@ -101,7 +101,7 @@ FaultInjector::reset()
 }
 
 void
-FaultInjector::adoptTotals(const std::uint64_t (&totals)[4])
+FaultInjector::adoptTotals(const Totals &totals)
 {
     totalDropped_ = totals[0];
     totalDuplicated_ = totals[1];
@@ -186,18 +186,6 @@ FaultInjector::decide(NodeId src, NodeId dst, Tick depart_tick)
         }
     }
     return d;
-}
-
-void
-FaultInjector::serialize(ckpt::Writer &w) const
-{
-    w.u32(static_cast<std::uint32_t>(linkRng_.size()));
-    for (const Rng &rng : linkRng_)
-        ckpt::putRng(w, rng);
-    w.u64(totalDropped_);
-    w.u64(totalDuplicated_);
-    w.u64(totalCorrupted_);
-    w.u64(totalDelayed_);
 }
 
 void

@@ -22,6 +22,7 @@
 #ifndef AQSIM_FAULT_FAULT_INJECTOR_HH
 #define AQSIM_FAULT_FAULT_INJECTOR_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -145,31 +146,33 @@ class FaultInjector
     void reset();
 
     /**
-     * Checkpoint support: persist every per-link PRNG stream position
-     * and the fault counters. The scheduled windows live in params_
-     * (configuration, covered by the config fingerprint).
-     */
-    void serialize(ckpt::Writer &w) const;
-
-    /**
-     * Partition-range serialization (DistributedEngine state gather):
-     * the stream states of every directed link whose *source* lies in
+     * Checkpoint support (Cluster writes the fault section): the
+     * stream states of every directed link whose *source* lies in
      * [begin, end) — a contiguous slice of the flat link array, since
-     * linkIndex is source-major. Only the source peer ever draws from
-     * these streams, so splicing the peers' slices in node order
-     * reproduces the whole-injector stream section byte for byte; the
-     * four counters are shipped separately and summed.
+     * linkIndex is source-major. Only the source node's process ever
+     * draws from these streams, so a distributed run's slices, joined
+     * in node order, are the whole injector's streams byte for byte.
+     * The scheduled windows live in params_ (configuration, covered
+     * by the config fingerprint).
      */
     void serializeLinkRange(ckpt::Writer &w, NodeId begin,
                             NodeId end) const;
 
     const FaultParams &params() const { return params_; }
 
-    /**
-     * Take the four lifetime counters (serialize() order) summed over
-     * a distributed run's shards, for its stats dump.
-     */
-    void adoptTotals(const std::uint64_t (&totals)[4]);
+    /** The four lifetime counters: dropped, duplicated, corrupted,
+     * delayed. */
+    using Totals = std::array<std::uint64_t, 4>;
+    Totals
+    totals() const
+    {
+        return {totalDropped_, totalDuplicated_, totalCorrupted_,
+                totalDelayed_};
+    }
+
+    /** Take the counters summed over a distributed run's shards, for
+     * its stats dump. */
+    void adoptTotals(const Totals &totals);
 
     /** Lifetime counters; the faults.* stats are views of them. */
     std::uint64_t totalDropped() const { return totalDropped_; }

@@ -21,6 +21,13 @@ namespace aqsim::supervise
 namespace
 {
 
+/** Backoff multiplier per further attempt. */
+constexpr double backoffFactor = 2.0;
+/** Backoff ceiling in host seconds. */
+constexpr double backoffMaxSeconds = 30.0;
+/** Failures at the same quantum before escalating. */
+constexpr std::uint64_t livelockThreshold = 2;
+
 std::string
 abortReport(const base::RunAbort &abort, std::uint64_t attempts,
             bool escalated, const IncidentLog &log)
@@ -265,7 +272,7 @@ RunSupervisor::run(const RunRequest &request)
                     abortReport(abort, attempt, escalated, log_));
             }
 
-            if (same_quantum_failures >= options_.livelockThreshold) {
+            if (same_quantum_failures >= livelockThreshold) {
                 escalated = true;
                 escalate_at = abort.quantum();
                 ++escalations;
@@ -275,9 +282,9 @@ RunSupervisor::run(const RunRequest &request)
             }
 
             const double backoff = std::min(
-                options_.backoffMaxSeconds,
+                backoffMaxSeconds,
                 options_.backoffBaseSeconds *
-                    std::pow(options_.backoffFactor,
+                    std::pow(backoffFactor,
                              static_cast<double>(attempt - 1)));
             incident.backoffSeconds = backoff;
             log_.append(incident);

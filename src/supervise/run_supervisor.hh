@@ -80,14 +80,10 @@ struct SuperviseOptions
     bool enabled = false;
     /** Restart budget: at most 1 + maxRestarts attempts. */
     std::uint64_t maxRestarts = 5;
-    /** First backoff sleep in host seconds (0 = no sleeping; tests). */
+    /** First backoff sleep in host seconds (0 = no sleeping; tests).
+     * Each further attempt doubles it, up to 30 s; two failures at
+     * one quantum escalate (run_supervisor.cc). */
     double backoffBaseSeconds = 0.0;
-    /** Backoff multiplier per further attempt. */
-    double backoffFactor = 2.0;
-    /** Backoff ceiling in host seconds. */
-    double backoffMaxSeconds = 30.0;
-    /** Failures at the same quantum before escalating. */
-    std::uint64_t livelockThreshold = 2;
     /** Half-width of the escalated conservative window, in quanta. */
     std::uint64_t escalationWindowQuanta = 64;
     /** JSONL incident log path ("" = in-memory only). */

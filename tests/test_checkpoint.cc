@@ -4,9 +4,10 @@
  * reliable) x kill-at-quantum {1, mid, last-1}), rotation, restore
  * rejection of foreign configurations/engines, tampered images that
  * the replay's per-section check names, cross-engine section
- * equality, checkpoint stats surfacing, and the engine re-run
+ * equality, checkpoint stats surfacing, the engine re-run
  * regression (watchdog-armed rerun, per-run checkpoint counters,
- * scheduler unbinding on controller reset).
+ * scheduler unbinding on controller reset), and the node-range slices
+ * a distributed gather splices back into the whole-cluster state.
  */
 
 #include <gtest/gtest.h>
@@ -19,8 +20,10 @@
 
 #include "ckpt/checkpoint.hh"
 #include "ckpt/ckpt_io.hh"
+#include "base/failure.hh"
 #include "ckpt/manager.hh"
 #include "engine/threaded_engine.hh"
+#include "engine/worker_pool.hh"
 #include "net/network_controller.hh"
 #include "test_util.hh"
 
@@ -499,3 +502,99 @@ TEST(Checkpoint, ControllerResetDropsSchedulerBinding)
 }
 
 } // namespace
+
+namespace
+{
+
+/** A 16-node lossy reliable nas.cg cluster stopped after 2000 quanta
+ * of a sequential run. */
+struct MidRun
+{
+    std::unique_ptr<workloads::Workload> workload =
+        workloads::makeWorkload("nas.cg", 16, 0.25);
+    std::unique_ptr<engine::Cluster> cluster;
+
+    MidRun()
+    {
+        auto params = harness::defaultCluster(16, 7);
+        params.faults.dropRate = 0.05;
+        params.faults.duplicateRate = 0.02;
+        params.mpiParams.reliable = true;
+        cluster = std::make_unique<engine::Cluster>(params, *workload);
+        auto policy = core::parsePolicy("fixed:1us");
+        engine::EngineOptions options;
+        options.injectFailAfterQuantum = 2000;
+        engine::SequentialEngine engine(options);
+        EXPECT_THROW(engine.run(*cluster, *policy), base::RunAbort);
+    }
+};
+
+} // namespace
+
+TEST(ClusterSlice, SpliceRebuildsTheWholeClusterState)
+{
+    MidRun run;
+    const engine::Cluster &cluster = *run.cluster;
+    const engine::ClusterState whole = cluster.state();
+    ASSERT_GT(whole.retransmits, 0u);
+    ASSERT_GE(whole.faultTotals[0], 5u);
+    ASSERT_GE(whole.faultTotals[1], 5u);
+
+    const std::size_t n = cluster.numNodes();
+    for (std::size_t k = 1; k <= 5; ++k) {
+        std::vector<engine::ClusterSlice> slices;
+        for (std::size_t s = 0; s < k; ++s) {
+            const auto [begin, end] =
+                engine::WorkerPool::shardRange(s, k, n);
+            slices.push_back(cluster.slice(static_cast<NodeId>(begin),
+                                           static_cast<NodeId>(end)));
+            // One process made every fault decision here; hand each
+            // slice a share, as its own process would have counted.
+            for (std::size_t i = 0; i < whole.faultTotals.size(); ++i)
+                slices[s].faultTotals[i] =
+                    whole.faultTotals[i] / k +
+                    (s == 0 ? whole.faultTotals[i] % k : 0);
+        }
+        const engine::ClusterState spliced = cluster.splice(slices);
+        ASSERT_EQ(spliced.sections.size(), whole.sections.size());
+        for (std::size_t i = 0; i < whole.sections.size(); ++i) {
+            EXPECT_EQ(spliced.sections[i].name, whole.sections[i].name);
+            EXPECT_EQ(spliced.sections[i].body, whole.sections[i].body)
+                << whole.sections[i].name << " at K=" << k;
+        }
+        EXPECT_EQ(spliced.finishTicks, whole.finishTicks) << k;
+        EXPECT_EQ(spliced.retransmits, whole.retransmits) << k;
+        EXPECT_EQ(spliced.faultTotals, whole.faultTotals) << k;
+        EXPECT_EQ(spliced.hash(), cluster.stateHash()) << k;
+    }
+}
+
+TEST(ClusterSlice, WireEncodingRoundTripsAndRejectsDamage)
+{
+    MidRun run;
+    const engine::Cluster &cluster = *run.cluster;
+    const engine::ClusterSlice slice = cluster.slice(4, 9);
+    ckpt::Writer w;
+    engine::Cluster::writeSlice(w, slice);
+    const std::vector<std::uint8_t> &wire = w.buffer();
+
+    engine::ClusterSlice back;
+    ckpt::Reader r(wire);
+    ASSERT_TRUE(cluster.readSlice(r, 4, 9, back));
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_EQ(back.nodes, slice.nodes);
+    EXPECT_EQ(back.mpi, slice.mpi);
+    EXPECT_EQ(back.workload, slice.workload);
+    EXPECT_EQ(back.faultLinks, slice.faultLinks);
+    EXPECT_EQ(back.faultTotals, slice.faultTotals);
+    EXPECT_EQ(back.finishTicks, slice.finishTicks);
+    EXPECT_EQ(back.retransmits, slice.retransmits);
+
+    for (std::size_t cut : {std::size_t{0}, std::size_t{7}, wire.size() / 2,
+                            wire.size() - 1}) {
+        ckpt::Reader truncated(wire.data(), cut, "state");
+        EXPECT_FALSE(cluster.readSlice(truncated, 4, 9, back)) << cut;
+    }
+    ckpt::Reader other_range(wire);
+    EXPECT_FALSE(cluster.readSlice(other_range, 4, 10, back));
+}

@@ -128,7 +128,6 @@ distOptions(std::size_t workers)
     // Tests run on one host: seconds-scale deadlines keep the failure
     // cases fast while leaving honest-path headroom.
     options.peerDeadlineSeconds = 5.0;
-    options.heartbeatSeconds = 0.05;
     return options;
 }
 

@@ -295,7 +295,6 @@ TEST(Supervisor, LivelockEscalatesThenAbortsWithStructuredReport)
 
     auto sup = testSupervision();
     sup.maxRestarts = 4;
-    sup.livelockThreshold = 2;
     sup.escalationWindowQuanta = 8;
     supervise::RunSupervisor supervisor(sup);
 

@@ -20,7 +20,7 @@
  *             [--max-restarts N] [--backoff SECONDS]
  *             [--incident-log FILE.jsonl]
  *             [--inject-fail a:q[:watchdog][,...]]  # recovery drills
- *             [--peer-deadline SECONDS] [--heartbeat SECONDS]
+ *             [--peer-deadline SECONDS]  # heartbeats every tenth
  *             [--peer-drill op:peer=P[,quantum=Q][,phase=...][;...]]
  *             [--phase-stats]          # exchange-phase timings
 
@@ -256,8 +256,6 @@ runOne(const Args &args, workloads::Workload &workload,
         static_cast<std::size_t>(args.getInt("checkpoint-keep", 2));
     options.peerDeadlineSeconds =
         args.getDouble("peer-deadline", options.peerDeadlineSeconds);
-    options.heartbeatSeconds =
-        args.getDouble("heartbeat", options.heartbeatSeconds);
     options.peerDrillSpec = args.getString("peer-drill", "");
 
     supervise::RunRequest request;
@@ -321,8 +319,7 @@ main(int argc, char **argv)
                "checkpoint-every", "checkpoint-dir", "restore",
                "checkpoint-keep", "chaos",
                "supervise", "max-restarts", "backoff", "incident-log",
-               "inject-fail", "peer-deadline", "heartbeat",
-               "peer-drill"});
+               "inject-fail", "peer-deadline", "peer-drill"});
 
     debug::applyEnvironment();
     if (args.has("debug-flags"))

@@ -41,6 +41,11 @@ Checks (each file, line numbers reported):
              gets the restore/retry/escalate lifecycle and the
              supervision seam stays the one place engines are driven
              (docs/supervision.md); mirrors the queue-seam rule
+  layout     no checkpoint section name (ckpt::section*) and no
+             ckpt::sectionsHash under src/ outside src/ckpt/ and
+             src/engine/cluster.cc — the image framing lives in ckpt,
+             the cluster-state sections in Cluster, so no engine keeps
+             a second copy of the layout (docs/checkpoint-restore.md)
 
 Usage: lint.py [--root DIR] [paths...]
 Exit status: 0 clean, 1 findings, 2 usage error.
@@ -92,6 +97,11 @@ BANNED = [
 
 SNAKE_CASE = re.compile(r"^[a-z0-9_.]+$")
 
+# A checkpoint section name (ckpt::sectionNodes & co.) or the section
+# hash; the modules allowed to name them.
+LAYOUT_NAME = re.compile(r"\bsection(sHash\b|[A-Z]\w*)")
+LAYOUT_OWNERS = ("src/ckpt/", "src/engine/cluster.cc")
+
 # A shared_ptr (or a make_shared/allocate_shared) whose element type
 # names a packet or a payload: net::Packet, const Packet, the mpi
 # FragmentPayload/ControlPayload, any *Packet*/*Payload* type.
@@ -125,6 +135,8 @@ def findings_for(path: Path, rel: str, text: str):
         not posix_rel.startswith("src/ckpt/") and
         posix_rel != "src/supervise/incident_log.cc")
     in_harness = posix_rel.startswith("src/harness/")
+    layout_banned = (posix_rel.startswith("src/") and
+                     not posix_rel.startswith(LAYOUT_OWNERS))
 
     # --- guards ---
     if is_header:
@@ -248,6 +260,15 @@ def findings_for(path: Path, rel: str, text: str):
                         "supervise::RunSupervisor so every run gets "
                         "the recovery lifecycle; see "
                         "docs/supervision.md)")
+
+        # --- layout: one owner for the checkpoint sections ---
+        if layout_banned and LAYOUT_NAME.search(code):
+            finding(i, "layout",
+                    "checkpoint section names and sectionsHash are "
+                    "banned under src/ outside src/ckpt/ and "
+                    "src/engine/cluster.cc (build images with "
+                    "ckpt::buildImage over Cluster::state or "
+                    "Cluster::splice; see docs/checkpoint-restore.md)")
 
         # --- persistence: state serialization goes through ckpt_io ---
         if state_serialization_banned:

@@ -236,6 +236,40 @@ class ValueFrames(unittest.TestCase):
                          found)
 
 
+class LayoutOwners(unittest.TestCase):
+    """Only ckpt and Cluster name checkpoint sections."""
+
+    def test_section_name_flagged_in_an_engine(self):
+        self.assertTrue(findings(
+            "src/engine/distributed_engine.cc",
+            "image.sections.push_back({ckpt::sectionSync, w.buffer()});\n",
+            "layout"))
+
+    def test_sections_hash_flagged_in_an_engine(self):
+        self.assertTrue(findings(
+            "src/engine/quantum_driver.cc",
+            "result.finalStateHash = ckpt::sectionsHash(sections);\n",
+            "layout"))
+
+    def test_owners_and_non_src_exempt(self):
+        for rel in ("src/ckpt/checkpoint.cc", "src/engine/cluster.cc",
+                    "tests/test_checkpoint.cc", "perfbench/driver.cc"):
+            self.assertFalse(findings(
+                rel, "add(ckpt::sectionNodes, sectionsHash(s));\n",
+                "layout"), rel)
+
+    def test_other_identifiers_not_flagged(self):
+        self.assertFalse(findings(
+            "src/engine/x.cc",
+            "for (const ckpt::Section &s : image.sections) use(s);\n",
+            "layout"))
+
+    def test_fixture_body_fires_when_attributed_to_an_engine(self):
+        body = (HERE / "fixtures" / "layout_bad.cc").read_text()
+        found = findings("src/engine/bad.cc", body, "layout")
+        self.assertEqual([f[1] for f in found], [13, 14, 15], found)
+
+
 class PersistenceExemption(unittest.TestCase):
     """The incident log's JSONL append is diagnostics, not state."""
 
