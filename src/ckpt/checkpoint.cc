@@ -126,7 +126,7 @@ CheckpointImage
 buildImage(const core::Synchronizer &sync, std::uint64_t config_hash,
            const std::string &engine_name,
            std::vector<Section> state_sections,
-           const std::vector<std::uint8_t> &engine_state)
+           std::vector<std::uint8_t> engine_state)
 {
     CheckpointImage image;
     image.quantumIndex = sync.numQuanta();
@@ -138,48 +138,67 @@ buildImage(const core::Synchronizer &sync, std::uint64_t config_hash,
     Writer w;
     sync.serialize(w);
     image.sections.reserve(state_sections.size() + 2);
-    image.sections.push_back(Section{sectionSync, w.buffer()});
+    image.sections.push_back(Section{sectionSync, w.take()});
     for (Section &s : state_sections)
         image.sections.push_back(std::move(s));
     if (!engine_state.empty())
-        image.sections.push_back(Section{sectionEngine, engine_state});
-
-    image.stateHash = sectionsHash(image.sections);
+        image.sections.push_back(
+            Section{sectionEngine, std::move(engine_state)});
     return image;
 }
 
+namespace
+{
+
+/** Frame @p image's sections, whose CRCs @p views already hold, behind
+ * a meta section that carries @p state_hash. */
 std::vector<std::uint8_t>
-encodeImage(const CheckpointImage &image)
+frameImage(const CheckpointImage &image, std::uint64_t state_hash,
+           std::vector<SectionView> views)
 {
     Writer meta;
     meta.u64(image.quantumIndex);
     meta.u64(image.quantumStart);
     meta.u64(image.quantumEnd);
     meta.u64(image.configHash);
-    meta.u64(image.stateHash);
+    meta.u64(state_hash);
     meta.str(image.engine);
-
-    std::vector<Section> sections;
-    sections.reserve(image.sections.size() + 1);
-    sections.push_back(Section{sectionMeta, meta.buffer()});
-    for (const Section &s : image.sections)
-        sections.push_back(s);
-    return encodeFile(sections);
+    const std::vector<std::uint8_t> &body = meta.buffer();
+    views.insert(views.begin(),
+                 SectionView{sectionMeta, body.data(), body.size(),
+                             crc32(body.data(), body.size())});
+    return frameFile(views);
 }
 
-bool
-decodeImage(const std::vector<std::uint8_t> &file_image,
-            CheckpointImage &image, CkptError &error)
+std::vector<SectionView>
+viewsOf(const CheckpointImage &image)
 {
-    std::vector<Section> sections;
-    if (!decodeFile(file_image, sections, error))
+    std::vector<SectionView> views;
+    views.reserve(image.sections.size() + 1);
+    for (const Section &s : image.sections)
+        views.push_back({s.name, s.body.data(), s.body.size(), 0});
+    return views;
+}
+
+/**
+ * decodeImage's checks in one scan of @p file_image: the container and
+ * every CRC, then the meta fields (into @p image, sections aside) and
+ * the state hash of the remaining @p views.
+ */
+bool
+checkImage(const std::vector<std::uint8_t> &file_image,
+           CheckpointImage &image, std::vector<SectionView> &views,
+           CkptError &error)
+{
+    std::uint64_t actual = 0;
+    if (!scanFile(file_image, views, error, &actual, 1))
         return false;
-    if (sections.empty() || sections.front().name != sectionMeta) {
+    if (views.empty() || views.front().name != sectionMeta) {
         error = {sectionMeta, "first section is not \"meta\""};
         return false;
     }
 
-    Reader meta(sections.front().body, sectionMeta);
+    Reader meta(views.front().data, views.front().size, sectionMeta);
     image.quantumIndex = meta.u64();
     image.quantumStart = meta.u64();
     image.quantumEnd = meta.u64();
@@ -190,9 +209,6 @@ decodeImage(const std::vector<std::uint8_t> &file_image,
         error = meta.error();
         return false;
     }
-
-    image.sections.assign(sections.begin() + 1, sections.end());
-    const std::uint64_t actual = sectionsHash(image.sections);
     if (actual != image.stateHash) {
         error = {sectionMeta,
                  "state hash mismatch (meta promises another "
@@ -200,6 +216,50 @@ decodeImage(const std::vector<std::uint8_t> &file_image,
         return false;
     }
     return true;
+}
+
+} // namespace
+
+std::vector<std::uint8_t>
+encodeImage(const CheckpointImage &image)
+{
+    std::vector<SectionView> views = viewsOf(image);
+    for (SectionView &v : views)
+        v.crc = crc32(v.data, v.size);
+    return frameImage(image, image.stateHash, std::move(views));
+}
+
+std::vector<std::uint8_t>
+sealImage(const CheckpointImage &image)
+{
+    std::vector<SectionView> views = viewsOf(image);
+    std::uint64_t hash = fnv1a(nullptr, 0);
+    for (SectionView &v : views)
+        v.crc = crc32Fnv1a(v.data, v.size, hash);
+    return frameImage(image, hash, std::move(views));
+}
+
+bool
+decodeImage(const std::vector<std::uint8_t> &file_image,
+            CheckpointImage &image, CkptError &error)
+{
+    std::vector<SectionView> views;
+    if (!checkImage(file_image, image, views, error))
+        return false;
+    image.sections.clear();
+    image.sections.reserve(views.size() - 1);
+    for (auto v = views.begin() + 1; v != views.end(); ++v)
+        image.sections.push_back(
+            Section{std::move(v->name), {v->data, v->data + v->size}});
+    return true;
+}
+
+bool
+verifyImage(const std::vector<std::uint8_t> &file_image, CkptError &error)
+{
+    CheckpointImage meta;
+    std::vector<SectionView> views;
+    return checkImage(file_image, meta, views, error);
 }
 
 bool

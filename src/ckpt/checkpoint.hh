@@ -96,7 +96,9 @@ std::uint64_t configFingerprint(const engine::ClusterParams &params,
  * Synchronizer::completeQuantum(): the sync section, then
  * @p state_sections (the cluster's, Cluster::state or
  * Cluster::splice), then the engine section. Every engine's images
- * come from here.
+ * come from here. The bodies are moved in, not copied, and nothing is
+ * hashed: stateHash stays 0 until sealImage (on the checkpoint
+ * writer's thread) or the caller fills it.
  *
  * @param engine_state optional extra section body with engine-private
  *        deterministic state (empty = section omitted)
@@ -105,18 +107,36 @@ CheckpointImage buildImage(const core::Synchronizer &sync,
                            std::uint64_t config_hash,
                            const std::string &engine_name,
                            std::vector<Section> state_sections,
-                           const std::vector<std::uint8_t> &engine_state);
+                           std::vector<std::uint8_t> engine_state);
 
-/** Frame an image into a complete checkpoint file byte image. */
+/**
+ * Frame an image into a complete checkpoint file byte image; its meta
+ * section carries image.stateHash as the caller set it.
+ */
 std::vector<std::uint8_t> encodeImage(const CheckpointImage &image);
+
+/**
+ * Hash and frame an image: one pass over the section bodies takes
+ * their CRCs and the state hash together, and the file's meta section
+ * carries that hash (sectionsHash), whatever image.stateHash holds.
+ */
+std::vector<std::uint8_t> sealImage(const CheckpointImage &image);
 
 /**
  * Parse + validate a checkpoint file byte image. On failure @p error
  * names the offending section. Also recomputes and cross-checks the
- * meta stateHash against the section bodies.
+ * meta stateHash against the section bodies. One pass checks every
+ * CRC and the hash; the bodies are then copied into @p image once.
  */
 bool decodeImage(const std::vector<std::uint8_t> &file_image,
                  CheckpointImage &image, CkptError &error);
+
+/**
+ * Every check decodeImage makes, without copying a section body out:
+ * the read-back verification of a checkpoint write.
+ */
+bool verifyImage(const std::vector<std::uint8_t> &file_image,
+                 CkptError &error);
 
 /**
  * Compare a replayed snapshot against the golden image section by

@@ -51,13 +51,16 @@ loadLe32(const std::uint8_t *p)
            static_cast<std::uint32_t>(p[3]) << 24;
 }
 
-} // namespace
-
-std::uint32_t
-crc32(const std::uint8_t *data, std::size_t size)
+/** The CRC32 loop; with WithFnv it also advances an FNV-1a state
+ * over the same bytes. */
+template <bool WithFnv>
+inline std::uint32_t
+crcPass(const std::uint8_t *data, std::size_t size, std::uint64_t &fnv)
 {
+    constexpr std::uint64_t fnvPrime = 0x100000001b3ULL;
     const auto &t = crcTables;
     std::uint32_t crc = 0xffffffffu;
+    std::uint64_t h = fnv;
     for (; size >= 8; data += 8, size -= 8) {
         const std::uint32_t lo = loadLe32(data) ^ crc;
         const std::uint32_t hi = loadLe32(data + 4);
@@ -65,10 +68,76 @@ crc32(const std::uint8_t *data, std::size_t size)
               t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
               t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
               t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+        if constexpr (WithFnv)
+            for (int i = 0; i < 8; ++i)
+                h = (h ^ data[i]) * fnvPrime;
     }
-    for (; size > 0; ++data, --size)
+    for (; size > 0; ++data, --size) {
         crc = t[0][(crc ^ *data) & 0xffu] ^ (crc >> 8);
+        if constexpr (WithFnv)
+            h = (h ^ *data) * fnvPrime;
+    }
+    fnv = h;
     return crc ^ 0xffffffffu;
+}
+
+/** a(x)·b(x) modulo the CRC polynomial, in the reflected bit order. */
+constexpr std::uint32_t
+multModP(std::uint32_t a, std::uint32_t b)
+{
+    std::uint32_t m = 1u << 31;
+    std::uint32_t p = 0;
+    for (;;) {
+        if (a & m) {
+            p ^= b;
+            if ((a & (m - 1)) == 0)
+                break;
+        }
+        m >>= 1;
+        b = (b & 1) ? 0xedb88320u ^ (b >> 1) : b >> 1;
+    }
+    return p;
+}
+
+/** x^(2^k) modulo the CRC polynomial, for k = 0..31. */
+constexpr std::array<std::uint32_t, 32>
+makeX2nTable()
+{
+    std::array<std::uint32_t, 32> t{};
+    std::uint32_t p = 1u << 30; // x^1
+    t[0] = p;
+    for (std::size_t k = 1; k < t.size(); ++k)
+        t[k] = p = multModP(p, p);
+    return t;
+}
+
+constexpr std::array<std::uint32_t, 32> x2nTable = makeX2nTable();
+
+/** x^(n·2^k) modulo the CRC polynomial. */
+std::uint32_t
+x2nModP(std::size_t n, unsigned k)
+{
+    std::uint32_t p = 1u << 31; // x^0
+    for (; n != 0; n >>= 1, ++k)
+        if (n & 1)
+            p = multModP(x2nTable[k & 31], p);
+    return p;
+}
+
+} // namespace
+
+std::uint32_t
+crc32(const std::uint8_t *data, std::size_t size)
+{
+    std::uint64_t unused = 0;
+    return crcPass<false>(data, size, unused);
+}
+
+std::uint32_t
+crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b, std::size_t len_b)
+{
+    // Appending len_b bytes multiplies A's remainder by x^(8·len_b).
+    return multModP(x2nModP(len_b, 3), crc_a) ^ crc_b;
 }
 
 std::uint64_t
@@ -80,6 +149,12 @@ fnv1a(const std::uint8_t *data, std::size_t size, std::uint64_t seed)
         h *= 0x100000001b3ULL;
     }
     return h;
+}
+
+std::uint32_t
+crc32Fnv1a(const std::uint8_t *data, std::size_t size, std::uint64_t &fnv)
+{
+    return crcPass<true>(data, size, fnv);
 }
 
 std::string
@@ -131,30 +206,59 @@ Reader::fail(const std::string &message)
 }
 
 std::vector<std::uint8_t>
-encodeFile(const std::vector<Section> &sections)
+frameFile(const std::vector<SectionView> &sections)
 {
-    Writer payload;
-    for (const auto &sec : sections) {
-        payload.str(sec.name);
-        payload.u64(sec.body.size());
-        payload.u32(crc32(sec.body.data(), sec.body.size()));
-        payload.bytes(sec.body.data(), sec.body.size());
-    }
+    std::size_t payload_len = 0;
+    for (const SectionView &sec : sections)
+        payload_len += sizeof(std::uint32_t) + sec.name.size() +
+                       sizeof(std::uint64_t) + sizeof(std::uint32_t) +
+                       sec.size;
 
     Writer out;
+    out.reserve(sizeof(fileMagic) + 2 * sizeof(std::uint32_t) +
+                sizeof(std::uint64_t) + sizeof(std::uint32_t) +
+                payload_len);
     out.bytes(reinterpret_cast<const std::uint8_t *>(fileMagic),
               sizeof(fileMagic));
     out.u32(formatVersion);
     out.u32(endianTag);
-    out.u64(payload.size());
-    out.u32(crc32(payload.buffer().data(), payload.size()));
-    out.bytes(payload.buffer().data(), payload.size());
-    return out.buffer();
+    out.u64(payload_len);
+    const std::size_t crc_at = out.size();
+    out.u32(0); // the payload CRC, patched below
+
+    std::uint32_t payload_crc = 0; // CRC32 of no bytes
+    for (const SectionView &sec : sections) {
+        const std::size_t head_at = out.size();
+        out.str(sec.name);
+        out.u64(sec.size);
+        out.u32(sec.crc);
+        const std::size_t head_len = out.size() - head_at;
+        payload_crc = crc32Combine(
+            payload_crc, crc32(out.buffer().data() + head_at, head_len),
+            head_len);
+        out.bytes(sec.data, sec.size);
+        payload_crc = crc32Combine(payload_crc, sec.crc, sec.size);
+    }
+    std::vector<std::uint8_t> image = out.take();
+    std::memcpy(image.data() + crc_at, &payload_crc, sizeof(payload_crc));
+    return image;
+}
+
+std::vector<std::uint8_t>
+encodeFile(const std::vector<Section> &sections)
+{
+    std::vector<SectionView> views;
+    views.reserve(sections.size());
+    for (const Section &sec : sections)
+        views.push_back({sec.name, sec.body.data(), sec.body.size(),
+                         crc32(sec.body.data(), sec.body.size())});
+    return frameFile(views);
 }
 
 bool
-decodeFile(const std::vector<std::uint8_t> &image,
-           std::vector<Section> &sections, CkptError &error)
+scanFile(const std::vector<std::uint8_t> &image,
+         std::vector<SectionView> &sections, CkptError &error,
+         std::uint64_t *hash, std::size_t hash_from)
 {
     sections.clear();
     Reader head(image, "header");
@@ -162,8 +266,7 @@ decodeFile(const std::vector<std::uint8_t> &image,
     char magic[sizeof(fileMagic)] = {};
     if (image.size() >= sizeof(fileMagic))
         std::memcpy(magic, image.data(), sizeof(fileMagic));
-    for (std::size_t i = 0; i < sizeof(fileMagic); ++i)
-        head.u8();
+    head.skip(sizeof(fileMagic));
     if (!head.ok() ||
         std::memcmp(magic, fileMagic, sizeof(fileMagic)) != 0) {
         error = {"header", "not an aqsim checkpoint (bad magic)"};
@@ -199,42 +302,85 @@ decodeFile(const std::vector<std::uint8_t> &image,
     }
     const std::uint8_t *payload =
         image.data() + (image.size() - payload_len);
-    if (crc32(payload, payload_len) != payload_crc) {
+
+    // One walk: each section header and body is read once, its CRC
+    // taken (with the state hash, where asked) and folded into the
+    // payload CRC. Damage is only reported after the walk, so the
+    // payload CRC keeps its precedence over a section's.
+    std::uint64_t fnv = fnv1a(nullptr, 0);
+    std::uint32_t walked_crc = 0;
+    std::size_t walked = 0;
+    CkptError damage;
+    bool damaged = false;
+    Reader body(payload, payload_len, "payload");
+    while (body.remaining() > 0) {
+        std::string name = body.str();
+        const std::uint64_t len = body.u64();
+        const std::uint32_t crc = body.u32();
+        if (!body.ok()) {
+            if (!damaged)
+                damage = body.error();
+            damaged = true;
+            break;
+        }
+        std::string where = name.empty() ? "payload" : name;
+        if (body.remaining() < len) {
+            if (!damaged)
+                damage = {where, "truncated section body (need " +
+                                     std::to_string(len) + " bytes, have " +
+                                     std::to_string(body.remaining()) +
+                                     ")"};
+            damaged = true;
+            break;
+        }
+        const std::size_t body_at = payload_len - body.remaining();
+        walked_crc = crc32Combine(
+            walked_crc, crc32(payload + walked, body_at - walked),
+            body_at - walked);
+        const std::uint8_t *data = payload + body_at;
+        const std::uint32_t actual =
+            hash && sections.size() >= hash_from
+                ? crc32Fnv1a(data, len, fnv)
+                : crc32(data, len);
+        walked_crc = crc32Combine(walked_crc, actual, len);
+        walked = body_at + len;
+        if (actual != crc && !damaged) {
+            damage = {std::move(where),
+                      "section CRC mismatch (corrupt file)"};
+            damaged = true;
+        }
+        sections.push_back({std::move(name), data, len, actual});
+        body.skip(len);
+    }
+    // Bytes a damaged header left unwalked are CRC'd as they lie.
+    walked_crc = crc32Combine(
+        walked_crc, crc32(payload + walked, payload_len - walked),
+        payload_len - walked);
+    if (walked_crc != payload_crc) {
         error = {"header", "payload CRC mismatch (corrupt file)"};
         return false;
     }
-
-    Reader body(payload, payload_len, "payload");
-    while (body.ok() && body.remaining() > 0) {
-        const std::string name = body.str();
-        const std::uint64_t len = body.u64();
-        const std::uint32_t crc = body.u32();
-        if (!body.ok())
-            break;
-        const std::string where = name.empty() ? "payload" : name;
-        if (body.remaining() < len) {
-            error = {where,
-                     "truncated section body (need " +
-                         std::to_string(len) + " bytes, have " +
-                         std::to_string(body.remaining()) + ")"};
-            return false;
-        }
-        const std::uint8_t *sec_data =
-            payload + (payload_len - body.remaining());
-        if (crc32(sec_data, len) != crc) {
-            error = {where, "section CRC mismatch (corrupt file)"};
-            return false;
-        }
-        Section sec;
-        sec.name = name;
-        sec.body.assign(sec_data, sec_data + len);
-        sections.push_back(std::move(sec));
-        body.skip(len);
-    }
-    if (!body.ok()) {
-        error = body.error();
+    if (damaged) {
+        error = std::move(damage);
         return false;
     }
+    if (hash)
+        *hash = fnv;
+    return true;
+}
+
+bool
+decodeFile(const std::vector<std::uint8_t> &image,
+           std::vector<Section> &sections, CkptError &error)
+{
+    sections.clear();
+    std::vector<SectionView> views;
+    if (!scanFile(image, views, error))
+        return false;
+    sections.reserve(views.size());
+    for (SectionView &v : views)
+        sections.push_back(
+            Section{std::move(v.name), {v.data, v.data + v.size}});
     return true;
 }
 
@@ -276,16 +422,19 @@ readFile(const std::string &path, std::vector<std::uint8_t> &image,
         error = {"header", "cannot open '" + path + "'"};
         return false;
     }
-    std::uint8_t chunk[1 << 16];
-    for (;;) {
-        const std::size_t got = std::fread(chunk, 1, sizeof(chunk), f);
-        image.insert(image.end(), chunk, chunk + got);
-        if (got < sizeof(chunk))
-            break;
+    // One buffer of the file's size, filled by one read.
+    bool read_error = std::fseek(f, 0, SEEK_END) != 0;
+    const long size = read_error ? -1 : std::ftell(f);
+    read_error = size < 0 || std::fseek(f, 0, SEEK_SET) != 0;
+    if (!read_error) {
+        image.resize(static_cast<std::size_t>(size));
+        read_error = std::fread(image.data(), 1, image.size(), f) !=
+                         image.size() ||
+                     std::ferror(f) != 0;
     }
-    const bool read_error = std::ferror(f) != 0;
     std::fclose(f);
     if (read_error) {
+        image.clear();
         error = {"header", "read error on '" + path + "'"};
         return false;
     }

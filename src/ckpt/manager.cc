@@ -47,7 +47,7 @@ bool
 CheckpointManager::write(const CheckpointImage &image, CkptError &error)
 {
     const auto begin = std::chrono::steady_clock::now();
-    std::vector<std::uint8_t> encoded = encodeImage(image);
+    std::vector<std::uint8_t> encoded = sealImage(image);
     if (corruptNextWrite_) {
         corruptNextWrite_ = false;
         if (encoded.size() > 16)
@@ -61,10 +61,9 @@ CheckpointManager::write(const CheckpointImage &image, CkptError &error)
     // deleted on the spot and rotation is skipped, so the previous
     // good file stays on disk even under keep-last-1.
     std::vector<std::uint8_t> readback;
-    CheckpointImage decoded;
     CkptError verify_error;
     if (!readFile(path, readback, verify_error) ||
-        !decodeImage(readback, decoded, verify_error)) {
+        !verifyImage(readback, verify_error)) {
         std::error_code ec;
         fs::remove(path, ec);
         error = {"verify", path + " failed read-back verification: " +
@@ -75,12 +74,20 @@ CheckpointManager::write(const CheckpointImage &image, CkptError &error)
     rotate();
     const auto end = std::chrono::steady_clock::now();
 
+    base::MutexLock lock(statsMutex_);
     ++stats_.written;
     stats_.bytes += encoded.size();
     stats_.writeNs += static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
             .count());
     return true;
+}
+
+CkptWriteStats
+CheckpointManager::stats() const
+{
+    base::MutexLock lock(statsMutex_);
+    return stats_;
 }
 
 std::vector<std::pair<std::uint64_t, std::string>>
@@ -146,20 +153,25 @@ CheckpointManager::loadBest(CheckpointImage &out, std::string &path_out,
 }
 
 void
-CheckpointManager::stashPanicImage(std::vector<std::uint8_t> encoded)
+CheckpointManager::stashPanicImage(
+    std::shared_ptr<const CheckpointImage> image)
 {
     base::MutexLock lock(panicMutex_);
-    panicImage_ = std::move(encoded);
+    panicImage_ = std::move(image);
 }
 
 std::string
 CheckpointManager::writePanicImage()
 {
-    base::MutexLock lock(panicMutex_);
-    if (panicImage_.empty())
+    std::shared_ptr<const CheckpointImage> image;
+    {
+        base::MutexLock lock(panicMutex_);
+        image = panicImage_;
+    }
+    if (!image)
         return "";
     CkptError error;
-    if (!writeFileAtomic(panicFileName(), panicImage_, error))
+    if (!writeFileAtomic(panicFileName(), sealImage(*image), error))
         return "";
     return panicFileName();
 }

@@ -11,16 +11,17 @@
  * an older checkpoint instead of a failed restore.
  *
  * The manager also keeps a "panic image": the engine stashes the
- * encoded boundary snapshot here each quantum, and the watchdog's
- * dump path writes the stash to "panic.aqc" before the process dies —
- * giving the post-mortem a restorable state without ever touching
- * live simulator structures from the watchdog thread.
+ * boundary snapshot here each quantum, and the watchdog's dump path
+ * encodes the stash and writes it to "panic.aqc" before the process
+ * dies — giving the post-mortem a restorable state without ever
+ * touching live simulator structures from the watchdog thread.
  */
 
 #ifndef AQSIM_CKPT_MANAGER_HH
 #define AQSIM_CKPT_MANAGER_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -55,15 +56,18 @@ class CheckpointManager
     bool due(std::uint64_t quantum_index) const;
 
     /**
-     * Encode + atomically write @p image, verify the write by reading
-     * it back and decoding it, then rotate old files. A write that
+     * Hash + encode (sealImage) and atomically write @p image, verify
+     * the write by reading it back and checking it (verifyImage), then
+     * rotate old files. The file's state hash is computed here, from
+     * the sections; image.stateHash is not read. A write that
      * fails read-back verification is deleted and does *not* trigger
      * rotation, and rotation never deletes the newest verified image
      * — so an in-flight or torn write can never consume the only good
      * checkpoint, even under keep-last-1.
      * @return true on success; failures are I/O errors, not fatal.
      */
-    bool write(const CheckpointImage &image, CkptError &error);
+    bool write(const CheckpointImage &image, CkptError &error)
+        AQSIM_EXCLUDES(statsMutex_);
 
     /**
      * Test seam: corrupt the next write's encoded bytes before they
@@ -90,7 +94,8 @@ class CheckpointManager
     /** Files rejected during the last loadBest(), with reasons. */
     const std::vector<std::string> &skipped() const { return skipped_; }
 
-    const CkptWriteStats &stats() const { return stats_; }
+    /** Write stats so far; safe while a write is in progress. */
+    CkptWriteStats stats() const AQSIM_EXCLUDES(statsMutex_);
     const std::string &dir() const { return dir_; }
     std::uint64_t every() const { return every_; }
 
@@ -101,16 +106,17 @@ class CheckpointManager
     std::string panicFileName() const;
 
     /**
-     * Stash the encoded boundary snapshot for the watchdog (called by
-     * the engine at each quantum boundary; thread-safe).
+     * Stash the boundary snapshot for the watchdog (called by the
+     * engine at each quantum boundary; thread-safe). It is encoded
+     * only if the watchdog fires.
      */
-    void stashPanicImage(std::vector<std::uint8_t> encoded)
+    void stashPanicImage(std::shared_ptr<const CheckpointImage> image)
         AQSIM_EXCLUDES(panicMutex_);
 
     /**
-     * Write the stashed panic image to panic.aqc (called from the
-     * watchdog dump path). @return the file path, or "" if no
-     * boundary snapshot was ever stashed or the write failed.
+     * Encode the stashed panic image and write it to panic.aqc
+     * (called from the watchdog dump path). @return the file path, or
+     * "" if no boundary snapshot was ever stashed or the write failed.
      */
     std::string writePanicImage() AQSIM_EXCLUDES(panicMutex_);
 
@@ -124,16 +130,19 @@ class CheckpointManager
     std::string dir_;
     std::uint64_t every_;
     std::size_t keepLast_;
-    CkptWriteStats stats_;
+    /** Written by the checkpoint writer's thread, read by the
+     * watchdog's dump. */
+    mutable base::Mutex statsMutex_;
+    CkptWriteStats stats_ AQSIM_GUARDED_BY(statsMutex_);
     std::vector<std::string> skipped_;
     /** Newest write that passed read-back verification. */
     std::string verifiedPath_;
     bool corruptNextWrite_ = false;
 
-    /** Engine thread stashes, watchdog thread writes: the one pair of
-     * CheckpointManager entry points that can genuinely race. */
+    /** Engine thread stashes, watchdog thread writes. */
     base::Mutex panicMutex_;
-    std::vector<std::uint8_t> panicImage_ AQSIM_GUARDED_BY(panicMutex_);
+    std::shared_ptr<const CheckpointImage>
+        panicImage_ AQSIM_GUARDED_BY(panicMutex_);
 };
 
 } // namespace aqsim::ckpt

@@ -1,9 +1,11 @@
 #include "ckpt/run_checkpointer.hh"
 
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <memory>
 #include <system_error>
+#include <utility>
 
 #include "base/logging.hh"
 #include "core/synchronizer.hh"
@@ -28,7 +30,7 @@ RunCheckpointer::RunCheckpointer(const RunCkptOptions &options,
             options_.dir, options_.every, options_.keepLast);
 }
 
-RunCheckpointer::~RunCheckpointer() = default;
+RunCheckpointer::~RunCheckpointer() { joinWriter(); }
 
 void
 RunCheckpointer::begin()
@@ -108,12 +110,13 @@ RunCheckpointer::imageDue(std::uint64_t q) const
 }
 
 void
-RunCheckpointer::onQuantumCompleted(const CheckpointImage &image)
+RunCheckpointer::onQuantumCompleted(CheckpointImage image)
 {
     const std::uint64_t q = sync_.numQuanta();
     const Due due = dueAt(q);
 
     if (due.verify) {
+        image.stateHash = sectionsHash(image.sections);
         CkptError error;
         if (!compareImages(*golden_, image, error))
             fatal("restore divergence at quantum %llu: %s",
@@ -124,26 +127,51 @@ RunCheckpointer::onQuantumCompleted(const CheckpointImage &image)
                static_cast<unsigned long long>(q),
                static_cast<unsigned long long>(image.stateHash));
     }
+    if (!due.write && !due.stash)
+        return;
 
-    if (due.write) {
-        CkptError error;
-        if (!manager_->write(image, error))
-            warn("checkpoint write failed at quantum %llu: %s",
-                 static_cast<unsigned long long>(q),
-                 error.str().c_str());
-    }
-
+    auto shared = std::make_shared<const CheckpointImage>(std::move(image));
     if (due.stash)
-        manager_->stashPanicImage(encodeImage(image));
+        manager_->stashPanicImage(shared);
+    if (due.write) {
+        base::MutexLock lock(writerMutex_);
+        if (writer_.joinable())
+            writer_.join();
+        writer_ = std::thread([manager = manager_.get(),
+                               image = std::move(shared), q] {
+            // A failed write only warns; nothing may escape the thread.
+            CkptError error;
+            bool written = false;
+            try {
+                written = manager->write(*image, error);
+            } catch (const std::exception &e) {
+                error = {"write", e.what()};
+            }
+            if (!written)
+                warn("checkpoint write failed at quantum %llu: %s",
+                     static_cast<unsigned long long>(q),
+                     error.str().c_str());
+        });
+    }
 }
 
 void
-RunCheckpointer::finish(engine::RunResult &result) const
+RunCheckpointer::joinWriter()
 {
+    base::MutexLock lock(writerMutex_);
+    if (writer_.joinable())
+        writer_.join();
+}
+
+void
+RunCheckpointer::finish(engine::RunResult &result)
+{
+    joinWriter();
     if (manager_) {
-        result.checkpointsWritten = manager_->stats().written;
-        result.checkpointBytes = manager_->stats().bytes;
-        result.checkpointWriteNs = manager_->stats().writeNs;
+        const CkptWriteStats stats = manager_->stats();
+        result.checkpointsWritten = stats.written;
+        result.checkpointBytes = stats.bytes;
+        result.checkpointWriteNs = stats.writeNs;
     }
     result.restoredFromQuantum = restoredFrom_;
     if (restoring_ && restoredFrom_ == 0)
@@ -159,7 +187,7 @@ RunCheckpointer::panicNote()
     if (!manager_)
         return "";
     char line[160];
-    const CkptWriteStats &s = manager_->stats();
+    const CkptWriteStats s = manager_->stats();
     std::snprintf(line, sizeof(line),
                   "  checkpoints: %llu written (%.1f KB, %.2f ms)\n",
                   static_cast<unsigned long long>(s.written),

@@ -9,11 +9,20 @@
  * the engine and hand it to onQuantumCompleted(), which decides
  * whether to
  *
- *  - snapshot + write a periodic checkpoint file,
- *  - stash the encoded snapshot for the watchdog's panic dump,
+ *  - write a periodic checkpoint file,
+ *  - stash the snapshot for the watchdog's panic dump,
  *  - verify a restore: when the replay reaches the checkpointed
  *    quantum, the live state is compared against the golden image and
  *    any divergence fails the run loudly, naming the section.
+ *
+ * A checkpoint file is written off the simulation thread: the image
+ * moves into one background writer thread, which hashes, encodes,
+ * writes, reads back, verifies and rotates it (CheckpointManager::
+ * write) while the quanta go on. At most one image is in flight: the
+ * writer is joined before the next write starts, in finish(), and in
+ * the destructor, so every exit from QuantumDriver::run — a RunAbort
+ * unwinding to the supervisor included — leaves the image on disk and
+ * verified, and no writer thread outlives the run.
  *
  * Restore is replay-based: guest programs are coroutines (code, not
  * data), so --restore re-executes deterministically from quantum 0
@@ -27,8 +36,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "base/mutex.hh"
 #include "ckpt/checkpoint.hh"
 #include "ckpt/manager.hh"
 
@@ -75,7 +86,10 @@ class RunCheckpointer
     RunCheckpointer(const RunCkptOptions &options,
                     const core::Synchronizer &sync,
                     std::uint64_t config_hash, std::string engine_name);
+    /** Waits for the image in flight. */
     ~RunCheckpointer();
+    RunCheckpointer(const RunCheckpointer &) = delete;
+    RunCheckpointer &operator=(const RunCheckpointer &) = delete;
 
     /**
      * Load and validate the restore image, if one was requested.
@@ -93,17 +107,23 @@ class RunCheckpointer
 
     /**
      * Quantum-boundary hook; call after completeQuantum() with the
-     * boundary image, when imageDue() said one is needed.
+     * boundary image, when imageDue() said one is needed. A due write
+     * first waits for the previous one, then takes the image to the
+     * background writer.
      */
-    void onQuantumCompleted(const CheckpointImage &image);
-
-    /** Fold checkpoint/restore stats into the run result. */
-    void finish(engine::RunResult &result) const;
+    void onQuantumCompleted(CheckpointImage image)
+        AQSIM_EXCLUDES(writerMutex_);
 
     /**
-     * Watchdog dump hook: persist the last stashed boundary snapshot.
-     * Thread-safe. @return a line for the dump, or "" if nothing to
-     * report.
+     * Wait for the write in flight, then fold checkpoint/restore
+     * stats into the run result.
+     */
+    void finish(engine::RunResult &result) AQSIM_EXCLUDES(writerMutex_);
+
+    /**
+     * Watchdog dump hook: encode and persist the last stashed boundary
+     * snapshot. Thread-safe, and never waits for the background
+     * writer. @return a line for the dump, or "" if nothing to report.
      */
     std::string panicNote();
 
@@ -120,6 +140,9 @@ class RunCheckpointer
     };
     Due dueAt(std::uint64_t q) const;
 
+    /** Wait for the background writer, if one is running. */
+    void joinWriter() AQSIM_EXCLUDES(writerMutex_);
+
     RunCkptOptions options_;
     const core::Synchronizer &sync_;
     std::uint64_t configHash_;
@@ -131,6 +154,11 @@ class RunCheckpointer
     std::string goldenPath_;
     bool restoring_ = false;
     std::uint64_t restoredFrom_ = 0;
+
+    /** The background writer: only the run's thread starts or joins
+     * it, and the watchdog's dump never touches it. */
+    base::Mutex writerMutex_;
+    std::thread writer_ AQSIM_GUARDED_BY(writerMutex_);
 };
 
 } // namespace aqsim::ckpt

@@ -228,17 +228,19 @@ ClusterState
 Cluster::state() const
 {
     ClusterState st;
+    st.sections.reserve(5);
     const auto add = [&](const char *name,
                          void (Cluster::*fill)(ckpt::Writer &) const) {
         ckpt::Writer w;
         (this->*fill)(w);
-        st.sections.push_back(ckpt::Section{name, w.buffer()});
+        st.sections.push_back(ckpt::Section{name, w.take()});
     };
     add(ckpt::sectionNodes, &Cluster::serializeNodes);
     add(ckpt::sectionMpi, &Cluster::serializeMpi);
     add(ckpt::sectionNet, &Cluster::serializeNet);
     add(ckpt::sectionFault, &Cluster::serializeFault);
     add(ckpt::sectionWorkload, &Cluster::serializeWorkload);
+    st.finishTicks.reserve(nodes_.size());
     for (NodeId id = 0; id < nodes_.size(); ++id) {
         st.finishTicks.push_back(nodes_[id]->appFinishTick());
         st.retransmits += endpoints_[id]->retransmits();
@@ -267,12 +269,12 @@ Cluster::slice(NodeId begin, NodeId end) const
         s.finishTicks.push_back(nodes_[id]->appFinishTick());
         s.retransmits += endpoints_[id]->retransmits();
     }
-    s.nodes = nodes.buffer();
-    s.mpi = mpi.buffer();
-    s.workload = workload.buffer();
+    s.nodes = nodes.take();
+    s.mpi = mpi.take();
+    s.workload = workload.take();
     if (faults_) {
         faults_->serializeLinkRange(links, begin, end);
-        s.faultLinks = links.buffer();
+        s.faultLinks = links.take();
         s.faultTotals = faults_->totals();
     }
     return s;
@@ -306,11 +308,12 @@ Cluster::splice(const std::vector<ClusterSlice> &slices) const
         for (std::uint64_t total : st.faultTotals)
             fault.u64(total);
     serializeNet(net);
-    st.sections = {{ckpt::sectionNodes, nodes.buffer()},
-                   {ckpt::sectionMpi, mpi.buffer()},
-                   {ckpt::sectionNet, net.buffer()},
-                   {ckpt::sectionFault, fault.buffer()},
-                   {ckpt::sectionWorkload, workload.buffer()}};
+    st.sections.reserve(5);
+    st.sections.push_back({ckpt::sectionNodes, nodes.take()});
+    st.sections.push_back({ckpt::sectionMpi, mpi.take()});
+    st.sections.push_back({ckpt::sectionNet, net.take()});
+    st.sections.push_back({ckpt::sectionFault, fault.take()});
+    st.sections.push_back({ckpt::sectionWorkload, workload.take()});
     return st;
 }
 

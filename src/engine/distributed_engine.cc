@@ -271,7 +271,7 @@ class MeshShard
         AQSIM_ASSERT(taken == count);
         transport::Frame f;
         f.type = transport::FrameType::Exchange;
-        f.body = w.buffer();
+        f.body = w.take();
         return f;
     }
 
@@ -391,7 +391,7 @@ class MeshShard
             for (std::uint64_t v : values)
                 w.u64(v);
         }
-        return w.buffer();
+        return w.take();
     }
 
   private:
@@ -491,7 +491,7 @@ peerMain(const PeerSetup &p)
         w.u32(static_cast<std::uint32_t>(p.index));
         w.u32(static_cast<std::uint32_t>(links.size()));
         w.u32(static_cast<std::uint32_t>(p.cluster->numNodes()));
-        hello.body = w.buffer();
+        hello.body = w.take();
         if (!send(hello))
             return 1;
     }
@@ -560,7 +560,7 @@ peerProcess(const PeerSetup &p)
         ckpt::Writer w;
         w.str(abort.cause());
         w.str(abort.detail());
-        f.body = w.buffer();
+        f.body = w.take();
         // Best effort, never waited on: the pipe may be gone or full.
         transport::SocketChannel &control = *(*p.links)[0];
         control.post(f);
@@ -818,7 +818,7 @@ class Coordinator : public QuantumExecutor
         wr.u64(sync.quantumStart());
         wr.u64(sync.quantumEnd());
         wr.u64(qi);
-        quantum.body = wr.buffer();
+        quantum.body = wr.take();
         // What a socket does not take now goes out with the exchange
         // round's send on that link, under its deadline.
         dispatch(quantum, "quantum dispatch");
@@ -847,7 +847,7 @@ class Coordinator : public QuantumExecutor
         ckpt::Writer w;
         DeliveryBatch::serialize(w, counts);
         return ckpt::buildImage(driver_.sync(), config_hash, name(),
-                                std::move(state.sections), w.buffer());
+                                std::move(state.sections), w.take());
     }
 
     /**
@@ -1050,7 +1050,7 @@ class Coordinator : public QuantumExecutor
         wr.u64(q);
         wr.u64(boundary);
         wr.boolean(node_stats);
-        req.body = wr.buffer();
+        req.body = wr.take();
         dispatch(req, "state gather");
         std::vector<ClusterSlice> slices(k_);
         std::vector<std::vector<std::uint64_t>> stats(k_);

@@ -13,7 +13,9 @@
  *
  * Per-quantum order: executor barrier, cancellation poll, watchdog
  * kick, Synchronizer::completeQuantum, checkpoint (the executor is
- * asked for an image only when one is due), recovery drill, guards.
+ * asked for an image only when one is due; a due file write goes on
+ * on a background thread, joined before run() returns or unwinds),
+ * recovery drill, guards.
  *
  * An empty quantum costs no barrier: when the executor's bound on the
  * cluster's earliest pending event lies at or past the quantum's end,

@@ -408,7 +408,7 @@ class CoSim : public net::DeliveryScheduler, public QuantumExecutor
         // Delivery-layer quiescence proof + deterministic counters
         // (same section layout as the ThreadedEngine's).
         DeliveryBatch::serialize(w, batch_.counts());
-        return w.buffer();
+        return w.take();
     }
 
     Cluster &cluster_;

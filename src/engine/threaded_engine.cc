@@ -140,7 +140,7 @@ class PoolExecutor : public QuantumExecutor
         ckpt::Writer w;
         DeliveryBatch::serialize(w, batch_.counts());
         return ckpt::buildImage(driver_.sync(), config_hash, name(),
-                                cluster_.state().sections, w.buffer());
+                                cluster_.state().sections, w.take());
     }
 
     void

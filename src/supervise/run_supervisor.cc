@@ -103,7 +103,9 @@ RunSupervisor::runAttempt(const RunRequest &request,
 
     // A fresh cluster per attempt: a failed run's half-mutated state
     // is never reused; recovery state comes only from the checkpoint
-    // replay (or from quantum zero).
+    // replay (or from quantum zero). The failed one is freed first, so
+    // two never share the heap and the new one reuses its pages.
+    cluster_.reset();
     cluster_ =
         std::make_unique<engine::Cluster>(request.cluster,
                                           *request.workload);

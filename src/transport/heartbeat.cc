@@ -52,7 +52,7 @@ HeartbeatSender::loop()
         beat.type = FrameType::Heartbeat;
         ckpt::Writer w;
         w.u64(seq++);
-        beat.body = w.buffer();
+        beat.body = w.take();
         // Never wait for the reader: what the socket does not take
         // now goes out with the next flush of the channel, this
         // thread's or the protocol thread's.

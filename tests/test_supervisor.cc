@@ -128,6 +128,26 @@ expectSameFinalState(const engine::RunResult &golden,
     EXPECT_EQ(golden.finishTicks, supervised.finishTicks) << what;
 }
 
+/** Frames of guardedLoop alive now: started and not yet destroyed. */
+int liveGuardedFrames = 0;
+
+struct FrameGuard
+{
+    FrameGuard() { ++liveGuardedFrames; }
+    ~FrameGuard() { --liveGuardedFrames; }
+    FrameGuard(const FrameGuard &) = delete;
+    FrameGuard &operator=(const FrameGuard &) = delete;
+};
+
+/** A program whose coroutine frame counts itself while it lives. */
+sim::Process
+guardedLoop(workloads::AppContext &ctx)
+{
+    FrameGuard guard;
+    for (int i = 0; i < 50; ++i)
+        co_await ctx.delay(1'000);
+}
+
 sim::Process
 lostAckPollLoop(workloads::AppContext &ctx)
 {
@@ -313,6 +333,36 @@ TEST(Supervisor, LivelockEscalatesThenAbortsWithStructuredReport)
     EXPECT_FALSE(panic.progress.empty());
     EXPECT_NE(panic.progress.find("node"), std::string::npos);
     EXPECT_NE(panic.format().find("quantum ["), std::string::npos);
+}
+
+TEST(Supervisor, FailedAttemptsClusterIsFreedBeforeTheNextIsBuilt)
+{
+    // Attempt 1 fails with every program mid-loop; their frames die
+    // with its cluster, which must be gone while attempt 2's is being
+    // built. Building a cluster asks the workload for each node's
+    // program; programs start lazily, so a new cluster counts none.
+    std::vector<int> live_while_building;
+    test::LambdaWorkload workload([&](workloads::AppContext &ctx) {
+        live_while_building.push_back(liveGuardedFrames);
+        return guardedLoop(ctx);
+    });
+    auto policy = core::parsePolicy("fixed:1us");
+    supervise::RunRequest request;
+    request.cluster = harness::defaultCluster(4, 7);
+    request.workload = &workload;
+    request.policy = policy.get();
+    int built = 0;
+    request.onClusterBuilt = [&](engine::Cluster &) { ++built; };
+
+    auto sup = testSupervision();
+    sup.injectFailures = {{1, 10, false}};
+    supervise::RunSupervisor supervisor(sup);
+    const auto result = supervisor.run(request);
+    EXPECT_EQ(result.superviseAttempts, 2u);
+    EXPECT_EQ(built, 2);
+    EXPECT_EQ(live_while_building, std::vector<int>(8, 0));
+    supervisor.takeCluster().reset();
+    EXPECT_EQ(liveGuardedFrames, 0);
 }
 
 TEST(Supervisor, IncidentLogIsWellFormedJsonl)
