@@ -29,11 +29,36 @@ counterView(const Owner &owner, stats::Descriptors<Owner> table,
     return nullptr;
 }
 
+/** A node's share of the block: its objects, each on its own
+ * alignment, and its program's frame. The frame allowance holds the
+ * largest built-in program frame (nas.lu's, 720 B) and its header; a
+ * larger one comes from the heap once the block runs out. */
+std::size_t
+nodeBlockBytes(bool sampling_cpu)
+{
+    const auto slot = [](std::size_t size, std::size_t align) {
+        align = std::max<std::size_t>(align, 16);
+        return (size + align - 1) / align * align;
+    };
+    constexpr std::size_t program_frame_bytes = 768;
+    return (sampling_cpu ? slot(sizeof(node::SamplingCpuModel),
+                                alignof(node::SamplingCpuModel))
+                         : slot(sizeof(node::SimpleCpuModel),
+                                alignof(node::SimpleCpuModel))) +
+           slot(sizeof(node::NodeSimulator),
+                alignof(node::NodeSimulator)) +
+           slot(sizeof(mpi::Endpoint), alignof(mpi::Endpoint)) +
+           slot(sizeof(workloads::AppContext),
+                alignof(workloads::AppContext)) +
+           program_frame_bytes;
+}
+
 } // namespace
 
 Cluster::Cluster(const ClusterParams &params,
                  workloads::Workload &workload)
-    : params_(params), workload_(workload), statsRoot_(*this)
+    : params_(params), workload_(workload), statsRoot_(*this),
+      block_(params.numNodes * nodeBlockBytes(params.samplingCpu))
 {
     AQSIM_ASSERT(params.numNodes >= 1);
 
@@ -66,29 +91,50 @@ Cluster::Cluster(const ClusterParams &params,
             AQSIM_ASSERT(params.cpuSpeedFactors[id] > 0.0);
             cpu_params.opsPerNs *= params.cpuSpeedFactors[id];
         }
-        std::unique_ptr<node::CpuModel> cpu;
+        node::CpuModel *cpu;
         if (params.samplingCpu) {
             auto sampling = params.sampling;
             sampling.cpu = cpu_params;
-            cpu = std::make_unique<node::SamplingCpuModel>(
+            cpu = block_.make<node::SamplingCpuModel>(
                 sampling, master.fork(0x5a00 + id));
         } else {
-            cpu = std::make_unique<node::SimpleCpuModel>(cpu_params);
+            cpu = block_.make<node::SimpleCpuModel>(cpu_params);
         }
-        nodes_.push_back(std::make_unique<node::NodeSimulator>(
-            id, std::move(cpu), *controller_));
-        endpoints_.push_back(std::make_unique<mpi::Endpoint>(
+        nodes_.push_back(
+            block_.make<node::NodeSimulator>(id, *cpu, *controller_));
+        endpoints_.push_back(block_.make<mpi::Endpoint>(
             id, params.numNodes, *nodes_.back(), params_.mpiParams));
-        contexts_.push_back(std::make_unique<workloads::AppContext>(
+        contexts_.push_back(block_.make<workloads::AppContext>(
             *nodes_.back(), *endpoints_.back(),
             master.fork(0xa110 + id)));
     }
 
     // Programs are installed after all endpoints exist, so rank 0 can
-    // talk to rank N-1 from its very first event.
-    for (NodeId id = 0; id < params.numNodes; ++id)
+    // talk to rank N-1 from its very first event. Their frames follow
+    // the nodes in the block; every later frame comes from the
+    // node's free lists.
+    for (NodeId id = 0; id < params.numNodes; ++id) {
+        sim::FramePool &pool = nodes_[id]->framePool();
+        pool.carveFrom(&block_);
         nodes_[id]->setProgram(workload_.program(*contexts_[id]));
+        pool.carveFrom(nullptr);
+    }
     nodeStatsAt_ = statsRoot_.children().size();
+}
+
+Cluster::~Cluster()
+{
+    // Programs first: a frame's locals (a posted RecvRequest, a
+    // forked send) still refer to their endpoint as they unwind.
+    for (node::NodeSimulator *node : nodes_)
+        node->endProgram();
+    for (std::size_t i = nodes_.size(); i-- > 0;) {
+        contexts_[i]->~AppContext();
+        endpoints_[i]->~Endpoint();
+        node::CpuModel &cpu = nodes_[i]->cpu();
+        nodes_[i]->~NodeSimulator();
+        cpu.~CpuModel();
+    }
 }
 
 const stats::Stat *

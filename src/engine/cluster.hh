@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "base/block.hh"
 #include "base/random.hh"
 #include "base/types.hh"
 #include "ckpt/ckpt_io.hh"
@@ -110,6 +111,10 @@ class Cluster
      * The workload must outlive the cluster.
      */
     Cluster(const ClusterParams &params, workloads::Workload &workload);
+    ~Cluster();
+
+    Cluster(const Cluster &) = delete;
+    Cluster &operator=(const Cluster &) = delete;
 
     std::size_t numNodes() const { return nodes_.size(); }
     node::NodeSimulator &node(NodeId id) { return *nodes_.at(id); }
@@ -246,9 +251,16 @@ class Cluster
     std::vector<std::uint64_t> adoptedNodeStats_;
     std::unique_ptr<net::NetworkController> controller_;
     std::unique_ptr<fault::FaultInjector> faults_;
-    std::vector<std::unique_ptr<node::NodeSimulator>> nodes_;
-    std::vector<std::unique_ptr<mpi::Endpoint>> endpoints_;
-    std::vector<std::unique_ptr<workloads::AppContext>> contexts_;
+    /**
+     * Every node's CPU model, NodeSimulator, Endpoint and AppContext,
+     * node by node, then every program's coroutine frame: built in
+     * place, destroyed by ~Cluster (docs/performance.md, "A cluster
+     * owns its nodes' memory").
+     */
+    base::Block block_;
+    std::vector<node::NodeSimulator *> nodes_;
+    std::vector<mpi::Endpoint *> endpoints_;
+    std::vector<workloads::AppContext *> contexts_;
 };
 
 } // namespace aqsim::engine

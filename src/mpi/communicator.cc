@@ -173,14 +173,13 @@ Endpoint::send(Rank dst, int tag, std::uint64_t bytes)
     // receiver's flow-control ACK between windows) and block until it
     // has drained onto the wire (MPI_Send completion semantics).
     ++rendezvousCount_;
-    auto trigger = std::make_unique<sim::Trigger>(queue_);
-    sim::Trigger *cts = trigger.get();
-    ctsWaiters_.emplace(hdr.msgId, std::move(trigger));
+    sim::Trigger &cts =
+        ctsWaiters_.try_emplace(hdr.msgId, queue_).first->second;
     if (params_.reliable)
         armRetry(trackRetry(hdr, num_frags, true));
     sendControl(ControlPayload::Kind::Rts, hdr, dst);
 
-    co_await cts->wait();
+    co_await cts.wait();
 
     const std::uint32_t window = windowFragments();
     for (std::uint32_t first = 0; first < num_frags;
@@ -204,10 +203,10 @@ Endpoint::send(Rank dst, int tag, std::uint64_t bytes)
             // an Ack confirming exactly `last` cumulative fragments
             // releases us (stale re-Acks of earlier boundaries are
             // ignored by handleAck).
-            auto ack = std::make_unique<sim::Trigger>(queue_);
-            sim::Trigger *ack_ptr = ack.get();
-            ackWaiters_[hdr.msgId] = AckWaiter{std::move(ack), last};
-            co_await ack_ptr->wait();
+            const auto [ack, added] =
+                ackWaiters_.try_emplace(hdr.msgId, queue_, last);
+            AQSIM_ASSERT(added);
+            co_await ack->second.trigger.wait();
         }
     }
     const Tick busy_until = node_.nic().txBusyUntil();
@@ -454,7 +453,7 @@ Endpoint::handleAck(const ControlPayload &ctrl)
               rank_, static_cast<unsigned long long>(header.msgId),
               ctrl.progress, it->second.expected);
     }
-    it->second.trigger->fire();
+    it->second.trigger.fire();
     ackWaiters_.erase(it);
 }
 
@@ -576,7 +575,7 @@ Endpoint::handleCts(const MsgHeader &header)
             cancelRetry(rit->second);
         }
     }
-    it->second->fire();
+    it->second.fire();
     ctsWaiters_.erase(it);
 }
 

@@ -167,6 +167,9 @@ class Endpoint
     std::size_t numRanks() const { return numRanks_; }
     sim::EventQueue &queue() { return queue_; }
     const EndpointParams &params() const { return params_; }
+    /** A coroutine taking an Endpoint & (send, the collectives) gets
+     * its frame from this rank's node (sim/frame_pool.hh). */
+    sim::FramePool &framePool() { return node_.framePool(); }
 
     /**
      * Blocking send of @p bytes to rank @p dst with tag @p tag.
@@ -362,12 +365,20 @@ class Endpoint
     std::vector<MsgHeader> pendingRts_;
     /** Posted receives in post order. */
     std::vector<PostedRecv> posted_;
+    /*
+     * The waiter maps hold their triggers by value: a map node never
+     * moves, so the send coroutine awaits the trigger where it lies.
+     */
     /** Senders blocked waiting for CTS, by msgId. */
-    std::map<std::uint64_t, std::unique_ptr<sim::Trigger>> ctsWaiters_;
+    std::map<std::uint64_t, sim::Trigger> ctsWaiters_;
     /** A sender stalled on one flow-control window boundary. */
     struct AckWaiter
     {
-        std::unique_ptr<sim::Trigger> trigger;
+        explicit AckWaiter(sim::EventQueue &queue, std::uint32_t last)
+            : trigger(queue), expected(last)
+        {}
+
+        sim::Trigger trigger;
         /**
          * Cumulative fragment count the Ack must confirm. Under loss
          * a retransmitted window can generate repeated Acks for an

@@ -86,6 +86,7 @@ NetworkController::NetworkController(std::size_t num_nodes,
                                      stats::Group &stats_parent)
     : numNodes_(num_nodes), params_(std::move(params)),
       slots_(num_nodes),
+      packetIds_(num_nodes),
       statsGroup_(
           addCounterStats(stats_parent.addGroup("network"), *this)),
       statLateness_(statsGroup_.add<stats::Log2Distribution>(
@@ -198,10 +199,11 @@ NetworkController::deliverOne(Packet &pkt, Tick extra_delay,
                               Tick not_before)
 {
     Counters &slot = slots_[pkt.src];
-    // Same scheme as MsgHeader::msgId: unique cluster-wide, and
-    // independent of how sources interleave across threads.
+    // Same scheme as MsgHeader::msgId: unique cluster-wide for the
+    // run, and independent of how sources interleave across threads.
     pkt.id = ((static_cast<std::uint64_t>(pkt.src) + 1) << 40) |
-             ++slot.idsAssigned;
+             ++packetIds_[pkt.src];
+    ++slot.idsAssigned;
     pkt.idealArrival =
         switch_->egress(pkt.src, pkt.dst, pkt.bytes, pkt.departTick) +
         params_.nic.rxLatency + extra_delay;
@@ -275,6 +277,7 @@ NetworkController::reset()
     switch_->reset();
     folded_ = Counters{};
     std::fill(slots_.begin(), slots_.end(), Counters{});
+    std::fill(packetIds_.begin(), packetIds_.end(), 0);
     std::fill(lanes_.begin(), lanes_.end(), Counters{});
     // The registered stats::* objects that keep their own samples
     // must be cleared with the counters, or repeated runs in one

@@ -343,6 +343,12 @@ class NetworkController
     Counters folded_;
     /** One slot per source node; written only by that node's thread. */
     std::vector<Counters> slots_;
+    /**
+     * Ids handed out per source node in this run; written only by
+     * that node's thread. Unlike the slots' idsAssigned it is never
+     * folded away, so a packet id is unique for the whole run.
+     */
+    std::vector<std::uint64_t> packetIds_;
     /** One padded partial per fold lane, written by its owner. */
     std::vector<Counters> lanes_;
 

@@ -6,12 +6,10 @@
 namespace aqsim::node
 {
 
-NodeSimulator::NodeSimulator(NodeId id, std::unique_ptr<CpuModel> cpu,
+NodeSimulator::NodeSimulator(NodeId id, CpuModel &cpu,
                              net::NetworkController &controller)
-    : id_(id), cpu_(std::move(cpu)), nic_(id, queue_, controller)
-{
-    AQSIM_ASSERT(cpu_ != nullptr);
-}
+    : id_(id), cpu_(cpu), nic_(id, queue_, controller)
+{}
 
 void
 NodeSimulator::setProgram(sim::Process program)
@@ -32,7 +30,7 @@ NodeSimulator::serialize(ckpt::Writer &w) const
     w.boolean(appDone_);
     w.u64(appFinishTick_);
     queue_.serialize(w);
-    cpu_->serialize(w);
+    cpu_.serialize(w);
     nic_.serialize(w);
 }
 

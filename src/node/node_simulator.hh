@@ -12,8 +12,6 @@
 #ifndef AQSIM_NODE_NODE_SIMULATOR_HH
 #define AQSIM_NODE_NODE_SIMULATOR_HH
 
-#include <memory>
-
 #include "base/types.hh"
 #include "node/cpu_model.hh"
 #include "node/nic_model.hh"
@@ -34,17 +32,21 @@ class NodeSimulator
   public:
     /**
      * @param id dense node id
-     * @param cpu CPU timing model (ownership transferred)
+     * @param cpu CPU timing model; the caller keeps it alive for the
+     *        node's lifetime (engine::Cluster builds it beside the
+     *        node, in its block)
      * @param controller the cluster network controller
      */
-    NodeSimulator(NodeId id, std::unique_ptr<CpuModel> cpu,
+    NodeSimulator(NodeId id, CpuModel &cpu,
                   net::NetworkController &controller);
 
     NodeId id() const { return id_; }
     sim::EventQueue &queue() { return queue_; }
     const sim::EventQueue &queue() const { return queue_; }
-    CpuModel &cpu() { return *cpu_; }
+    CpuModel &cpu() { return cpu_; }
     NicModel &nic() { return nic_; }
+    /** Where this node's coroutine frames come from. */
+    sim::FramePool &framePool() { return framePool_; }
 
     /**
      * Install the guest program. The process is started through an
@@ -52,6 +54,11 @@ class NodeSimulator
      * node's own event context.
      */
     void setProgram(sim::Process program);
+
+    /** Destroy the guest program's frame (and every frame it holds).
+     * engine::Cluster does so before it destroys the endpoints those
+     * frames may still refer to. */
+    void endProgram() { program_ = sim::Process(); }
 
     /** @return true once the guest program ran to completion. */
     bool appDone() const { return appDone_; }
@@ -70,8 +77,10 @@ class NodeSimulator
 
   private:
     NodeId id_;
+    /** Declared first: it outlives every frame it served. */
+    sim::FramePool framePool_;
     sim::EventQueue queue_;
-    std::unique_ptr<CpuModel> cpu_;
+    CpuModel &cpu_;
     NicModel nic_;
 
     sim::Process program_;

@@ -15,7 +15,9 @@
  * Internals are built for throughput (this is the hottest loop in the
  * simulator — see docs/performance.md):
  *
- *  - a node's hot event state lives in the queue object itself: the
+ *  - a node's hot event state lives in the queue object itself (and
+ *    the queue lives in its NodeSimulator, built in the cluster's
+ *    block beside the node's endpoint and program frame): the
  *    first 4 heap entries and the first 4 event records, sized from
  *    the high-water marks of real runs (at most 2–5 pending events
  *    per node), so scheduling and firing an event touch no other

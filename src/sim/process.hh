@@ -12,6 +12,14 @@
  * Every resumption happens *inside* an event of the owning node's
  * EventQueue. This property is what lets the execution engines account
  * host cost per event and interleave nodes deterministically.
+ *
+ * A coroutine's frame comes from its node (sim/frame_pool.hh): the
+ * promise's operator new sees the coroutine's arguments, and the first
+ * one that names a node (an mpi::Endpoint &, a workloads::AppContext
+ * &) picks that node's FramePool. A program's frame is carved from the
+ * cluster's block at build; send, sendrecv and collective frames are
+ * recycled through the node's free lists. A coroutine whose arguments
+ * name no node gets a heap frame.
  */
 
 #ifndef AQSIM_SIM_PROCESS_HH
@@ -24,6 +32,7 @@
 #include "base/logging.hh"
 #include "base/types.hh"
 #include "sim/event_queue.hh"
+#include "sim/frame_pool.hh"
 #include "sim/small_callback.hh"
 
 namespace aqsim::sim
@@ -66,6 +75,21 @@ class Process
         FinalAwaiter final_suspend() noexcept { return {}; }
         void return_void() {}
         void unhandled_exception();
+
+        /** The frame comes from the pool of the node the coroutine's
+         * arguments name (sim/frame_pool.hh), or from the heap. */
+        template <typename... Args>
+        static void *
+        operator new(std::size_t size, Args &...args)
+        {
+            return FramePool::allocate(framePoolOf(args...), size);
+        }
+
+        static void
+        operator delete(void *frame) noexcept
+        {
+            FramePool::release(frame);
+        }
 
         bool done = false;
         bool started = false;

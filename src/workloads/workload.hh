@@ -72,6 +72,9 @@ class AppContext
     mpi::Endpoint &comm() { return comm_; }
     node::NodeSimulator &node() { return node_; }
     sim::EventQueue &queue() { return node_.queue(); }
+    /** A coroutine taking an AppContext & (a workload's program) gets
+     * its frame from this rank's node (sim/frame_pool.hh). */
+    sim::FramePool &framePool() { return node_.framePool(); }
     Tick now() const { return node_.queue().now(); }
     Rng &rng() { return rng_; }
     const Rng &rng() const { return rng_; }

@@ -90,6 +90,37 @@ TEST(FlowControl, ConcurrentRendezvousToOneReceiver)
     EXPECT_EQ(received.load(), 3);
 }
 
+TEST(FlowControl, ForkedSendsEachWaitOnTheirOwnWindowAcks)
+{
+    // Rank 0 streams two four-window messages at once: its CTS and
+    // window-ACK waiters of both messages sit side by side in the
+    // endpoint's maps, each send awaiting its own trigger where it
+    // lies while the other message's waiters come and go.
+    const std::uint64_t bytes = 3 * windowFrags * payloadCap + 1;
+    const auto frags = mpi::fragmentCount(bytes, payloadCap);
+    const auto windows = (frags + windowFrags - 1) / windowFrags;
+    ASSERT_EQ(windows, 4u);
+    std::atomic<int> received{0};
+    auto result = runLambda(3, [&](AppContext &ctx) -> sim::Process {
+        if (ctx.rank() == 0) {
+            auto first = ctx.comm().send(1, 4, bytes);
+            auto second = ctx.comm().send(2, 4, bytes);
+            first.start();
+            second.start();
+            co_await std::move(first);
+            co_await std::move(second);
+        } else {
+            mpi::Message m = co_await ctx.comm().recv(0, 4);
+            if (m.bytes == bytes)
+                ++received;
+        }
+    });
+    EXPECT_EQ(received.load(), 2);
+    // Per message: its fragments, RTS and CTS, and one ACK per
+    // window boundary crossed.
+    EXPECT_EQ(result.packets, 2 * (frags + 2 + (windows - 1)));
+}
+
 TEST(FlowControl, BidirectionalConcurrentWindowedTransfers)
 {
     std::atomic<int> done{0};

@@ -96,6 +96,35 @@ TEST_F(ControllerFixture, AssignsUniqueIds)
               scheduler.placements[1].pkt->id);
 }
 
+// A source's ids keep counting across quanta, whichever way its
+// routing counters are folded at the boundary: through a lane
+// partial (the threaded engine) or straight from the slots (the
+// sequential engine, no lanes). The folded idsAssigned total still
+// counts every id once.
+TEST_F(ControllerFixture, IdsStayUniqueAcrossQuantaThroughALaneFold)
+{
+    controller.setFoldLanes(1);
+    controller.inject(*makeFrame(0, 1, 100, 0));
+    controller.foldSource(0, 0);
+    controller.beginQuantum();
+    controller.inject(*makeFrame(0, 1, 100, 0));
+    ASSERT_EQ(scheduler.placements.size(), 2u);
+    EXPECT_NE(scheduler.placements[0].pkt->id,
+              scheduler.placements[1].pkt->id);
+    EXPECT_EQ(controller.snapshotCounters().idsAssigned, 2u);
+}
+
+TEST_F(ControllerFixture, IdsStayUniqueAcrossQuantaThroughTheSlotFold)
+{
+    controller.inject(*makeFrame(0, 1, 100, 0));
+    controller.beginQuantum();
+    controller.inject(*makeFrame(0, 1, 100, 0));
+    ASSERT_EQ(scheduler.placements.size(), 2u);
+    EXPECT_NE(scheduler.placements[0].pkt->id,
+              scheduler.placements[1].pkt->id);
+    EXPECT_EQ(controller.snapshotCounters().idsAssigned, 2u);
+}
+
 TEST_F(ControllerFixture, BroadcastReplicatesToAllOthers)
 {
     controller.inject(*makeFrame(2, broadcastNode, 100, 0));
